@@ -28,13 +28,16 @@ let resource_bound inst = ceil_div (Instance.total_requirement inst) inst.Instan
 let volume_bound inst = ceil_div (Instance.total_volume inst) inst.Instance.m
 let longest_job_bound inst = Instance.max_size inst
 
-let lower_bound_checked inst =
-  match (total_requirement_checked inst, total_volume_checked inst) with
-  | Some s, Some p ->
-      Ok (max (ceil_div s inst.Instance.scale)
-           (max (ceil_div p inst.Instance.m) (Instance.max_size inst)))
+let eq1_checked ~m ~scale ~requirement ~volume ~longest =
+  match (requirement, volume) with
+  | Some s, Some p -> Ok (max (ceil_div s scale) (max (ceil_div p m) longest))
   | None, _ -> Error (Robust.Failure.Overflow "total requirement Σ p_j·r_j exceeds max_int")
   | _, None -> Error (Robust.Failure.Overflow "total volume Σ p_j exceeds max_int")
+
+let lower_bound_checked inst =
+  eq1_checked ~m:inst.Instance.m ~scale:inst.Instance.scale
+    ~requirement:(total_requirement_checked inst)
+    ~volume:(total_volume_checked inst) ~longest:(Instance.max_size inst)
 
 let lower_bound inst =
   match lower_bound_checked inst with

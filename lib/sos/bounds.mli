@@ -26,6 +26,17 @@ val lower_bound_checked : Instance.t -> (int, Robust.Failure.invalid) result
 (** Non-raising form of {!lower_bound} for entry points that report
     structured failures. *)
 
+val eq1_checked :
+  m:int ->
+  scale:int ->
+  requirement:int option ->
+  volume:int option ->
+  longest:int ->
+  (int, Robust.Failure.invalid) result
+(** {!lower_bound_checked} from sums already taken: [Σ s_j], [Σ p_j] and
+    [max_j p_j], with [None] for a sum that overflowed. For callers that
+    hold the jobs in another form than an {!Instance.t}. *)
+
 val theorem_3_3_bound : Instance.t -> makespan:int -> float
 (** [makespan / lower_bound] as a float ([infinity] when the lower bound is
     0 and makespan positive, [1.0] when both are 0). *)

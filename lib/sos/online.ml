@@ -28,13 +28,35 @@ let release_table inst arrivals =
   let by_pos = Array.of_list (List.map (fun a -> a.release) arrivals) in
   Array.map (fun pos -> by_pos.(pos)) inst.Instance.original
 
+(* One pass over the arrivals, failing exactly as [Bounds.lower_bound]
+   on [to_instance]'s result would: at the first malformed arrival, then
+   on m and scale (checked by [Instance.create] itself), then on an
+   overflowing sum. Eq. (1)'s sums do not depend on job order, so the
+   instance and its sort are not needed. *)
 let lower_bound ~m ~scale arrivals =
-  let inst = to_instance ~m ~scale arrivals in
-  let eq1 = Bounds.lower_bound inst in
-  let horizon =
-    List.fold_left (fun acc a -> max acc (a.release + a.size)) 0 arrivals
+  let add_checked acc v =
+    match acc with Some a when v >= 0 && a <= max_int - v -> Some (a + v) | _ -> None
   in
-  max eq1 horizon
+  let requirement = ref (Some 0) and volume = ref (Some 0) in
+  let longest = ref 0 and horizon = ref 0 in
+  List.iteri
+    (fun i a ->
+      (match validate_arrival i a with
+      | Ok () -> ()
+      | Error inv -> raise (Robust.Failure.Invalid inv));
+      requirement :=
+        add_checked !requirement (if a.size > max_int / a.req then -1 else a.size * a.req);
+      volume := add_checked !volume a.size;
+      longest := max !longest a.size;
+      horizon := max !horizon (a.release + a.size))
+    arrivals;
+  ignore (Instance.create ~m ~scale [] : Instance.t);
+  match
+    Bounds.eq1_checked ~m ~scale ~requirement:!requirement ~volume:!volume
+      ~longest:!longest
+  with
+  | Ok eq1 -> max eq1 !horizon
+  | Error reason -> raise (Robust.Failure.Invalid reason)
 
 (* ------------------------------------------------------ incremental core
 
@@ -51,7 +73,8 @@ let lower_bound ~m ~scale arrivals =
 
 type sim = {
   mutable t : int;  (** steps simulated so far; the frontier *)
-  mutable steps_rev : Schedule.step list;  (** allocs carry positions *)
+  mutable steps_rev : Schedule.step list;
+      (** blocks, latest first; allocs carry positions *)
   mutable pending : int list;  (** positions, (req, position) ascending *)
   mutable active : int list;  (** positions *)
   rem : int array;  (** remaining requirement units per position *)
@@ -79,20 +102,39 @@ let sim_scratch sim n =
     start = grown sim.start n (-1);
   }
 
-(* Run the simulation to completion (pending and active drained). One
-   cooperative cancellation poll per step keeps mid-solve deadlines
-   responsive; the chaos site lets the fault suite kill whole solves. *)
+let by_req reqs p q =
+  let c = Int.compare reqs.(p) reqs.(q) in
+  if c <> 0 then c else Int.compare p q
+
+(* Run the simulation to completion (pending and active drained), one
+   block per stretch of identical steps. Stepping one time unit at a
+   time, the state changes only at three kinds of event: a release while
+   a slot is free ([admit] may grow the active set), a job finishing (the
+   active set shrinks), and a job's partial last step (its allocation
+   drops below the one it had, and with it the leftover the largest job
+   receives). In between, every step repeats the previous allocation, so
+   the loop computes one step, repeats it up to the next event, and calls
+   [admit] only at those boundaries, with the same pending-list mutations
+   a per-step loop would make. The expansion, the makespan and the start
+   times are those of the per-step loop (test/online_oracle.ml keeps it
+   as the suite's reference).
+
+   Event bound: every block ends at a job's release (one block at most
+   per distinct release time), at a job's finish, or one step before a
+   finish — an interval cut short by a job's partial last step, which the
+   next, one-step block then finishes. A completed simulation over n
+   positions therefore holds at most 3n blocks, whatever its makespan,
+   and so does any one call below, since every call runs one stretch of
+   that history. One cooperative cancellation poll per block keeps
+   mid-solve deadlines responsive; the chaos site lets the fault suite
+   kill whole solves. *)
 let simulate ~m ~scale ~releases ~reqs sim =
   Robust.Chaos.point "sos.online.run";
-  let n = Array.length releases in
-  let max_release = Array.fold_left max 0 releases in
-  let budget_rem =
-    List.fold_left
-      (fun acc p -> acc + sim.rem.(p))
-      0
-      (List.rev_append sim.pending sim.active)
+  let fuel = ref (3 * Array.length releases) in
+  let push allocs repeat =
+    sim.steps_rev <- { Schedule.allocs; repeat } :: sim.steps_rev;
+    sim.t <- sim.t + repeat
   in
-  let fuel = ref (max_release + budget_rem + n + 4) in
   while sim.pending <> [] || sim.active <> [] do
     Robust.Context.poll ();
     decr fuel;
@@ -119,13 +161,21 @@ let simulate ~m ~scale ~releases ~reqs sim =
       end
     in
     admit ();
-    (if sim.active = [] then
-       (* Idle: nothing released yet. *)
-       sim.steps_rev <- { Schedule.allocs = []; repeat = 1 } :: sim.steps_rev
+    let next_release =
+      List.fold_left
+        (fun acc p -> if releases.(p) > sim.t then min acc releases.(p) else acc)
+        max_int sim.pending
+    in
+    (if sim.active = [] then begin
+       (* Idle until the next release: with m >= 2 and scale >= 1 an empty
+          active set admits any released job, so all pending ones lie
+          ahead. With no release ahead, nothing can ever be admitted. *)
+       if next_release = max_int then
+         Robust.Failure.internal_error "Online.run: no progress";
+       push [] (next_release - sim.t)
+     end
      else begin
-       let ordered =
-         List.sort (fun a b -> compare (reqs.(a), a) (reqs.(b), b)) sim.active
-       in
+       let ordered = List.sort (by_req reqs) sim.active in
        let rec split_last acc = function
          | [ last ] -> (List.rev acc, last)
          | x :: rest -> split_last (x :: acc) rest
@@ -147,15 +197,27 @@ let simulate ~m ~scale ~releases ~reqs sim =
          allocs_others
          @ [ { Schedule.job = biggest; assigned = big_assigned; consumed = big_assigned } ]
        in
+       (* The step repeats while every job can pay its allocation in full
+          again. Every allocation is positive: admission keeps the others'
+          requirements below [scale], so the largest job's leftover is at
+          least 1. A free slot also stops the block at the next release. *)
+       let repeat =
+         List.fold_left
+           (fun k (a : Schedule.alloc) -> min k (sim.rem.(a.job) / a.consumed))
+           max_int allocs
+       in
+       let repeat =
+         if List.length sim.active < m - 1 then min repeat (next_release - sim.t)
+         else repeat
+       in
        List.iter
          (fun (a : Schedule.alloc) ->
            if sim.start.(a.job) < 0 then sim.start.(a.job) <- sim.t;
-           sim.rem.(a.job) <- sim.rem.(a.job) - a.consumed)
+           sim.rem.(a.job) <- sim.rem.(a.job) - (repeat * a.consumed))
          allocs;
-       sim.steps_rev <- { Schedule.allocs; repeat = 1 } :: sim.steps_rev;
+       push allocs repeat;
        sim.active <- List.filter (fun p -> sim.rem.(p) > 0) sim.active
-     end);
-    sim.t <- sim.t + 1
+     end)
   done
 
 (* Map a completed position-keyed simulation onto the offline instance:
@@ -301,7 +363,6 @@ module Session = struct
             reqs.(p) <- a.req;
             sizes.(p) <- a.size)
           arrivals;
-        let by_req p q = compare (reqs.(p), p) (reqs.(q), q) in
         let fresh = List.init (n - t.committed_n) (fun i -> t.committed_n + i) in
         let extendable =
           t.committed_n > 0
@@ -311,7 +372,7 @@ module Session = struct
           if extendable then begin
             let sim = sim_scratch t.committed n in
             List.iter (fun p -> sim.rem.(p) <- sizes.(p) * reqs.(p)) fresh;
-            sim.pending <- List.sort by_req (List.rev_append sim.pending fresh);
+            sim.pending <- List.sort (by_req reqs) (List.rev_append sim.pending fresh);
             sim
           end
           else begin
@@ -319,7 +380,7 @@ module Session = struct
             for p = 0 to n - 1 do
               sim.rem.(p) <- sizes.(p) * reqs.(p)
             done;
-            sim.pending <- List.sort by_req (List.init n Fun.id);
+            sim.pending <- List.sort (by_req reqs) (List.init n Fun.id);
             sim
           end
         in

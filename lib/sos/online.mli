@@ -13,6 +13,15 @@
     except the largest active job gets its full requirement, the largest
     the leftover.
 
+    The simulation does not step through time one unit at a time. It
+    jumps from event to event — a release while a slot is free, a job
+    finishing, a job's partial last step — and records one run-length
+    block per interval in between, including one per idle gap. A result
+    over n jobs therefore holds at most 3n blocks whatever its makespan,
+    and a solve's work grows with its events, not with its makespan.
+    The expanded schedule is exactly the per-step policy's (tested
+    against a per-step reference simulator).
+
     Two entry points share one engine. {!run} is the one-shot form.
     {!Session} is the incremental form behind [sosctl serve]: jobs are
     submitted one at a time under optional job-count and volume budgets,
@@ -20,8 +29,10 @@
     answering from cache when nothing changed, extending the finished
     simulation when every new job is released at or after its frontier,
     and only re-simulating from scratch when a new arrival rewrites
-    history. All three paths produce results byte-identical to {!run} on
-    the materialized job set (tested property). *)
+    history. An extension simulates only the new events and materializes
+    the result in O(blocks + n log n). All three paths produce results
+    byte-identical to {!run} on the materialized job set (tested
+    property). *)
 
 type arrival = { release : int; size : int; req : int }
 (** [release ≥ 0] in time steps; [size], [req] as in {!Instance}. *)
@@ -97,7 +108,11 @@ val run : m:int -> scale:int -> arrival list -> result
 (** Raises [Invalid_argument] on a negative release or malformed job. *)
 
 val lower_bound : m:int -> scale:int -> arrival list -> int
-(** Clairvoyant bound: [max(Eq.(1) on all jobs, max_j (release_j + p_j))]. *)
+(** Clairvoyant bound: [max(Eq.(1) on all jobs, max_j (release_j + p_j))],
+    in one pass over the arrivals. Raises as {!Bounds.lower_bound} would
+    on the offline instance: [Robust.Failure.Invalid] on the first
+    malformed arrival, then [Invalid_argument] on [m < 2] or [scale < 1],
+    then [Robust.Failure.Invalid (Overflow _)] on an overflowing sum. *)
 
 val respects_releases : result -> arrival list -> bool
 (** Every job starts no earlier than its release (the schedule validator

@@ -207,6 +207,160 @@ let test_session_peek_and_dirty () =
   | Some p -> Alcotest.(check int) "stale peek" r.Online.makespan p.Online.makespan
   | None -> Alcotest.fail "peek lost on add")
 
+(* --- event-driven simulation --- *)
+
+let test_online_matches_dense_oracle () =
+  (* Release horizons up to 5000 leave idle gaps of thousands of steps
+     between bursts; the event-driven blocks must expand to exactly the
+     per-step oracle's schedule. *)
+  for seed = 1 to 1000 do
+    let rng = Rng.create (seed * 331) in
+    let m = Rng.int_in rng 2 10 in
+    let scale = Rng.choose rng [| 10; 100; 1000 |] in
+    let horizon = Rng.int_in rng 0 5000 in
+    let arrivals =
+      List.init (Rng.int_in rng 0 60) (fun _ ->
+          let req_cap = if Rng.int_in rng 0 1 = 0 then scale else max 1 (scale / 10) in
+          {
+            Online.release = Rng.int_in rng 0 horizon;
+            size = Rng.int_in rng 1 20;
+            req = Rng.int_in rng 1 req_cap;
+          })
+    in
+    let ctx = Printf.sprintf "seed %d" seed in
+    let r = Online.run ~m ~scale arrivals in
+    let o = Online_oracle.run ~m ~scale arrivals in
+    Alcotest.(check int) (ctx ^ ": makespan") o.Online.makespan r.Online.makespan;
+    Alcotest.(check (array int))
+      (ctx ^ ": start times") o.Online.start_times r.Online.start_times;
+    if
+      (Schedule.expand r.Online.schedule).Schedule.steps
+      <> (Schedule.expand o.Online.schedule).Schedule.steps
+    then Alcotest.failf "%s: expanded steps differ" ctx;
+    (match Schedule.validate r.Online.schedule with
+    | Ok () -> ()
+    | Error v ->
+        Alcotest.failf "%s: invalid at %d: %s" ctx v.Schedule.at_step v.Schedule.reason);
+    if not (Online.respects_releases r arrivals) then
+      Alcotest.failf "%s: a job started before its release" ctx
+  done
+
+let test_online_history_bounded () =
+  (* 400 jobs released 200 steps apart, each finished long before the
+     next arrives: the shape of a sparse serve tenant. The history must
+     stay within [simulate]'s event bound of three blocks per job, for a
+     one-shot run and for a session that extends on every solve. *)
+  let m = 4 and scale = 100 in
+  let rng = Rng.create 4242 in
+  let arrivals =
+    List.init 400 (fun i ->
+        { Online.release = 200 * i; size = Rng.int_in rng 1 7; req = Rng.int_in rng 1 scale })
+  in
+  let bound = 3 * List.length arrivals in
+  let check_blocks ctx (r : Online.result) =
+    let blocks = List.length r.Online.schedule.Schedule.steps in
+    if blocks > bound then
+      Alcotest.failf "%s: %d blocks for makespan %d, bound %d" ctx blocks
+        r.Online.makespan bound
+  in
+  let r = Online.run ~m ~scale arrivals in
+  Alcotest.(check bool) "spans the release horizon" true (r.Online.makespan > 200 * 399);
+  check_blocks "run" r;
+  let session = Online.Session.create ~m ~scale () in
+  List.iter
+    (fun a ->
+      (match Online.Session.add session a with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "reject: %s" (Online.Session.reject_message e));
+      check_blocks "session" (Online.Session.solve session))
+    arrivals;
+  let stats = Online.Session.stats session in
+  Alcotest.(check int) "full solves" 1 stats.Online.Session.full_solves;
+  Alcotest.(check int) "extended solves" 399 stats.Online.Session.extended_solves;
+  check_same_result ~ctx:"extended history" (Online.Session.solve session) r
+
+(* --- lower bound --- *)
+
+(* The definition the one-pass [Online.lower_bound] must agree with:
+   validate every arrival, build the sorted offline instance, take
+   Eq. (1), and raise it to the release horizon. *)
+let reference_lower_bound ~m ~scale arrivals =
+  List.iteri
+    (fun i (a : Online.arrival) ->
+      let open Robust.Failure in
+      if a.release < 0 then
+        raise
+          (Invalid (Malformed (Printf.sprintf "job %d: negative release (got %d)" i a.release)))
+      else if a.size <= 0 then raise (Invalid (Nonpositive_size { job = i; size = a.size }))
+      else if a.req <= 0 then raise (Invalid (Nonpositive_req { job = i; req = a.req })))
+    arrivals;
+  let inst =
+    Instance.create ~m ~scale
+      (List.map (fun (a : Online.arrival) -> (a.size, a.req)) arrivals)
+  in
+  List.fold_left
+    (fun acc (a : Online.arrival) -> max acc (a.release + a.size))
+    (Bounds.lower_bound inst) arrivals
+
+let lower_bound_outcome f =
+  match f () with
+  | lb -> Ok lb
+  | exception Robust.Failure.Invalid inv ->
+      Error ("invalid: " ^ Robust.Failure.message (Robust.Failure.Invalid_instance inv))
+  | exception Invalid_argument msg -> Error ("invalid_argument: " ^ msg)
+
+let test_online_lower_bound_one_pass () =
+  (* Clean inputs, one malformed arrival, a degenerate m or scale, and
+     overflowing p_j·r_j or Σ p_j·r_j, in seeded combinations: the value
+     or the exception must match the reference's. [seen] counts the
+     outcomes by kind (value, bad arrival, bad m or scale, overflow) so
+     that each is known to occur. *)
+  let seen = Array.make 4 0 in
+  for seed = 1 to 600 do
+    let rng = Rng.create (seed * 337) in
+    let m = if Rng.int_in rng 0 9 = 0 then Rng.int_in rng (-1) 1 else Rng.int_in rng 2 10 in
+    let scale =
+      if Rng.int_in rng 0 9 = 0 then Rng.int_in rng (-1) 0
+      else Rng.choose rng [| 10; 100; 1000 |]
+    in
+    let n = Rng.int_in rng 0 60 in
+    let bad = if n > 0 && Rng.int_in rng 0 2 = 0 then Rng.int_in rng 0 (n - 1) else -1 in
+    let arrivals =
+      List.init n (fun i ->
+          let a =
+            {
+              Online.release = Rng.int_in rng 0 5000;
+              size = Rng.int_in rng 1 20;
+              req = Rng.int_in rng 1 1000;
+            }
+          in
+          if i <> bad then a
+          else
+            match Rng.int_in rng 0 4 with
+            | 0 -> { a with Online.release = -Rng.int_in rng 1 5 }
+            | 1 -> { a with Online.size = Rng.int_in rng (-2) 0 }
+            | 2 -> { a with Online.req = Rng.int_in rng (-2) 0 }
+            | 3 -> { a with Online.size = max_int / 2; req = Rng.int_in rng 3 9 }
+            | _ -> { a with Online.size = (max_int / 4) + 1; req = 2 })
+    in
+    let arrivals = if bad >= 0 && Rng.int_in rng 0 1 = 0 then arrivals @ arrivals else arrivals in
+    let expected = lower_bound_outcome (fun () -> reference_lower_bound ~m ~scale arrivals) in
+    let got = lower_bound_outcome (fun () -> Online.lower_bound ~m ~scale arrivals) in
+    Alcotest.(check (result int string)) (Printf.sprintf "seed %d" seed) expected got;
+    let kind =
+      match expected with
+      | Ok _ -> 0
+      | Error e when String.starts_with ~prefix:"invalid_argument" e -> 2
+      | Error e when String.ends_with ~suffix:"exceeds max_int" e -> 3
+      | Error _ -> 1
+    in
+    seen.(kind) <- seen.(kind) + 1
+  done;
+  Array.iteri
+    (fun kind count ->
+      if count = 0 then Alcotest.failf "outcome kind %d never occurred" kind)
+    seen
+
 (* --- SVG --- *)
 
 let test_svg_well_formed () =
@@ -251,6 +405,12 @@ let suite =
       Alcotest.test_case "session solve paths" `Quick test_session_solve_paths;
       Alcotest.test_case "session budgets" `Quick test_session_budgets;
       Alcotest.test_case "session peek & dirty" `Quick test_session_peek_and_dirty;
+      Alcotest.test_case "matches per-step oracle" `Quick
+        test_online_matches_dense_oracle;
+      Alcotest.test_case "history bounded by events" `Quick
+        test_online_history_bounded;
+      Alcotest.test_case "lower bound in one pass" `Quick
+        test_online_lower_bound_one_pass;
       Alcotest.test_case "svg well-formed" `Quick test_svg_well_formed;
       Alcotest.test_case "svg to file" `Quick test_svg_to_file;
     ] )
