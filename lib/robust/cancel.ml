@@ -34,7 +34,7 @@ let rec check t =
   (match t.deadline with
   | Some d
     when (Prelude.Clock.now () [@sos.allow "A1: deadline check reads the wall clock by design; cancellation timing never reaches solver output"])
-         > d ->
+         >= d ->
       raise (Failure.Deadline (Option.value t.timeout ~default:0.0))
   | _ -> ());
   match t.parent with Some p -> check p | None -> ()

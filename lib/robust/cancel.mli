@@ -30,5 +30,7 @@ val cancelled : t -> bool
 val check : t -> unit
 (** Raise {!Failure.Cancel_requested} if the token or an ancestor was
     cancelled, {!Failure.Deadline} if a deadline (own or ancestral) has
-    passed; otherwise return. Cost when armed: one atomic load per chain
-    link, plus a clock read per deadline. *)
+    been reached — the clock reads at or past it; otherwise return. A
+    timeout below the clock's resolution therefore expires on the first
+    check. Cost when armed: one atomic load per chain link, plus a clock
+    read per deadline. *)

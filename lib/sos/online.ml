@@ -64,39 +64,38 @@ let lower_bound ~m ~scale arrivals =
    jobs were submitted), not on instance ids. [Instance.create] sorts by
    [Job.compare_req], which tie-breaks on the original position, so
    instance-id order and (req, position) lexicographic order coincide:
-   every comparison the id-based simulation used to make — the pending
-   admission order, the "everyone but the largest" split — is reproduced
-   exactly by comparing (req, position). That is what lets a session keep
-   simulating as jobs arrive, without renumbering history each time the
-   sorted instance would shuffle ids, and still materialize a result that
-   is byte-identical to a from-scratch [run] on the final job set. *)
+   every comparison the id-based simulation used to make — the admission
+   order among jobs released together, the "everyone but the largest"
+   split — is reproduced exactly by comparing (req, position). That is
+   what lets a session keep simulating as jobs arrive, without
+   renumbering history each time the sorted instance would shuffle ids,
+   and still materialize a result that is byte-identical to a
+   from-scratch [run] on the final job set. *)
 
 type sim = {
   mutable t : int;  (** steps simulated so far; the frontier *)
   mutable steps_rev : Schedule.step list;
-      (** blocks, latest first; allocs carry positions *)
-  mutable pending : int list;  (** positions, (req, position) ascending *)
+      (** this solve's blocks, latest first; allocs carry positions *)
   mutable active : int list;  (** positions *)
   rem : int array;  (** remaining requirement units per position *)
   start : int array;  (** first allocated step per position, -1 *)
 }
 
-let sim_empty () =
-  { t = 0; steps_rev = []; pending = []; active = []; rem = [||]; start = [||] }
+let sim_empty () = { t = 0; steps_rev = []; active = []; rem = [||]; start = [||] }
 
 let grown a n fill =
   let b = Array.make n fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* A scratch copy whose arrays are grown to [n] positions. Lists are
-   immutable and shared; the copy can be simulated — and abandoned on a
-   mid-solve deadline — without disturbing the committed original. *)
+(* A scratch copy whose arrays are grown to [n] positions and which holds
+   no blocks yet: the history before its frontier lives in the result it
+   extends. The copy can be simulated — and abandoned on a mid-solve
+   deadline — without disturbing the committed original. *)
 let sim_scratch sim n =
   {
     t = sim.t;
-    steps_rev = sim.steps_rev;
-    pending = sim.pending;
+    steps_rev = [];
     active = sim.active;
     rem = grown sim.rem n 0;
     start = grown sim.start n (-1);
@@ -106,18 +105,70 @@ let by_req reqs p q =
   let c = Int.compare reqs.(p) reqs.(q) in
   if c <> 0 then c else Int.compare p q
 
-(* Run the simulation to completion (pending and active drained), one
-   block per stretch of identical steps. Stepping one time unit at a
-   time, the state changes only at three kinds of event: a release while
-   a slot is free ([admit] may grow the active set), a job finishing (the
-   active set shrinks), and a job's partial last step (its allocation
-   drops below the one it had, and with it the leftover the largest job
-   receives). In between, every step repeats the previous allocation, so
-   the loop computes one step, repeats it up to the next event, and calls
-   [admit] only at those boundaries, with the same pending-list mutations
-   a per-step loop would make. The expansion, the makespan and the start
-   times are those of the per-step loop (test/online_oracle.ml keeps it
-   as the suite's reference).
+(* The released positions waiting for admission: a binary min-heap over
+   the first [size] cells of [heap], ordered by [gen.(p)] (see
+   [simulate]), then by (req, position). *)
+type queue = { heap : int array; mutable size : int; gen : int array; reqs : int array }
+
+let before q p r =
+  let c = Int.compare q.gen.(p) q.gen.(r) in
+  if c <> 0 then c < 0 else by_req q.reqs p r < 0
+
+let enqueue q p =
+  let i = ref q.size in
+  q.size <- q.size + 1;
+  while !i > 0 && before q p q.heap.((!i - 1) / 2) do
+    q.heap.(!i) <- q.heap.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  q.heap.(!i) <- p
+
+(* Remove the head, [q.heap.(0)]. *)
+let dequeue q =
+  q.size <- q.size - 1;
+  let last = q.heap.(q.size) in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c = if l + 1 < q.size && before q q.heap.(l + 1) q.heap.(l) then l + 1 else l in
+    if c < q.size && before q q.heap.(c) last then begin
+      q.heap.(!i) <- q.heap.(c);
+      i := c
+    end
+    else sifting := false
+  done;
+  q.heap.(!i) <- last
+
+(* Run the simulation of positions [from .. n-1] to completion, one block
+   per stretch of identical steps, from [sim]'s frontier, where every
+   position below [from] has already finished.
+
+   Admission order. The per-step policy keeps the waiting jobs in a list,
+   sorted by (req, position) at the start. Each admission takes the first
+   released job in that list and moves every other released job ahead of
+   every unreleased one, each group keeping its order. So a job passed
+   over at one admission stays ahead of every job released after it,
+   whatever their requirements. The queue reproduces that order with a
+   key: [gen.(p)] is the number of admissions made before [p] was
+   released. Two waiting jobs with the same [gen] were released between
+   the same two admissions, and no admission changed their order, so
+   they keep (req, position). A smaller [gen] means an admission found
+   one job released and the other not, and moved the released one ahead.
+   Positions wait in [arriving], sorted by release, until the frontier
+   reaches them; [next] is the first one not yet released, and its
+   release is the next release time. Each position is pushed and popped
+   once, at O(log n) each.
+
+   Events. Stepping one time unit at a time, the state changes only at
+   three kinds of event: a release while a slot is free ([admit] may grow
+   the active set), a job finishing (the active set shrinks), and a job's
+   partial last step (its allocation drops below the one it had, and with
+   it the leftover the largest job receives). In between, every step
+   repeats the previous allocation, so the loop computes one step,
+   repeats it up to the next event, and calls [admit] only at those
+   boundaries. The expansion, the makespan and the start times are those
+   of the per-step loop (test/online_oracle.ml keeps it as the suite's
+   reference).
 
    Event bound: every block ends at a job's release (one block at most
    per distinct release time), at a job's finish, or one step before a
@@ -128,48 +179,54 @@ let by_req reqs p q =
    that history. One cooperative cancellation poll per block keeps
    mid-solve deadlines responsive; the chaos site lets the fault suite
    kill whole solves. *)
-let simulate ~m ~scale ~releases ~reqs sim =
+let simulate ~m ~scale ~releases ~reqs ~from sim =
   Robust.Chaos.point "sos.online.run";
-  let fuel = ref (3 * Array.length releases) in
+  let n = Array.length releases in
+  let fuel = ref (3 * n) in
+  let arriving = Array.init (n - from) (fun i -> from + i) in
+  Array.stable_sort (fun p q -> Int.compare releases.(p) releases.(q)) arriving;
+  let next = ref 0 in
+  let queue = { heap = Array.make (n - from) 0; size = 0; gen = Array.make n 0; reqs } in
+  let admissions = ref 0 in
   let push allocs repeat =
     sim.steps_rev <- { Schedule.allocs; repeat } :: sim.steps_rev;
     sim.t <- sim.t + repeat
   in
-  while sim.pending <> [] || sim.active <> [] do
+  while !next < Array.length arriving || queue.size > 0 || sim.active <> [] do
     Robust.Context.poll ();
     decr fuel;
     if !fuel < 0 then Robust.Failure.internal_error "Online.run: no progress";
-    (* Admit released jobs, smallest requirement first, while the active
-       set keeps property (b): everything except the largest member must
-       fit below the full resource. *)
+    while !next < Array.length arriving && releases.(arriving.(!next)) <= sim.t do
+      let p = arriving.(!next) in
+      queue.gen.(p) <- !admissions;
+      enqueue queue p;
+      incr next
+    done;
+    (* Admit queued jobs in order while the active set keeps property
+       (b): everything except the largest member must fit below the full
+       resource. *)
     let rec admit () =
-      if List.length sim.active < m - 1 then begin
-        let released, rest =
-          List.partition (fun p -> releases.(p) <= sim.t) sim.pending
-        in
-        match released with
-        | [] -> ()
-        | cand :: more_released ->
-            let members = cand :: sim.active in
-            let sum = List.fold_left (fun acc p -> acc + reqs.(p)) 0 members in
-            let mx = List.fold_left (fun acc p -> max acc reqs.(p)) 0 members in
-            if sum - mx < scale then begin
-              sim.active <- members;
-              sim.pending <- more_released @ rest;
-              admit ()
-            end
+      if queue.size > 0 && List.length sim.active < m - 1 then begin
+        let members = queue.heap.(0) :: sim.active in
+        let sum = List.fold_left (fun acc p -> acc + reqs.(p)) 0 members in
+        let mx = List.fold_left (fun acc p -> max acc reqs.(p)) 0 members in
+        if sum - mx < scale then begin
+          dequeue queue;
+          incr admissions;
+          sim.active <- members;
+          admit ()
+        end
       end
     in
     admit ();
     let next_release =
-      List.fold_left
-        (fun acc p -> if releases.(p) > sim.t then min acc releases.(p) else acc)
-        max_int sim.pending
+      if !next < Array.length arriving then releases.(arriving.(!next)) else max_int
     in
     (if sim.active = [] then begin
        (* Idle until the next release: with m >= 2 and scale >= 1 an empty
-          active set admits any released job, so all pending ones lie
-          ahead. With no release ahead, nothing can ever be admitted. *)
+          active set admits any released job, so the queue is empty and
+          every job still to run lies ahead. With no release ahead,
+          nothing can ever be admitted. *)
        if next_release = max_int then
          Robust.Failure.internal_error "Online.run: no progress";
        push [] (next_release - sim.t)
@@ -220,10 +277,22 @@ let simulate ~m ~scale ~releases ~reqs sim =
      end)
   done
 
+let rekey table (step : Schedule.step) =
+  {
+    step with
+    Schedule.allocs =
+      List.map
+        (fun (a : Schedule.alloc) -> { a with Schedule.job = table.(a.job) })
+        step.Schedule.allocs;
+  }
+
 (* Map a completed position-keyed simulation onto the offline instance:
    positions become instance ids, trailing idle steps are trimmed (none
-   expected; keeps the invariant that makespan = last step with work). *)
-let materialize ~m ~scale arrivals sim =
+   expected; keeps the invariant that makespan = last step with work).
+   [prior], when given, is the result the simulation extends: its steps
+   are the history before this solve's blocks, and are re-keyed from its
+   instance's ids to the new instance's in the same pass. *)
+let materialize ~m ~scale ?prior arrivals sim =
   let inst = to_instance ~m ~scale arrivals in
   let n = Instance.n inst in
   let id_of_pos = Array.make n 0 in
@@ -232,17 +301,17 @@ let materialize ~m ~scale arrivals sim =
     | { Schedule.allocs = []; _ } :: rest -> trim rest
     | steps -> steps
   in
+  let steps = List.rev_map (rekey id_of_pos) (trim sim.steps_rev) in
   let steps =
-    List.rev_map
-      (fun (step : Schedule.step) ->
-        {
-          step with
-          Schedule.allocs =
-            List.map
-              (fun (a : Schedule.alloc) -> { a with Schedule.job = id_of_pos.(a.job) })
-              step.Schedule.allocs;
-        })
-      (trim sim.steps_rev)
+    match prior with
+    | None -> steps
+    | Some r ->
+        let new_id = Array.map (fun pos -> id_of_pos.(pos)) r.instance.Instance.original in
+        let[@tail_mod_cons] rec onto = function
+          | [] -> steps
+          | step :: rest -> rekey new_id step :: onto rest
+        in
+        onto r.schedule.Schedule.steps
   in
   let start_times =
     Array.init n (fun id -> sim.start.(inst.Instance.original.(id)))
@@ -272,11 +341,14 @@ module Session = struct
     mutable arrivals_rev : arrival list;
     mutable count : int;
     mutable volume : int;
-    (* committed: a completed simulation over the first [committed_n]
-       positions, plus its materialized result. Solving never mutates it
-       in place — a scratch copy is simulated and swapped in only on
-       completion, so a deadline that unwinds mid-solve leaves the last
-       good state (and [peek]'s answer) intact. *)
+    (* committed: the state at the frontier of a completed simulation
+       over the first [committed_n] positions, and [last_good], its
+       materialized result. The committed state keeps no blocks: the
+       result's schedule is the session's one copy of the history, and an
+       extension re-keys it onto the new instance. Solving never mutates
+       either in place — a scratch copy is simulated and swapped in only
+       on completion, so a deadline that unwinds mid-solve leaves the
+       last good state (and [peek]'s answer) intact. *)
     mutable committed : sim;
     mutable committed_n : int;
     mutable last_good : result option;
@@ -342,17 +414,18 @@ module Session = struct
      is released before the committed frontier. The committed frontier is
      the completion time of the old job set, so at every earlier step the
      new jobs are unreleased and change nothing; from the frontier on the
-     old simulation had drained, and resuming its loop with the new
-     pending set replays exactly what a from-scratch run would do (idle
-     until the first new release, then admit). Otherwise a new job could
-     have joined a past admission decision and we must re-solve from 0. *)
+     old simulation had drained, and resuming its loop with only the new
+     positions to schedule replays exactly what a from-scratch run would
+     do (idle until the first new release, then admit). Otherwise a new
+     job could have joined a past admission decision and we must re-solve
+     from 0. *)
   let solve t =
-    let arrivals = List.rev t.arrivals_rev in
     match t.last_good with
     | Some r when t.committed_n = t.count ->
         t.cached_hits <- t.cached_hits + 1;
         r
-    | _ ->
+    | last_good ->
+        let arrivals = List.rev t.arrivals_rev in
         let n = t.count in
         let releases = Array.make n 0 in
         let reqs = Array.make n 0 in
@@ -363,32 +436,29 @@ module Session = struct
             reqs.(p) <- a.req;
             sizes.(p) <- a.size)
           arrivals;
-        let fresh = List.init (n - t.committed_n) (fun i -> t.committed_n + i) in
-        let extendable =
-          t.committed_n > 0
-          && List.for_all (fun p -> releases.(p) >= t.committed.t) fresh
+        let prior =
+          if
+            t.committed_n > 0
+            && Array.for_all
+                 (fun r -> r >= t.committed.t)
+                 (Array.sub releases t.committed_n (n - t.committed_n))
+          then last_good
+          else None
         in
-        let sim =
-          if extendable then begin
-            let sim = sim_scratch t.committed n in
-            List.iter (fun p -> sim.rem.(p) <- sizes.(p) * reqs.(p)) fresh;
-            sim.pending <- List.sort (by_req reqs) (List.rev_append sim.pending fresh);
-            sim
-          end
-          else begin
-            let sim = sim_scratch (sim_empty ()) n in
-            for p = 0 to n - 1 do
-              sim.rem.(p) <- sizes.(p) * reqs.(p)
-            done;
-            sim.pending <- List.sort (by_req reqs) (List.init n Fun.id);
-            sim
-          end
+        let from, sim =
+          match prior with
+          | Some _ -> (t.committed_n, sim_scratch t.committed n)
+          | None -> (0, sim_scratch (sim_empty ()) n)
         in
-        simulate ~m:t.m ~scale:t.scale ~releases ~reqs sim;
-        let r = materialize ~m:t.m ~scale:t.scale arrivals sim in
+        for p = from to n - 1 do
+          sim.rem.(p) <- sizes.(p) * reqs.(p)
+        done;
+        simulate ~m:t.m ~scale:t.scale ~releases ~reqs ~from sim;
+        let r = materialize ~m:t.m ~scale:t.scale ?prior arrivals sim in
         (* Commit only now: everything above may unwind on a deadline. *)
-        if extendable then t.extended_solves <- t.extended_solves + 1
+        if from > 0 then t.extended_solves <- t.extended_solves + 1
         else t.full_solves <- t.full_solves + 1;
+        sim.steps_rev <- [];
         t.committed <- sim;
         t.committed_n <- n;
         t.last_good <- Some r;

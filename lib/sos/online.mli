@@ -6,12 +6,20 @@
     bound.
 
     Policy, per time step: the active set keeps every started-unfinished
-    job (non-preemption), then admits released jobs by smallest requirement
+    job (non-preemption), then admits released jobs in admission order
     while fewer than m−1 jobs are active and the active set without its
     largest member stays below the full resource (the window algorithm's
     properties (b)/(e) in spirit). Assignment mirrors Listing 1: everyone
     except the largest active job gets its full requirement, the largest
     the leftover.
+
+    Admission order is not "smallest released requirement". Released jobs
+    queue first by generation — the number of admissions made before the
+    job was released, fewest first — and only then by smallest
+    requirement, ties by submission position. So a job that was released
+    but passed over at one admission stays ahead of every job released
+    after it. The queue is a binary heap fed from the jobs sorted by
+    release, so a full simulation costs O(n log n) plus O(m) per block.
 
     The simulation does not step through time one unit at a time. It
     jumps from event to event — a release while a slot is free, a job
@@ -30,7 +38,9 @@
     simulation when every new job is released at or after its frontier,
     and only re-simulating from scratch when a new arrival rewrites
     history. An extension simulates only the new events and materializes
-    the result in O(blocks + n log n). All three paths produce results
+    the result in O(blocks + n log n). A session keeps one copy of its
+    history, the schedule of its last result; an extension re-keys that
+    schedule onto the grown instance. All three paths produce results
     byte-identical to {!run} on the materialized job set (tested
     property). *)
 

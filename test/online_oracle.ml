@@ -11,7 +11,9 @@ open Sos
 type sim = {
   mutable t : int;
   mutable steps_rev : Schedule.step list;  (** allocs carry positions *)
-  mutable pending : int list;  (** positions, (req, position) ascending *)
+  mutable pending : int list;
+      (** positions, in admission order: (req, position) ascending at the
+          start; each admission moves the released ones ahead of the rest *)
   mutable active : int list;  (** positions *)
   rem : int array;  (** remaining requirement units per position *)
   start : int array;  (** first allocated step per position, -1 *)

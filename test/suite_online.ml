@@ -209,6 +209,26 @@ let test_session_peek_and_dirty () =
 
 (* --- event-driven simulation --- *)
 
+(* [Online.run] against the per-step oracle: same makespan, same start
+   times, same expanded steps; and a valid schedule that respects every
+   release. *)
+let check_matches_oracle ~ctx ~m ~scale arrivals =
+  let r = Online.run ~m ~scale arrivals in
+  let o = Online_oracle.run ~m ~scale arrivals in
+  Alcotest.(check int) (ctx ^ ": makespan") o.Online.makespan r.Online.makespan;
+  Alcotest.(check (array int))
+    (ctx ^ ": start times") o.Online.start_times r.Online.start_times;
+  if
+    (Schedule.expand r.Online.schedule).Schedule.steps
+    <> (Schedule.expand o.Online.schedule).Schedule.steps
+  then Alcotest.failf "%s: expanded steps differ" ctx;
+  (match Schedule.validate r.Online.schedule with
+  | Ok () -> ()
+  | Error v ->
+      Alcotest.failf "%s: invalid at %d: %s" ctx v.Schedule.at_step v.Schedule.reason);
+  if not (Online.respects_releases r arrivals) then
+    Alcotest.failf "%s: a job started before its release" ctx
+
 let test_online_matches_dense_oracle () =
   (* Release horizons up to 5000 leave idle gaps of thousands of steps
      between bursts; the event-driven blocks must expand to exactly the
@@ -227,23 +247,54 @@ let test_online_matches_dense_oracle () =
             req = Rng.int_in rng 1 req_cap;
           })
     in
-    let ctx = Printf.sprintf "seed %d" seed in
-    let r = Online.run ~m ~scale arrivals in
-    let o = Online_oracle.run ~m ~scale arrivals in
-    Alcotest.(check int) (ctx ^ ": makespan") o.Online.makespan r.Online.makespan;
-    Alcotest.(check (array int))
-      (ctx ^ ": start times") o.Online.start_times r.Online.start_times;
-    if
-      (Schedule.expand r.Online.schedule).Schedule.steps
-      <> (Schedule.expand o.Online.schedule).Schedule.steps
-    then Alcotest.failf "%s: expanded steps differ" ctx;
-    (match Schedule.validate r.Online.schedule with
-    | Ok () -> ()
-    | Error v ->
-        Alcotest.failf "%s: invalid at %d: %s" ctx v.Schedule.at_step v.Schedule.reason);
-    if not (Online.respects_releases r arrivals) then
-      Alcotest.failf "%s: a job started before its release" ctx
+    check_matches_oracle ~ctx:(Printf.sprintf "seed %d" seed) ~m ~scale arrivals
   done
+
+(* The shape of a serve-dense tenant: each release 0 or 1 step after the
+   previous one, sizes 1-20, requirements 1-500 of a scale of 1000. Jobs
+   arrive faster than m = 8 processors finish them, so hundreds wait at
+   once and the admission order decides most start times. *)
+let dense_arrivals rng ~first n =
+  let release = ref first in
+  List.init n (fun i ->
+      if i > 0 then release := !release + Rng.int_in rng 0 1;
+      { Online.release = !release; size = Rng.int_in rng 1 20; req = Rng.int_in rng 1 500 })
+
+let test_online_dense_scale_oracle () =
+  for seed = 1 to 50 do
+    let rng = Rng.create (seed * 347) in
+    let n = if seed <= 10 then 400 else Rng.int_in rng 1 400 in
+    check_matches_oracle
+      ~ctx:(Printf.sprintf "seed %d (n %d)" seed n)
+      ~m:8 ~scale:1000
+      (dense_arrivals rng ~first:0 n)
+  done
+
+let test_online_admission_order () =
+  (* m = 3 runs at most two jobs at once. At t = 2, job 3 (req 5) is
+     admitted and job 2 (req 6), released with it, is passed over. At
+     t = 3, job 0 frees a slot and job 1 (req 2) is released, yet job 2
+     starts first: the admission at t = 2 moved it ahead of every job not
+     yet released. A queue by smallest released requirement would start
+     job 1 at 3 and job 2 at 4. *)
+  let arrivals =
+    List.map
+      (fun (release, size, req) -> { Online.release; size; req })
+      [ (1, 3, 5); (3, 1, 2); (2, 1, 6); (2, 1, 5) ]
+  in
+  let by_position (r : Online.result) =
+    let starts = Array.make (Array.length r.Online.start_times) (-1) in
+    Array.iteri
+      (fun id pos -> starts.(pos) <- r.Online.start_times.(id))
+      r.Online.instance.Instance.original;
+    starts
+  in
+  Alcotest.(check (array int))
+    "oracle starts by position" [| 1; 4; 3; 2 |]
+    (by_position (Online_oracle.run ~m:3 ~scale:10 arrivals));
+  Alcotest.(check (array int))
+    "starts by position" [| 1; 4; 3; 2 |]
+    (by_position (Online.run ~m:3 ~scale:10 arrivals))
 
 let test_online_history_bounded () =
   (* 400 jobs released 200 steps apart, each finished long before the
@@ -278,6 +329,73 @@ let test_online_history_bounded () =
   Alcotest.(check int) "full solves" 1 stats.Online.Session.full_solves;
   Alcotest.(check int) "extended solves" 399 stats.Online.Session.extended_solves;
   check_same_result ~ctx:"extended history" (Online.Session.solve session) r
+
+let add_all session arrivals =
+  List.iter
+    (fun a ->
+      match Online.Session.add session a with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "reject: %s" (Online.Session.reject_message e))
+    arrivals
+
+let test_session_full_extend_cycle () =
+  (* Dense bursts of up to 100 jobs, solved after each: the first solve
+     is full; a burst released from the frontier on extends; a burst
+     that starts before the frontier re-solves in full; the next
+     extends again, on top of the re-solved history. *)
+  for seed = 1 to 10 do
+    let rng = Rng.create (seed * 353) in
+    let session = Online.Session.create ~m:8 ~scale:1000 () in
+    let frontier = ref 0 in
+    List.iteri
+      (fun phase (first, full, extended) ->
+        add_all session (dense_arrivals rng ~first:(first !frontier) (Rng.int_in rng 1 100));
+        let ctx = Printf.sprintf "seed %d phase %d" seed phase in
+        let r = Online.Session.solve session in
+        let stats = Online.Session.stats session in
+        Alcotest.(check (pair int int))
+          (ctx ^ ": full and extended solves") (full, extended)
+          (stats.Online.Session.full_solves, stats.Online.Session.extended_solves);
+        check_same_result ~ctx r
+          (Online.run ~m:8 ~scale:1000 (Online.Session.arrivals session));
+        frontier := r.Online.makespan)
+      [
+        ((fun _ -> 0), 1, 0);
+        ((fun f -> f + Rng.int_in rng 0 50), 1, 1);
+        ((fun f -> Rng.int_in rng 0 (f - 1)), 2, 1);
+        ((fun f -> f + Rng.int_in rng 0 50), 2, 2);
+      ]
+  done
+
+let test_session_one_history () =
+  (* The session's one copy of its history is its last result's
+     schedule: the committed simulation state keeps no blocks. A 400-job
+     session solved after every add, dense (full re-solves) or sparse
+     (extensions), must stay under 1.5x the size of its peek result. *)
+  List.iter
+    (fun (shape, release) ->
+      let rng = Rng.create 4243 in
+      let session = Online.Session.create ~m:8 ~scale:1000 () in
+      let last = ref 0 in
+      for i = 0 to 399 do
+        last := release rng i !last;
+        add_all session
+          [ { Online.release = !last; size = Rng.int_in rng 1 20; req = Rng.int_in rng 1 500 } ];
+        ignore (Online.Session.solve session : Online.result)
+      done;
+      match Online.Session.peek session with
+      | None -> Alcotest.failf "%s: no result after solving" shape
+      | Some r ->
+          let held = Obj.reachable_words (Obj.repr session) in
+          let result = Obj.reachable_words (Obj.repr r) in
+          if 2 * held >= 3 * result then
+            Alcotest.failf "%s: the session holds %d words, its result %d (%.2fx >= 1.5x)"
+              shape held result
+              (float_of_int held /. float_of_int result))
+    [
+      ("dense", fun rng _ last -> last + Rng.int_in rng 0 1);
+      ("sparse", fun _ i _ -> 200 * i);
+    ]
 
 (* --- lower bound --- *)
 
@@ -407,8 +525,15 @@ let suite =
       Alcotest.test_case "session peek & dirty" `Quick test_session_peek_and_dirty;
       Alcotest.test_case "matches per-step oracle" `Quick
         test_online_matches_dense_oracle;
+      Alcotest.test_case "matches per-step oracle at serve-dense scale" `Quick
+        test_online_dense_scale_oracle;
+      Alcotest.test_case "admission order: passed-over jobs stay ahead" `Quick
+        test_online_admission_order;
       Alcotest.test_case "history bounded by events" `Quick
         test_online_history_bounded;
+      Alcotest.test_case "session full/extend/full/extend" `Quick
+        test_session_full_extend_cycle;
+      Alcotest.test_case "session keeps one history" `Quick test_session_one_history;
       Alcotest.test_case "lower bound in one pass" `Quick
         test_online_lower_bound_one_pass;
       Alcotest.test_case "svg well-formed" `Quick test_svg_well_formed;

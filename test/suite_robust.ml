@@ -147,6 +147,17 @@ let test_cancel_tokens () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "timeout=0 accepted"
 
+let test_sub_resolution_deadline () =
+  (* 1 ns is below the wall clock's resolution: at today's epoch
+     [now +. 1e-9] rounds back to [now], so the deadline equals the
+     arming time. It has been reached by the first check, even one that
+     reads the same clock value. *)
+  for i = 1 to 2000 do
+    match Robust.Cancel.check (Robust.Cancel.create ~timeout:1e-9 ()) with
+    | exception F.Deadline t -> Alcotest.(check (float 0.0)) "timeout carried" 1e-9 t
+    | () -> Alcotest.failf "attempt %d: a 1e-9 s deadline survived its first check" i
+  done
+
 let test_context_scope () =
   Alcotest.(check int) "index outside scope" (-1) (Robust.Context.index ());
   Alcotest.(check int) "attempt outside scope" 0 (Robust.Context.attempt ());
@@ -698,6 +709,8 @@ let suite =
       Alcotest.test_case "checked constructors" `Quick test_checked_constructors;
       Alcotest.test_case "rng create3" `Quick test_rng_create3;
       Alcotest.test_case "cancel tokens + deadlines" `Quick test_cancel_tokens;
+      Alcotest.test_case "sub-resolution deadline expires on first check" `Quick
+        test_sub_resolution_deadline;
       Alcotest.test_case "ambient context scope" `Quick test_context_scope;
       Alcotest.test_case "journal roundtrip + header binding" `Quick test_journal_roundtrip;
       Alcotest.test_case "journal torn-line recovery" `Quick test_journal_torn_line;
