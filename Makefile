@@ -11,8 +11,8 @@ test:
 	dune runtest
 
 # Repo-invariant static analysis (rules R1-R7, doc/LINT.md); CI runs this
-# on both compiler versions and fails on any unsuppressed hit or on a
-# suppression-count increase versus tools/lint/allow_baseline.txt.
+# and fails on any unsuppressed hit or on a suppression-count increase
+# versus tools/lint/allow_baseline.txt.
 lint:
 	dune build @lint
 

@@ -74,8 +74,7 @@ type t7c_row = { domains : int; wall_s : float; speedup : float }
 let t7c_instances = 512
 
 (* [cores_available] makes the t7c speedups interpretable across machines:
-   Domain.recommended_domain_count on OCaml >= 5.0, 1 on the 4.14
-   sequential fallback (see Engine.Pool.recommended_domain_count). *)
+   Domain.recommended_domain_count (via Engine.Pool.recommended_domain_count). *)
 let json_of_t7c (r : t7c_row) =
   Printf.sprintf
     "  {\"name\": \"t7c-d%d\", \"section\": \"t7c\", \"domains\": %d, \

@@ -501,7 +501,7 @@ let a1 () =
           name;
           Table.fmt_int (Sos.Bounds.lower_bound inst);
           Table.fmt_int (mk Sos.Fast.run);
-          Table.fmt_int (mk Sos.Ablation.run_literal_grow_left);
+          Table.fmt_int (mk (Sos.Fast.run ~variant:`Literal));
           Table.fmt_int (mk Sos.Ablation.run_naive_fracture);
           Table.fmt_int (mk Sos.Ablation.run_no_move);
           Table.fmt_int (mk Baselines.List_scheduling.run);

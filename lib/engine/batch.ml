@@ -95,12 +95,17 @@ let protect ?(retries = 0) ?task_timeout ?cancel ?backoff index task =
   in
   go 0
 
+(* window = n: workers are never throttled by the (no-op) consumer. *)
 let map_pool pool ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
   let n = Array.length tasks in
   let out = Array.init n (fun i -> Error (never_ran i)) in
-  Pool.run_ordered pool ?chunk n
-    ~run:(fun i -> out.(i) <- protect ?retries ?task_timeout ?cancel ?backoff i tasks.(i))
-    ~emit:ignore;
+  ignore
+    (Pool.run_ordered_seq pool ?chunk ~window:(max n 1)
+       (fun i ->
+         if i < n then
+           Some (fun () -> out.(i) <- protect ?retries ?task_timeout ?cancel ?backoff i tasks.(i))
+         else None)
+       ~emit:ignore);
   out
 
 let map ?domains ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
@@ -138,29 +143,3 @@ let stream_seq pool ?(chunk = 1) ?window ?retries ?task_timeout ?cancel ?backoff
           (* protect never raises, so the slot is always filled; this is a
              backstop for a task the pool machinery lost entirely. *)
           f i (Error (never_ran i)))
-
-let stream pool ?chunk ?retries ?task_timeout ?cancel ?backoff tasks ~f =
-  (* window = n keeps the materialized path's semantics: workers are never
-     throttled by a slow consumer, exactly as before the streaming rebuild. *)
-  let n = Array.length tasks in
-  ignore
-    (stream_seq pool ?chunk ~window:(max n 1) ?retries ?task_timeout ?cancel ?backoff
-       (fun i -> if i < n then Some tasks.(i) else None)
-       ~f)
-
-let map_reduce ?domains ?chunk ?retries ?task_timeout ?cancel ?backoff ~reduce ~init tasks =
-  (* Folded on the streaming path: the accumulator is threaded through emit
-     in submission order, so memory stays O(window) instead of one
-     materialized outcome array — only the first error is kept. *)
-  let n = Array.length tasks in
-  Pool.with_pool ?domains (fun pool ->
-      let acc = ref (Ok init) in
-      ignore
-        (stream_seq pool ?chunk ?retries ?task_timeout ?cancel ?backoff
-           (fun i -> if i < n then Some tasks.(i) else None)
-           ~f:(fun _ r ->
-             match (!acc, r) with
-             | Error _, _ -> ()
-             | Ok _, Error e -> acc := Error e
-             | Ok a, Ok v -> acc := Ok (reduce a v)));
-      !acc)

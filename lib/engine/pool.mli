@@ -1,46 +1,30 @@
 (** Fixed pool of worker domains with a bounded work queue.
 
-    On OCaml >= 5.0 this is a real [Domain.spawn] pool: [create ~domains:d]
-    spawns [d] workers that pull thunks off a [Mutex]/[Condition]-guarded
-    queue of bounded capacity (submission blocks when the queue is full, so
-    a huge batch never materializes as a huge queue). On OCaml 4.x the same
-    interface is provided by a sequential fallback that runs every task
-    inline on the calling thread.
+    [create ~domains:d] spawns [d] [Domain.spawn] workers that pull thunks
+    off a [Mutex]/[Condition]-guarded queue of bounded capacity (submission
+    blocks when the queue is full, so a huge batch never materializes as a
+    huge queue).
 
     Determinism contract: the pool never tells a task which domain runs it
     or in which order tasks complete. Anything a task needs to vary by must
-    come from its submission index (see [run_ordered]) — callers seed RNGs
-    from [(base_seed, task_index)], e.g. {!Prelude.Rng.create2}, never from
-    domain identity, so results are byte-identical at any domain count. *)
+    come from its submission index (see {!run_ordered_seq}) — callers seed
+    RNGs from [(base_seed, task_index)], e.g. {!Prelude.Rng.create2}, never
+    from domain identity, so results are byte-identical at any domain
+    count. *)
 
 type t
 
 val recommended_domain_count : unit -> int
-(** [Domain.recommended_domain_count ()] on OCaml >= 5.0; [1] on the
-    sequential fallback. *)
+(** [Domain.recommended_domain_count ()]. *)
 
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] makes a pool of [domains] workers (default
     {!recommended_domain_count}). [domains = 1] spawns no worker domains:
-    every [run_ordered] call on such a pool takes the exact sequential
-    path. Raises [Invalid_argument] if [domains < 1]. *)
+    every {!run_ordered_seq} call on such a pool takes the exact
+    sequential path. Raises [Invalid_argument] if [domains < 1]. *)
 
 val domains : t -> int
 (** The domain count the pool was created with. *)
-
-val run_ordered :
-  t -> ?chunk:int -> int -> run:(int -> unit) -> emit:(int -> unit) -> unit
-(** [run_ordered t ~chunk n ~run ~emit] evaluates [run i] for every
-    [0 <= i < n] — on the worker domains, in chunks of [chunk] (default 1)
-    consecutive indices per queued task — and calls [emit i] on the calling
-    thread in increasing index order, as soon as [run 0 .. run i] have all
-    completed. Returns when every task has run and been emitted, so results
-    stream in submission order while later tasks are still executing.
-
-    [run] must not raise (wrap it; {!Batch} captures exceptions per task);
-    a raising [run] is swallowed so it cannot wedge the pool. [emit] runs
-    on the caller and may print / write files. Memory written by [run i]
-    is visible to [emit i] (the completion handshake synchronizes). *)
 
 val run_ordered_seq :
   t ->
@@ -49,24 +33,28 @@ val run_ordered_seq :
   (int -> (unit -> unit) option) ->
   emit:(int -> unit) ->
   int
-(** [run_ordered_seq t ~chunk ~window supply ~emit] is the pull-based,
-    constant-memory variant of {!run_ordered} for batches whose size is
-    unknown up front (a spec file being streamed off disk). The pool calls
-    [supply i] on the calling thread, strictly in increasing index order
-    and exactly once per index, until it returns [None]; each supplied
-    thunk runs on the worker domains ([chunk] consecutive thunks per
-    queued task), and [emit i] is called on the calling thread in
-    increasing index order. Returns the number of tasks supplied.
+(** [run_ordered_seq t ~chunk ~window supply ~emit] is the pool's one
+    ordered driver. The pool calls [supply i] on the calling thread,
+    strictly in increasing index order and exactly once per index, until it
+    returns [None]; each supplied thunk runs on the worker domains ([chunk]
+    consecutive thunks per queued task, default 1), and [emit i] is called
+    on the calling thread in increasing index order, as soon as tasks
+    [0 .. i] have all completed. Returns the number of tasks supplied. A
+    batch of known size [n] passes [~window:n], so workers are never
+    throttled by the consumer.
 
     At most [window] tasks are in flight (supplied but not yet emitted) at
     any moment — the producer is only pulled when there is window room, so
     memory stays O(window) no matter how long the stream is. [window]
     defaults to [4 * domains * chunk] and is clamped up to [chunk].
 
-    Determinism contract as {!run_ordered}: which domain runs a task and
-    when is unobservable; [supply] and [emit] both run on the caller, so a
-    stateful producer (a file reader) and a stateful consumer need no
-    locking. Memory written by task [i] is visible to [emit i]. *)
+    A thunk must not raise (wrap it; {!Batch} captures exceptions per
+    task); a raising thunk is swallowed so it cannot wedge the pool.
+    Which domain runs a task and when is unobservable; [supply] and [emit]
+    both run on the caller, so a stateful producer (a file reader) and a
+    stateful consumer need no locking, and [emit] may print or write
+    files. Memory written by task [i] is visible to [emit i] (the
+    completion handshake synchronizes). *)
 
 val shutdown : t -> unit
 (** Drain the queue, stop and join all workers. Idempotent. Using the pool

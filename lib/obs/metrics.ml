@@ -1,8 +1,8 @@
-(* The registry is guarded by a tiny spinlock built on Atomic so the
-   library stays dependency-free on both OCaml 4.14 (no stdlib Mutex
-   without -thread) and 5.x (real domains). Registration happens at module
-   init or pool construction — contention is nil — and the hot-path
-   operations (incr/add/observe) touch only their own metric's atomics. *)
+(* The registry is guarded by a tiny spinlock built on Atomic, per the
+   Atomic-only rule for libraries (soslint R3, doc/LINT.md). Registration
+   happens at module init or pool construction — contention is nil — and
+   the hot-path operations (incr/add/observe) touch only their own
+   metric's atomics. *)
 
 type kind = Det | Runtime
 

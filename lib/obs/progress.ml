@@ -1,7 +1,7 @@
 (* Heartbeat reporter for long runs. Everything is driven from whatever
    thread calls [tick] — for [sosctl batch] that is the caller-thread
-   pull loop, so heartbeats never touch worker domains, stdout stays
-   byte-identical, and the 4.14 sequential leg needs nothing special.
+   pull loop, so heartbeats never touch worker domains and stdout stays
+   byte-identical.
    Output goes through the [out] sink, which defaults to stderr (the one
    stream the repo's purity rule leaves open for diagnostics). *)
 

@@ -4,8 +4,8 @@
     result (rate-limited to one line per [interval] seconds of
     [Prelude.Clock] time), {!finish} once at the end. [sosctl batch
     --progress] ticks from the caller-thread pull loop, so heartbeats
-    involve no worker domains, never touch stdout (byte-identity is
-    preserved), and work identically on the 4.14 sequential leg.
+    involve no worker domains and never touch stdout (byte-identity is
+    preserved).
 
     Heartbeat line (key=value, one per line, written to [out] — default
     stderr):

@@ -1,66 +1,36 @@
-(** Append-only checkpoint journal for batch runs.
+(** Append-only checkpoint journal for batch runs and the serve WAL.
 
     A journal records, per completed task, its submission index and the
     exact output payload the run emitted for it, so a killed run can be
     resumed and replay the completed prefix byte-identically instead of
-    re-solving it (`sosctl batch --checkpoint PATH --resume`).
-
-    {b File format} (line-oriented text, doc/ROBUSTNESS.md):
-    {[
-      <header line>                      e.g. "sosj1 seed=7 algo=window specs=<md5>"
-      <index> <md5-of-payload> <payload>
-      ...
-    ]}
-    The header binds the journal to one run configuration; {!load} refuses
-    a journal whose header differs (resuming under a different seed,
-    algorithm, or spec list would silently mix outputs). Each entry line is
-    flushed when appended, and {!load} drops any entry whose digest does
-    not match its payload — a process killed mid-append leaves at most one
-    torn trailing line, which is simply re-run on resume. Payloads must be
-    newline-free (enforced by {!append}).
-
-    All reads stream line-by-line: loading or resuming a journal costs
-    O(longest line) memory, never O(file). For streaming resume over very
-    large batches, use {!Sharded}. *)
-
-type entry = { index : int; payload : string }
+    re-solving it (`sosctl batch --checkpoint PATH --resume`). The one
+    public format is {!Sharded}. *)
 
 val digest : string -> string
 (** MD5 hex of a string (also used by callers to fingerprint the spec list
     into the header). *)
 
-val load : path:string -> header:string -> (entry list, string) result
-(** Entries in file order ([Ok []] if the file does not exist). [Error] if
-    the file exists but its header line differs from [header]. Torn or
-    corrupt entry lines are skipped silently. *)
+(** Sharded journal: the checkpoint of `sosctl batch` and the
+    write-ahead log of `sosctl serve` (both `--checkpoint PATH`).
 
-val fold_entries :
-  path:string -> header:string -> init:'a -> f:('a -> entry -> 'a) -> ('a, string) result
-(** Stream-fold over the valid entries without materializing them —
-    {!load} in O(1) memory. Same missing-file / header semantics. *)
-
-val create : path:string -> header:string -> Out_channel.t
-(** Truncate/create the journal, write the header, flush, and return the
-    channel for {!append}. *)
-
-val reopen : path:string -> Out_channel.t
-(** Open an existing journal for appending (after {!load}). A torn final
-    line left by a kill mid-append is truncated away first (found by a
-    chunked O(1)-memory scan), so the next {!append} starts on a fresh
-    line. *)
-
-val append : Out_channel.t -> index:int -> payload:string -> unit
-(** Append one entry and flush. Raises [Invalid_argument] if [payload]
-    contains a newline. *)
-
-(** Sharded journal for streaming batches (`sosctl batch --stream`).
-
-    The journal is split over [shards] files — entry [index] lands in
-    shard [index mod shards], file [PATH.k] (or [PATH] itself when
-    [shards = 1], byte-compatible with the single-file format above).
-    Every shard carries the same configuration-binding header, suffixed
-    with [" shard=k/N"] when [N > 1] so a journal can never be resumed
-    under a different shard count.
+    {b File format} (line-oriented text, doc/ROBUSTNESS.md). The journal
+    is split over [shards] files — entry [index] lands in shard
+    [index mod shards], file [PATH.k], or [PATH] itself when
+    [shards = 1]. Each shard is:
+    {[
+      <header line>                      e.g. "sosj1 seed=7 algo=window specs=<md5>"
+      <index> <md5-of-payload> <payload>
+      ...
+    ]}
+    The header binds the journal to one run configuration; {!resume}
+    refuses a journal whose header differs (resuming under a different
+    seed, algorithm, or spec list would silently mix outputs). With
+    [N > 1] shards every header is suffixed with [" shard=k/N"], so a
+    journal can never be resumed under a different shard count. {!resume}
+    drops any entry whose digest does not match its payload — a process
+    killed mid-append leaves at most one torn trailing line per shard,
+    which is simply re-run. Payloads must be newline-free (enforced by
+    {!append}).
 
     Sharding buys two things for million-spec runs: resume compacts and
     scans shards independently (each is 1/N of the data), and appends can
@@ -73,7 +43,8 @@ val append : Out_channel.t -> index:int -> payload:string -> unit
     into a {e bitset} of completed indices (125 KB per million tasks)
     while being {e compacted} — torn or corrupt lines dropped, the clean
     file atomically renamed into place — and replayed payloads are read
-    back on demand through a forward-only cursor per shard. *)
+    back on demand through a forward-only cursor per shard. All reads cost
+    O(longest line) memory, never O(file). *)
 module Sharded : sig
   type t
 
@@ -116,8 +87,8 @@ module Sharded : sig
 
   val append : t -> index:int -> payload:string -> unit
   (** Journal one fresh entry into shard [index mod shards], flushing per
-      the [sync_every] policy. Raises [Invalid_argument] on newline
-      payloads, as {!append}. *)
+      the [sync_every] policy. Raises [Invalid_argument] if [payload]
+      contains a newline. *)
 
   val flush : t -> unit
   (** Force out any appends still buffered behind [sync_every]. *)

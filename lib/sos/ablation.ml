@@ -1,5 +1,3 @@
-let run_literal_grow_left inst = Fast.run ~variant:`Literal inst
-
 let generic_run inst ~window_of ~assign =
   let st = State.create inst in
   let steps = ref [] in

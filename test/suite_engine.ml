@@ -74,37 +74,59 @@ let test_error_capture_and_reuse () =
         (fun i r -> Alcotest.(check bool) "reused pool result" true (r = Ok (i * i)))
         again)
 
-let test_map_reduce () =
+(* An ordered fold over [stream_seq]'s emission: submission order is the
+   fold order, and the first failing task's error wins. *)
+let fold_seq ~domains ~reduce ~init tasks =
+  let n = Array.length tasks in
+  Pool.with_pool ~domains (fun pool ->
+      let acc = ref (Ok init) in
+      ignore
+        (Batch.stream_seq pool
+           (fun i -> if i < n then Some tasks.(i) else None)
+           ~f:(fun _ r ->
+             match (!acc, r) with
+             | Error _, _ -> ()
+             | Ok _, Error e -> acc := Error e
+             | Ok a, Ok v -> acc := Ok (reduce a v)));
+      !acc)
+
+let test_ordered_fold () =
   let tasks = Array.init 100 (fun i () -> i) in
-  (match Batch.map_reduce ~domains:3 ~reduce:( + ) ~init:0 tasks with
+  (match fold_seq ~domains:3 ~reduce:( + ) ~init:0 tasks with
   | Ok sum -> Alcotest.(check int) "sum 0..99" 4950 sum
   | Error _ -> Alcotest.fail "unexpected error");
   (* Non-commutative reduce: submission order is the fold order. *)
   (match
-     Batch.map_reduce ~domains:4 ~reduce:(fun acc v -> acc ^ v) ~init:""
+     fold_seq ~domains:4 ~reduce:(fun acc v -> acc ^ v) ~init:""
        (Array.init 26 (fun i () -> String.make 1 (Char.chr (Char.code 'a' + i))))
    with
   | Ok s -> Alcotest.(check string) "ordered concat" "abcdefghijklmnopqrstuvwxyz" s
   | Error _ -> Alcotest.fail "unexpected error");
   match
-    Batch.map_reduce ~domains:2 ~reduce:( + ) ~init:0
+    fold_seq ~domains:2 ~reduce:( + ) ~init:0
       [| (fun () -> 1); (fun () -> failwith "nope"); (fun () -> 2) |]
   with
   | Ok _ -> Alcotest.fail "expected the raising task's error"
   | Error e -> Alcotest.(check int) "first error index" 1 e.Batch.index
 
 let test_stream_ordered () =
+  (* A batch of known size streamed with window = n: workers are never
+     throttled, and results still arrive in submission order. *)
+  let n = 50 in
   Pool.with_pool ~domains:4 (fun pool ->
       let emitted = ref [] in
-      Batch.stream pool
-        (Array.init 50 (fun i () -> 2 * i))
-        ~f:(fun i r ->
-          (match r with
-          | Ok v -> Alcotest.(check int) "stream value" (2 * i) v
-          | Error _ -> Alcotest.fail "unexpected error");
-          emitted := i :: !emitted);
+      let count =
+        Batch.stream_seq pool ~window:n
+          (fun i -> if i < n then Some (fun () -> 2 * i) else None)
+          ~f:(fun i r ->
+            (match r with
+            | Ok v -> Alcotest.(check int) "stream value" (2 * i) v
+            | Error _ -> Alcotest.fail "unexpected error");
+            emitted := i :: !emitted)
+      in
+      Alcotest.(check int) "count returned" n count;
       Alcotest.(check (list int)) "emitted in submission order"
-        (List.init 50 (fun i -> i))
+        (List.init n (fun i -> i))
         (List.rev !emitted))
 
 (* qcheck: the pull-based streaming path emits byte-identical outcomes to
@@ -182,10 +204,8 @@ let test_stream_seq_full_chunks () =
      task past the first window carries a single thunk (chunk-fold more
      submit/lock/signal round trips). Supply and emit both run on the
      calling thread, so their interleaving is an exact observable: every
-     maximal run of supply calls must be exactly [chunk] long, except the
-     run containing the exhaustion probe, or a length-1 run immediately
-     followed by the emit of that same index (inline execution: the
-     sequential leg runs pull-run-emit one index at a time). *)
+     maximal run of supply calls must be a whole number of [chunk]s,
+     except the run containing the exhaustion probe. *)
   let n = 97 and chunk = 8 in
   Pool.with_pool ~domains:4 (fun pool ->
       let trace = ref [] in
@@ -209,7 +229,6 @@ let test_stream_seq_full_chunks () =
               let ok =
                 run_len mod chunk = 0 (* one or more back-to-back full-chunk pulls *)
                 || last_s >= n (* the run that hit exhaustion *)
-                || (run_len = 1 && last_s = i) (* inline: supply i, run, emit i *)
               in
               if not ok then
                 Alcotest.failf "supply run of %d thunks (chunk %d) before emit %d" run_len
@@ -319,7 +338,7 @@ let suite =
     [
       test_batch_deterministic;
       Alcotest.test_case "error capture leaves pool usable" `Quick test_error_capture_and_reuse;
-      Alcotest.test_case "map_reduce ordered fold" `Quick test_map_reduce;
+      Alcotest.test_case "stream_seq ordered fold" `Quick test_ordered_fold;
       Alcotest.test_case "stream emits in order" `Quick test_stream_ordered;
       test_stream_seq_matches_map;
       Alcotest.test_case "stream_seq window bound + ordering" `Quick test_stream_seq_window_bound;

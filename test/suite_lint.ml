@@ -51,7 +51,7 @@ let expected_violations =
         "lib/sas/timing.ml:7 R2 Unix.time: wall-clock reads go through Prelude.Clock only (via \
          module alias U)";
       ] );
-    ("r3", [ "lib/sos/lock.ml:2 R3 Mutex.create: libraries are Atomic-only (deterministic, 4.14-safe)" ]);
+    ("r3", [ "lib/sos/lock.ml:2 R3 Mutex.create: libraries are Atomic-only (deterministic)" ]);
     ("r4", [ "lib/sos/report.ml:2 R4 print_endline: stdout belongs to sosctl results, not library code" ]);
     ( "r5",
       [ "lib/sos/export.ml:2 R5 Hashtbl.iter: iteration order is unspecified; sort keys before any emission/digest" ] );
@@ -114,8 +114,8 @@ let test_deterministic_output () =
   Alcotest.(check string) "fixture bytes identical" out1 out2;
   Alcotest.(check int) "fixture exits agree" code1 code2;
   let repo_args =
-    "--root .. --exclude lib/engine/pool.ml --exclude lib/robust/tls.ml --exclude-dir \
-     test/fixtures_lint --exclude-dir test/fixtures_analysis lib bin bench test"
+    "--root .. --exclude-dir test/fixtures_lint --exclude-dir test/fixtures_analysis lib bin \
+     bench test"
   in
   let _, repo1 = run_lint repo_args in
   let _, repo2 = run_lint repo_args in
@@ -181,14 +181,12 @@ let test_baseline_regression () =
 (* The repo itself must lint clean — including the test suites, minus the
    fixture mini-repos that violate rules on purpose: this is the invariant
    CI enforces via `dune build @lint`, re-checked here from the build tree
-   so `dune runtest` alone also catches a violation. pool.ml/tls.ml are
-   build-time copies of already-linted sources. *)
+   so `dune runtest` alone also catches a violation. *)
 let test_repo_is_clean () =
   let code, out =
     run_lint
-      "--root .. --baseline ../tools/lint/allow_baseline.txt --exclude lib/engine/pool.ml \
-       --exclude lib/robust/tls.ml --exclude-dir test/fixtures_lint --exclude-dir \
-       test/fixtures_analysis lib bin bench test"
+      "--root .. --baseline ../tools/lint/allow_baseline.txt --exclude-dir test/fixtures_lint \
+       --exclude-dir test/fixtures_analysis lib bin bench test"
   in
   let lines = String.split_on_char '\n' out in
   let listing = List.filter (fun l -> l <> "" && not (String.length l >= 8 && String.sub l 0 8 = "soslint:")) lines in

@@ -180,65 +180,81 @@ let test_context_scope () =
 
 (* -------------------------------------------------------------- journal *)
 
+module Sharded = Robust.Journal.Sharded
+
 let with_temp_journal f =
   let path = Filename.temp_file "sosj" ".journal" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+let read_lines path = In_channel.with_open_text path In_channel.input_lines
+
+(* The replayable state of a resumed journal over indices [0, n). *)
+let resumed_entries j n =
+  List.filter_map (fun i -> Option.map (fun p -> (i, p)) (Sharded.replay j i)) (List.init n Fun.id)
+
+(* At [shards = 1] the journal is the file at [path] itself, and its
+   header carries no shard suffix. *)
 let test_journal_roundtrip () =
   with_temp_journal @@ fun path ->
   let header = "sosj1 seed=7 algo=window specs=abc" in
-  let oc = Robust.Journal.create ~path ~header in
-  Robust.Journal.append oc ~index:0 ~payload:"0 ok bimodal makespan=12";
-  Robust.Journal.append oc ~index:2 ~payload:"2 error task-exn line 3: boom";
-  Out_channel.close oc;
-  (match Robust.Journal.load ~path ~header with
-  | Ok [ a; b ] ->
-      Alcotest.(check int) "first index" 0 a.Robust.Journal.index;
-      Alcotest.(check string) "first payload" "0 ok bimodal makespan=12" a.payload;
-      Alcotest.(check int) "second index" 2 b.index
-  | Ok l -> Alcotest.failf "expected 2 entries, got %d" (List.length l)
+  let j = Sharded.start ~path ~header () in
+  Alcotest.(check (array string)) "single shard is the path itself" [| path |] (Sharded.paths j);
+  Sharded.append j ~index:0 ~payload:"0 ok bimodal makespan=12";
+  Sharded.append j ~index:2 ~payload:"2 error task-exn line 3: boom";
+  Sharded.close j;
+  Alcotest.(check string) "header line has no shard suffix" header (List.hd (read_lines path));
+  (match Sharded.resume ~path ~header () with
+  | Ok j ->
+      Alcotest.(check int) "completed" 2 (Sharded.completed j);
+      Alcotest.(check bool) "gap index not recorded" false (Sharded.mem j 1);
+      Alcotest.(check (list (pair int string)))
+        "entries"
+        [ (0, "0 ok bimodal makespan=12"); (2, "2 error task-exn line 3: boom") ]
+        (resumed_entries j 3);
+      (* Newlines in payloads would corrupt the line format. *)
+      (match Sharded.append j ~index:3 ~payload:"a\nb" with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "newline payload accepted");
+      Sharded.close j
   | Error msg -> Alcotest.fail msg);
   (* A different header (other seed/algo/specs) must be refused. *)
-  (match Robust.Journal.load ~path ~header:"sosj1 seed=8 algo=window specs=abc" with
+  match Sharded.resume ~path ~header:"sosj1 seed=8 algo=window specs=abc" () with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "header mismatch accepted");
-  (* Newlines in payloads would corrupt the line format. *)
-  let oc = Robust.Journal.reopen ~path in
-  (match Robust.Journal.append oc ~index:3 ~payload:"a\nb" with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "newline payload accepted");
-  Out_channel.close oc
+  | Ok _ -> Alcotest.fail "header mismatch accepted"
 
 let test_journal_torn_line () =
   with_temp_journal @@ fun path ->
   let header = "sosj1 seed=1 algo=window specs=x" in
-  let oc = Robust.Journal.create ~path ~header in
-  Robust.Journal.append oc ~index:0 ~payload:"first";
-  Robust.Journal.append oc ~index:1 ~payload:"second";
-  Out_channel.close oc;
+  let j = Sharded.start ~path ~header () in
+  Sharded.append j ~index:0 ~payload:"first";
+  Sharded.append j ~index:1 ~payload:"second";
+  Sharded.close j;
   (* Simulate a SIGKILL mid-append: a trailing half-entry with no
      newline and a wrong digest. *)
   let oc = Out_channel.open_gen [ Open_append; Open_text ] 0o644 path in
   Out_channel.output_string oc "2 0123456789abcdef t";
   Out_channel.close oc;
-  (match Robust.Journal.load ~path ~header with
-  | Ok entries ->
-      Alcotest.(check (list int)) "torn line skipped" [ 0; 1 ]
-        (List.map (fun (e : Robust.Journal.entry) -> e.index) entries)
+  (match Sharded.resume ~path ~header () with
+  | Ok j ->
+      Alcotest.(check (list (pair int string)))
+        "torn line skipped"
+        [ (0, "first"); (1, "second") ]
+        (resumed_entries j 3);
+      (* The torn tail is gone, so the next append lands clean. *)
+      Sharded.append j ~index:2 ~payload:"third";
+      Sharded.close j
   | Error msg -> Alcotest.fail msg);
-  (* reopen truncates the torn tail, so the next append lands clean. *)
-  let oc = Robust.Journal.reopen ~path in
-  Robust.Journal.append oc ~index:2 ~payload:"third";
-  Out_channel.close oc;
-  match Robust.Journal.load ~path ~header with
-  | Ok entries ->
-      Alcotest.(check (list int)) "appended after torn tail" [ 0; 1; 2 ]
-        (List.map (fun (e : Robust.Journal.entry) -> e.index) entries)
+  Alcotest.(check int) "header + three whole lines" 4 (List.length (read_lines path));
+  match Sharded.resume ~path ~header () with
+  | Ok j ->
+      Alcotest.(check (list (pair int string)))
+        "appended after torn tail"
+        [ (0, "first"); (1, "second"); (2, "third") ]
+        (resumed_entries j 3);
+      Sharded.close j
   | Error msg -> Alcotest.fail msg
 
 (* ------------------------------------------------------ sharded journal *)
-
-module Sharded = Robust.Journal.Sharded
 
 let with_temp_sharded shards f =
   let base = Filename.temp_file "sosjsh" ".journal" in

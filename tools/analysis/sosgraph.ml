@@ -20,7 +20,7 @@
      must reach a Robust.Context.poll / Robust.Chaos.point /
      Robust.Cancel.check site in its body, directly or via callees.
    - A3 domain-safety: module-toplevel mutable state reachable from
-     pool worker code must be Atomic, Tls/DLS, or explicitly allowed.
+     pool worker code must be Atomic, Domain.DLS, or explicitly allowed.
    - A4 failure-taxonomy-reachability: every raise/failwith reachable
      from a sosctl subcommand must map to a Robust.Failure class (or be
      an in-file-handled control-flow exception).
@@ -28,8 +28,7 @@
    Suppression uses the same [@sos.allow "An: reason"] attribute (and
    the same committed-baseline ratchet) as soslint; see doc/LINT.md.
    Output is deterministic: sorted file:line listings, byte-identical
-   across runs and compiler versions (the scan reads the source tree,
-   never _build, and always analyses the multicore pool/tls variants). *)
+   across runs (the scan reads the source tree, never _build). *)
 
 open Ppxlib
 
@@ -72,14 +71,25 @@ let a2_root id =
   || starts_with ~prefix:"Serve.Server." id
 
 (* A3 roots: code that executes on pool worker domains — the pool/batch
-   machinery itself plus everything a batch task closure calls (solver
-   entries and the incremental session layer). *)
+   machinery itself plus everything a batch task closure calls: every
+   solver `sosctl batch -a` can select (matched by prefix, so
+   [Sos.Ablation.run_no_move] and [Sos.Splittable.run_nonpreemptive]
+   count), the baselines' [run]s, and the incremental session layer. *)
 let a3_root id =
-  starts_with ~prefix:"Engine.Pool." id
-  || starts_with ~prefix:"Engine.Batch." id
-  || starts_with ~prefix:"Sos.Online." id
-  || id = "Sos.Fast.run" || id = "Sos.Listing1.run" || id = "Sos.Preemptive.run"
-  || id = "Sos.Ablation.run" || id = "Sas.Combined.run"
+  List.exists
+    (fun prefix -> starts_with ~prefix id)
+    [
+      "Engine.Pool.";
+      "Engine.Batch.";
+      "Sos.Online.";
+      "Sos.Fast.run";
+      "Sos.Listing1.run";
+      "Sos.Preemptive.run";
+      "Sos.Ablation.run";
+      "Sos.Splittable.run";
+      "Sas.Combined.run";
+    ]
+  || (match String.split_on_char '.' id with [ "Baselines"; _; "run" ] -> true | _ -> false)
 
 (* A4: the Robust.Failure taxonomy carriers (plus the chaos injector),
    matched on the last constructor component so [open Robust.Failure] /
@@ -89,8 +99,8 @@ let taxonomy_ctor name =
     [ "Invalid"; "Deadline"; "Cancel_requested"; "Pool_down"; "Internal"; "Injected" ]
 
 (* Mutable-state constructors recognised by A3 at module toplevel.
-   [Atomic.make] and [Tls.new_key] are the sanctioned forms and are not
-   listed. Plain arrays are left out: toplevel arrays in this repo are
+   [Atomic.make] and [Domain.DLS.new_key] are the sanctioned forms and are
+   not listed. Plain arrays are left out: toplevel arrays in this repo are
    precomputed constant tables. *)
 let mutable_ctor parts =
   match parts with
@@ -124,20 +134,9 @@ let seed_of_external ~rel parts =
 
 (* Each scanned file lives in a namespace ("space") of sibling modules:
    one per library directory (where the dune wrapping module is the
-   capitalized directory name) and one per executable directory. The
-   engine/robust compile-time variant copies map to their wrapped names:
-   pool_multicore.ml is Engine.Pool and tls_multicore.ml is Robust.Tls
-   (the *_sequential fallbacks and the pool.ml/tls.ml build copies are
-   excluded — the analysis models the multicore build, and the scan must
-   not depend on compiler version or build state). *)
+   capitalized directory name) and one per executable directory. *)
 
-let module_name_of_base base =
-  let base =
-    if Filename.check_suffix base "_multicore" then
-      Filename.chop_suffix base "_multicore"
-    else base
-  in
-  String.capitalize_ascii base
+let module_name_of_base base = String.capitalize_ascii (Filename.chop_extension base)
 
 let space_of_rel rel =
   match String.split_on_char '/' rel with
@@ -146,14 +145,14 @@ let space_of_rel rel =
         ( "lib:" ^ libdir,
           [
             String.capitalize_ascii libdir;
-            module_name_of_base (Filename.chop_extension base);
+            module_name_of_base base;
           ] )
   | [ "bin"; dir; base ] ->
-      Some ("bin:" ^ dir, [ module_name_of_base (Filename.chop_extension base) ])
+      Some ("bin:" ^ dir, [ module_name_of_base base ])
   | [ "bench"; base ] ->
-      Some ("bench", [ module_name_of_base (Filename.chop_extension base) ])
+      Some ("bench", [ module_name_of_base base ])
   | [ "test"; base ] ->
-      Some ("test", [ module_name_of_base (Filename.chop_extension base) ])
+      Some ("test", [ module_name_of_base base ])
   | _ -> None
 
 (* ------------------------------------------------------- found objects *)
@@ -1085,8 +1084,8 @@ let run_a3 () =
                         ~msg:
                           (Printf.sprintf
                              "module-toplevel mutable state %s (%s) is used by %s, which \
-                              runs on pool workers (reachable from %s): use Atomic, Tls, \
-                              or an explicit allow" id ctor r root)))))
+                              runs on pool workers (reachable from %s): use Atomic, \
+                              Domain.DLS, or an explicit allow" id ctor r root)))))
     ids
 
 (* ----------------------------------------------------------- pass A4 *)
@@ -1231,14 +1230,7 @@ let () =
   let dirs = if !dirs = [] then [ "lib"; "bin"; "bench" ] else List.rev !dirs in
   let scan =
     Lintkit.scan_files ~root:!root ~dirs
-      ~excludes:
-        ([
-           "lib/engine/pool.ml";
-           "lib/engine/pool_sequential.ml";
-           "lib/robust/tls.ml";
-           "lib/robust/tls_sequential.ml";
-         ]
-        @ !excludes)
+      ~excludes:!excludes
       ~exclude_dirs:!exclude_dirs
     |> List.filter (fun rel -> Filename.check_suffix rel ".ml")
   in

@@ -195,6 +195,8 @@ let expand_aliases aliases parts =
   in
   go 8 parts
 
+let r3_msg parts = String.concat "." parts ^ ": libraries are Atomic-only (deterministic)"
+
 let ident_rule parts =
   match parts with
   | [ "Random" ] | "Random" :: _ ->
@@ -204,11 +206,7 @@ let ident_rule parts =
         ( "R2",
           Printf.sprintf "%s: wall-clock reads go through Prelude.Clock only"
             (String.concat "." parts) )
-  | "Mutex" :: _ | "Condition" :: _ ->
-      Some
-        ( "R3",
-          Printf.sprintf "%s: libraries are Atomic-only (deterministic, 4.14-safe)"
-            (String.concat "." parts) )
+  | "Mutex" :: _ | "Condition" :: _ -> Some ("R3", r3_msg parts)
   | [ p ]
     when List.mem p
            [
@@ -351,9 +349,7 @@ let lint_structure ~rel st =
             | Ptyp_constr ({ txt; loc }, _) -> (
                 match flatten txt with
                 | ("Mutex" | "Condition") :: _ ->
-                    self#hit loc "R3"
-                      (String.concat "." (flatten txt)
-                      ^ ": libraries are Atomic-only (deterministic, 4.14-safe)")
+                    self#hit loc "R3" (r3_msg (flatten txt))
                 | _ -> ())
             | _ -> ());
             super#core_type t)
@@ -390,11 +386,7 @@ let lint_signature ~rel sg =
         | Ptyp_constr ({ txt; loc }, _) -> (
             match flatten txt with
             | ("Mutex" | "Condition") :: _ ->
-                add_hit ~rel ~loc ~rule:"R3"
-                  ~msg:
-                    (String.concat "." (flatten txt)
-                    ^ ": libraries are Atomic-only (deterministic, 4.14-safe)")
-                  ~active
+                add_hit ~rel ~loc ~rule:"R3" ~msg:(r3_msg (flatten txt)) ~active
             | _ -> ())
         | _ -> ());
         super#core_type t;
