@@ -21,15 +21,23 @@ let invalid_input reason =
     (Robust.Failure.invalid_to_string reason);
   2
 
+module Solvers = Baselines.Solvers
+
 (* Load an instance through the strict validator (doc/ROBUSTNESS.md);
-   [window] additionally requires m >= 3, the Theorem 3.3 precondition. *)
-let load_instance ?(window = false) file k =
+   with [solver], also under that solver's precondition (Solvers.check).
+   The window check runs inside the validator, in its usual place. *)
+let load_instance ?solver file k =
+  let checked text =
+    match solver with
+    | None -> Sos.Instance.of_string_checked text
+    | Some s ->
+        Result.bind
+          (Sos.Instance.of_string_checked ~window:(s.Solvers.requires = Window) text)
+          (Solvers.check s)
+  in
   match read_input file with
   | exception Sys_error msg -> invalid_input (Robust.Failure.Malformed msg)
-  | text -> (
-      match Sos.Instance.of_string_checked ~window text with
-      | Ok inst -> k inst
-      | Error reason -> invalid_input reason)
+  | text -> ( match checked text with Ok inst -> k inst | Error reason -> invalid_input reason)
 
 (* ------------------------------------------------------- observability *)
 
@@ -101,39 +109,13 @@ let family_of_name name =
            (String.concat ", "
               (List.map (fun f -> f.Workload.Sos_gen.name) Workload.Sos_gen.all_families)))
 
-let algo_assoc =
-  [
-    ("window", `Window); ("listing1", `Listing1); ("unit", `Unit);
-    ("unit-np", `Unit_np);
-    ("list-sched", `List_sched); ("greedy", `Greedy);
-    ("naive-fracture", `Naive); ("no-move", `No_move); ("literal", `Literal);
-    ("preemptive", `Preemptive); ("fixed-assignment", `Fixed);
-  ]
-
-let algo_conv = Arg.enum algo_assoc
-let algo_name algo = fst (List.find (fun (_, a) -> a = algo) algo_assoc)
-
-(* Algorithms in the window family carry the Theorem 3.3 guarantee and its
-   m >= 3 precondition; the strict validator enforces it for these. *)
-let window_algo = function
-  | `Window | `Literal | `Listing1 | `Naive | `No_move -> true
-  | `Unit | `Unit_np | `List_sched | `Greedy | `Preemptive | `Fixed -> false
-
-(* One (preemptive?, schedule) dispatch for solve/analyze/batch; `-w trace`
-   in `export` keeps its own traced-run special case. *)
-let run_algo ?(check = false) algo inst =
-  match algo with
-  | `Window -> (false, Sos.Fast.run inst)
-  | `Listing1 -> (false, Sos.Listing1.run ~check inst)
-  | `Literal -> (false, Sos.Fast.run ~variant:`Literal inst)
-  | `Unit -> (true, Sos.Splittable.run inst)
-  | `Unit_np -> (false, Sos.Splittable.run_nonpreemptive inst)
-  | `List_sched -> (false, Baselines.List_scheduling.run inst)
-  | `Greedy -> (false, Baselines.Greedy_fair.run inst)
-  | `Naive -> (false, Sos.Ablation.run_naive_fracture inst)
-  | `No_move -> (false, Sos.Ablation.run_no_move inst)
-  | `Preemptive -> (true, Sos.Preemptive.run inst)
-  | `Fixed -> (false, Baselines.Fixed_assignment.run inst)
+let solver_flag ~default =
+  let names = List.map (fun s -> (s.Solvers.name, s)) Solvers.all in
+  Arg.(
+    value
+    & opt (enum names) (Option.get (Solvers.find default))
+    & info [ "algo"; "a" ]
+        ~doc:("Algorithm: " ^ doc_alts_enum names ^ " (preconditions: doc/CLI.md)."))
 
 (* ------------------------------------------------------------------ gen *)
 
@@ -175,22 +157,29 @@ let gen_cmd =
 
 (* ---------------------------------------------------------------- solve *)
 
+(* solve and analyze: load under the solver's precondition, solve, and
+   validate the schedule before [report] sees it; an invalid schedule is a
+   solver bug and exits 3. *)
+let solve_checked solver file report =
+  load_instance ~solver file @@ fun inst ->
+  let sched = Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> solver.Solvers.run inst) in
+  match
+    Obs.Trace.with_span ~cat:"cli" "validate" (fun () ->
+        Sos.Schedule.validate ~preemption_ok:solver.preemptive sched)
+  with
+  | Ok () -> report inst sched
+  | Error v ->
+      Printf.eprintf "INVALID schedule at step %d: %s\n" v.Sos.Schedule.at_step
+        v.Sos.Schedule.reason;
+      3
+
+let instance_file =
+  Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc:"Instance file or - for stdin.")
+
 let solve_cmd =
-  let run obs algo file gantt quiet =
+  let run obs solver file gantt quiet =
     with_obs obs @@ fun () ->
-    load_instance ~window:(window_algo algo) file @@ fun inst ->
-    let preemptive, sched =
-      Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> run_algo ~check:true algo inst)
-    in
-    (match
-       Obs.Trace.with_span ~cat:"cli" "validate" (fun () ->
-           Sos.Schedule.validate ~preemption_ok:preemptive sched)
-     with
-    | Ok () -> ()
-    | Error v ->
-        Printf.eprintf "INVALID schedule at step %d: %s\n" v.Sos.Schedule.at_step
-          v.Sos.Schedule.reason;
-        exit 3);
+    solve_checked solver file @@ fun inst sched ->
     let lb = Sos.Bounds.lower_bound inst in
     Printf.printf "jobs        : %d\n" (Sos.Instance.n inst);
     Printf.printf "processors  : %d\n" inst.Sos.Instance.m;
@@ -205,42 +194,24 @@ let solve_cmd =
     if inst.Sos.Instance.m >= 3 then
       Printf.printf "Thm 3.3 bnd : %.4f\n"
         (Sos.Bounds.guarantee_general ~m:inst.Sos.Instance.m);
-    if (not quiet) && gantt && not preemptive then begin
+    if (not quiet) && gantt && not solver.preemptive then begin
       print_newline ();
       print_string (Sos.Schedule.render_gantt sched)
     end;
     0
   in
-  let algo =
-    Arg.(value & opt algo_conv `Window & info [ "algo"; "a" ] ~doc:"Algorithm.")
-  in
-  let file =
-    Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc:"Instance file or - for stdin.")
-  in
   let gantt = Arg.(value & flag & info [ "gantt" ] ~doc:"Render an ASCII Gantt chart.") in
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Summary only.") in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve an SoS instance and validate the schedule.")
-    Term.(const run $ obs_flags $ algo $ file $ gantt $ quiet)
+    Term.(const run $ obs_flags $ solver_flag ~default:"window" $ instance_file $ gantt $ quiet)
 
 (* -------------------------------------------------------------- analyze *)
 
 let analyze_cmd =
-  let run obs algo file =
+  let run obs solver file =
     with_obs obs @@ fun () ->
-    load_instance ~window:(window_algo algo) file @@ fun inst ->
-    let preemptive, sched =
-      Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> run_algo algo inst)
-    in
-    (match
-       Obs.Trace.with_span ~cat:"cli" "validate" (fun () ->
-           Sos.Schedule.validate ~preemption_ok:preemptive sched)
-     with
-    | Ok () -> ()
-    | Error v ->
-        Printf.eprintf "INVALID schedule at step %d: %s\n" v.Sos.Schedule.at_step
-          v.Sos.Schedule.reason;
-        exit 3);
+    solve_checked solver file @@ fun inst sched ->
     (* Everything below reads the RLE blocks / step-function profiles:
        safe on huge-volume instances whose makespan is in the millions. *)
     let u = Obs.Trace.with_span ~cat:"cli" "analytics" (fun () -> Sos.Schedule.utilization sched) in
@@ -270,17 +241,11 @@ let analyze_cmd =
       /. float_of_int inst.Sos.Instance.scale);
     0
   in
-  let algo =
-    Arg.(value & opt algo_conv `Window & info [ "algo"; "a" ] ~doc:"Algorithm.")
-  in
-  let file =
-    Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc:"Instance file or - for stdin.")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Solve and report RLE-native analytics (strongly polynomial: safe for \
              huge processing volumes).")
-    Term.(const run $ obs_flags $ algo $ file)
+    Term.(const run $ obs_flags $ solver_flag ~default:"window" $ instance_file)
 
 (* ---------------------------------------------------------------- ratio *)
 
@@ -406,55 +371,49 @@ let sas_cmd =
 (* --------------------------------------------------------------- export *)
 
 let export_cmd =
-  let run file what algo specs_bin =
+  let run file what solver specs_bin =
     match specs_bin with
-    | Some out ->
-        (* Corpus converter, not an instance exporter: FILE is a text spec
-           corpus for `sosctl batch`, compiled to the compact binary form
-           (strict — any malformed or @PATH spec aborts the conversion). *)
-        if file = "-" then begin
-          prerr_endline "sosctl export: --specs-bin needs a spec FILE (not stdin)";
-          2
-        end
-        else begin
-          match Workload.Specs.convert_to_binary ~src:file ~dst:out with
-          | Ok n ->
-              Printf.printf "wrote %d specs to %s\n" n out;
-              0
-          | Error msg ->
-              prerr_endline ("sosctl export: --specs-bin: " ^ msg);
-              2
-        end
-    | None ->
-    load_instance file @@ fun inst ->
-    (match what with
-    | `Instance -> print_string (Sos.Export.instance_to_csv inst)
-    | `Schedule | `Schedule_rle | `Utilization | `Trace | `Svg -> begin
-        let sched, trace =
-          match algo with
-          (* Only -w trace needs the step-by-step traced reference run; the
-             CSV/SVG writers are RLE-native, so give them the fast solver's
-             compressed schedule and stay strongly polynomial. *)
-          | `Window when what <> `Trace -> (Sos.Fast.run inst, [])
-          | `Listing1 | `Window | `Literal -> Sos.Listing1.run_traced inst
-          | `Unit -> (Sos.Splittable.run inst, [])
-          | `Unit_np -> (Sos.Splittable.run_nonpreemptive inst, [])
-          | `List_sched -> (Baselines.List_scheduling.run inst, [])
-          | `Greedy -> (Baselines.Greedy_fair.run inst, [])
-          | `Naive -> (Sos.Ablation.run_naive_fracture inst, [])
-          | `No_move -> (Sos.Ablation.run_no_move inst, [])
-          | `Preemptive -> (Sos.Preemptive.run inst, [])
-          | `Fixed -> (Baselines.Fixed_assignment.run inst, [])
-        in
+    (* Corpus converter, not an instance exporter: FILE is a text spec
+       corpus for `sosctl batch`, compiled to the compact binary form
+       (strict — any malformed or @PATH spec aborts the conversion). *)
+    | Some _ when file = "-" ->
+        prerr_endline "sosctl export: --specs-bin needs a spec FILE (not stdin)";
+        2
+    | Some out -> (
+        match Workload.Specs.convert_to_binary ~src:file ~dst:out with
+        | Ok n ->
+            Printf.printf "wrote %d specs to %s\n" n out;
+            0
+        | Error msg ->
+            prerr_endline ("sosctl export: --specs-bin: " ^ msg);
+            2)
+    | None -> (
         match what with
-        | `Schedule -> print_string (Sos.Export.schedule_to_csv sched)
-        | `Schedule_rle -> print_string (Sos.Export.schedule_to_csv_rle sched)
-        | `Utilization -> print_string (Sos.Export.utilization_to_csv sched)
-        | `Trace -> print_string (Sos.Export.trace_to_csv trace inst)
-        | `Svg -> print_string (Sos.Svg.render ~title:"sosctl schedule" sched)
-        | `Instance -> assert false
-      end);
-    0
+        | `Instance ->
+            load_instance file @@ fun inst ->
+            print_string (Sos.Export.instance_to_csv inst);
+            0
+        | (`Schedule | `Schedule_rle | `Utilization | `Trace | `Svg) as what ->
+            load_instance ~solver file @@ fun inst ->
+            print_string
+              (match what with
+              (* Only -w trace needs Listing 1's step-by-step traced run, and
+                 only the window solvers have one; the CSV/SVG writers are
+                 RLE-native, so they take the solver's compressed schedule
+                 and stay strongly polynomial. *)
+              | `Trace ->
+                  let trace =
+                    match solver.Solvers.name with
+                    | "window" | "listing1" -> snd (Sos.Listing1.run_traced inst)
+                    | "literal" -> snd (Sos.Listing1.run_traced ~variant:`Literal inst)
+                    | _ -> []
+                  in
+                  Sos.Export.trace_to_csv trace inst
+              | `Schedule -> Sos.Export.schedule_to_csv (solver.run inst)
+              | `Schedule_rle -> Sos.Export.schedule_to_csv_rle (solver.run inst)
+              | `Utilization -> Sos.Export.utilization_to_csv (solver.run inst)
+              | `Svg -> Sos.Svg.render ~title:"sosctl schedule" (solver.run inst));
+            0)
   in
   let what =
     Arg.(
@@ -469,7 +428,6 @@ let export_cmd =
           `Schedule
       & info [ "what"; "w" ] ~doc:"What to export (CSV, or an SVG Gantt chart).")
   in
-  let algo = Arg.(value & opt algo_conv `Listing1 & info [ "algo"; "a" ]) in
   let file = Arg.(value & pos 0 string "-" & info [] ~docv:"FILE") in
   let specs_bin =
     Arg.(
@@ -480,13 +438,123 @@ let export_cmd =
             "Convert the batch spec corpus $(i,FILE) (text, one $(i,FAMILY N M \
              [SCALE]) per line) to the compact binary form at $(docv) — 16 bytes \
              per spec, autodetected by $(b,sosctl batch). Strict: malformed or \
-             \\@PATH specs abort the conversion."
+             @PATH specs abort the conversion."
           ~docv:"OUT")
   in
   Cmd.v
     (Cmd.info "export"
        ~doc:"Export instances, schedules, traces as CSV; compile spec corpora to binary.")
-    Term.(const run $ file $ what $ algo $ specs_bin)
+    Term.(const run $ file $ what $ solver_flag ~default:"listing1" $ specs_bin)
+
+(* ------------------------------------------------ fault-tolerance flags *)
+
+(* The flags batch and serve share (doc/ROBUSTNESS.md): bounded retry with
+   deterministic backoff, the sharded checkpoint journal, and the seeded
+   chaos injector. *)
+type fault_tolerance = {
+  retries : int;
+  backoff_base : float;
+  checkpoint : string option;
+  resume : bool;
+  shards : int;
+  sync_every : int;
+  chaos : string option;
+  chaos_seed : int option;
+}
+
+let fault_tolerance_flags =
+  let retries =
+    Arg.(
+      value & opt int 0
+      & info [ "retries" ] ~docv:"N"
+          ~doc:
+            "Re-run a failed spec (batch) or query (serve) up to $(docv) extra times; only \
+             transient failures (task exceptions, deadline expiry) retry. Attempt \
+             $(i,a) re-derives its randomness from (--seed, index, $(i,a)), so output \
+             stays byte-identical at any -j.")
+  in
+  let backoff_base =
+    Arg.(
+      value & opt float 0.01
+      & info [ "backoff-base" ] ~docv:"SECS"
+          ~doc:
+            "First-retry delay; later retries back off exponentially (capped at 1s, \
+             jittered from (--seed, index, attempt)). 0 retries immediately.")
+  in
+  let checkpoint =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "checkpoint" ] ~docv:"PATH"
+          ~doc:
+            "Journal every batch result line, or every serve reply before it is \
+             emitted, to $(docv) (see --shards, --sync-every), enabling --resume.")
+  in
+  let resume =
+    Arg.(
+      value & flag
+      & info [ "resume" ]
+          ~doc:
+            "Replay the --checkpoint journal of a killed run verbatim and compute only \
+             the rest, so the output is byte-identical to an uninterrupted run. \
+             Refused if the journal header does not match; serve exits 4 when a \
+             re-driven request no longer matches its journalled digest.")
+  in
+  let shards =
+    Arg.(
+      value & opt int 1
+      & info [ "shards" ] ~docv:"N"
+          ~doc:
+            "Shard the journal over $(docv) files ($(i,PATH.k) holds entry i when i mod \
+             $(docv) = k; 1 = one file). Resume with the same count.")
+  in
+  let sync_every =
+    Arg.(
+      value & opt int 1
+      & info [ "sync-every" ] ~docv:"K"
+          ~doc:
+            "Flush each journal shard every $(docv) appends; a kill then loses up to \
+             $(docv)-1 entries per shard, recomputed on resume.")
+  in
+  let chaos =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "chaos" ] ~docv:"SPEC"
+          ~doc:
+            "Arm the seeded fault injector (grammar and sites: doc/ROBUSTNESS.md), e.g. \
+             $(b,sos.fast.run@3,19:attempts=1) or $(b,serve.request+0.005~0.5).")
+  in
+  let chaos_seed =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "chaos-seed" ] ~docv:"N" ~doc:"Seed for probabilistic chaos draws (default 0).")
+  in
+  Term.(
+    const (fun retries backoff_base checkpoint resume shards sync_every chaos chaos_seed ->
+        { retries; backoff_base; checkpoint; resume; shards; sync_every; chaos; chaos_seed })
+    $ retries $ backoff_base $ checkpoint $ resume $ shards $ sync_every $ chaos
+    $ chaos_seed)
+
+(* Check the shared flags, arm the chaos injector, and return the retry
+   backoff policy: none for a 0.0 base (immediate retries), otherwise
+   capped jittered delays keyed on (seed, index, attempt), byte-identical
+   at any -j. Raises [Usage]. *)
+let arm_fault_tolerance ~seed ft =
+  if ft.retries < 0 then raise (Usage "--retries must be >= 0");
+  if ft.backoff_base < 0.0 then raise (Usage "--backoff-base must be >= 0");
+  if ft.resume && ft.checkpoint = None then raise (Usage "--resume requires --checkpoint PATH");
+  if ft.shards < 1 then raise (Usage "--shards must be >= 1");
+  if ft.sync_every < 1 then raise (Usage "--sync-every must be >= 1");
+  Option.iter
+    (fun spec ->
+      match Robust.Chaos.arm ~seed:(Option.value ft.chaos_seed ~default:0) spec with
+      | Ok () -> ()
+      | Error msg -> raise (Usage ("bad chaos spec: " ^ msg)))
+    ft.chaos;
+  if ft.backoff_base > 0.0 then Some (Robust.Backoff.policy ~base:ft.backoff_base ~seed ())
+  else None
 
 (* ---------------------------------------------------------------- batch *)
 
@@ -500,12 +568,12 @@ let export_cmd =
    generator on attempt a is seeded by (--seed, i, a), never by the domain
    that happens to solve it.
 
-   Two execution paths share every moving part (solve, emit, journal):
-   - default: materialize the spec array, window = batch size (workers are
-     never throttled by a slow consumer);
-   - --stream: pull specs off the reader through Engine.Batch.stream_seq
-     under a bounded in-flight window (--window, default 4 x domains x
-     chunk), so a million-spec corpus runs in O(window) memory.
+   One pipeline runs both feeds; only where the records come from differs:
+   - default: a records array read (and digested) up front, window = batch
+     size (workers are never throttled by a slow consumer);
+   - --stream: the reader itself, under a bounded in-flight window
+     (--window, default 4 x domains x chunk), so a million-spec corpus
+     runs in O(window) memory.
 
    Resilience (doc/ROBUSTNESS.md): per-spec failures become structured
    `<idx> error <class> line <l>: <msg>` lines; --retries/--task-timeout
@@ -555,33 +623,25 @@ module Summary = struct
       errs = Hashtbl.create 8;
     }
 
-  (* Pull "key=value" out of a result line (the same fixed format emit
-     writes), so the aggregator needs no second result representation. *)
-  let field line key =
-    let pat = " " ^ key ^ "=" in
-    let plen = String.length pat in
-    let llen = String.length line in
-    let rec find i =
-      if i + plen > llen then None
-      else if String.sub line i plen = pat then begin
-        let start = i + plen in
-        let stop =
-          match String.index_from_opt line start ' ' with Some j -> j | None -> llen
-        in
-        Some (String.sub line start (stop - start))
-      end
-      else find (i + 1)
-    in
-    find 0
-
-  let float_field line key = Option.bind (field line key) float_of_string_opt
-
   let add st line =
     match String.split_on_char ' ' line with
-    | _ :: "ok" :: label :: _ ->
+    | _ :: "ok" :: label :: fields ->
+        (* Read "key=value" back out of the line emit wrote, so the
+           aggregator needs no second result representation. *)
+        let field key ~default =
+          let pre = key ^ "=" in
+          let n = String.length pre in
+          List.find_map
+            (fun f ->
+              if String.starts_with ~prefix:pre f then
+                float_of_string_opt (String.sub f n (String.length f - n))
+              else None)
+            fields
+          |> Option.value ~default
+        in
         st.ok <- st.ok + 1;
-        let ratio = Option.value (float_field line "ratio") ~default:1.0 in
-        let mks = Option.value (float_field line "makespan") ~default:0.0 in
+        let ratio = field "ratio" ~default:1.0 in
+        let mks = field "makespan" ~default:0.0 in
         let b =
           if ratio >= 2.0 then 20
           else if ratio < 1.0 then 0
@@ -647,86 +707,51 @@ module Summary = struct
 end
 
 let batch_cmd =
-  let run obs file jobs seed out_dir algo retries task_timeout backoff_base checkpoint
-      resume verbose_errors chaos chaos_seed stream_mode summary shards sync_every chunk
-      win_opt progress =
+  let run obs file jobs seed out_dir solver ft task_timeout verbose_errors stream_mode summary
+      chunk win_opt progress =
     with_obs obs @@ fun () ->
     try
       if jobs < 1 then raise (Usage "-j must be >= 1");
-      if retries < 0 then raise (Usage "--retries must be >= 0");
       (match task_timeout with
       | Some t when t <= 0.0 -> raise (Usage "--task-timeout must be > 0")
       | _ -> ());
-      if backoff_base < 0.0 then raise (Usage "--backoff-base must be >= 0");
-      (* 0.0 disables backoff entirely (immediate retries, the pre-backoff
-         behaviour); any positive base yields capped jittered delays keyed
-         on (--seed, index, attempt), byte-identical at any -j. *)
-      let backoff =
-        if backoff_base > 0.0 then Some (Robust.Backoff.policy ~base:backoff_base ~seed ())
-        else None
-      in
-      if resume && checkpoint = None then
-        raise (Usage "--resume requires --checkpoint PATH");
-      if shards < 1 then raise (Usage "--shards must be >= 1");
-      if sync_every < 1 then raise (Usage "--sync-every must be >= 1");
       if chunk < 1 then raise (Usage "--chunk must be >= 1");
       (match win_opt with
       | Some w when w < 1 -> raise (Usage "--window must be >= 1")
       | _ -> ());
-      if stream_mode && checkpoint <> None && file = "-" then
+      if stream_mode && ft.checkpoint <> None && file = "-" then
         raise
           (Usage
              "--stream with --checkpoint needs a spec FILE: the journal header digest \
               takes a pass over the corpus before solving, and stdin cannot be re-read");
+      let backoff = arm_fault_tolerance ~seed ft in
       (* Backtraces are only captured by the runtime when recording is on;
          --verbose-errors implies it so Task_exn backtraces are real. *)
       if verbose_errors then Printexc.record_backtrace true;
-      (match
-         (match chaos with Some s -> Some s | None -> Sys.getenv_opt "SOS_CHAOS")
-       with
-      | None -> ()
-      | Some spec ->
-          let cseed =
-            match chaos_seed with
-            | Some s -> s
-            | None -> (
-                match Sys.getenv_opt "SOS_CHAOS_SEED" with
-                | Some s -> Option.value (int_of_string_opt s) ~default:0
-                | None -> 0)
-          in
-          (match Robust.Chaos.arm ~seed:cseed spec with
-          | Ok () -> ()
-          | Error msg -> raise (Usage ("bad chaos spec: " ^ msg))));
       (match out_dir with
       | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
       | _ -> ());
-      let window = window_algo algo in
+      let window = solver.Solvers.requires = Window in
       let open_source () =
-        match file with
-        | "-" -> (
-            match Workload.Specs.of_channel stdin with
-            | Ok s -> s
-            | Error msg -> raise (Usage msg))
-        | path -> (
-            match Workload.Specs.open_path path with
-            | Ok s -> s
-            | Error msg -> raise (Usage msg))
+        match
+          if file = "-" then Workload.Specs.of_channel stdin else Workload.Specs.open_path file
+        with
+        | Ok s -> s
+        | Error msg -> raise (Usage msg)
       in
       let solve idx (r : Workload.Specs.record) =
         let open Robust.Failure in
+        let admit = function Ok inst -> inst | Error reason -> raise (Invalid reason) in
         let label, inst =
           match r.payload with
           | Workload.Specs.Bad msg -> raise (Invalid (Malformed msg))
-          | Workload.Specs.File path -> begin
+          | Workload.Specs.File path ->
               let text =
                 match In_channel.with_open_text path In_channel.input_all with
                 | exception Sys_error msg -> raise (Invalid (Malformed msg))
                 | text -> text
               in
-              match Sos.Instance.of_string_checked ~window text with
-              | Ok inst -> (path, inst)
-              | Error reason -> raise (Invalid reason)
-            end
+              (path, admit (Sos.Instance.of_string_checked ~window text))
           | Workload.Specs.Gen { family; n; m; scale } ->
               let need = if window then 3 else 2 in
               if m < need then raise (Invalid (Too_few_processors { m; need }));
@@ -740,40 +765,17 @@ let batch_cmd =
                  its randomness deterministically at any -j. *)
               let rng = Prelude.Rng.create3 seed idx (Robust.Context.attempt ()) in
               let inst = Workload.Sos_gen.generate rng family ~n ~m ~scale () in
-              (match Sos.Instance.validate ~window inst with
-              | Ok _ -> ()
-              | Error reason -> raise (Invalid reason));
-              (family.Workload.Sos_gen.name, inst)
+              (family.Workload.Sos_gen.name, admit (Sos.Instance.validate ~window inst))
         in
+        let inst = admit (Solvers.check solver inst) in
         Obs.Trace.flow_step ~id:idx "spec";
-        let preemptive, sched = run_algo algo inst in
-        (match Sos.Schedule.validate ~preemption_ok:preemptive sched with
+        let sched = solver.run inst in
+        (match Sos.Schedule.validate ~preemption_ok:solver.preemptive sched with
         | Ok () -> ()
         | Error v ->
             Robust.Failure.internal_error "invalid schedule at step %d: %s"
               v.Sos.Schedule.at_step v.Sos.Schedule.reason);
         Solved (label, inst, sched)
-      in
-      (* The checkpoint header binds the journal to one run configuration:
-         resuming under a different seed, algorithm, or spec corpus must be
-         refused, not silently mixed. The digest is the chained canonical
-         record digest (Workload.Specs), identical for a text corpus and
-         its binary conversion. *)
-      let header_of digest =
-        Printf.sprintf "sosj1 seed=%d algo=%s specs=%s" seed (algo_name algo) digest
-      in
-      let open_journal header =
-        match checkpoint with
-        | None -> None
-        | Some path ->
-            if resume then begin
-              match
-                Robust.Journal.Sharded.resume ~path ~shards ~sync_every ~header ()
-              with
-              | Error msg -> raise (Usage ("cannot resume: " ^ msg))
-              | Ok j -> Some j
-            end
-            else Some (Robust.Journal.Sharded.start ~path ~shards ~sync_every ~header ())
       in
       let batch_token = Robust.Cancel.create () in
       let prev_sigint =
@@ -792,6 +794,99 @@ let batch_cmd =
                term_seen := true;
                Robust.Cancel.cancel batch_token))
       in
+      (* The feed is all that differs between the two modes: [next i]
+         yields record i (None at the end), [recno_of] maps an emitted
+         index back to its input line, and at most [win] specs are in
+         flight. *)
+      let digest, win, total, next, recno_of, close_feed =
+        if stream_mode then begin
+          (* Constant-memory: the corpus is never materialized. The
+             journal header digest (when checkpointing) is one extra
+             streaming pass over the file before solving begins. *)
+          let digest =
+            match ft.checkpoint with
+            | None -> ""
+            | Some _ -> (
+                match Workload.Specs.digest_of_path file with
+                | Ok d -> d
+                | Error msg -> raise (Usage msg))
+          in
+          let win =
+            match win_opt with Some w -> max chunk w | None -> max 1 (4 * jobs * chunk)
+          in
+          (* Bound the trace buffer on the streamed path: a million-spec
+             run with --trace keeps the newest 64k events instead of all
+             of them, preserving the constant-memory contract (the export
+             reports the overwritten count as "droppedEvents"). *)
+          if Obs.Trace.active () then Obs.Trace.set_ring (Some 65536);
+          let src = open_source () in
+          (* recnos ring: written by the producer, read by emit — both on
+             the calling thread, at most [win] indices apart. *)
+          let recnos = Array.make win 0 in
+          ( digest,
+            win,
+            None,
+            (fun i ->
+              Option.map
+                (fun (r : Workload.Specs.record) ->
+                  recnos.(i mod win) <- r.recno;
+                  r)
+                (Workload.Specs.read src)),
+            (fun idx -> recnos.(idx mod win)),
+            fun () -> Workload.Specs.close src )
+        end
+        else begin
+          (* Materialized: the records, digested in the same pass, with
+             window = batch size so workers are never throttled by a slow
+             consumer. Record numbers come from the array, and no closure
+             keeps the closed reader reachable: a corpus-length ring or a
+             live reader would each add to peak RSS. *)
+          let records, digest =
+            let src = open_source () in
+            Fun.protect
+              ~finally:(fun () -> Workload.Specs.close src)
+              (fun () ->
+                let st = Workload.Specs.digest_create () in
+                let acc = ref [] in
+                let rec go () =
+                  match Workload.Specs.read src with
+                  | None -> ()
+                  | Some r ->
+                      Workload.Specs.digest_line st (Workload.Specs.canonical r);
+                      acc := r :: !acc;
+                      go ()
+                in
+                go ();
+                (Array.of_list (List.rev !acc), Workload.Specs.digest_finish st))
+          in
+          let n = Array.length records in
+          ( digest,
+            max n 1,
+            Some n,
+            (fun i -> if i < n then Some records.(i) else None),
+            (fun idx -> records.(idx).Workload.Specs.recno),
+            ignore )
+        end
+      in
+      (* The checkpoint header binds the journal to one run configuration:
+         resuming under a different seed, algorithm, or spec corpus must be
+         refused, not silently mixed. The digest is the chained canonical
+         record digest (Workload.Specs), identical for a text corpus and
+         its binary conversion. *)
+      let journal =
+        Option.map
+          (fun path ->
+            let header =
+              Printf.sprintf "sosj1 seed=%d algo=%s specs=%s" seed solver.name digest
+            in
+            let { shards; sync_every; _ } = ft in
+            if not ft.resume then Robust.Journal.Sharded.start ~path ~shards ~sync_every ~header ()
+            else
+              match Robust.Journal.Sharded.resume ~path ~shards ~sync_every ~header () with
+              | Ok j -> j
+              | Error msg -> raise (Usage ("cannot resume: " ^ msg)))
+          ft.checkpoint
+      in
       let failures = ref 0 in
       let summary_state = if summary then Some (Summary.create ()) else None in
       (* --progress heartbeats: ticked on the caller thread after each
@@ -799,52 +894,55 @@ let batch_cmd =
          stderr (stdout byte-identity holds), and need no domains. *)
       let emitted = ref 0 in
       let produced = ref 0 in
-      let progress_state : Obs.Progress.t option ref = ref None in
+      let progress =
+        Option.map
+          (fun interval ->
+            Obs.Progress.create ~interval ?total
+              ?window_cap:(if stream_mode then Some win else None)
+              ())
+          progress
+      in
       let after_emit idx =
         incr emitted;
         Obs.Trace.flow_end ~id:idx "spec";
-        match !progress_state with
-        | None -> ()
-        | Some p ->
+        Option.iter
+          (fun p ->
             Obs.Progress.tick p ~done_:!emitted ~errors:!failures
               ?occupancy:(if stream_mode then Some (!produced - !emitted) else None)
-              ()
+              ())
+          progress
       in
-      let emit_line ~journal ~fresh idx line =
+      let emit_line ~fresh idx line =
         (match summary_state with
         | Some st -> Summary.add st line
         | None ->
             print_endline line;
             flush stdout);
         if fresh then
-          match journal with
-          | Some j -> Robust.Journal.Sharded.append j ~index:idx ~payload:line
-          | None -> ()
+          Option.iter (fun j -> Robust.Journal.Sharded.append j ~index:idx ~payload:line) journal
       in
-      let emit ~journal ~recno_of idx (outcome : batch_result Engine.Batch.outcome) =
-        match outcome with
-        | Ok Replayed -> (
-            match journal with
-            | None -> ()
-            | Some j -> (
-                match Robust.Journal.Sharded.replay j idx with
-                | None ->
-                    (* The resume bitset says this index completed, yet no
-                       shard holds its entry: the checkpoint lost data.
-                       Emitting nothing would silently break byte-identical
-                       resume, so surface it as a failure. Not journalled —
-                       the corrupt journal should not gain an error entry
-                       for an index it claims succeeded. *)
-                    incr failures;
-                    emit_line ~journal ~fresh:false idx
-                      (Printf.sprintf
-                         "%d error task-exn line %d: checkpoint entry missing on replay \
-                          (corrupt journal; re-run without --resume)"
-                         idx (recno_of idx))
-                | Some payload ->
-                    if payload_is_error payload then incr failures;
-                    emit_line ~journal ~fresh:false idx payload))
-        | Ok (Solved (label, inst, sched)) ->
+      let emit idx (outcome : batch_result Engine.Batch.outcome) =
+        match (outcome, journal) with
+        | Ok Replayed, None -> ()
+        | Ok Replayed, Some j -> (
+            match Robust.Journal.Sharded.replay j idx with
+            | None ->
+                (* The resume bitset says this index completed, yet no
+                   shard holds its entry: the checkpoint lost data.
+                   Emitting nothing would silently break byte-identical
+                   resume, so surface it as a failure. Not journalled —
+                   the corrupt journal should not gain an error entry for
+                   an index it claims succeeded. *)
+                incr failures;
+                emit_line ~fresh:false idx
+                  (Printf.sprintf
+                     "%d error task-exn line %d: checkpoint entry missing on replay \
+                      (corrupt journal; re-run without --resume)"
+                     idx (recno_of idx))
+            | Some payload ->
+                if payload_is_error payload then incr failures;
+                emit_line ~fresh:false idx payload)
+        | Ok (Solved (label, inst, sched)), _ ->
             (match out_dir with
             | Some dir ->
                 Out_channel.with_open_text
@@ -860,157 +958,56 @@ let batch_cmd =
                 (Sos.Bounds.theorem_3_3_bound inst ~makespan:sched.Sos.Schedule.makespan)
                 (List.length sched.Sos.Schedule.steps)
             in
-            emit_line ~journal ~fresh:true idx line
-        | Error (e : Engine.Batch.error) -> (
-            match e.failure with
-            | Robust.Failure.Cancelled ->
-                (* Interrupted, not failed: no line, no journal entry —
-                   --resume re-runs it. *)
-                ()
-            | failure ->
-                incr failures;
-                let message =
-                  String.map (function '\n' | '\r' -> ' ' | c -> c) e.message
-                in
-                let line =
-                  Printf.sprintf "%d error %s line %d: %s" idx
-                    (Robust.Failure.class_name failure) (recno_of idx) message
-                in
-                emit_line ~journal ~fresh:true idx line;
-                if verbose_errors then begin
-                  Printf.eprintf "batch: task %d (line %d) failed after %d attempt%s: %s\n"
-                    idx (recno_of idx) e.attempts
-                    (if e.attempts = 1 then "" else "s")
-                    (Robust.Failure.to_string failure);
-                  if e.backtrace <> "" then prerr_string e.backtrace;
-                  flush stderr
-                end)
+            emit_line ~fresh:true idx line
+        | Error { failure = Robust.Failure.Cancelled; _ }, _ ->
+            (* Interrupted, not failed: no line, no journal entry —
+               --resume re-runs it. *)
+            ()
+        | Error (e : Engine.Batch.error), _ ->
+            incr failures;
+            let message = String.map (function '\n' | '\r' -> ' ' | c -> c) e.message in
+            emit_line ~fresh:true idx
+              (Printf.sprintf "%d error %s line %d: %s" idx
+                 (Robust.Failure.class_name e.failure) (recno_of idx) message);
+            if verbose_errors then begin
+              Printf.eprintf "batch: task %d (line %d) failed after %d attempt%s: %s\n" idx
+                (recno_of idx) e.attempts
+                (if e.attempts = 1 then "" else "s")
+                (Robust.Failure.to_string e.failure);
+              if e.backtrace <> "" then prerr_string e.backtrace;
+              flush stderr
+            end
       in
-      let replayed journal i =
-        match journal with Some j -> Robust.Journal.Sharded.mem j i | None -> false
-      in
-      let journal_ref = ref None in
-      if stream_mode then begin
-        (* Constant-memory path: the corpus is never materialized. The
-           journal header digest (when checkpointing) is one extra
-           streaming pass over the file before solving begins. *)
-        let header =
-          match checkpoint with
-          | None -> header_of ""
-          | Some _ -> (
-              match Workload.Specs.digest_of_path file with
-              | Ok d -> header_of d
-              | Error msg -> raise (Usage msg))
-        in
-        let journal = open_journal header in
-        journal_ref := Some journal;
-        let src = open_source () in
-        Fun.protect
-          ~finally:(fun () -> Workload.Specs.close src)
-          (fun () ->
-            let win =
-              match win_opt with
-              | Some w -> max chunk w
-              | None -> max 1 (4 * jobs * chunk)
-            in
-            (match progress with
-            | Some interval ->
-                progress_state := Some (Obs.Progress.create ~interval ~window_cap:win ())
-            | None -> ());
-            (* Bound the trace buffer on the streamed path: a million-spec
-               run with --trace keeps the newest 64k events instead of all
-               of them, preserving the constant-memory contract (the export
-               reports the overwritten count as "droppedEvents"). *)
-            if Obs.Trace.active () then Obs.Trace.set_ring (Some 65536);
-            (* recnos ring: written by the producer, read by emit — both on
-               the calling thread, at most [win] indices apart. *)
-            let recnos = Array.make win 0 in
-            let producer i =
-              if Robust.Cancel.cancelled batch_token then None
-              else
-                match Workload.Specs.read src with
-                | None -> None
-                | Some r ->
-                    recnos.(i mod win) <- r.Workload.Specs.recno;
-                    incr produced;
-                    Obs.Trace.flow_start ~id:i "spec";
-                    let skip = replayed journal i in
-                    Some (fun () -> if skip then Replayed else solve i r)
-            in
-            Obs.Trace.with_span ~cat:"cli" "batch"
-              ~args:[ ("domains", Obs.Trace.I jobs); ("window", Obs.Trace.I win) ]
-              (fun () ->
-                Engine.Pool.with_pool ~domains:jobs (fun pool ->
-                    ignore
-                      (Engine.Batch.stream_seq pool ~chunk ~window:win ~retries
-                         ?task_timeout ?backoff ~cancel:batch_token producer
-                         ~f:(fun idx outcome ->
-                           emit ~journal
-                             ~recno_of:(fun idx -> recnos.(idx mod win))
-                             idx outcome;
-                           after_emit idx)))))
-      end
-      else begin
-        (* Materialized path: collect the records (computing the digest in
-           the same pass) and run with window = batch size, so workers are
-           never throttled by a slow consumer. *)
-        let records, digest =
-          let src = open_source () in
-          Fun.protect
-            ~finally:(fun () -> Workload.Specs.close src)
-            (fun () ->
-              let st = Workload.Specs.digest_create () in
-              let acc = ref [] in
-              let rec go () =
-                match Workload.Specs.read src with
-                | None -> ()
-                | Some r ->
-                    Workload.Specs.digest_line st (Workload.Specs.canonical r);
-                    acc := r :: !acc;
-                    go ()
+      let producer i =
+        if Robust.Cancel.cancelled batch_token then None
+        else
+          match next i with
+          | None -> None
+          | Some r ->
+              incr produced;
+              Obs.Trace.flow_start ~id:i "spec";
+              let skip =
+                match journal with Some j -> Robust.Journal.Sharded.mem j i | None -> false
               in
-              go ();
-              (Array.of_list (List.rev !acc), Workload.Specs.digest_finish st))
-        in
-        let journal = open_journal (header_of digest) in
-        journal_ref := Some journal;
-        let n = Array.length records in
-        (match progress with
-        | Some interval ->
-            progress_state := Some (Obs.Progress.create ~interval ~total:n ())
-        | None -> ());
-        let producer i =
-          if i >= n then None
-          else begin
-            let r = records.(i) in
-            Obs.Trace.flow_start ~id:i "spec";
-            let skip = replayed journal i in
-            Some (fun () -> if skip then Replayed else solve i r)
-          end
-        in
-        Obs.Trace.with_span ~cat:"cli" "batch"
-          ~args:[ ("specs", Obs.Trace.I n); ("domains", Obs.Trace.I jobs) ]
-          (fun () ->
-            Engine.Pool.with_pool ~domains:jobs (fun pool ->
-                ignore
-                  (Engine.Batch.stream_seq pool ~chunk ~window:(max n 1) ~retries
-                     ?task_timeout ?backoff ~cancel:batch_token producer
-                     ~f:(fun idx outcome ->
-                       emit ~journal
-                         ~recno_of:(fun idx -> records.(idx).Workload.Specs.recno)
-                         idx outcome;
-                       after_emit idx))))
-      end;
+              Some (fun () -> if skip then Replayed else solve i r)
+      in
+      Fun.protect ~finally:close_feed (fun () ->
+          Obs.Trace.with_span ~cat:"cli" "batch"
+            ~args:[ ("domains", Obs.Trace.I jobs); ("window", Obs.Trace.I win) ]
+            (fun () ->
+              Engine.Pool.with_pool ~domains:jobs (fun pool ->
+                  ignore
+                    (Engine.Batch.stream_seq pool ~chunk ~window:win ~retries:ft.retries
+                       ?task_timeout ?backoff ~cancel:batch_token producer
+                       ~f:(fun idx outcome ->
+                         emit idx outcome;
+                         after_emit idx)))));
+      Option.iter Robust.Journal.Sharded.close journal;
       Sys.set_signal Sys.sigint prev_sigint;
       Sys.set_signal Sys.sigterm prev_sigterm;
-      (match !journal_ref with
-      | Some (Some j) -> Robust.Journal.Sharded.close j
-      | _ -> ());
       Robust.Chaos.disarm ();
       (match summary_state with Some st -> Summary.render st | None -> ());
-      (match !progress_state with
-      | Some p -> Obs.Progress.finish p ~done_:!emitted ~errors:!failures
-      | None -> ());
+      Option.iter (fun p -> Obs.Progress.finish p ~done_:!emitted ~errors:!failures) progress;
       if Robust.Cancel.cancelled batch_token then if !term_seen then 143 else 130
       else if !failures > 0 then 1
       else 0
@@ -1047,18 +1044,6 @@ let batch_cmd =
           ~doc:"Also write each schedule as RLE CSV to $(docv)/batch-NNNN.csv."
           ~docv:"DIR")
   in
-  let algo = Arg.(value & opt algo_conv `Window & info [ "algo"; "a" ] ~doc:"Algorithm.") in
-  let retries =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ]
-          ~doc:
-            "Re-run a failed spec up to $(docv) extra times (transient failures \
-             only: task exceptions and deadline expiry — never invalid input). \
-             Attempt $(i,a) of spec $(i,i) derives its randomness from (--seed, \
-             i, a), so retried runs stay byte-identical at any -j."
-          ~docv:"N")
-  in
   let task_timeout =
     Arg.(
       value
@@ -1069,39 +1054,6 @@ let batch_cmd =
              fails with class $(b,deadline) (and is retried if --retries allows)."
           ~docv:"SECS")
   in
-  let backoff_base =
-    Arg.(
-      value & opt float 0.01
-      & info [ "backoff-base" ]
-          ~doc:
-            "First-retry delay in seconds; attempt $(i,a) of spec $(i,i) sleeps a \
-             jittered, capped (1s) exponential delay derived from (--seed, \
-             $(i,i), $(i,a)) before re-running, so retried runs stay \
-             byte-identical at any -j. 0 disables backoff (immediate retries)."
-          ~docv:"SECS")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ]
-          ~doc:
-            "Append every emitted result line to a journal at $(docv) (sharded \
-             over --shards files, flushed per --sync-every), enabling --resume \
-             after a crash or kill."
-          ~docv:"PATH")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Replay results journaled at --checkpoint $(i,PATH) verbatim and solve \
-             only the remaining specs; the concatenated stdout of the killed run \
-             and this one is byte-identical to an uninterrupted run. Refused if \
-             the journal header (seed, algorithm, spec digest, shard count) does \
-             not match.")
-  in
   let verbose_errors =
     Arg.(
       value & flag
@@ -1110,25 +1062,6 @@ let batch_cmd =
             "For each failed spec, also print the failure class, attempt count, \
              and the backtrace captured at the raise site to stderr (stdout stays \
              byte-identical).")
-  in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ]
-          ~doc:
-            "Arm the seeded fault injector with $(docv) (see doc/ROBUSTNESS.md; \
-             e.g. $(b,sos.fast.run\\@3,19:attempts=1) or $(b,engine.pool.worker~0.1)). \
-             Defaults to $(b,\\$SOS_CHAOS) when set."
-          ~docv:"SPEC")
-  in
-  let chaos_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chaos-seed" ]
-          ~doc:"Seed for probabilistic chaos draws (default $(b,\\$SOS_CHAOS_SEED) or 0)."
-          ~docv:"N")
   in
   let stream_mode =
     Arg.(
@@ -1149,26 +1082,6 @@ let batch_cmd =
              histogram, per-family counts/means, error-class table. Aggregation \
              streams (O(1) memory) and includes replayed lines, so a resumed run \
              summarizes identically to an uninterrupted one.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Shard the checkpoint journal over $(docv) files ($(i,PATH.k), entry i \
-             in shard i mod $(docv); 1 = the single-file format). A journal must \
-             be resumed with the shard count it was written with."
-          ~docv:"N")
-  in
-  let sync_every =
-    Arg.(
-      value & opt int 1
-      & info [ "sync-every" ]
-          ~doc:
-            "Flush each journal shard every $(docv) appends (default 1 = every \
-             entry). Larger values trade up to $(docv)-1 re-run specs per shard \
-             after a kill for sequential-write throughput."
-          ~docv:"K")
   in
   let chunk =
     Arg.(
@@ -1212,10 +1125,9 @@ let batch_cmd =
           structured error lines; --stream for constant-memory million-spec \
           corpora).")
     Term.(
-      const run $ obs_flags $ file $ jobs $ seed $ out_dir $ algo $ retries
-      $ task_timeout $ backoff_base $ checkpoint $ resume $ verbose_errors $ chaos
-      $ chaos_seed $ stream_mode $ summary $ shards $ sync_every $ chunk $ win_opt
-      $ progress)
+      const run $ obs_flags $ file $ jobs $ seed $ out_dir $ solver_flag ~default:"window"
+      $ fault_tolerance_flags $ task_timeout $ verbose_errors $ stream_mode $ summary $ chunk
+      $ win_opt $ progress)
 
 (* ---------------------------------------------------------------- serve *)
 
@@ -1266,8 +1178,7 @@ let serve_socket srv ~pool ~cancel ~should_drain ~should_abort ?backoff path =
       loop ())
 
 let serve_cmd =
-  let run obs jobs seed max_sessions max_jobs max_volume deadline retries backoff_base
-      checkpoint resume shards sync_every socket chaos chaos_seed =
+  let run obs jobs seed max_sessions max_jobs max_volume deadline ft socket =
     with_obs obs @@ fun () ->
     try
       if jobs < 1 then raise (Usage "-j must be >= 1");
@@ -1277,47 +1188,13 @@ let serve_cmd =
       (match deadline with
       | Some d when d <= 0.0 -> raise (Usage "--deadline must be > 0")
       | _ -> ());
-      if retries < 0 then raise (Usage "--retries must be >= 0");
-      if backoff_base < 0.0 then raise (Usage "--backoff-base must be >= 0");
-      if resume && checkpoint = None then
-        raise (Usage "--resume requires --checkpoint PATH");
-      if shards < 1 then raise (Usage "--shards must be >= 1");
-      if sync_every < 1 then raise (Usage "--sync-every must be >= 1");
-      (match
-         (match chaos with Some s -> Some s | None -> Sys.getenv_opt "SOS_CHAOS")
-       with
-      | None -> ()
-      | Some spec ->
-          let cseed =
-            match chaos_seed with
-            | Some s -> s
-            | None -> (
-                match Sys.getenv_opt "SOS_CHAOS_SEED" with
-                | Some s -> Option.value (int_of_string_opt s) ~default:0
-                | None -> 0)
-          in
-          (match Robust.Chaos.arm ~seed:cseed spec with
-          | Ok () -> ()
-          | Error msg -> raise (Usage ("bad chaos spec: " ^ msg))));
-      let backoff =
-        if backoff_base > 0.0 then Some (Robust.Backoff.policy ~base:backoff_base ~seed ())
-        else None
-      in
-      let cfg =
-        {
-          Serve.Server.max_sessions;
-          max_jobs;
-          max_volume;
-          deadline;
-          retries;
-          backoff;
-          checkpoint;
-          resume;
-          shards;
-          sync_every;
-        }
-      in
-      match Serve.Server.create cfg with
+      let backoff = arm_fault_tolerance ~seed ft in
+      let { retries; checkpoint; resume; shards; sync_every; _ } = ft in
+      match
+        Serve.Server.create
+          { max_sessions; max_jobs; max_volume; deadline; retries; backoff; checkpoint; resume;
+            shards; sync_every }
+      with
       | Error msg -> raise (Usage ("cannot open checkpoint: " ^ msg))
       | Ok srv ->
           (* First SIGTERM drains (stop admitting, finish in-flight,
@@ -1421,57 +1298,6 @@ let serve_cmd =
              or an $(b,error deadline) reply when none exists yet."
           ~docv:"SECS")
   in
-  let retries =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ]
-          ~doc:"Extra solve attempts per query on transient failure."
-          ~docv:"N")
-  in
-  let backoff_base =
-    Arg.(
-      value & opt float 0.01
-      & info [ "backoff-base" ]
-          ~doc:
-            "First-retry delay in seconds (jittered, capped exponential, derived \
-             deterministically from --seed and the request index); 0 disables."
-          ~docv:"SECS")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ]
-          ~doc:
-            "Write-ahead log path: every accepted request's reply is journalled \
-             (sharded over --shards, flushed per --sync-every) before it is \
-             emitted, so a killed server resumed with --resume over the same \
-             input replays a byte-identical transcript."
-          ~docv:"PATH")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Reopen the --checkpoint WAL of a killed run: as the input stream is \
-             re-driven, journalled indices are answered verbatim from the log \
-             (nothing is re-solved) and their state transitions re-applied; a \
-             re-driven request that no longer matches its journalled digest is \
-             refused (exit 4).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~doc:"WAL shard count (must match on resume)." ~docv:"N")
-  in
-  let sync_every =
-    Arg.(
-      value & opt int 1
-      & info [ "sync-every" ]
-          ~doc:"Flush each WAL shard every $(docv) appends (default 1 = every reply)."
-          ~docv:"K")
-  in
   let socket =
     Arg.(
       value
@@ -1483,25 +1309,6 @@ let serve_cmd =
              stream and one WAL."
           ~docv:"PATH")
   in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ]
-          ~doc:
-            "Arm the seeded fault injector (sites $(b,serve.request), \
-             $(b,serve.journal), $(b,sos.online.run); see doc/ROBUSTNESS.md). \
-             Defaults to $(b,\\$SOS_CHAOS) when set."
-          ~docv:"SPEC")
-  in
-  let chaos_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chaos-seed" ]
-          ~doc:"Seed for probabilistic chaos draws (default $(b,\\$SOS_CHAOS_SEED) or 0)."
-          ~docv:"N")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1512,8 +1319,7 @@ let serve_cmd =
           SIGTERM (see doc/SERVE.md).")
     Term.(
       const run $ obs_flags $ jobs $ seed $ max_sessions $ max_jobs $ max_volume
-      $ deadline $ retries $ backoff_base $ checkpoint $ resume $ shards $ sync_every
-      $ socket $ chaos $ chaos_seed)
+      $ deadline $ fault_tolerance_flags $ socket)
 
 (* ------------------------------------------------------------- hardness *)
 
@@ -1573,17 +1379,12 @@ let corpus_cmd =
             (match e.Workload.Corpus.exact_opt with
             | Some opt -> Printf.printf "  %-22s %d\n" "exact optimum" opt
             | None -> ());
+            (* Every solver whose precondition the entry meets. *)
             List.iter
-              (fun (label, f) ->
-                Printf.printf "  %-22s %d\n" label (f inst).Sos.Schedule.makespan)
-              [
-                ("window", Sos.Fast.run ?variant:None);
-                ("literal grow-left", Sos.Fast.run ~variant:`Literal);
-                ("naive fracture", Sos.Ablation.run_naive_fracture);
-                ("no move-right", Sos.Ablation.run_no_move);
-                ("list scheduling", fun i -> Baselines.List_scheduling.run i);
-                ("greedy fair", Baselines.Greedy_fair.run);
-              ];
+              (fun (s : Solvers.t) ->
+                if Result.is_ok (Solvers.check s inst) then
+                  Printf.printf "  %-22s %d\n" s.name (s.run inst).Sos.Schedule.makespan)
+              Solvers.all;
             0
       end
   in

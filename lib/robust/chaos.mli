@@ -18,8 +18,7 @@
     scheduling-dependent; they model genuinely asynchronous worker
     failures.
 
-    {b Spec grammar} (for [--chaos] / [$SOS_CHAOS]): clauses separated by
-    [;]:
+    {b Spec grammar} (for [sosctl]'s [--chaos]): clauses separated by [;]:
     - [SITE@I1,I2,...] — raise at the listed task indices, every attempt;
     - [SITE@I1,...:attempts=N] — only on attempts [0..N-1] (so a task
       retried [>= N] times recovers);

@@ -37,7 +37,11 @@ type invalid =
       (** An Equation (1) quantity ([Σ p_j], [Σ s_j = Σ p_j r_j], or
           [Σ r_j]) exceeds [max_int]; the lower bound would be silently
           negative. *)
-  | Malformed of string  (** unparsable spec text. *)
+  | Malformed of string
+      (** unparsable spec text, or a precondition other than [m] that the
+          selected solver needs and the instance breaks (a job with
+          [p_j > 1] under a unit-size solver); the message then names the
+          solver. *)
 
 type t =
   | Invalid_instance of invalid

@@ -31,40 +31,6 @@ let create ~path ~header =
   Out_channel.flush oc;
   oc
 
-(* A process killed mid-append can leave a torn final line with no newline;
-   appending straight after it would glue the next entry onto the torn one
-   and corrupt both. Scan forward in fixed-size chunks tracking the offset
-   just past the last newline — O(1) memory on journals of any size — and
-   trim back to the last complete line. *)
-let truncate_torn_tail path =
-  match
-    In_channel.with_open_bin path (fun ic ->
-        let buf = Bytes.create 65536 in
-        let keep = ref 0 in
-        let pos = ref 0 in
-        (let rec go () =
-           let k = In_channel.input ic buf 0 (Bytes.length buf) in
-           if k > 0 then begin
-             for i = 0 to k - 1 do
-               if Bytes.get buf i = '\n' then keep := !pos + i + 1
-             done;
-             pos := !pos + k;
-             go ()
-           end
-         in
-         go ())
-        [@sos.allow
-          "A2: startup-recovery scan, bounded by the journal size on disk; runs before any \
-           task is admitted, so there is no cancellation context to poll"];
-        (!keep, !pos))
-  with
-  | exception Sys_error _ -> ()
-  | keep, total -> if total > keep then Unix.truncate path keep
-
-let reopen ~path =
-  truncate_torn_tail path;
-  Out_channel.open_gen [ Open_append; Open_text ] 0o644 path
-
 let output_entry oc ~index ~payload =
   if String.contains payload '\n' then
     invalid_arg "Robust.Journal.Sharded.append: payload contains newline"
@@ -219,7 +185,9 @@ module Sharded = struct
                  ~finally:(fun () -> Unix.close dfd)
                  (fun () -> Unix.fsync dfd)
              with Unix.Unix_error _ -> ());
-            Ok (reopen ~path:p)
+            (* Compaction wrote every kept line newline-terminated, so
+               appends can go straight after the last one. *)
+            Ok (Out_channel.open_gen [ Open_append; Open_text ] 0o644 p)
       end
     in
     let outs = Array.make shards None in

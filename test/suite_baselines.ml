@@ -90,6 +90,42 @@ let test_adversarial_families_valid () =
       Helpers.check_valid (Baselines.List_scheduling.run inst))
     instances
 
+module Solvers = Baselines.Solvers
+
+(* Each solver's precondition, then doc/CLI.md's algorithm table row by
+   row against the solver table. *)
+let test_solver_table () =
+  let m2 = Instance.create ~m:2 ~scale:10 [ (1, 5); (1, 5) ] in
+  let sized = Instance.create ~m:6 ~scale:10 [ (1, 5); (2, 5) ] in
+  List.iter
+    (fun (s : Solvers.t) ->
+      match (s.requires, Solvers.check s m2, Solvers.check s sized) with
+      | Window, Error (Robust.Failure.Too_few_processors { m = 2; need = 3 }), Ok _
+      | Any, Ok _, Ok _ ->
+          ()
+      | Unit_sizes, Ok _, Error (Malformed msg) when Helpers.contains msg ("-a " ^ s.name) -> ()
+      | _ -> Alcotest.failf "%s: wrong precondition" s.name)
+    Solvers.all;
+  let row line =
+    match List.map String.trim (String.split_on_char '|' line) with
+    | [ ""; name; _; pre; sched; "" ] -> (String.sub name 1 (String.length name - 2), pre, sched)
+    | _ -> Alcotest.failf "doc/CLI.md: bad algorithm row %S" line
+  in
+  let rows =
+    In_channel.with_open_text "../doc/CLI.md" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"| `")
+    |> List.map row
+  in
+  let doc (s : Solvers.t) =
+    ( s.name,
+      (match s.requires with Any -> "any" | Window -> "m ≥ 3" | Unit_sizes -> "every p_j = 1"),
+      if s.preemptive then "preemptive" else "non-preemptive" )
+  in
+  Alcotest.(check (list (triple string string string)))
+    "doc/CLI.md algorithm table" (List.map doc Solvers.all) rows;
+  List.iter (fun (name, _, _) -> if Solvers.find name = None then Alcotest.failf "find %s" name) rows
+
 let suite =
   ( "baselines",
     [
@@ -107,4 +143,5 @@ let suite =
         test_window_beats_list_on_giant_and_dust;
       Alcotest.test_case "adversarial families valid" `Quick
         test_adversarial_families_valid;
+      Alcotest.test_case "solver table preconditions and doc" `Quick test_solver_table;
     ] )

@@ -5,27 +5,32 @@
 
 open Sos
 module Corpus = Workload.Corpus
+module Solvers = Baselines.Solvers
 
+(* Makespan of every registered solver whose precondition the entry
+   meets, keyed by its -a name. *)
 let run_all entry =
   let inst = entry.Corpus.instance in
-  [
-    ("window", (Fast.run inst).Schedule.makespan);
-    ("literal", (Fast.run ~variant:`Literal inst).Schedule.makespan);
-    ("naive", (Ablation.run_naive_fracture inst).Schedule.makespan);
-    ("list-sched", (Baselines.List_scheduling.run inst).Schedule.makespan);
-  ]
+  List.filter_map
+    (fun (s : Solvers.t) ->
+      match Solvers.check s inst with
+      | Ok inst -> Some (s.name, (s.run inst).Schedule.makespan)
+      | Error _ -> None)
+    Solvers.all
 
 let test_corpus_validity () =
   List.iter
     (fun entry ->
       let inst = entry.Corpus.instance in
       List.iter
-        (fun sched -> Helpers.check_valid sched)
-        [
-          Fast.run inst; Fast.run ~variant:`Literal inst;
-          Ablation.run_naive_fracture inst; Ablation.run_no_move inst;
-          Baselines.List_scheduling.run inst; Baselines.Greedy_fair.run inst;
-        ])
+        (fun (s : Solvers.t) ->
+          match Solvers.check s inst with
+          | Ok inst -> Helpers.check_valid ~preemption_ok:s.preemptive (s.run inst)
+          | Error reason ->
+              if s.requires = Any then
+                Alcotest.failf "%s rejects %s: %s" s.name entry.Corpus.name
+                  (Robust.Failure.invalid_to_string reason))
+        Solvers.all)
     Corpus.all
 
 let test_exact_opt_entries () =
@@ -68,7 +73,7 @@ let test_giant_dust_golden () =
 let test_eps_pairs_golden () =
   let ms = run_all Corpus.eps_pairs in
   Alcotest.(check int) "window hits LB" 60 (List.assoc "window" ms);
-  Alcotest.(check int) "naive wastes half" 90 (List.assoc "naive" ms)
+  Alcotest.(check int) "naive wastes half" 90 (List.assoc "naive-fracture" ms)
 
 let test_corpus_lookup () =
   Alcotest.(check bool) "find existing" true (Corpus.find "giant-dust" <> None);
