@@ -172,22 +172,6 @@ let json_of_t7d r =
     (Engine.Pool.recommended_domain_count ())
     r.t7d_wall_s r.specs_per_s r.peak_rss_kb r.rss_before_kb
 
-(* "VmHWM:   123456 kB" out of /proc/self/status; None off-Linux (the row
-   then records 0 and only specs/s is meaningful). *)
-let proc_status_kb key =
-  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
-  | exception Sys_error _ -> None
-  | body ->
-      String.split_on_char '\n' body
-      |> List.find_map (fun line ->
-             if String.starts_with ~prefix:(key ^ ":") line then
-               match
-                 String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-               with
-               | _ :: v :: _ -> int_of_string_opt v
-               | _ -> None
-             else None)
-
 (* Writing "5" resets the peak-RSS watermark so VmHWM measures this
    section, not whatever t7a..t7c peaked at earlier; best effort (some
    kernels refuse), which is why rows also record rss_before_kb. *)
@@ -278,7 +262,7 @@ let t7d () =
         List.map
           (fun (name, count) ->
             t7d_write_corpus tmp count;
-            let rss_before = Option.value (proc_status_kb "VmRSS") ~default:0 in
+            let rss_before = Option.value (Obs.Progress.status_kb "VmRSS") ~default:0 in
             reset_peak_rss ();
             let (got, fp), wall_s =
               Clock.best_of ~k:1 (fun () -> t7d_run tmp ~domains:dmax ~chunk)
@@ -293,7 +277,7 @@ let t7d () =
               t7d_domains = dmax;
               t7d_wall_s = wall_s;
               specs_per_s = float_of_int count /. wall_s;
-              peak_rss_kb = Option.value (proc_status_kb "VmHWM") ~default:0;
+              peak_rss_kb = Option.value (Obs.Progress.status_kb "VmHWM") ~default:0;
               rss_before_kb = rss_before;
             })
           [ ("t7d-stream-1e5", 100_000); ("t7d-stream-1e6", 1_000_000) ]
@@ -428,16 +412,16 @@ let check_regression r =
 
 let metrics_snapshot_path = "BENCH_metrics.json"
 
-(* Handles onto the library-registered distribution histograms (PR 8):
-   the registry dedupes by name, so these resolve to the instruments the
+(* Handles onto the library-registered distribution histograms: the
+   registry dedupes by name, so these resolve to the instruments the
    solver and bound modules observe into. Solve latency is runtime-class
    (quoted in the gate notes only); the ratio histogram is deterministic
    and therefore part of the byte-identity assertion below. *)
-let h_solve = Obs.Hist.runtime "sos.fast.solve_s"
+let h_solve = Obs.Metrics.runtime_hist "sos.fast.solve_s"
 
 let h_ratio =
-  Obs.Hist.create
-    ~bounds:(Obs.Hist.linear_bounds ~lo:1.0 ~hi:3.0 ~step:0.05)
+  Obs.Metrics.hist
+    ~bounds:(Obs.Metrics.linear_bounds ~lo:1.0 ~hi:3.0 ~step:0.05)
     "sos.bounds.ratio"
 
 let obs_snapshot () =
@@ -472,17 +456,17 @@ let obs_snapshot () =
   note
     "corpus solve latency: p50 %.1f us, p99 %.1f us, max %.1f us (%d solves, \
      runtime class)"
-    (Obs.Hist.quantile h_solve 0.50 *. 1e6)
-    (Obs.Hist.quantile h_solve 0.99 *. 1e6)
-    (Obs.Hist.max_value h_solve *. 1e6)
-    (Obs.Hist.count h_solve);
+    (Obs.Metrics.hist_quantile h_solve 0.50 *. 1e6)
+    (Obs.Metrics.hist_quantile h_solve 0.99 *. 1e6)
+    (Obs.Metrics.hist_max h_solve *. 1e6)
+    (Obs.Metrics.hist_count h_solve);
   note
     "corpus makespan/lower-bound ratio: p50 %.3f, p99 %.3f, max %.3f over %d \
      instances (deterministic; Theorem 3.3 guarantees <= 2 + 1/(m-2))"
-    (Obs.Hist.quantile h_ratio 0.50)
-    (Obs.Hist.quantile h_ratio 0.99)
-    (Obs.Hist.max_value h_ratio)
-    (Obs.Hist.count h_ratio);
+    (Obs.Metrics.hist_quantile h_ratio 0.50)
+    (Obs.Metrics.hist_quantile h_ratio 0.99)
+    (Obs.Metrics.hist_max h_ratio)
+    (Obs.Metrics.hist_count h_ratio);
   s1
 
 (* ------------------------------------------------------------- --check *)

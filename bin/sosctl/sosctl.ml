@@ -55,8 +55,8 @@ let obs_flags =
       & opt ~vopt:(Some "-") (some string) None
       & info [ "metrics" ] ~docv:"PATH"
           ~doc:
-            "Record telemetry counters/timers/histograms during the run and dump \
-             a snapshot: to stderr ($(b,--metrics) alone), or to $(docv) (JSON if \
+            "Record telemetry counters and histograms (latencies included) during \
+             the run and dump a snapshot: to stderr ($(b,--metrics) alone), or to $(docv) (JSON if \
              it ends in .json, OpenMetrics exposition if it ends in .prom, text \
              otherwise).")
   in
@@ -1233,7 +1233,7 @@ let serve_cmd =
           Robust.Chaos.disarm ();
           let s = Serve.Server.finish srv in
           let rss =
-            match Obs.Progress.vmhwm_kb () with
+            match Obs.Progress.status_kb "VmHWM" with
             | Some kb -> string_of_int kb
             | None -> "-"
           in

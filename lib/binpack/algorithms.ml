@@ -3,7 +3,7 @@
 let c_runs = Obs.Metrics.counter "binpack.window.runs"
 let c_items = Obs.Metrics.counter "binpack.window.items"
 let c_bins = Obs.Metrics.counter "binpack.window.bins"
-let t_pack = Obs.Metrics.timer "binpack.window.pack"
+let h_pack = Obs.Metrics.runtime_hist "binpack.window.pack_s"
 
 let next_fit_order order inst =
   let items = Array.mapi (fun i s -> (i, s)) inst.Packing.sizes in
@@ -81,7 +81,7 @@ let first_fit inst = first_fit_order `Input inst
 let first_fit_decreasing inst = first_fit_order `Decreasing inst
 
 let window inst =
-  Obs.Metrics.time t_pack @@ fun () ->
+  Obs.Metrics.time h_pack @@ fun () ->
   Obs.Metrics.incr c_runs;
   Obs.Metrics.add c_items (Array.length inst.Packing.sizes);
   let items =

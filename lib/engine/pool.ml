@@ -26,17 +26,17 @@ type t = {
    scheduling and are runtime-class. *)
 let c_tasks = Obs.Metrics.counter "engine.pool.tasks"
 let g_queue_hwm = Obs.Metrics.runtime_counter "engine.pool.queue_hwm"
-let t_queue_wait = Obs.Metrics.timer "engine.pool.queue_wait"
+let h_queue_wait = Obs.Metrics.runtime_hist "engine.pool.queue_wait_s"
 
-(* Streaming-window distribution telemetry (runtime class, PR 8): how
-   long each producer pull takes on the caller thread, and how full the
-   in-flight window is at the moment of each pull — a window that samples
-   near its capacity means the producer keeps the workers fed. *)
-let h_pull = Obs.Hist.runtime "engine.pool.pull_s"
+(* Streaming-window distribution telemetry (runtime class): how long each
+   producer pull takes on the caller thread, and how full the in-flight
+   window is at the moment of each pull — a window that samples near its
+   capacity means the producer keeps the workers fed. *)
+let h_pull = Obs.Metrics.runtime_hist "engine.pool.pull_s"
 
 let h_occupancy =
-  Obs.Hist.runtime
-    ~bounds:(Obs.Hist.log_bounds ~lo:1.0 ~hi:65536.0 ~per_decade:5)
+  Obs.Metrics.runtime_hist
+    ~bounds:(Obs.Metrics.log_bounds ~lo:1.0 ~hi:65536.0 ~per_decade:5)
     "engine.pool.window_occupancy"
 
 let domain_counter w = Obs.Metrics.runtime_counter (Printf.sprintf "engine.pool.d%d.tasks" w)
@@ -127,18 +127,14 @@ let create ?domains () =
 let domains t = t.domains
 
 let submit t task =
-  (* Stamp the enqueue time only when someone is listening: the timer
+  (* Stamp the enqueue time only when someone is listening: the histogram
      records how long the task sat in the bounded queue before a worker
      picked it up. *)
   let task =
     if Obs.Metrics.enabled () then begin
-      let enqueued =
-        (Prelude.Clock.now () [@sos.allow "A1: runtime-class queue-wait sample; t_queue_wait is a runtime timer, never digested"])
-      in
+      let waited = Obs.Metrics.stamp h_queue_wait in
       fun () ->
-        Obs.Metrics.observe t_queue_wait
-          ((Prelude.Clock.now () [@sos.allow "A1: runtime-class queue-wait sample; t_queue_wait is a runtime timer, never digested"])
-          -. enqueued);
+        waited ();
         task ()
     end
     else task
@@ -220,18 +216,8 @@ let run_ordered_seq t ?(chunk = 1) ?window supply ~emit =
     while (not !exhausted) || !next_emit < !next_submit do
       let inflight = !next_submit - !next_emit in
       if (not !exhausted) && window - inflight >= chunk then begin
-        let obs = Obs.Metrics.enabled () in
-        if obs then Obs.Hist.observe_int h_occupancy inflight;
-        let t0 =
-          if obs then
-            (Prelude.Clock.now () [@sos.allow "A1: runtime-class pull-latency sample; h_pull is a runtime histogram, never digested"])
-          else 0.0
-        in
-        let thunks = pull chunk in
-        if obs then
-          Obs.Hist.observe h_pull
-            ((Prelude.Clock.now () [@sos.allow "A1: runtime-class pull-latency sample; h_pull is a runtime histogram, never digested"])
-            -. t0);
+        Obs.Metrics.hist_observe_int h_occupancy inflight;
+        let thunks = Obs.Metrics.time h_pull (fun () -> pull chunk) in
         let k = Array.length thunks in
         if k > 0 then begin
           let lo = !next_submit in

@@ -1,30 +1,12 @@
 (* The registry is guarded by a tiny spinlock built on Atomic, per the
    Atomic-only rule for libraries (soslint R3, doc/LINT.md). Registration
    happens at module init or pool construction — contention is nil — and
-   the hot-path operations (incr/add/observe) touch only their own
+   the hot-path operations (incr/add/hist_observe) touch only their own
    metric's atomics. *)
 
 type kind = Det | Runtime
 
 type counter = { c_name : string; c_kind : kind; cell : int Atomic.t }
-
-(* Timers retain a bounded ring of the most recent [timer_cap] samples:
-   percentiles are computed over the ring, while [t_total]/[t_sum]/[t_max]
-   cover every observation ever made. This keeps a million-spec streamed
-   run at O(1) memory per timer; long-run distributions belong to
-   histograms, which are bounded by construction. *)
-let timer_cap = 4096
-
-type timer = {
-  t_name : string;
-  t_lock : bool Atomic.t;
-  mutable samples : float array;
-  mutable len : int; (* retained samples *)
-  mutable pos : int; (* ring write cursor once capped *)
-  mutable t_total : int; (* observations ever *)
-  mutable t_sum : float;
-  mutable t_max : float;
-}
 
 (* Histograms: fixed strictly-increasing upper bounds plus one overflow
    bucket, each count its own atomic. Recording is a binary search and one
@@ -43,7 +25,7 @@ type hist = {
   h_sum : float Atomic.t;
 }
 
-type entry = Counter of counter | Timer of timer | Hist of hist
+type entry = Counter of counter | Hist of hist
 
 let on = Atomic.make false
 let enable () = Atomic.set on true
@@ -79,8 +61,6 @@ let counter_of_kind kind name =
   | Counter _ ->
       invalid_arg
         (Printf.sprintf "Obs.Metrics: %S already registered with another class" name)
-  | Timer _ ->
-      invalid_arg (Printf.sprintf "Obs.Metrics: %S already registered as a timer" name)
   | Hist _ ->
       invalid_arg (Printf.sprintf "Obs.Metrics: %S already registered as a histogram" name)
 
@@ -107,67 +87,9 @@ let get name =
   release reg_lock;
   match e with
   | Some (Counter c) -> Atomic.get c.cell
-  | Some (Timer _) -> invalid_arg (Printf.sprintf "Obs.Metrics.get: %S is a timer" name)
   | Some (Hist _) ->
       invalid_arg (Printf.sprintf "Obs.Metrics.get: %S is a histogram" name)
   | None -> invalid_arg (Printf.sprintf "Obs.Metrics.get: unknown counter %S" name)
-
-let timer name =
-  match
-    register name (fun () ->
-        Timer
-          {
-            t_name = name;
-            t_lock = Atomic.make false;
-            samples = Array.make 64 0.0;
-            len = 0;
-            pos = 0;
-            t_total = 0;
-            t_sum = 0.0;
-            t_max = neg_infinity;
-          })
-  with
-  | Timer t -> t
-  | Counter _ ->
-      invalid_arg (Printf.sprintf "Obs.Metrics: %S already registered as a counter" name)
-  | Hist _ ->
-      invalid_arg (Printf.sprintf "Obs.Metrics: %S already registered as a histogram" name)
-
-let observe t dt =
-  if Atomic.get on then begin
-    acquire t.t_lock;
-    if t.len < timer_cap then begin
-      if t.len = Array.length t.samples then begin
-        let bigger = Array.make (min timer_cap (2 * t.len)) 0.0 in
-        Array.blit t.samples 0 bigger 0 t.len;
-        t.samples <- bigger
-      end;
-      t.samples.(t.len) <- dt;
-      t.len <- t.len + 1
-    end
-    else begin
-      t.samples.(t.pos) <- dt;
-      t.pos <- (t.pos + 1) mod timer_cap
-    end;
-    t.t_total <- t.t_total + 1;
-    t.t_sum <- t.t_sum +. dt;
-    if dt > t.t_max then t.t_max <- dt;
-    release t.t_lock
-  end
-
-let time t f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let t0 =
-      (Prelude.Clock.now () [@sos.allow "A1: runtime-class timer read; durations land in timers/histograms, never in det-class metrics"])
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        observe t
-          ((Prelude.Clock.now () [@sos.allow "A1: runtime-class timer read; durations land in timers/histograms, never in det-class metrics"])
-          -. t0))
-      f
-  end
 
 (* ----------------------------------------------------------- histograms *)
 
@@ -208,8 +130,6 @@ let hist_of_kind kind ?(bounds = default_bounds) name =
            name)
   | Counter _ ->
       invalid_arg (Printf.sprintf "Obs.Metrics: %S already registered as a counter" name)
-  | Timer _ ->
-      invalid_arg (Printf.sprintf "Obs.Metrics: %S already registered as a timer" name)
 
 let hist ?bounds name = hist_of_kind Det ?bounds name
 let runtime_hist ?bounds name = hist_of_kind Runtime ?bounds name
@@ -284,14 +204,31 @@ let quantile_of_counts bounds counts mx q =
 
 let hist_quantile h q = quantile_of_counts h.bounds (hist_counts h) (hist_max h) q
 
-let hist_merge_into ~into src =
-  if Array.length into.bounds <> Array.length src.bounds then
-    invalid_arg "Obs.Metrics.hist_merge_into: bucket layouts differ";
-  Array.iteri
-    (fun i b -> ignore (Atomic.fetch_and_add into.buckets.(i) (Atomic.get b)))
-    src.buckets;
-  cas_max into.h_max (Atomic.get src.h_max);
-  cas_add into.h_sum (Atomic.get src.h_sum)
+(* ------------------------------------------------------------- latency *)
+
+(* The one wall-clock read behind every telemetry latency. [time] and
+   [stamp] refuse deterministic histograms, so a duration can only land
+   in the runtime class. *)
+let now () =
+  (Prelude.Clock.now () [@sos.allow "A1: runtime-class latency read; [time]/[stamp] record durations only into runtime histograms, never into det-class metrics"])
+
+let check_runtime h =
+  if h.h_kind <> Runtime then
+    invalid_arg
+      (Printf.sprintf "Obs.Metrics: %S is a deterministic histogram; latencies need runtime_hist"
+         h.h_name)
+
+let stamp h =
+  check_runtime h;
+  if Atomic.get on then begin
+    let t0 = now () in
+    fun () -> hist_observe h (now () -. t0)
+  end
+  else ignore
+
+let time h f =
+  check_runtime h;
+  if Atomic.get on then Fun.protect ~finally:(stamp h) f else f ()
 
 let[@sos.allow
      "R5: zeroing every registered cell is order-insensitive — no output or digest is derived \
@@ -301,14 +238,6 @@ let[@sos.allow
     (fun _ e ->
       match e with
       | Counter c -> Atomic.set c.cell 0
-      | Timer t ->
-          acquire t.t_lock;
-          t.len <- 0;
-          t.pos <- 0;
-          t.t_total <- 0;
-          t.t_sum <- 0.0;
-          t.t_max <- neg_infinity;
-          release t.t_lock
       | Hist h ->
           Array.iter (fun b -> Atomic.set b 0) h.buckets;
           Atomic.set h.h_max neg_infinity;
@@ -322,8 +251,7 @@ type snapshot_class = [ `Deterministic | `Runtime | `All ]
 
 let class_name = function Det -> "det" | Runtime -> "runtime"
 
-(* A consistent view: entries sorted by name, timer samples copied out
-   under their locks so a concurrent observe can't tear the percentiles. *)
+(* A view of the registry: entries sorted by name. *)
 let[@sos.allow
      "R5: the fold only gathers entries; every snapshot sorts them by name (List.sort below) \
       before anything is emitted"] collect cls =
@@ -333,33 +261,14 @@ let[@sos.allow
   let det_kind = function Det -> cls = `Deterministic || cls = `All
     | Runtime -> cls = `Runtime || cls = `All
   in
-  let wanted = function
-    | Counter c -> det_kind c.c_kind
-    | Timer _ -> cls = `Runtime || cls = `All
-    | Hist h -> det_kind h.h_kind
-  in
-  let name = function Counter c -> c.c_name | Timer t -> t.t_name | Hist h -> h.h_name in
+  let wanted = function Counter c -> det_kind c.c_kind | Hist h -> det_kind h.h_kind in
+  let name = function Counter c -> c.c_name | Hist h -> h.h_name in
   entries
   |> List.filter wanted
   |> List.sort (fun a b -> compare (name a) (name b))
   |> List.map (function
        | Counter c -> `C (c.c_name, c.c_kind, Atomic.get c.cell)
-       | Timer t ->
-           acquire t.t_lock;
-           let xs = Array.sub t.samples 0 t.len in
-           let total = t.t_total and sum = t.t_sum and mx = t.t_max in
-           release t.t_lock;
-           `T (t.t_name, xs, total, sum, mx)
        | Hist h -> `H (h.h_name, h.h_kind, h.bounds, hist_counts h, hist_max h, hist_sum h))
-
-let timer_stats xs =
-  let n = Array.length xs in
-  if n = 0 then (0, 0.0, 0.0, 0.0)
-  else
-    ( n,
-      Prelude.Stats.percentile xs 0.5,
-      Prelude.Stats.percentile xs 0.95,
-      Array.fold_left max neg_infinity xs )
 
 (* (count, p50, p90, p99, max) from a collected histogram view. *)
 let hist_stats bounds counts mx =
@@ -372,12 +281,6 @@ let snapshot ?(cls = `All) () =
   List.iter
     (function
       | `C (name, _, v) -> Buffer.add_string buf (Printf.sprintf "%s %d\n" name v)
-      | `T (name, xs, total, _, mx) ->
-          let _, p50, p95, _ = timer_stats xs in
-          let mx = if total = 0 then 0.0 else mx in
-          Buffer.add_string buf
-            (Printf.sprintf "%s count=%d p50=%.3fms p95=%.3fms max=%.3fms\n" name total
-               (p50 *. 1e3) (p95 *. 1e3) (mx *. 1e3))
       | `H (name, _, bounds, counts, mx, _) ->
           let total, p50, p90, p99, mx = hist_stats bounds counts mx in
           Buffer.add_string buf
@@ -387,22 +290,13 @@ let snapshot ?(cls = `All) () =
   Buffer.contents buf
 
 let snapshot_json ?(cls = `All) () =
-  let counters = ref [] and timers = ref [] and hists = ref [] in
+  let counters = ref [] and hists = ref [] in
   List.iter
     (function
       | `C (n, k, v) ->
           counters :=
             Printf.sprintf "    {\"name\": %S, \"class\": %S, \"value\": %d}" n (class_name k) v
             :: !counters
-      | `T (name, xs, total, sum, mx) ->
-          let _, p50, p95, _ = timer_stats xs in
-          let mx = if total = 0 then 0.0 else mx in
-          timers :=
-            Printf.sprintf
-              "    {\"name\": %S, \"class\": \"runtime\", \"count\": %d, \"p50_ms\": %.6f, \
-               \"p95_ms\": %.6f, \"max_ms\": %.6f, \"sum_ms\": %.6f}"
-              name total (p50 *. 1e3) (p95 *. 1e3) (mx *. 1e3) (sum *. 1e3)
-            :: !timers
       | `H (name, k, bounds, counts, mx, _) ->
           let total, p50, p90, p99, mx = hist_stats bounds counts mx in
           let bucket_json i c =
@@ -422,17 +316,15 @@ let snapshot_json ?(cls = `All) () =
             :: !hists)
     (collect cls);
   let section xs = String.concat ",\n" (List.rev xs) in
-  Printf.sprintf
-    "{\n  \"counters\": [\n%s\n  ],\n  \"timers\": [\n%s\n  ],\n  \"hists\": [\n%s\n  ]\n}\n"
-    (section !counters) (section !timers) (section !hists)
+  Printf.sprintf "{\n  \"counters\": [\n%s\n  ],\n  \"hists\": [\n%s\n  ]\n}\n"
+    (section !counters) (section !hists)
 
 (* ---------------------------------------------------------- OpenMetrics *)
 
 (* OpenMetrics text exposition (the Prometheus scrape format): counters
-   as [name_total], timers as summaries (seconds), histograms as
-   cumulative [name_bucket{le=...}] families. Every sample carries a
-   [class] label naming its determinism class. The output ends with
-   [# EOF] as the spec requires. *)
+   as [name_total], histograms as cumulative [name_bucket{le=...}]
+   families. Every sample carries a [class] label naming its determinism
+   class. The output ends with [# EOF] as the spec requires. *)
 
 let sanitize_metric_name name =
   String.map
@@ -449,16 +341,6 @@ let to_openmetrics ?(cls = `All) () =
           let m = sanitize_metric_name name in
           add "# TYPE %s counter\n" m;
           add "%s_total{class=%S} %d\n" m (class_name k) v
-      | `T (name, xs, total, sum, mx) ->
-          let m = sanitize_metric_name name in
-          let _, p50, p95, _ = timer_stats xs in
-          let mx = if total = 0 then 0.0 else mx in
-          add "# TYPE %s summary\n" m;
-          add "%s{class=\"runtime\",quantile=\"0.5\"} %.9g\n" m p50;
-          add "%s{class=\"runtime\",quantile=\"0.95\"} %.9g\n" m p95;
-          add "%s{class=\"runtime\",quantile=\"1\"} %.9g\n" m mx;
-          add "%s_count{class=\"runtime\"} %d\n" m total;
-          add "%s_sum{class=\"runtime\"} %.9g\n" m sum
       | `H (name, k, bounds, counts, _, sum) ->
           let m = sanitize_metric_name name in
           let c = class_name k in

@@ -1,4 +1,4 @@
-(** Process-wide metric registry: counters, gauges, and wall-clock timers.
+(** Process-wide metric registry: counters, gauges, and histograms.
 
     Everything is disabled by default. A disabled metric operation is one
     atomic flag load and a branch — cheap enough to leave in the solver's
@@ -8,17 +8,18 @@
 
     {b Determinism classes.} Every metric belongs to one of two classes:
 
-    - {e deterministic} counters ({!counter}) count algorithmic events —
-      window slides, skip hits, solved tasks — whose totals depend only on
-      the work done, never on wall clock, domain count, or scheduling
-      order. Increments are atomic and commutative, so the
-      [`Deterministic] snapshot of a fixed workload is byte-identical at
-      any [-j] (a property the test suite and the bench gate assert).
+    - {e deterministic} metrics ({!counter}, {!hist}) count or bucket
+      algorithmic events — window slides, skip hits, iterations per run —
+      whose totals depend only on the work done, never on wall clock,
+      domain count, or scheduling order. Updates are atomic and
+      commutative, so the [`Deterministic] snapshot of a fixed workload is
+      byte-identical at any [-j] (a property the test suite and the bench
+      gate assert).
     - {e runtime} metrics ({!runtime_counter}, high-water marks via
-      {!record_max}, and all {!timer}s) measure the execution itself —
-      queue depths, per-domain task counts, latencies. They are excluded
-      from the [`Deterministic] snapshot and carry no reproducibility
-      promise.
+      {!record_max}, and {!runtime_hist}s, which hold every latency via
+      {!time}) measure the execution itself — queue depths, per-domain
+      task counts, latencies. They are excluded from the [`Deterministic]
+      snapshot and carry no reproducibility promise.
 
     Registration is idempotent: registering an existing name returns the
     existing metric (the kind must match). Registry names are dotted paths,
@@ -37,9 +38,9 @@ val disable : unit -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Zero every counter and drop every timer's samples. Registrations are
-    kept (a deterministic snapshot after [reset] lists the same names,
-    all zero). *)
+(** Zero every counter and histogram. Registrations are kept (a
+    deterministic snapshot after [reset] lists the same names, all
+    zero). *)
 
 (** {1 Counters} *)
 
@@ -67,24 +68,6 @@ val value : counter -> int
 val get : string -> int
 (** Value of a registered counter by name; [Invalid_argument] if the name
     is unknown or not a counter. Test convenience. *)
-
-(** {1 Timers}
-
-    Wall-clock samples ([Prelude.Clock] seconds). Always runtime class.
-    Percentiles are computed over a bounded ring of the most recent 4096
-    samples (count/sum/max cover every observation), so a timer never
-    grows with the run — million-spec streams stay O(1) memory. *)
-
-type timer
-
-val timer : string -> timer
-
-val observe : timer -> float -> unit
-(** Record one duration, in seconds. *)
-
-val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, recording its wall duration (also on exception). When
-    recording is disabled this is just the call. *)
 
 (** {1 Histograms}
 
@@ -130,11 +113,23 @@ val hist_quantile : hist -> float -> float
     holding the rank-⌈q·n⌉ observation, clamped to {!hist_max}; 0 when
     empty. Deterministic for deterministic-class histograms. *)
 
-val hist_merge_into : into:hist -> hist -> unit
-(** Add [src]'s buckets/max/sum into [into] (atomic per bucket, hence
-    lock-free, commutative, and associative). The two histograms must
-    share a bucket layout; raises [Invalid_argument] otherwise. Works
-    whether or not recording is enabled. *)
+(** {1 Latency}
+
+    The only wall-clock reads behind telemetry. Both record into a
+    {e runtime} histogram and raise [Invalid_argument] on a deterministic
+    one, so wall time never reaches the [`Deterministic] class. When
+    recording is disabled neither reads the clock. *)
+
+val time : hist -> (unit -> 'a) -> 'a
+(** [time h f] runs [f], recording its wall duration in seconds into [h]
+    (also when [f] raises). When recording is disabled this is just the
+    call. *)
+
+val stamp : hist -> unit -> unit
+(** [stamp h] reads the clock now and returns a function that records the
+    seconds elapsed since into [h] each time it is called — for an
+    interval that starts in one place and ends in another, such as a
+    task's wait in a queue. Returns a no-op when recording is disabled. *)
 
 (** {1 Snapshots} *)
 
@@ -142,26 +137,22 @@ type snapshot_class = [ `Deterministic | `Runtime | `All ]
 
 val snapshot : ?cls:snapshot_class -> unit -> string
 (** Plain-text snapshot, one metric per line, sorted by name:
-    [name value] for counters, [name count=N p50=…ms p95=…ms max=…ms] for
-    timers, [name count=N p50=… p90=… p99=… max=…] for histograms.
-    Default class [`All]. With [`Deterministic] the output is a pure
-    function of the recorded algorithmic events. *)
+    [name value] for counters, [name count=N p50=… p90=… p99=… max=…] for
+    histograms. Default class [`All]. With [`Deterministic] the output is
+    a pure function of the recorded algorithmic events. *)
 
 val snapshot_json : ?cls:snapshot_class -> unit -> string
-(** The same data as JSON:
-    [{"counters": [...], "timers": [...], "hists": [...]}], sorted by
-    name. Every entry carries a ["class"] field ("det" or "runtime");
+(** The same data as JSON: [{"counters": [...], "hists": [...]}], sorted
+    by name. Every entry carries a ["class"] field ("det" or "runtime");
     histogram entries list their non-empty buckets as
     [{"le": bound, "n": count}] (overflow bucket: ["le": "+Inf"]). *)
 
 val to_openmetrics : ?cls:snapshot_class -> unit -> string
 (** OpenMetrics text exposition (the Prometheus scrape format), sorted by
     name, terminated by [# EOF]. Counters become [name_total] counter
-    families, timers become summaries in seconds (quantiles 0.5/0.95/1
-    plus [_count]/[_sum]), histograms become cumulative
-    [name_bucket{le="…"}] families. Metric names have non-identifier
-    characters mapped to ['_'] (["sos.fast.runs"] → [sos_fast_runs]);
-    every sample carries a [class="det"|"runtime"] label. Float sums are
-    ordering-dependent in their low bits, so this rendering carries no
-    byte-identity promise — use {!snapshot} with [`Deterministic] for
-    that. *)
+    families, histograms become cumulative [name_bucket{le="…"}]
+    families. Metric names have non-identifier characters mapped to ['_']
+    (["sos.fast.runs"] → [sos_fast_runs]); every sample carries a
+    [class="det"|"runtime"] label. Float sums are ordering-dependent in
+    their low bits, so this rendering carries no byte-identity promise —
+    use {!snapshot} with [`Deterministic] for that. *)

@@ -20,11 +20,11 @@ let to_stderr s =
   output_string stderr s;
   flush stderr
 
-let vmhwm_kb () =
+let status_kb field =
   match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
   | exception _ -> None
   | body ->
-      let prefix = "VmHWM:" in
+      let prefix = field ^ ":" in
       String.split_on_char '\n' body
       |> List.find_map (fun line ->
              if String.length line > String.length prefix
@@ -100,7 +100,7 @@ let tick t ~done_ ~errors ?occupancy () =
       | None, _ -> None
     in
     t.out
-      (format_line ~done_ ~total:t.total ~rate ~errors ~window ~rss_kb:(vmhwm_kb ()) ~eta_s
+      (format_line ~done_ ~total:t.total ~rate ~errors ~window ~rss_kb:(status_kb "VmHWM") ~eta_s
       ^ "\n");
     t.last_t <- now;
     t.last_done <- done_;

@@ -56,5 +56,7 @@ val format_line :
 
 val format_final : done_:int -> total:int option -> errors:int -> elapsed_s:float -> string
 
-val vmhwm_kb : unit -> int option
-(** Peak RSS in kB from [/proc/self/status]; [None] where unavailable. *)
+val status_kb : string -> int option
+(** [status_kb field] is a kB-valued field of [/proc/self/status] —
+    ["VmHWM"] (peak RSS), ["VmRSS"] (current RSS); [None] where
+    unavailable. *)

@@ -6,11 +6,10 @@
    rejected (a diff tool should not fall over on a hand-edited file).
 
    Key scheme (chosen so text and JSON agree): a counter contributes
-   [name]; a timer contributes [name.count], [name.p50_ms],
-   [name.p95_ms], [name.max_ms]; a histogram contributes [name.count],
-   [name.p50], [name.p90], [name.p99], [name.max]. OpenMetrics keys keep
-   their sanitized metric names ([sos_fast_runs_total]) — compare prom
-   against prom, not prom against JSON. *)
+   [name]; a histogram contributes [name.count], [name.p50], [name.p90],
+   [name.p99], [name.max]. OpenMetrics keys keep their sanitized metric
+   names ([sos_fast_runs_total]) — compare prom against prom, not prom
+   against JSON. *)
 
 type entry = { key : string; cls : string option; v : float }
 
@@ -64,7 +63,7 @@ let parse_json body =
                      match num k with
                      | Some v -> add (name ^ "." ^ k) cls v
                      | None -> ())
-                   [ "count"; "p50_ms"; "p95_ms"; "max_ms"; "p50"; "p90"; "p99"; "max" ]));
+                   [ "count"; "p50"; "p90"; "p99"; "max" ]));
   List.rev !entries
 
 let parse_prom body =
@@ -74,8 +73,8 @@ let parse_prom body =
          let line = String.trim line in
          if line = "" || line.[0] = '#' then ()
          else if
-           (* bucket and quantile series are shape, not scalars to gate on *)
-           find_sub line "le=\"" <> None || find_sub line "quantile=\"" <> None
+           (* bucket series are shape, not scalars to gate on *)
+           find_sub line "le=\"" <> None
          then ()
          else begin
            let name_end =
@@ -121,12 +120,6 @@ let parse_text body =
                    | Some eq ->
                        let k = String.sub tok 0 eq in
                        let raw = String.sub tok (eq + 1) (String.length tok - eq - 1) in
-                       let k, raw =
-                         let n = String.length raw in
-                         if n > 2 && String.sub raw (n - 2) 2 = "ms" then
-                           (k ^ "_ms", String.sub raw 0 (n - 2))
-                         else (k, raw)
-                       in
                        (match float_of_string_opt raw with
                        | Some v -> entries := { key = name ^ "." ^ k; cls = None; v } :: !entries
                        | None -> ()))

@@ -3,12 +3,10 @@
     ([sosctl obs-diff]).
 
     Keys are chosen so the text and JSON renderings of the same registry
-    agree: a counter is [name]; a timer contributes [name.count],
-    [name.p50_ms], [name.p95_ms], [name.max_ms]; a histogram contributes
-    [name.count], [name.p50], [name.p90], [name.p99], [name.max].
-    OpenMetrics samples keep their sanitized names
-    ([sos_fast_runs_total]) and skip per-bucket/per-quantile series —
-    compare prom against prom. [cls] is the determinism class when the
+    agree: a counter is [name]; a histogram contributes [name.count],
+    [name.p50], [name.p90], [name.p99], [name.max]. OpenMetrics samples
+    keep their sanitized names ([sos_fast_runs_total]) and skip
+    per-bucket series — compare prom against prom. [cls] is the determinism class when the
     format records one (JSON and prom do; text does not). *)
 
 type entry = { key : string; cls : string option; v : float }

@@ -13,8 +13,7 @@ type arg = S of string | I of int | F of float
 type event = {
   name : string;
   cat : string;
-  ph : char; (* 'X' complete, 'i' instant, 'C' counter, 'M' metadata,
-                's'/'t'/'f' flow start/step/end *)
+  ph : char; (* 'X' complete, 'M' metadata, 's'/'t'/'f' flow start/step/end *)
   ts : float; (* µs since start *)
   dur : float; (* µs; only for 'X' *)
   tid : int;
@@ -130,24 +129,6 @@ let with_span ?(tid = 0) ?(cat = "app") ?(args = []) name f =
         push { name; cat; ph = 'X'; ts = t0; dur = now_us () -. t0; tid; id = -1; args })
       f
   end
-
-let instant ?(tid = 0) ?(cat = "app") ?(args = []) name =
-  if Atomic.get on then
-    push { name; cat; ph = 'i'; ts = now_us (); dur = 0.0; tid; id = -1; args }
-
-let counter_sample ?(tid = 0) name series =
-  if Atomic.get on then
-    push
-      {
-        name;
-        cat = "counter";
-        ph = 'C';
-        ts = now_us ();
-        dur = 0.0;
-        tid;
-        id = -1;
-        args = List.map (fun (k, v) -> (k, F v)) series;
-      }
 
 let set_thread_name ~tid name =
   if Atomic.get on then

@@ -11,8 +11,7 @@
 
     {!export} renders the standard JSON object format
     [{"traceEvents": [...]}]; every event is a complete ("ph":"X"),
-    instant ("i"), counter ("C"), metadata ("M"), or flow
-    ("s"/"t"/"f") record.
+    metadata ("M"), or flow ("s"/"t"/"f") record.
 
     {b Bounded mode.} By default the buffer grows without bound — fine
     for diagnostic runs, fatal for a million-spec stream. [start
@@ -50,13 +49,6 @@ val with_span :
 (** Run the thunk as a named span on track [tid] (default 0); the complete
     event is recorded when the thunk returns {e or raises}. Category
     defaults to ["app"]. *)
-
-val instant : ?tid:int -> ?cat:string -> ?args:(string * arg) list -> string -> unit
-(** A zero-duration marker. *)
-
-val counter_sample : ?tid:int -> string -> (string * float) list -> unit
-(** A "C" counter event: Chrome plots each series as a stacked area chart
-    over time. *)
 
 val set_thread_name : tid:int -> string -> unit
 (** Metadata naming a track, e.g. ["domain-3"]. *)

@@ -40,25 +40,12 @@ let output_entry oc ~index ~payload =
   Out_channel.output_string oc (Printf.sprintf "%d %s %s\n" index (digest payload) payload)
 
 module Sharded = struct
-  (* Journal latency distributions (runtime class, PR 8): how long one
-     append takes — including any flush it triggers, so `--sync-every`
-     batching shows up as a bimodal append distribution — and how long
-     each channel flush takes on its own. *)
-  let h_append = Obs.Hist.runtime "robust.journal.append_s"
-  let h_fsync = Obs.Hist.runtime "robust.journal.fsync_s"
-
-  let timed h f =
-    if Obs.Metrics.enabled () then begin
-      let t0 =
-        (Prelude.Clock.now () [@sos.allow "A1: runtime-class journal-I/O latency sample; the histogram is runtime-class, never digested"])
-      in
-      let r = f () in
-      Obs.Hist.observe h
-        ((Prelude.Clock.now () [@sos.allow "A1: runtime-class journal-I/O latency sample; the histogram is runtime-class, never digested"])
-        -. t0);
-      r
-    end
-    else f ()
+  (* Journal latency distributions (runtime class): how long one append
+     takes — including any flush it triggers, so `--sync-every` batching
+     shows up as a bimodal append distribution — and how long each channel
+     flush takes on its own. *)
+  let h_append = Obs.Metrics.runtime_hist "robust.journal.append_s"
+  let h_fsync = Obs.Metrics.runtime_hist "robust.journal.fsync_s"
 
   (* Growable bitset over task indices; one bit per completed index. A
      million-spec journal resumes into 125 KB, not a million-entry list. *)
@@ -215,12 +202,12 @@ module Sharded = struct
           }
 
   let append t ~index ~payload =
-    timed h_append @@ fun () ->
+    Obs.Metrics.time h_append @@ fun () ->
     let k = index mod t.shards in
     output_entry t.outs.(k) ~index ~payload;
     t.pending.(k) <- t.pending.(k) + 1;
     if t.pending.(k) >= t.sync_every then begin
-      timed h_fsync (fun () -> Out_channel.flush t.outs.(k));
+      Obs.Metrics.time h_fsync (fun () -> Out_channel.flush t.outs.(k));
       t.pending.(k) <- 0
     end
 
@@ -228,7 +215,7 @@ module Sharded = struct
     Array.iteri
       (fun k oc ->
         if t.pending.(k) > 0 then begin
-          timed h_fsync (fun () -> Out_channel.flush oc);
+          Obs.Metrics.time h_fsync (fun () -> Out_channel.flush oc);
           t.pending.(k) <- 0
         end)
       t.outs

@@ -3,7 +3,7 @@
 let c_runs = Obs.Metrics.counter "sas.combined.runs"
 let c_t1 = Obs.Metrics.counter "sas.combined.t1_tasks"
 let c_t2 = Obs.Metrics.counter "sas.combined.t2_tasks"
-let t_run = Obs.Metrics.timer "sas.combined.run"
+let h_run = Obs.Metrics.runtime_hist "sas.combined.run_s"
 
 type report = {
   instance : Sas_instance.t;
@@ -28,7 +28,7 @@ let run_listing3 ~m ~budget tasks = Stream.run ~m ~budget (sort_for_listing3 tas
 let run_listing4 ~m ~budget tasks = Stream.run ~m ~budget (sort_for_listing4 tasks)
 
 let run raw =
-  Obs.Metrics.time t_run @@ fun () ->
+  Obs.Metrics.time h_run @@ fun () ->
   Obs.Metrics.incr c_runs;
   Robust.Context.poll ();
   Robust.Chaos.point "sas.combined.run";

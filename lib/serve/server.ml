@@ -52,11 +52,11 @@ let c_solve_full = Obs.Metrics.runtime_counter "serve.solve.full"
 let c_solve_extended = Obs.Metrics.runtime_counter "serve.solve.extended"
 let c_solve_cached = Obs.Metrics.runtime_counter "serve.solve.cached"
 let c_journal_entries = Obs.Metrics.runtime_counter "serve.journal.entries"
-let h_solve_seconds = Obs.Hist.runtime "serve.solve.seconds"
+let h_solve_seconds = Obs.Metrics.runtime_hist "serve.solve.seconds"
 
 let h_query_ratio =
-  Obs.Hist.runtime
-    ~bounds:(Obs.Hist.linear_bounds ~lo:1.0 ~hi:4.0 ~step:0.1)
+  Obs.Metrics.runtime_hist
+    ~bounds:(Obs.Metrics.linear_bounds ~lo:1.0 ~hi:4.0 ~step:0.1)
     "serve.query.ratio"
 
 type t = {
@@ -155,7 +155,7 @@ let format_solved ~index ~tenant session (r : Online.result) job =
           (Session.arrivals session)
       in
       if lb > 0 then
-        Obs.Hist.observe h_query_ratio
+        Obs.Metrics.hist_observe h_query_ratio
           (float_of_int r.Online.makespan /. float_of_int lb);
       Printf.sprintf "%d ok schedule tenant=%s jobs=%d makespan=%d lb=%d" index
         tenant n r.Online.makespan lb
@@ -206,17 +206,12 @@ let handle_query (t : t) pool cancel ~index ~tenant ~job ~deadline =
             Session.solve session)
       in
       let before = Session.stats session in
-      let t0 =
-        (Prelude.Clock.now () [@sos.allow "A1: runtime-class request-latency sample; h_solve_seconds is a runtime histogram, never digested"])
-      in
       let out =
-        Engine.Batch.map_pool pool ~retries:t.cfg.retries ?task_timeout ?cancel
-          ?backoff:t.cfg.backoff
-          [| task |]
+        Obs.Metrics.time h_solve_seconds (fun () ->
+            Engine.Batch.map_pool pool ~retries:t.cfg.retries ?task_timeout ?cancel
+              ?backoff:t.cfg.backoff
+              [| task |])
       in
-      Obs.Hist.observe h_solve_seconds
-        ((Prelude.Clock.now () [@sos.allow "A1: runtime-class request-latency sample; h_solve_seconds is a runtime histogram, never digested"])
-        -. t0);
       let after = Session.stats session in
       let d a b = max 0 (a - b) in
       Obs.Metrics.add c_solve_full

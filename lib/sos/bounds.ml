@@ -50,8 +50,8 @@ let lower_bound inst =
    bucket. The guarantees of Theorems 3.3/3.5 sit at 2 + 1/(m-2) and
    below, so the range covers every compliant algorithm with slack. *)
 let h_ratio =
-  Obs.Hist.create
-    ~bounds:(Obs.Hist.linear_bounds ~lo:1.0 ~hi:3.0 ~step:0.05)
+  Obs.Metrics.hist
+    ~bounds:(Obs.Metrics.linear_bounds ~lo:1.0 ~hi:3.0 ~step:0.05)
     "sos.bounds.ratio"
 
 let theorem_3_3_bound inst ~makespan =
@@ -60,7 +60,7 @@ let theorem_3_3_bound inst ~makespan =
     if lb = 0 then if makespan = 0 then 1.0 else infinity
     else float_of_int makespan /. float_of_int lb
   in
-  Obs.Hist.observe h_ratio ratio;
+  Obs.Metrics.hist_observe h_ratio ratio;
   ratio
 
 let guarantee_general ~m =

@@ -13,24 +13,23 @@ let c_makespan = Obs.Metrics.counter "sos.fast.makespan_steps"
 let c_assigned = Obs.Metrics.counter "sos.fast.assigned_units"
 let c_consumed = Obs.Metrics.counter "sos.fast.consumed_units"
 let c_waste = Obs.Metrics.counter "sos.fast.waste_units"
-let t_run = Obs.Metrics.timer "sos.fast.run"
 
-(* Distribution telemetry (PR 8). The two deterministic histograms record
+(* Distribution telemetry. The two deterministic histograms record
    per-run algorithmic values — byte-identical at any [-j] — while the
-   latency histogram is runtime class: unlike the [t_run] timer's bounded
-   sample ring, its buckets summarize every run of a million-spec stream
-   in O(1) memory. All three cost one atomic flag load when disabled. *)
+   latency histogram is runtime class; its buckets summarize every run of
+   a million-spec stream in O(1) memory. All three cost one atomic flag
+   load when disabled. *)
 let h_iters =
-  Obs.Hist.create
-    ~bounds:(Obs.Hist.log_bounds ~lo:1.0 ~hi:1e6 ~per_decade:5)
+  Obs.Metrics.hist
+    ~bounds:(Obs.Metrics.log_bounds ~lo:1.0 ~hi:1e6 ~per_decade:5)
     "sos.fast.iterations_per_run"
 
 let h_blocks =
-  Obs.Hist.create
-    ~bounds:(Obs.Hist.log_bounds ~lo:1.0 ~hi:1e6 ~per_decade:5)
+  Obs.Metrics.hist
+    ~bounds:(Obs.Metrics.log_bounds ~lo:1.0 ~hi:1e6 ~per_decade:5)
     "sos.fast.blocks_per_run"
 
-let h_solve = Obs.Hist.runtime "sos.fast.solve_s"
+let h_solve = Obs.Metrics.runtime_hist "sos.fast.solve_s"
 
 (* Resource accounting for one emitted RLE block ([repeat] identical
    steps): fold the allocations once, scale by the repeat count. *)
@@ -64,12 +63,7 @@ let push_block bl allocs repeat =
   bl.len <- bl.len + 1
 
 let run_count ?(variant = `Fixed) inst =
-  Obs.Metrics.time t_run @@ fun () ->
-  let solve_t0 =
-    if Obs.Metrics.enabled () then
-      (Prelude.Clock.now () [@sos.allow "A1: runtime-class solve-latency sample; h_solve is a runtime histogram, never digested"])
-    else 0.0
-  in
+  Obs.Metrics.time h_solve @@ fun () ->
   Obs.Metrics.incr c_runs;
   Robust.Chaos.point "sos.fast.run";
   let st = State.create inst in
@@ -149,11 +143,8 @@ let run_count ?(variant = `Fixed) inst =
   done;
   Obs.Metrics.add c_makespan (State.now st);
   if Obs.Metrics.enabled () then begin
-    Obs.Hist.observe_int h_iters !iters;
-    Obs.Hist.observe_int h_blocks blocks.len;
-    Obs.Hist.observe h_solve
-      ((Prelude.Clock.now () [@sos.allow "A1: runtime-class solve-latency sample; h_solve is a runtime histogram, never digested"])
-      -. solve_t0)
+    Obs.Metrics.hist_observe_int h_iters !iters;
+    Obs.Metrics.hist_observe_int h_blocks blocks.len
   end;
   (Schedule.of_blocks inst blocks.buf ~len:blocks.len, !iters)
 

@@ -63,7 +63,10 @@ let to_string t =
   Buffer.contents buf
 
 (* Shared parser behind of_string (raising) and of_string_checked
-   (Result): text -> (m, scale, caller-ordered specs). *)
+   (Result): text -> (m, scale, caller-ordered specs). The position
+   column must be a permutation of 0..n-1: each job is written into its
+   position's slot, and a position out of range or seen before is
+   rejected, so with n lines every slot is filled exactly once. *)
 let parse_text str =
   let lines =
     String.split_on_char '\n' str
@@ -80,30 +83,37 @@ let parse_text str =
               if List.length rest <> count then
                 Error "Instance.of_string: job count mismatch"
               else begin
-                let parse_job line =
-                  match String.split_on_char ' ' line with
-                  | [ pos; size; req ] -> begin
-                      match
-                        (int_of_string_opt pos, int_of_string_opt size, int_of_string_opt req)
-                      with
-                      | Some pos, Some size, Some req -> Ok (pos, (size, req))
+                let slots = Array.make count (0, 0) in
+                let seen = Array.make count false in
+                let bad pos why =
+                  Error
+                    (Printf.sprintf
+                       "Instance.of_string: position %d %s; positions must be a permutation \
+                        of 0..%d"
+                       pos why (count - 1))
+                in
+                let rec go = function
+                  | [] -> Ok (m, scale, Array.to_list slots)
+                  | line :: rest -> begin
+                      match String.split_on_char ' ' line with
+                      | [ pos; size; req ] -> begin
+                          match
+                            (int_of_string_opt pos, int_of_string_opt size, int_of_string_opt req)
+                          with
+                          | Some pos, Some size, Some req ->
+                              if pos < 0 || pos >= count then bad pos "out of range"
+                              else if seen.(pos) then bad pos "repeated"
+                              else begin
+                                seen.(pos) <- true;
+                                slots.(pos) <- (size, req);
+                                go rest
+                              end
+                          | _ -> Error "Instance.of_string: malformed job line"
+                        end
                       | _ -> Error "Instance.of_string: malformed job line"
                     end
-                  | _ -> Error "Instance.of_string: malformed job line"
                 in
-                let rec go acc = function
-                  | [] -> Ok (List.rev acc)
-                  | line :: rest -> begin
-                      match parse_job line with
-                      | Ok j -> go (j :: acc) rest
-                      | Error _ as e -> e
-                    end
-                in
-                match go [] rest with
-                | Error _ as e -> e
-                | Ok by_pos ->
-                    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) by_pos in
-                    Ok (m, scale, List.map snd sorted)
+                go rest
               end
           | _ -> Error "Instance.of_string: malformed header"
         end

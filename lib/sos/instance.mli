@@ -53,10 +53,13 @@ val restrict_m : t -> int -> t
 (** Same jobs, different processor count. *)
 
 val to_string : t -> string
-(** A line-oriented text format, parsed back by {!of_string}. *)
+(** A line-oriented text format, parsed back by {!of_string}: a header
+    [sos m scale n], then one [pos size req] line per job, where [pos] is
+    the job's original position. *)
 
 val of_string : string -> t
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure] on malformed input, including a position column
+    that is not a permutation of [0..n-1]. *)
 
 (** {1 Strict validation}
 

@@ -341,6 +341,8 @@ module Session = struct
     mutable arrivals_rev : arrival list;
     mutable count : int;
     mutable volume : int;
+    mutable last_release : int;
+    mutable units : int;  (** Σ p_j·r_j *)
     (* committed: the state at the frontier of a completed simulation
        over the first [committed_n] positions, and [last_good], its
        materialized result. The committed state keeps no blocks: the
@@ -366,6 +368,8 @@ module Session = struct
       arrivals_rev = [];
       count = 0;
       volume = 0;
+      last_release = 0;
+      units = 0;
       committed = sim_empty ();
       committed_n = 0;
       last_good = None;
@@ -389,9 +393,24 @@ module Session = struct
       cached_hits = t.cached_hits;
     }
 
+  (* The session's makespan is at most its last release plus Σ p_j·r_j:
+     every busy step consumes at least one resource unit (admission
+     leaves the largest active job a positive leftover), and the policy
+     idles only before a release. Refusing an arrival that would push
+     this bound past max_int keeps every simulated time representable,
+     and every release below [simulate]'s "no release ahead" sentinel,
+     max_int. A per-job check cannot do this: each of two jobs can fit
+     while their sum does not. [run] goes through [add] too. *)
   let add t a =
+    let last_release = max t.last_release a.release in
     match validate_arrival t.count a with
     | Error inv -> Error (Bad_arrival inv)
+    | Ok () when a.size > max_int / a.req || a.size * a.req > max_int - last_release - t.units ->
+        Error
+          (Bad_arrival
+             (Robust.Failure.Overflow
+                (Printf.sprintf "job %d: makespan bound (last release + Σ p_j·r_j) exceeds max_int"
+                   t.count)))
     | Ok () -> begin
         match t.max_jobs with
         | Some cap when t.count >= cap -> Error (Jobs_budget { cap })
@@ -406,6 +425,8 @@ module Session = struct
               t.arrivals_rev <- a :: t.arrivals_rev;
               t.count <- t.count + 1;
               t.volume <- t.volume + a.size;
+              t.last_release <- last_release;
+              t.units <- t.units + (a.size * a.req);
               Ok pos
             end
       end

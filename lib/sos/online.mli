@@ -60,7 +60,9 @@ module Session : sig
 
   type reject =
     | Bad_arrival of Robust.Failure.invalid
-        (** malformed job: negative release, non-positive size or req *)
+        (** malformed job: negative release, non-positive size or req; or
+            [Overflow] when last release + Σ p_j·r_j, a bound on the
+            session's makespan, would pass [max_int] *)
     | Jobs_budget of { cap : int }  (** session already holds [cap] jobs *)
     | Volume_budget of { cap : int; volume : int }
         (** admitting the job would push total size past [cap] *)
@@ -115,7 +117,8 @@ module Session : sig
 end
 
 val run : m:int -> scale:int -> arrival list -> result
-(** Raises [Invalid_argument] on a negative release or malformed job. *)
+(** Raises [Robust.Failure.Invalid] on any arrival {!Session.add} rejects
+    as [Bad_arrival]. *)
 
 val lower_bound : m:int -> scale:int -> arrival list -> int
 (** Clairvoyant bound: [max(Eq.(1) on all jobs, max_j (release_j + p_j))],

@@ -54,6 +54,19 @@ let test_instance_roundtrip () =
     (Array.for_all2 Job.equal inst.Instance.jobs inst'.Instance.jobs);
   Alcotest.(check (array int)) "original equal" inst.Instance.original inst'.Instance.original
 
+(* The position column is the jobs' original order, so it must be a
+   permutation of 0..n-1; repeated or out-of-range positions used to be
+   renumbered silently. *)
+let test_instance_positions () =
+  List.iter
+    (fun text ->
+      match Instance.of_string_checked text with
+      | Error (Robust.Failure.Malformed _) -> ()
+      | Error r -> Alcotest.failf "%S: wrong reason %s" text (Robust.Failure.invalid_to_string r)
+      | Ok _ -> Alcotest.failf "%S: accepted" text)
+    [ "sos 4 10 3\n7 1 2\n7 3 4\n-9 5 6\n"; "sos 4 10 2\n0 1 1\n2 1 1\n";
+      "sos 4 10 2\n1 1 1\n1 2 2\n" ]
+
 let test_of_floats () =
   let inst = Instance.of_floats ~m:2 ~scale:1000 [ (1, 0.5); (1, 1e-9); (1, 0.2501) ] in
   Alcotest.(check (list int)) "quantized (sorted)" [ 1; 250; 500 ]
@@ -137,6 +150,7 @@ let suite =
       Alcotest.test_case "aggregates" `Quick test_instance_aggregates;
       Alcotest.test_case "rescale" `Quick test_instance_rescale;
       Alcotest.test_case "serialization roundtrip" `Quick test_instance_roundtrip;
+      Alcotest.test_case "text positions are a permutation" `Quick test_instance_positions;
       Alcotest.test_case "of_floats" `Quick test_of_floats;
       Alcotest.test_case "bounds example" `Quick test_bounds_example;
       Alcotest.test_case "bounds empty" `Quick test_bounds_empty;

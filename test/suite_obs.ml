@@ -1,12 +1,12 @@
-(* Tests for the telemetry layer (lib/obs): counter/timer mechanics, the
-   determinism-class split in snapshots, trace export well-formedness, the
+(* Tests for the telemetry layer (lib/obs): counter/histogram mechanics,
+   latency timing, the determinism-class split in snapshots, trace export
+   well-formedness, the registry tables of doc/OBSERVABILITY.md, the
    reconciliation of the solver's unit counters with Schedule analytics,
    and the batch-level determinism contract (deterministic snapshot
    byte-identical at any -j). *)
 
 module Metrics = Obs.Metrics
 module Trace = Obs.Trace
-module Hist = Obs.Hist
 module Progress = Obs.Progress
 module Snapshot = Obs.Snapshot
 module Rng = Prelude.Rng
@@ -183,23 +183,23 @@ let test_counter_basics () =
 
 let test_registry_errors () =
   ignore (Metrics.counter "test.obs.det");
-  ignore (Metrics.timer "test.obs.t");
+  ignore (Metrics.runtime_hist "test.obs.h");
   Alcotest.check_raises "counter re-registered as runtime"
     (Invalid_argument
        "Obs.Metrics: \"test.obs.det\" already registered with another class")
     (fun () -> ignore (Metrics.runtime_counter "test.obs.det"));
-  Alcotest.check_raises "counter re-registered as timer"
+  Alcotest.check_raises "counter re-registered as histogram"
     (Invalid_argument "Obs.Metrics: \"test.obs.det\" already registered as a counter")
-    (fun () -> ignore (Metrics.timer "test.obs.det"));
-  Alcotest.check_raises "timer re-registered as counter"
-    (Invalid_argument "Obs.Metrics: \"test.obs.t\" already registered as a timer")
-    (fun () -> ignore (Metrics.counter "test.obs.t"));
+    (fun () -> ignore (Metrics.runtime_hist "test.obs.det"));
+  Alcotest.check_raises "histogram re-registered as counter"
+    (Invalid_argument "Obs.Metrics: \"test.obs.h\" already registered as a histogram")
+    (fun () -> ignore (Metrics.counter "test.obs.h"));
   Alcotest.check_raises "get unknown name"
     (Invalid_argument "Obs.Metrics.get: unknown counter \"test.obs.nope\"")
     (fun () -> ignore (Metrics.get "test.obs.nope"));
-  Alcotest.check_raises "get on a timer"
-    (Invalid_argument "Obs.Metrics.get: \"test.obs.t\" is a timer") (fun () ->
-      ignore (Metrics.get "test.obs.t"))
+  Alcotest.check_raises "get on a histogram"
+    (Invalid_argument "Obs.Metrics.get: \"test.obs.h\" is a histogram") (fun () ->
+      ignore (Metrics.get "test.obs.h"))
 
 let test_record_max () =
   let g = Metrics.runtime_counter "test.obs.hwm" in
@@ -210,37 +210,52 @@ let test_record_max () =
       Alcotest.(check int) "high-water mark keeps the max" 11 (Metrics.value g))
 
 let test_timer () =
-  let t = Metrics.timer "test.obs.timer" in
+  let h = Metrics.runtime_hist "test.obs.timer_s" in
   Metrics.reset ();
   Metrics.disable ();
   Alcotest.(check int) "disabled time is just the call" 9
-    (Metrics.time t (fun () -> 9));
+    (Metrics.time h (fun () -> 9));
+  (Metrics.stamp h) ();
+  Alcotest.(check int) "disabled time and stamp record nothing" 0 (Metrics.hist_count h);
   with_recording (fun () ->
-      Metrics.observe t 0.002;
-      Metrics.observe t 0.004;
-      (try Metrics.time t (fun () -> failwith "boom") with Failure _ -> ());
+      Alcotest.(check int) "time returns the thunk's value" 4
+        (Metrics.time h (fun () -> 4));
+      (try Metrics.time h (fun () -> failwith "boom") with Failure _ -> ());
+      let waited = Metrics.stamp h in
+      waited ();
       let snap = Metrics.snapshot ~cls:`Runtime () in
       Alcotest.(check bool) "exception still observed (count=3)" true
-        (contains snap "test.obs.timer count=3"))
+        (contains snap "test.obs.timer_s count=3"));
+  (* Wall time never reaches the deterministic class. *)
+  let det = Metrics.hist "test.obs.timer_det" in
+  let refused =
+    Invalid_argument
+      "Obs.Metrics: \"test.obs.timer_det\" is a deterministic histogram; latencies need \
+       runtime_hist"
+  in
+  Alcotest.check_raises "time refuses a det histogram" refused (fun () ->
+      Metrics.time det ignore);
+  Alcotest.check_raises "stamp refuses a det histogram" refused (fun () ->
+      ignore (Metrics.stamp det : unit -> unit))
 
 let test_snapshot_classes () =
   let c = Metrics.counter "test.obs.cls_det" in
   let g = Metrics.runtime_counter "test.obs.cls_rt" in
-  let t = Metrics.timer "test.obs.cls_timer" in
+  let t = Metrics.runtime_hist "test.obs.cls_timer" in
   with_recording (fun () ->
       Metrics.add c 3;
       Metrics.add g 9;
-      Metrics.observe t 0.001);
+      Metrics.time t ignore);
   let det = Metrics.snapshot ~cls:`Deterministic () in
   let rt = Metrics.snapshot ~cls:`Runtime () in
   let all = Metrics.snapshot () in
   Alcotest.(check bool) "det counter line" true (contains det "test.obs.cls_det 3\n");
   Alcotest.(check bool) "runtime counter excluded from det" false
     (contains det "cls_rt");
-  Alcotest.(check bool) "timer excluded from det" false (contains det "cls_timer");
+  Alcotest.(check bool) "runtime hist excluded from det" false (contains det "cls_timer");
   Alcotest.(check bool) "runtime has the gauge" true
     (contains rt "test.obs.cls_rt 9\n");
-  Alcotest.(check bool) "runtime has the timer" true
+  Alcotest.(check bool) "runtime has the runtime hist" true
     (contains rt "test.obs.cls_timer count=1");
   Alcotest.(check bool) "runtime excludes det counters" false (contains rt "cls_det");
   Alcotest.(check bool) "all has every class" true
@@ -276,9 +291,7 @@ let test_trace_export () =
       Alcotest.(check int) "with_span returns the thunk's value" 12 r;
       (try
          Trace.with_span "raising.span" (fun () -> failwith "boom")
-       with Failure _ -> ());
-      Trace.instant "marker";
-      Trace.counter_sample "queue" [ ("depth", 2.0) ]);
+       with Failure _ -> ()));
   let js = Trace.export () in
   Alcotest.(check bool) "trace export well-formed JSON" true (json_is_valid js);
   Alcotest.(check bool) "has the traceEvents key" true (contains js "\"traceEvents\"");
@@ -287,8 +300,6 @@ let test_trace_export () =
   Alcotest.(check bool) "span on its track" true (contains js "\"tid\":3");
   Alcotest.(check bool) "raising span still closed" true
     (contains js "\"name\":\"raising.span\"");
-  Alcotest.(check bool) "instant event recorded" true (contains js "\"ph\":\"i\"");
-  Alcotest.(check bool) "counter event recorded" true (contains js "\"ph\":\"C\"");
   Alcotest.(check bool) "thread name metadata" true
     (contains js "\"thread_name\"" && contains js "\"name\":\"domain-3\"");
   Alcotest.(check bool) "string arg escaped" true (contains js "x\\\"y\\n");
@@ -302,111 +313,76 @@ let test_trace_export () =
 (* ------------------------------------------------------------ histograms *)
 
 let test_hist_basics () =
-  let h = Hist.create "test.obs.hist.basic" in
+  let h = Metrics.hist "test.obs.hist.basic" in
   Metrics.reset ();
   Metrics.disable ();
-  Hist.observe h 1.0;
-  Alcotest.(check int) "disabled observe is a no-op" 0 (Hist.count h);
+  Metrics.hist_observe h 1.0;
+  Alcotest.(check int) "disabled observe is a no-op" 0 (Metrics.hist_count h);
   with_recording (fun () ->
-      Hist.observe h 0.5;
-      Hist.observe_int h 3;
-      Hist.observe h 2.0;
-      Alcotest.(check int) "count" 3 (Hist.count h);
-      Alcotest.(check (float 1e-9)) "max is exact" 3.0 (Hist.max_value h);
-      Alcotest.(check (float 1e-9)) "q=1 is the max" 3.0 (Hist.quantile h 1.0));
+      Metrics.hist_observe h 0.5;
+      Metrics.hist_observe_int h 3;
+      Metrics.hist_observe h 2.0;
+      Alcotest.(check int) "count" 3 (Metrics.hist_count h);
+      Alcotest.(check (float 1e-9)) "max is exact" 3.0 (Metrics.hist_max h);
+      Alcotest.(check (float 1e-9)) "q=1 is the max" 3.0 (Metrics.hist_quantile h 1.0));
   Alcotest.(check bool) "registration idempotent" true
-    (Hist.create "test.obs.hist.basic" == h);
+    (Metrics.hist "test.obs.hist.basic" == h);
   Metrics.reset ();
-  Alcotest.(check int) "reset zeroes" 0 (Hist.count h);
-  Alcotest.(check (float 1e-9)) "empty quantile is 0" 0.0 (Hist.quantile h 0.5)
+  Alcotest.(check int) "reset zeroes" 0 (Metrics.hist_count h);
+  Alcotest.(check (float 1e-9)) "empty quantile is 0" 0.0 (Metrics.hist_quantile h 0.5)
 
 (* Quantile goldens on a fully known distribution: 1..100 into decade-of-10
    linear buckets puts exactly 10 observations in each, so every quantile
    is the bucket upper bound — except where the exact max clamps it. *)
 let test_hist_quantile_golden () =
   let h =
-    Hist.create ~bounds:(Hist.linear_bounds ~lo:10.0 ~hi:100.0 ~step:10.0)
+    Metrics.hist ~bounds:(Metrics.linear_bounds ~lo:10.0 ~hi:100.0 ~step:10.0)
       "test.obs.hist.golden"
   in
   Metrics.reset ();
   with_recording (fun () ->
       for v = 1 to 100 do
-        Hist.observe_int h v
+        Metrics.hist_observe_int h v
       done;
       List.iter
         (fun (q, expected) ->
           Alcotest.(check (float 1e-9))
             (Printf.sprintf "p%g" (q *. 100.0))
-            expected (Hist.quantile h q))
+            expected (Metrics.hist_quantile h q))
         [ (0.5, 50.0); (0.9, 90.0); (0.99, 100.0); (1.0, 100.0) ]);
   (* The representative never exceeds the observed max: 3 values far below
      the first bound report the exact max, not the bound. *)
-  let tight = Hist.create ~bounds:[| 10.0 |] "test.obs.hist.clamp" in
+  let tight = Metrics.hist ~bounds:[| 10.0 |] "test.obs.hist.clamp" in
   with_recording (fun () ->
-      List.iter (Hist.observe tight) [ 1.0; 2.0; 2.5 ];
+      List.iter (Metrics.hist_observe tight) [ 1.0; 2.0; 2.5 ];
       Alcotest.(check (float 1e-9)) "quantile clamped to max" 2.5
-        (Hist.quantile tight 0.5));
+        (Metrics.hist_quantile tight 0.5));
   (* Above-range observations land in the overflow bucket, whose
      representative is the exact max. *)
-  let ov = Hist.create ~bounds:[| 10.0 |] "test.obs.hist.overflow" in
+  let ov = Metrics.hist ~bounds:[| 10.0 |] "test.obs.hist.overflow" in
   with_recording (fun () ->
-      Hist.observe ov 1234.5;
+      Metrics.hist_observe ov 1234.5;
       Alcotest.(check (float 1e-9)) "overflow reports the max" 1234.5
-        (Hist.quantile ov 0.5);
-      Alcotest.(check int) "overflow counted" 1 (Hist.count ov))
-
-(* Merge must commute (lock-free per-domain merge order is scheduling-
-   dependent): folding the same three histograms in different orders
-   yields identical counts, max, and quantiles. *)
-let test_hist_merge () =
-  (* with_recording resets the whole registry, so every source must be
-     filled inside one recording session. *)
-  let a = Hist.create "test.obs.hmerge.a" in
-  let b = Hist.create "test.obs.hmerge.b" in
-  let c = Hist.create "test.obs.hmerge.c" in
-  Metrics.reset ();
-  with_recording (fun () ->
-      List.iter (Hist.observe a) [ 0.001; 0.002; 0.003 ];
-      List.iter (Hist.observe b) [ 5.0; 60.0 ];
-      List.iter (Hist.observe c) [ 1e9 (* overflow *) ]);
-  let s = Hist.create "test.obs.hmerge.s" in
-  let t = Hist.create "test.obs.hmerge.t" in
-  Hist.merge_into ~into:s a;
-  Hist.merge_into ~into:s b;
-  Hist.merge_into ~into:s c;
-  Hist.merge_into ~into:t c;
-  Hist.merge_into ~into:t b;
-  Hist.merge_into ~into:t a;
-  let qgrid h =
-    (Hist.count h, Hist.max_value h,
-     List.map (Hist.quantile h) [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ])
-  in
-  Alcotest.(check bool) "merge order does not matter" true (qgrid s = qgrid t);
-  Alcotest.(check int) "merged count is the sum" 6 (Hist.count s);
-  Alcotest.(check (float 1e-9)) "merged max" 1e9 (Hist.max_value s)
+        (Metrics.hist_quantile ov 0.5);
+      Alcotest.(check int) "overflow counted" 1 (Metrics.hist_count ov))
 
 (* ----------------------------------------------------------- OpenMetrics *)
 
 let test_openmetrics () =
   let c = Metrics.counter "test.obs.om.c" in
-  let t = Metrics.timer "test.obs.om.t" in
-  let h = Hist.create ~bounds:[| 1.0; 10.0 |] "test.obs.om.h" in
+  let h = Metrics.hist ~bounds:[| 1.0; 10.0 |] "test.obs.om.h" in
+  let lat = Metrics.runtime_hist "test.obs.om.lat_s" in
   with_recording (fun () ->
       Metrics.add c 17;
-      Metrics.observe t 0.002;
-      Metrics.observe t 0.004;
-      Hist.observe h 0.5;
-      Hist.observe h 3.0;
-      Hist.observe h 99.0);
+      Metrics.hist_observe h 0.5;
+      Metrics.hist_observe h 3.0;
+      Metrics.hist_observe h 99.0;
+      Metrics.time lat ignore);
   let om = Metrics.to_openmetrics () in
   Alcotest.(check bool) "counter TYPE line" true
     (contains om "# TYPE test_obs_om_c counter");
   Alcotest.(check bool) "counter sample with class label" true
     (contains om "test_obs_om_c_total{class=\"det\"} 17\n");
-  Alcotest.(check bool) "timer exposed as a summary" true
-    (contains om "# TYPE test_obs_om_t summary"
-    && contains om "test_obs_om_t{class=\"runtime\",quantile=\"0.5\"}"
-    && contains om "test_obs_om_t_count{class=\"runtime\"} 2\n");
   Alcotest.(check bool) "histogram TYPE line" true
     (contains om "# TYPE test_obs_om_h histogram");
   Alcotest.(check bool) "cumulative buckets with +Inf" true
@@ -433,11 +409,14 @@ let test_openmetrics () =
                | Some _ -> ()
                | None -> Alcotest.failf "unparseable value %S in %S" v line)
          end);
-  (* The deterministic exposition excludes every runtime instrument:
-     timers are runtime by construction, so no summary quantiles. *)
+  Alcotest.(check bool) "latency is a runtime histogram" true
+    (contains om "test_obs_om_lat_s_count{class=\"runtime\"} 1\n");
+  Alcotest.(check bool) "no summary family" false (contains om "summary");
+  (* The deterministic exposition excludes every runtime instrument,
+     latencies included. *)
   let det = Metrics.to_openmetrics ~cls:`Deterministic () in
-  Alcotest.(check bool) "det exposition has no timers" false
-    (contains det "quantile=");
+  Alcotest.(check bool) "det exposition has no latencies" false
+    (contains det "test_obs_om_lat_s");
   Alcotest.(check bool) "det exposition keeps det hists" true
     (contains det "test_obs_om_h_bucket")
 
@@ -494,7 +473,7 @@ let test_trace_ring () =
      newest and count 6 drops, reported in the export. *)
   Trace.start ~ring:4 ();
   for i = 1 to 10 do
-    Trace.instant (Printf.sprintf "ring.%02d" i)
+    Trace.with_span (Printf.sprintf "ring.%02d" i) ignore
   done;
   Trace.stop ();
   Alcotest.(check int) "drops counted" 6 (Trace.dropped ());
@@ -510,7 +489,7 @@ let test_trace_ring () =
   (* set_ring on a live unbounded buffer trims to the newest K immediately. *)
   Trace.start ();
   for i = 1 to 10 do
-    Trace.instant (Printf.sprintf "trim.%02d" i)
+    Trace.with_span (Printf.sprintf "trim.%02d" i) ignore
   done;
   Trace.set_ring (Some 3);
   Alcotest.(check int) "trim counted as drops" 7 (Trace.dropped ());
@@ -520,7 +499,7 @@ let test_trace_ring () =
     && not (contains js "trim.07"));
   (* Back to unbounded: new events append without dropping. *)
   Trace.set_ring None;
-  Trace.instant "after.unbound";
+  Trace.with_span "after.unbound" ignore;
   Trace.stop ();
   Alcotest.(check int) "no further drops" 7 (Trace.dropped ());
   Alcotest.(check bool) "appended event present" true
@@ -570,10 +549,10 @@ let test_trace_ring_flat_memory () =
    values — this is what makes [sosctl obs-diff] format-agnostic. *)
 let test_snapshot_parse () =
   let c = Metrics.counter "test.obs.parse.c" in
-  let h = Hist.create "test.obs.parse.h" in
+  let h = Metrics.hist "test.obs.parse.h" in
   with_recording (fun () ->
       Metrics.add c 17;
-      List.iter (Hist.observe h) [ 1.0; 2.0; 3.0 ]);
+      List.iter (Metrics.hist_observe h) [ 1.0; 2.0; 3.0 ]);
   let text = Snapshot.parse (Metrics.snapshot ()) in
   let js = Snapshot.parse (Metrics.snapshot_json ()) in
   let om = Snapshot.parse (Metrics.to_openmetrics ()) in
@@ -608,8 +587,8 @@ let test_snapshot_parse () =
    [_count]/[_sum] samples, and the [+Inf] bucket itself must equal the
    total count — the exposition's own internal consistency. *)
 let test_snapshot_parse_prom_histogram () =
-  let h = Hist.create "test.obs.prom.h" in
-  with_recording (fun () -> List.iter (Hist.observe h) [ 0.5; 1.5; 2.5; 1e9 ]);
+  let h = Metrics.hist "test.obs.prom.h" in
+  with_recording (fun () -> List.iter (Metrics.hist_observe h) [ 0.5; 1.5; 2.5; 1e9 ]);
   let om = Metrics.to_openmetrics () in
   Alcotest.(check bool) "exposition has bucket series" true
     (contains om "test_obs_prom_h_bucket{");
@@ -632,41 +611,15 @@ let test_snapshot_parse_prom_histogram () =
   Alcotest.(check (float 16.0)) "histogram sum parsed" (0.5 +. 1.5 +. 2.5 +. 1e9)
     (find "test_obs_prom_h_sum").Snapshot.v
 
-(* Timers render as OpenMetrics summaries with quantiles 0.5/0.95/1;
-   the quantile series is skipped as shape, the count/sum scalars are
-   kept, and everything is runtime-class. *)
-let test_snapshot_parse_prom_timer () =
-  let t = Metrics.timer "test.obs.prom.t" in
-  with_recording (fun () -> List.iter (Metrics.observe t) [ 0.010; 0.020; 0.030 ]);
-  let om = Metrics.to_openmetrics () in
-  List.iter
-    (fun q ->
-      Alcotest.(check bool) ("summary has quantile " ^ q) true
-        (contains om ("test_obs_prom_t{class=\"runtime\",quantile=\"" ^ q ^ "\"}")))
-    [ "0.5"; "0.95"; "1" ];
-  let es = Snapshot.parse om in
-  Alcotest.(check bool) "quantile series skipped by the parser" true
-    (List.for_all (fun e -> e.Snapshot.key <> "test_obs_prom_t") es);
-  let find key =
-    match List.find_opt (fun e -> e.Snapshot.key = key) es with
-    | Some e -> e
-    | None -> Alcotest.failf "prom: key %S missing" key
-  in
-  let count = find "test_obs_prom_t_count" in
-  Alcotest.(check (float 0.0)) "timer count parsed" 3.0 count.Snapshot.v;
-  Alcotest.(check (option string)) "timer class label parsed" (Some "runtime")
-    count.Snapshot.cls;
-  Alcotest.(check (float 1e-9)) "timer sum parsed" 0.060 (find "test_obs_prom_t_sum").Snapshot.v
-
 (* Round-trip against the JSON rendering of the same registry: modulo
    name sanitization ([a.b.c] -> [a_b_c_total]/[a_b_c_count]), the prom
    parse and the JSON parse must agree on every scalar they share. *)
 let test_snapshot_prom_json_roundtrip () =
   let c = Metrics.counter "test.obs.rt.c" in
-  let h = Hist.create "test.obs.rt.h" in
+  let h = Metrics.hist "test.obs.rt.h" in
   with_recording (fun () ->
       Metrics.add c 23;
-      List.iter (Hist.observe h) [ 1.0; 2.0; 4.0 ]);
+      List.iter (Metrics.hist_observe h) [ 1.0; 2.0; 4.0 ]);
   let om = Snapshot.parse (Metrics.to_openmetrics ()) in
   let js = Snapshot.parse (Metrics.snapshot_json ()) in
   let find what es key =
@@ -682,6 +635,69 @@ let test_snapshot_prom_json_roundtrip () =
   Alcotest.(check (option string)) "classes agree"
     (find "json" js "test.obs.rt.c").Snapshot.cls
     (find "prom" om "test_obs_rt_c_total").Snapshot.cls
+
+(* ------------------------------------------------------ registry docs *)
+
+(* doc/OBSERVABILITY.md's two registry tables against the live registry:
+   every metric the libraries register is a row with its kind, and every
+   row names a registered metric. A row may list siblings as
+   [`a.b.c` / `.d`], short for a.b.c and a.b.d; the per-domain counters
+   engine.pool.dN.tasks share one row. *)
+let test_registry_doc_parity () =
+  (* The per-domain counters register when a pool starts. *)
+  Engine.Pool.with_pool ~domains:2 ignore;
+  Metrics.reset ();
+  let library name =
+    List.exists
+      (fun prefix -> String.starts_with ~prefix name)
+      [ "sos."; "engine."; "robust."; "serve."; "sas."; "binpack." ]
+  in
+  let fold_domain name =
+    match Scanf.sscanf name "engine.pool.d%u.tasks%!" ignore with
+    | () -> "engine.pool.dN.tasks"
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> name
+  in
+  let registered =
+    Metrics.snapshot_json ()
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match Scanf.sscanf line " {\"name\": %S, \"class\": %S" (fun n c -> (n, c)) with
+           | exception (Scanf.Scan_failure _ | End_of_file) -> None
+           | name, cls when library name ->
+               let kind = if cls = "det" then "D" else "R" in
+               Some (fold_domain name, if contains line "\"buckets\"" then kind ^ "H" else kind)
+           | _ -> None)
+    |> List.sort_uniq compare
+  in
+  let names cell =
+    let rec go base acc = function
+      | [] -> List.rev acc
+      | tok :: rest when String.length tok > 0 && tok.[0] = '.' ->
+          go base ((base ^ tok) :: acc) rest
+      | tok :: rest -> go (String.sub tok 0 (String.rindex tok '.')) (tok :: acc) rest
+    in
+    String.split_on_char '`' cell
+    |> List.filteri (fun i _ -> i mod 2 = 1)
+    |> go "" []
+  in
+  let rows =
+    In_channel.with_open_text "../doc/OBSERVABILITY.md" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.fold_left
+         (fun (inside, acc) line ->
+           if String.starts_with ~prefix:"## " line then (line = "## Metric registry", acc)
+           else if inside && String.starts_with ~prefix:"| `" line then (inside, line :: acc)
+           else (inside, acc))
+         (false, [])
+    |> snd
+    |> List.concat_map (fun line ->
+           match String.split_on_char '|' line with
+           | _ :: cell :: kind :: _ -> List.map (fun n -> (n, String.trim kind)) (names cell)
+           | _ -> Alcotest.failf "doc/OBSERVABILITY.md: bad registry row %S" line)
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair string string)))
+    "doc/OBSERVABILITY.md registry tables = registered metrics" registered rows
 
 (* ------------------------------------------------- counter reconciliation *)
 
@@ -786,7 +802,6 @@ let suite =
       Alcotest.test_case "trace export" `Quick test_trace_export;
       Alcotest.test_case "hist basics" `Quick test_hist_basics;
       Alcotest.test_case "hist quantile goldens" `Quick test_hist_quantile_golden;
-      Alcotest.test_case "hist merge commutes" `Quick test_hist_merge;
       Alcotest.test_case "openmetrics exposition" `Quick test_openmetrics;
       Alcotest.test_case "progress format goldens" `Quick test_progress_format;
       Alcotest.test_case "progress reporter" `Quick test_progress_reporter;
@@ -796,9 +811,10 @@ let suite =
       Alcotest.test_case "snapshot parse roundtrip" `Quick test_snapshot_parse;
       Alcotest.test_case "snapshot prom histogram (+Inf bucket)" `Quick
         test_snapshot_parse_prom_histogram;
-      Alcotest.test_case "snapshot prom timer quantiles" `Quick test_snapshot_parse_prom_timer;
       Alcotest.test_case "snapshot prom/json round-trip" `Quick
         test_snapshot_prom_json_roundtrip;
+      Alcotest.test_case "registry tables match doc/OBSERVABILITY.md" `Quick
+        test_registry_doc_parity;
       Alcotest.test_case "solver counters reconcile (pinned)" `Quick
         test_reconcile_pinned;
       Alcotest.test_case "solver counters reconcile (random)" `Quick

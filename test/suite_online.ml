@@ -186,6 +186,28 @@ let test_session_budgets () =
   check_same_result ~ctx:"budget final" (Online.Session.solve session)
     (Online.run ~m:4 ~scale:100 (Online.Session.arrivals session))
 
+(* The admission bound is cumulative: each job fits on its own, the
+   second pushes last release + Σ p_j·r_j past max_int. [run] shares it. *)
+let test_session_makespan_overflow () =
+  let session = Online.Session.create ~m:4 ~scale:10 () in
+  let late = { Online.release = max_int - 40; size = 3; req = 10 } in
+  (match Online.Session.add session late with
+  | Ok 0 -> ()
+  | _ -> Alcotest.fail "a job inside the bound must be admitted");
+  let refused = "job 1: makespan bound (last release + Σ p_j·r_j) exceeds max_int" in
+  (match Online.Session.add session late with
+  | Error (Online.Session.Bad_arrival (Robust.Failure.Overflow msg)) ->
+      Alcotest.(check string) "overflow reason" refused msg
+  | Ok _ -> Alcotest.fail "makespan bound past max_int admitted"
+  | Error r -> Alcotest.failf "wrong reject: %s" (Online.Session.reject_message r));
+  (match Online.Session.add session { Online.release = 0; size = 1; req = 1 } with
+  | Ok 1 -> ()
+  | _ -> Alcotest.fail "the session must still admit after a refusal");
+  Alcotest.(check int) "makespan" (max_int - 37) (Online.Session.solve session).Online.makespan;
+  Alcotest.check_raises "run refuses the same arrivals"
+    (Robust.Failure.Invalid (Robust.Failure.Overflow refused))
+    (fun () -> ignore (Online.run ~m:4 ~scale:10 [ late; late ]))
+
 let test_session_peek_and_dirty () =
   let session = Online.Session.create ~m:4 ~scale:100 () in
   Alcotest.(check bool) "fresh session is dirty" true (Online.Session.dirty session);
@@ -522,6 +544,7 @@ let suite =
         test_session_matches_scratch;
       Alcotest.test_case "session solve paths" `Quick test_session_solve_paths;
       Alcotest.test_case "session budgets" `Quick test_session_budgets;
+      Alcotest.test_case "session makespan bound overflow" `Quick test_session_makespan_overflow;
       Alcotest.test_case "session peek & dirty" `Quick test_session_peek_and_dirty;
       Alcotest.test_case "matches per-step oracle" `Quick
         test_online_matches_dense_oracle;

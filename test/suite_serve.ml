@@ -123,6 +123,47 @@ let test_serve_invalid_submit () =
   | _ -> Alcotest.failf "expected 4 replies, got %d" (List.length replies));
   Alcotest.(check int) "exit code" 0 s.S.exit_code
 
+(* A submit whose makespan bound (last release + Σ p_j·r_j) would pass
+   max_int is refused at admission, and the tenant keeps answering. A
+   job of (b) has release + size <= max_int, so only the cumulative
+   bound catches it; admitted, it would make every later query of the
+   tenant fail with task-exn. *)
+let test_serve_overflow_submit () =
+  let overflow i =
+    Printf.sprintf
+      "%d error invalid lower-bound overflow: job 0: makespan bound (last release + Σ \
+       p_j·r_j) exceeds max_int"
+      i
+  in
+  let replies, s =
+    drive
+      [
+        "open a m=4 scale=10";
+        "submit a 4611686018427387902 3 5";
+        "submit a 0 1 1";
+        "query a";
+        "open b m=4 scale=10";
+        "submit b 4611686018427387900 3 10";
+        "submit b 4611686018427387900 3 10";
+        "submit b 0 1 1";
+        "query b";
+      ]
+  in
+  check_lines "overflow transcript"
+    [
+      "0 ok open tenant=a m=4 scale=10";
+      overflow 1;
+      "2 ok submit tenant=a job=0";
+      "3 ok schedule tenant=a jobs=1 makespan=1 lb=1";
+      "4 ok open tenant=b m=4 scale=10";
+      overflow 5;
+      overflow 6;
+      "7 ok submit tenant=b job=0";
+      "8 ok schedule tenant=b jobs=1 makespan=1 lb=1";
+    ]
+    replies;
+  Alcotest.(check int) "exit code" 0 s.S.exit_code
+
 (* --- admission control / overload shedding --- *)
 
 let test_serve_overload () =
@@ -327,6 +368,7 @@ let suite =
       Alcotest.test_case "session flow transcript" `Quick test_serve_session_flow;
       Alcotest.test_case "invalid submit is structured + survivable" `Quick
         test_serve_invalid_submit;
+      Alcotest.test_case "overflowing submit is refused" `Quick test_serve_overflow_submit;
       Alcotest.test_case "overload shedding" `Quick test_serve_overload;
       Alcotest.test_case "deadline degrades to last-good" `Quick
         test_serve_deadline_degrades;

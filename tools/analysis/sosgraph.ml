@@ -52,7 +52,7 @@ let pass_title = function
 (* Det-class Obs registration entry points: a module-toplevel binding
    whose body calls one of these is a det-class registration site, and a
    tainted function updating such a binding is an A1 violation. *)
-let det_reg_fns = [ "Obs.Metrics.counter"; "Obs.Metrics.hist"; "Obs.Hist.create" ]
+let det_reg_fns = [ "Obs.Metrics.counter"; "Obs.Metrics.hist" ]
 
 (* Cooperative-cancellation sites credited by A2. *)
 let poll_fns = [ "Robust.Context.poll"; "Robust.Chaos.point"; "Robust.Cancel.check" ]
