@@ -21,6 +21,15 @@ let invalid_input reason =
     (Robust.Failure.invalid_to_string reason);
   2
 
+(* A comma-separated list of integers in int_of_string's syntax; the
+   first token that is not one is invalid input. *)
+let int_list what text k =
+  let tokens = String.split_on_char ',' text in
+  match List.find_opt (fun t -> int_of_string_opt t = None) tokens with
+  | Some t ->
+      invalid_input (Robust.Failure.Malformed (Printf.sprintf "%s: %S is not an integer" what t))
+  | None -> k (List.map int_of_string tokens)
+
 module Solvers = Baselines.Solvers
 
 (* Load an instance through the strict validator (doc/ROBUSTNESS.md);
@@ -186,7 +195,7 @@ let solve_cmd =
     Printf.printf "makespan    : %d\n" sched.Sos.Schedule.makespan;
     Printf.printf "lower bound : %d\n" lb;
     Printf.printf "ratio vs LB : %.4f\n"
-      (Sos.Bounds.theorem_3_3_bound inst ~makespan:sched.Sos.Schedule.makespan);
+      (Sos.Bounds.ratio ~lb ~makespan:sched.Sos.Schedule.makespan);
     Printf.printf "wasted res. : %d units (%.2f steps worth)\n"
       (Sos.Schedule.total_waste sched)
       (float_of_int (Sos.Schedule.total_waste sched)
@@ -286,7 +295,7 @@ let ratio_cmd =
 let binpack_cmd =
   let run obs k capacity sizes show optimal =
     with_obs obs @@ fun () ->
-    let sizes = List.map int_of_string (String.split_on_char ',' sizes) in
+    int_list "SIZES" sizes @@ fun sizes ->
     let inst = Binpack.Packing.instance ~k ~capacity sizes in
     let packing = Binpack.Algorithms.window inst in
     Binpack.Packing.assert_valid inst packing;
@@ -950,12 +959,12 @@ let batch_cmd =
                   (fun oc ->
                     Out_channel.output_string oc (Sos.Export.schedule_to_csv_rle sched))
             | None -> ());
+            let makespan = sched.Sos.Schedule.makespan in
+            let lb = Sos.Bounds.lower_bound inst in
             let line =
               Printf.sprintf "%d ok %s n=%d m=%d makespan=%d lb=%d ratio=%.4f blocks=%d"
-                idx label (Sos.Instance.n inst) inst.Sos.Instance.m
-                sched.Sos.Schedule.makespan
-                (Sos.Bounds.lower_bound inst)
-                (Sos.Bounds.theorem_3_3_bound inst ~makespan:sched.Sos.Schedule.makespan)
+                idx label (Sos.Instance.n inst) inst.Sos.Instance.m makespan lb
+                (Sos.Bounds.ratio ~lb ~makespan)
                 (List.length sched.Sos.Schedule.steps)
             in
             emit_line ~fresh:true idx line
@@ -1325,7 +1334,7 @@ let serve_cmd =
 
 let hardness_cmd =
   let run numbers =
-    let numbers = List.map int_of_string (String.split_on_char ',' numbers) in
+    int_list "NUMBERS" numbers @@ fun numbers ->
     let tp = Exact.Three_partition.create numbers in
     let yes = Exact.Three_partition.solvable tp in
     let q = Exact.Three_partition.yes_gap tp in

@@ -2,28 +2,6 @@ let ceil_div a b =
   if b <= 0 then invalid_arg "Bounds.ceil_div: non-positive divisor";
   if a <= 0 then 0 else ((a - 1) / b) + 1
 
-(* Overflow-guarded Equation (1) sums: with p_j ≈ max_int/2 the plain
-   Σ p_j·r_j wraps negative and the "lower bound" silently collapses.
-   [Instance.validate] performs the same checks; routing the bound
-   computation itself through them means even un-validated callers get
-   [Robust.Failure.Invalid (Overflow _)] instead of garbage. *)
-let sum_checked f inst =
-  let n = Instance.n inst in
-  let rec go acc i =
-    if i >= n then Some acc
-    else
-      let v = f (Instance.job inst i) in
-      if v < 0 || acc > max_int - v then None else go (acc + v) (i + 1)
-  in
-  go 0 0
-
-let total_requirement_checked inst =
-  sum_checked
-    (fun (j : Job.t) -> if j.size > max_int / j.req then -1 else j.size * j.req)
-    inst
-
-let total_volume_checked inst = sum_checked (fun (j : Job.t) -> j.size) inst
-
 let resource_bound inst = ceil_div (Instance.total_requirement inst) inst.Instance.scale
 let volume_bound inst = ceil_div (Instance.total_volume inst) inst.Instance.m
 let longest_job_bound inst = Instance.max_size inst
@@ -34,10 +12,14 @@ let eq1_checked ~m ~scale ~requirement ~volume ~longest =
   | None, _ -> Error (Robust.Failure.Overflow "total requirement Σ p_j·r_j exceeds max_int")
   | _, None -> Error (Robust.Failure.Overflow "total volume Σ p_j exceeds max_int")
 
+(* The sums are overflow-guarded: with p_j ≈ max_int/2 the plain
+   Σ p_j·r_j wraps negative and the "lower bound" silently collapses, so
+   even callers that skipped [Instance.validate] get
+   [Robust.Failure.Invalid (Overflow _)] instead of garbage. *)
 let lower_bound_checked inst =
-  eq1_checked ~m:inst.Instance.m ~scale:inst.Instance.scale
-    ~requirement:(total_requirement_checked inst)
-    ~volume:(total_volume_checked inst) ~longest:(Instance.max_size inst)
+  let volume, requirement, _ = Instance.eq1_sums inst in
+  eq1_checked ~m:inst.Instance.m ~scale:inst.Instance.scale ~requirement ~volume
+    ~longest:(Instance.max_size inst)
 
 let lower_bound inst =
   match lower_bound_checked inst with
@@ -54,14 +36,15 @@ let h_ratio =
     ~bounds:(Obs.Metrics.linear_bounds ~lo:1.0 ~hi:3.0 ~step:0.05)
     "sos.bounds.ratio"
 
-let theorem_3_3_bound inst ~makespan =
-  let lb = lower_bound inst in
+let ratio ~lb ~makespan =
   let ratio =
     if lb = 0 then if makespan = 0 then 1.0 else infinity
     else float_of_int makespan /. float_of_int lb
   in
   Obs.Metrics.hist_observe h_ratio ratio;
   ratio
+
+let theorem_3_3_bound inst ~makespan = ratio ~lb:(lower_bound inst) ~makespan
 
 let guarantee_general ~m =
   if m < 3 then invalid_arg "Bounds.guarantee_general: need m >= 3";

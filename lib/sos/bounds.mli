@@ -37,9 +37,14 @@ val eq1_checked :
     [max_j p_j], with [None] for a sum that overflowed. For callers that
     hold the jobs in another form than an {!Instance.t}. *)
 
+val ratio : lb:int -> makespan:int -> float
+(** [makespan / lb] as a float ([infinity] when [lb] is 0 and makespan
+    positive, [1.0] when both are 0), observed once into the
+    [sos.bounds.ratio] histogram. For callers that already hold
+    {!lower_bound}. *)
+
 val theorem_3_3_bound : Instance.t -> makespan:int -> float
-(** [makespan / lower_bound] as a float ([infinity] when the lower bound is
-    0 and makespan positive, [1.0] when both are 0). *)
+(** [ratio ~lb:(lower_bound inst) ~makespan]. *)
 
 val guarantee_general : m:int -> float
 (** The proven ratio [2 + 1/(m−2)] for general job sizes (requires m ≥ 3). *)

@@ -55,11 +55,18 @@ val restrict_m : t -> int -> t
 val to_string : t -> string
 (** A line-oriented text format, parsed back by {!of_string}: a header
     [sos m scale n], then one [pos size req] line per job, where [pos] is
-    the job's original position. *)
+    the job's original position. Job lines come in the instance's
+    sorted order, [(req, pos)] ascending. *)
 
 val of_string : string -> t
 (** Raises [Failure] on malformed input, including a position column
-    that is not a permutation of [0..n-1]. *)
+    that is not a permutation of [0..n-1], and [Invalid_argument] as
+    {!create} does. Lines are separated by ['\n'] and trimmed of
+    [String.trim]'s whitespace; blank lines are skipped. Tokens are
+    separated by single spaces and read with [int_of_string]'s syntax
+    (signs, [0x]/[0o]/[0b]/[0u] prefixes and underscores included). Job
+    lines already in [(req, pos)] order, the order {!to_string} writes,
+    decode without a sort. *)
 
 (** {1 Strict validation}
 
@@ -78,6 +85,11 @@ val validate : ?window:bool -> t -> (t, Robust.Failure.invalid) result
     sizes/requirements; this adds the window precondition and the
     overflow guards). *)
 
+val eq1_sums : t -> int option * int option * int option
+(** [(Σ p_j, Σ p_j·r_j, Σ r_j)] in one pass, each [None] when it exceeds
+    [max_int]: the overflow-checked fold behind {!validate} and
+    [Bounds.lower_bound_checked]. *)
+
 val create_checked :
   ?window:bool -> m:int -> scale:int -> (int * int) list -> (t, Robust.Failure.invalid) result
 (** {!create} with every [Invalid_argument] turned into a structured
@@ -89,6 +101,7 @@ val of_floats_checked :
     and non-positive shares as [Nonpositive_req]. *)
 
 val of_string_checked : ?window:bool -> string -> (t, Robust.Failure.invalid) result
-(** {!of_string} with parse failures as [Malformed]. *)
+(** {!of_string} with parse failures as [Malformed], then the checks of
+    {!create_checked} on the jobs in position order. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,9 +1,12 @@
 type t = { id : int; size : int; req : int }
 
+let check ~size ~req =
+  if size <= 0 then invalid_arg "Job.v: size must be positive";
+  if req <= 0 then invalid_arg "Job.v: req must be positive"
+
 let v ~id ~size ~req =
   if id < 0 then invalid_arg "Job.v: negative id";
-  if size <= 0 then invalid_arg "Job.v: size must be positive";
-  if req <= 0 then invalid_arg "Job.v: req must be positive";
+  check ~size ~req;
   { id; size; req }
 
 let s j = j.size * j.req

@@ -16,6 +16,11 @@ val v : id:int -> size:int -> req:int -> t
 (** Smart constructor; raises [Invalid_argument] on non-positive size/req or
     negative id. *)
 
+val check : size:int -> req:int -> unit
+(** The size and requirement checks of {!v}, with its messages: raises
+    [Invalid_argument] on a non-positive size, then on a non-positive
+    req. *)
+
 val s : t -> int
 (** Total resource requirement [s_j = p_j · r_j], in resource units. *)
 

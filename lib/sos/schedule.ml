@@ -61,62 +61,62 @@ exception Bad of violation
 
 let validate ?(preemption_ok = false) t =
   let inst = t.inst in
-  let n = Instance.n inst in
-  let remaining = Array.init n (fun i -> Job.s (Instance.job inst i)) in
+  let { Instance.m; scale; jobs; _ } = inst in
+  let n = Array.length jobs in
+  let remaining = Array.init n (fun i -> Job.s jobs.(i)) in
   let first_seen = Array.make n (-1) in
   let last_seen = Array.make n (-1) in
   let steps_seen = Array.make n 0 in
-  try
-    fold_segments t ~init:() ~f:(fun () ~t0 ~repeat allocs ->
-        let seen = Hashtbl.create 8 in
-        let count = ref 0 in
-        let total_assigned =
-          List.fold_left
-            (fun acc a ->
-              incr count;
-              if a.job < 0 || a.job >= n then
-                raise (Bad (violation t0 "allocation for unknown job %d" a.job));
-              if Hashtbl.mem seen a.job then
-                raise (Bad (violation t0 "job %d allocated twice in one step" a.job));
-              Hashtbl.add seen a.job ();
-              if a.assigned < 0 then
-                raise (Bad (violation t0 "job %d: negative assignment" a.job));
-              if a.consumed < 0 then
-                raise (Bad (violation t0 "job %d: negative consumption" a.job));
-              let r = (Instance.job inst a.job).Job.req in
-              let cap = min a.assigned r in
-              if a.consumed > cap then
-                raise
-                  (Bad
-                     (violation t0 "job %d: consumed %d > min(assigned=%d, r=%d)"
-                        a.job a.consumed a.assigned r));
-              let used = repeat * a.consumed in
-              if used > remaining.(a.job) then
-                raise
-                  (Bad
-                     (violation t0 "job %d: over-consumed (%d > remaining %d)" a.job
-                        used remaining.(a.job)));
-              remaining.(a.job) <- remaining.(a.job) - used;
-              if a.consumed < cap && (repeat > 1 || remaining.(a.job) <> 0) then
-                raise
-                  (Bad
-                     (violation t0
-                        "job %d: under-consumed (%d < %d) outside its finishing step"
-                        a.job a.consumed cap));
-              if first_seen.(a.job) < 0 then first_seen.(a.job) <- t0;
-              last_seen.(a.job) <- t0 + repeat - 1;
-              steps_seen.(a.job) <- steps_seen.(a.job) + repeat;
-              acc + a.assigned)
-            0 allocs
-        in
-        if total_assigned > inst.Instance.scale then
+  (* index of the last block each job was met in: meeting it again in
+     the same block is a double allocation *)
+  let stamp = Array.make n (-1) in
+  let rec allocs b t0 repeat count total = function
+    | [] ->
+        if total > scale then
+          raise (Bad (violation t0 "resource overused: %d > scale %d" total scale));
+        if count > m then
+          raise (Bad (violation t0 "too many jobs in one step: %d > m=%d" count m))
+    | a :: rest ->
+        if a.job < 0 || a.job >= n then
+          raise (Bad (violation t0 "allocation for unknown job %d" a.job));
+        if stamp.(a.job) = b then
+          raise (Bad (violation t0 "job %d allocated twice in one step" a.job));
+        stamp.(a.job) <- b;
+        if a.assigned < 0 then raise (Bad (violation t0 "job %d: negative assignment" a.job));
+        if a.consumed < 0 then
+          raise (Bad (violation t0 "job %d: negative consumption" a.job));
+        let r = jobs.(a.job).Job.req in
+        let cap = Int.min a.assigned r in
+        if a.consumed > cap then
           raise
             (Bad
-               (violation t0 "resource overused: %d > scale %d" total_assigned
-                  inst.Instance.scale));
-        if !count > inst.Instance.m then
+               (violation t0 "job %d: consumed %d > min(assigned=%d, r=%d)" a.job a.consumed
+                  a.assigned r));
+        let used = repeat * a.consumed in
+        if used > remaining.(a.job) then
           raise
-            (Bad (violation t0 "too many jobs in one step: %d > m=%d" !count inst.Instance.m)));
+            (Bad
+               (violation t0 "job %d: over-consumed (%d > remaining %d)" a.job used
+                  remaining.(a.job)));
+        remaining.(a.job) <- remaining.(a.job) - used;
+        if a.consumed < cap && (repeat > 1 || remaining.(a.job) <> 0) then
+          raise
+            (Bad
+               (violation t0 "job %d: under-consumed (%d < %d) outside its finishing step"
+                  a.job a.consumed cap));
+        if first_seen.(a.job) < 0 then first_seen.(a.job) <- t0;
+        last_seen.(a.job) <- t0 + repeat - 1;
+        steps_seen.(a.job) <- steps_seen.(a.job) + repeat;
+        allocs b t0 repeat (count + 1) (total + a.assigned) rest
+  in
+  let rec blocks b t0 = function
+    | [] -> ()
+    | st :: rest ->
+        allocs b t0 st.repeat 0 0 st.allocs;
+        blocks (b + 1) (t0 + st.repeat) rest
+  in
+  try
+    blocks 0 0 t.steps;
     for j = 0 to n - 1 do
       if remaining.(j) <> 0 then
         raise (Bad (violation (-1) "job %d not finished: %d units left" j remaining.(j)));

@@ -140,6 +140,187 @@ let qcheck_lb_le_trivial_schedule =
       in
       Bounds.lower_bound inst <= upper)
 
+(* ---------------------------------------- decoder against the oracle *)
+
+(* Ok text | the exception's printed form. *)
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+let ids_ok inst = Array.for_all Fun.id (Array.mapi (fun i j -> j.Job.id = i) inst.Instance.jobs)
+
+let max_int_plus_1 = "4611686018427387904"
+
+(* One rendering of [v] from a token alphabet int_of_string may or may
+   not accept: decimal (the common case), leading zeros, signs, 0x/0o/0b/0u
+   prefixes, underscores, overflowing digit runs, and plain garbage. *)
+let int_token v =
+  let open QCheck.Gen in
+  frequency
+    [
+      (80, return (string_of_int v));
+      (1, return ("00" ^ string_of_int v));
+      (1, return ("+" ^ string_of_int v));
+      (1, return (Printf.sprintf "0x%x" v));
+      (1, return (Printf.sprintf "0o%o" v));
+      (1, return (if v = 1 then "0b1" else "0b10"));
+      (1, return (string_of_int v ^ "_"));
+      (1, return ("0u" ^ string_of_int v));
+      ( 1,
+        oneofl
+          [ ""; "x"; "-"; "+"; "0x"; "_1"; "1.5"; "1e3"; string_of_int max_int; max_int_plus_1;
+            "-" ^ max_int_plus_1; "99999999999999999999"; "10000000000000000000"; "-0"; "0b2" ] );
+    ]
+
+(* An int for a size or a requirement: mostly small, so requirements tie. *)
+let small_or_hostile =
+  QCheck.Gen.(
+    frequency
+      [
+        (30, int_range 1 4);
+        (1, oneofl [ 0; -1 ]);
+        (2, oneofl [ max_int; (max_int / 2) + 1; 1 lsl 31; 1 lsl 40 ]);
+      ])
+
+(* Whitespace the parser trims (around lines, and whole blank lines) or
+   keeps (inside a line, where it makes a token malformed). *)
+let line_sep =
+  QCheck.Gen.frequencyl
+    [ (20, "\n"); (2, "\r\n"); (1, "\n\n"); (1, "\n \t\n"); (1, "\n\012\n"); (1, "\n  \r\n") ]
+
+let token_sep = QCheck.Gen.frequencyl [ (150, " "); (1, "  "); (1, "\t") ]
+let line_pad = QCheck.Gen.frequencyl [ (40, ""); (1, " "); (1, "\t"); (1, "\r"); (1, "\012") ]
+
+let render_line toks =
+  let open QCheck.Gen in
+  let* pre = line_pad and* post = line_pad in
+  let rec join = function
+    | [] -> return ""
+    | [ t ] -> return t
+    | t :: rest ->
+        let* sep = token_sep and* tail = join rest in
+        return (t ^ sep ^ tail)
+  in
+  let* body = join toks in
+  return (pre ^ body ^ post)
+
+let hostile_text =
+  let open QCheck.Gen in
+  let* n = int_range 0 7 in
+  let* m = frequency [ (8, int_range 2 6); (1, oneofl [ 0; 1; -4 ]) ] in
+  let* scale = frequencyl [ (4, 10); (2, 720720); (2, 1); (1, 0); (1, -3) ] in
+  let* count =
+    frequency [ (20, return n); (2, oneofl [ n - 1; n + 1 ]); (1, oneofl [ max_int; -1 ]) ]
+  in
+  let* jobs =
+    list_repeat n (pair small_or_hostile small_or_hostile)
+    >|= List.mapi (fun pos (size, req) -> (pos, size, req))
+  in
+  (* positions: a permutation, sometimes with one duplicate, negative or
+     out-of-range entry *)
+  let* jobs =
+    if n = 0 then return jobs
+    else
+      let* k = int_range 0 (n - 1) in
+      let* pos_k =
+        frequencyl [ (24, k); (1, -1); (1, n); (1, (k + 1) mod n) ]
+      in
+      return (List.map (fun (pos, size, req) -> ((if pos = k then pos_k else pos), size, req)) jobs)
+  in
+  let* jobs =
+    frequency
+      [
+        (1, return (List.sort (fun (p, _, r) (q, _, s) -> compare (r, p) (s, q)) jobs));
+        (1, shuffle_l jobs);
+      ]
+  in
+  let* header =
+    let* sos = frequencyl [ (40, "sos"); (1, "SOS"); (1, "so") ] in
+    let* mt = int_token m and* st = int_token scale and* ct = int_token count in
+    let* extra = frequencyl [ (60, []); (1, [ "0" ]) ] in
+    render_line (sos :: mt :: st :: ct :: extra)
+  in
+  let* lines =
+    flatten_l
+      (List.map
+         (fun (pos, size, req) ->
+           let* pt = int_token pos and* zt = int_token size and* rt = int_token req in
+           let* toks =
+             frequencyl [ (150, [ pt; zt; rt ]); (1, [ pt; zt ]); (1, [ pt; zt; rt; "1" ]) ]
+           in
+           render_line toks)
+         jobs)
+  in
+  let* lead = frequencyl [ (10, ""); (1, "\n"); (1, " \n") ] in
+  let* seps = list_repeat (List.length lines + 1) line_sep in
+  let rec interleave acc lines seps =
+    match (lines, seps) with
+    | l :: ls, s :: ss -> interleave (acc ^ s ^ l) ls ss
+    | _ -> acc
+  in
+  let* trail = frequencyl [ (10, "\n"); (2, ""); (1, "\n\n") ] in
+  return (lead ^ header ^ interleave "" lines (List.tl seps) ^ trail)
+
+let qcheck_decoder_matches_oracle =
+  Helpers.qcheck ~count:3000 "decoder matches the list-based oracle (hostile text)"
+    (QCheck.make ~print:(fun (w, s) -> Printf.sprintf "window=%b %S" w s)
+       QCheck.Gen.(pair bool hostile_text))
+    (fun (window, text) ->
+      let show = function
+        | Ok s -> "Ok " ^ s
+        | Error r -> "Error " ^ Robust.Failure.invalid_to_string r
+      in
+      let decoded = Instance.of_string_checked ~window text in
+      let lib = Result.map Instance.to_string decoded in
+      let oracle = Instance_oracle.of_string_checked ~window text in
+      if lib <> oracle then
+        QCheck.Test.fail_reportf "of_string_checked: %s, oracle: %s" (show lib) (show oracle);
+      (match decoded with
+      | Ok inst when not (ids_ok inst) -> QCheck.Test.fail_reportf "ids are not 0..n-1"
+      | _ -> ());
+      let raising = outcome (fun () -> Instance.to_string (Instance.of_string text)) in
+      let reference = outcome (fun () -> Instance_oracle.of_string text) in
+      if raising <> reference then
+        QCheck.Test.fail_reportf "of_string: %s, oracle: %s"
+          (match raising with Ok s -> s | Error e -> e)
+          (match reference with Ok s -> s | Error e -> e);
+      true)
+
+let test_decoder_huge_count () =
+  let text = Printf.sprintf "sos 4 10 %d\n0 1 1\n1 1 1\n" max_int in
+  match Instance.of_string_checked text with
+  | Error (Robust.Failure.Malformed "Instance.of_string: job count mismatch") -> ()
+  | Error r -> Alcotest.failf "wrong reason: %s" (Robust.Failure.invalid_to_string r)
+  | Ok _ -> Alcotest.fail "accepted"
+
+(* create and create_checked against the oracle: requirements drawn from
+   a small range so ties are forced, lists shuffled or already sorted by
+   requirement, and now and then a non-positive or overflowing entry. *)
+let qcheck_create_matches_oracle =
+  Helpers.qcheck ~count:1000 "create matches the list-based oracle (ties, sorted input)"
+    QCheck.(
+      make
+        ~print:(fun (sorted, (m, (scale, specs))) ->
+          Printf.sprintf "sorted=%b m=%d scale=%d [%s]" sorted m scale
+            (String.concat "; " (List.map (fun (p, r) -> Printf.sprintf "%d,%d" p r) specs)))
+        Gen.(
+          pair bool
+            (pair (int_range 1 5)
+               (pair (frequencyl [ (8, 7); (1, 0) ])
+                  (list_size (int_range 0 30) (pair small_or_hostile small_or_hostile))))))
+    (fun (sorted, (m, (scale, specs))) ->
+      let specs =
+        if sorted then List.stable_sort (fun (_, r) (_, s) -> compare r s) specs else specs
+      in
+      let created = outcome (fun () -> Instance.create ~m ~scale specs) in
+      let reference = outcome (fun () -> Instance_oracle.create ~m ~scale specs) in
+      let checked w =
+        Instance.create_checked ~window:w ~m ~scale specs |> Result.map Instance.to_string
+      in
+      (match created with
+      | Ok inst when not (ids_ok inst) -> QCheck.Test.fail_reportf "ids are not 0..n-1"
+      | _ -> ());
+      Result.map Instance.to_string created = reference
+      && checked false = Instance_oracle.create_checked ~window:false ~m ~scale specs
+      && checked true = Instance_oracle.create_checked ~window:true ~m ~scale specs)
+
 let suite =
   ( "instance",
     [
@@ -159,4 +340,7 @@ let suite =
       qcheck_roundtrip;
       qcheck_lb_monotone_under_addition;
       qcheck_lb_le_trivial_schedule;
+      qcheck_decoder_matches_oracle;
+      Alcotest.test_case "decoder: max_int count over two lines" `Quick test_decoder_huge_count;
+      qcheck_create_matches_oracle;
     ] )

@@ -22,18 +22,14 @@ let good_steps () =
     step [ alloc 0 2 2; alloc 2 6 6 ];
   ]
 
-let expect_reason substring sched =
+(* The validator must name the violation exactly: its step and its
+   message. *)
+let expect_reason ~at_step reason sched =
   match Schedule.validate sched with
-  | Ok () -> Alcotest.failf "expected violation mentioning %S" substring
+  | Ok () -> Alcotest.failf "expected violation %S" reason
   | Error v ->
-      let contains s sub =
-        let n = String.length sub in
-        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
-      if not (contains v.Schedule.reason substring) then
-        Alcotest.failf "wrong violation: got %S, expected mention of %S"
-          v.Schedule.reason substring
+      Alcotest.(check (pair int string))
+        "violation" (at_step, reason) (v.Schedule.at_step, v.Schedule.reason)
 
 let test_good_schedule () =
   let inst = base_instance () in
@@ -46,47 +42,49 @@ let valid_fixture () = (base_instance (), good_steps ())
 let test_overuse () =
   let inst, steps = valid_fixture () in
   let steps = step [ alloc 0 6 2; alloc 1 5 4 ] :: List.tl steps in
-  expect_reason "resource overused" (Schedule.make inst steps)
+  expect_reason ~at_step:0 "resource overused: 11 > scale 10" (Schedule.make inst steps)
 
 let test_too_many_jobs () =
   (* Needs n > m: a 2-processor instance with 3 concurrent allocations. *)
   let inst = Instance.create ~m:2 ~scale:10 [ (2, 4); (1, 6); (3, 2) ] in
   let steps = [ step [ alloc 0 2 2; alloc 1 4 4; alloc 2 2 2 ] ] in
-  expect_reason "too many jobs" (Schedule.make inst steps)
+  expect_reason ~at_step:0 "too many jobs in one step: 3 > m=2" (Schedule.make inst steps)
 
 let test_double_allocation () =
   let inst, steps = valid_fixture () in
   let steps = step [ alloc 0 2 2; alloc 0 2 2 ] :: List.tl steps in
-  expect_reason "allocated twice" (Schedule.make inst steps)
+  expect_reason ~at_step:0 "job 0 allocated twice in one step" (Schedule.make inst steps)
 
 let test_unknown_job () =
   let inst, steps = valid_fixture () in
   let steps = step [ alloc 7 1 1 ] :: steps in
-  expect_reason "unknown job" (Schedule.make inst steps)
+  expect_reason ~at_step:0 "allocation for unknown job 7" (Schedule.make inst steps)
 
 let test_over_consumption_rate () =
   (* consumed beyond min(assigned, r). *)
   let inst, steps = valid_fixture () in
   let steps = step [ alloc 0 2 3 ] :: List.tl steps in
-  expect_reason "consumed" (Schedule.make inst steps)
+  expect_reason ~at_step:0 "job 0: consumed 3 > min(assigned=2, r=2)" (Schedule.make inst steps)
 
 let test_over_consumption_total () =
   let inst, steps = valid_fixture () in
   let steps = steps @ [ step [ alloc 0 2 2 ] ] in
-  expect_reason "over-consumed" (Schedule.make inst steps)
+  expect_reason ~at_step:3 "job 0: over-consumed (2 > remaining 0)" (Schedule.make inst steps)
 
 let test_under_consumption_midrun () =
   (* A job consuming less than min(assigned, r) without finishing. *)
   let inst, steps = valid_fixture () in
   let steps = step [ alloc 0 2 1; alloc 1 4 4 ] :: List.tl steps in
-  expect_reason "under-consumed" (Schedule.make inst steps)
+  expect_reason ~at_step:0 "job 0: under-consumed (1 < 2) outside its finishing step"
+    (Schedule.make inst steps)
 
 let test_preemption_gap () =
   let inst = Instance.create ~m:2 ~scale:10 [ (2, 4) ] in
   let steps =
     [ step [ alloc 0 4 4 ]; step []; step [ alloc 0 4 4 ] ]
   in
-  expect_reason "preempted" (Schedule.make inst steps);
+  expect_reason ~at_step:(-1) "job 0 preempted: present 2 of steps [0..2]"
+    (Schedule.make inst steps);
   (* ...but with preemption_ok the same schedule passes. *)
   match Schedule.validate ~preemption_ok:true (Schedule.make inst steps) with
   | Ok () -> ()
@@ -94,14 +92,16 @@ let test_preemption_gap () =
 
 let test_unfinished () =
   let inst = Instance.create ~m:2 ~scale:10 [ (2, 4) ] in
-  expect_reason "not finished" (Schedule.make inst [ step [ alloc 0 4 4 ] ])
+  expect_reason ~at_step:(-1) "job 0 not finished: 4 units left"
+    (Schedule.make inst [ step [ alloc 0 4 4 ] ])
 
 let test_rle_under_consumption () =
   (* Under-consumption inside a repeat > 1 block must be rejected even if
      the totals happen to work out. *)
   let inst = Instance.create ~m:2 ~scale:10 [ (4, 4) ] in
   let bad = [ { Schedule.allocs = [ alloc 0 4 2 ]; repeat = 8 } ] in
-  expect_reason "under-consumed" (Schedule.make inst bad);
+  expect_reason ~at_step:0 "job 0: under-consumed (2 < 4) outside its finishing step"
+    (Schedule.make inst bad);
   let good =
     [ { Schedule.allocs = [ alloc 0 4 4 ]; repeat = 4 } ]
   in
@@ -111,8 +111,40 @@ let test_rle_under_consumption () =
 
 let test_negative_values () =
   let inst, steps = valid_fixture () in
-  expect_reason "negative"
+  expect_reason ~at_step:0 "job 0: negative assignment"
     (Schedule.make inst (step [ alloc 0 (-1) 0 ] :: List.tl steps))
+
+(* The per-block double-allocation check, at its edges: the first and
+   last block, the first and last job, and the job index just past the
+   instance. *)
+let test_same_job_consecutive_blocks () =
+  let inst = Instance.create ~m:2 ~scale:10 [ (4, 4) ] in
+  let blocks =
+    [ { Schedule.allocs = [ alloc 0 4 4 ]; repeat = 2 };
+      { Schedule.allocs = [ alloc 0 4 4 ]; repeat = 2 } ]
+  in
+  match Schedule.validate (Schedule.make inst blocks) with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "consecutive blocks should be valid: %s" v.Schedule.reason
+
+let test_double_allocation_edges () =
+  let inst, steps = valid_fixture () in
+  let last_twice =
+    [ List.nth steps 0; List.nth steps 1; step [ alloc 2 6 6; alloc 0 2 2; alloc 2 6 6 ] ]
+  in
+  expect_reason ~at_step:2 "job 2 allocated twice in one step" (Schedule.make inst last_twice);
+  let in_block b allocs = List.mapi (fun i st -> if i = b then step allocs else st) steps in
+  expect_reason ~at_step:1 "job 0 allocated twice in one step"
+    (Schedule.make inst (in_block 1 [ alloc 0 2 2; alloc 1 4 4; alloc 0 2 2 ]));
+  expect_reason ~at_step:1 "job 2 allocated twice in one step"
+    (Schedule.make inst (in_block 1 [ alloc 2 0 0; alloc 0 2 2; alloc 2 0 0 ]))
+
+let test_job_index_past_end () =
+  let inst, steps = valid_fixture () in
+  expect_reason ~at_step:0 "allocation for unknown job 3"
+    (Schedule.make inst (step [ alloc 3 1 1 ] :: steps));
+  expect_reason ~at_step:0 "allocation for unknown job -1"
+    (Schedule.make inst (step [ alloc (-1) 1 1 ] :: steps))
 
 (* --- export --- *)
 
@@ -448,6 +480,11 @@ let suite =
       Alcotest.test_case "inject: unfinished job" `Quick test_unfinished;
       Alcotest.test_case "inject: RLE under-consumption" `Quick test_rle_under_consumption;
       Alcotest.test_case "inject: negative values" `Quick test_negative_values;
+      Alcotest.test_case "inject: same job in consecutive blocks" `Quick
+        test_same_job_consecutive_blocks;
+      Alcotest.test_case "inject: double allocation at the edges" `Quick
+        test_double_allocation_edges;
+      Alcotest.test_case "inject: job index n" `Quick test_job_index_past_end;
       Alcotest.test_case "csv exports" `Quick test_csv_exports;
       Alcotest.test_case "RLE expand agreement" `Quick test_expand_agreement;
       qcheck_utilization_matches_reference;
