@@ -45,7 +45,8 @@ let () =
     (List.length arrivals) m cap;
   let r = Sos.Online.run ~m ~scale:cap arrivals in
   let lb = Sos.Online.lower_bound ~m ~scale:cap arrivals in
-  (match Sos.Schedule.validate r.Sos.Online.schedule with
+  let schedule = (Sos.Online.materialize ~m ~scale:cap arrivals r).Sos.Online.schedule in
+  (match Sos.Schedule.validate schedule with
   | Ok () -> ()
   | Error v -> failwith v.Sos.Schedule.reason);
   assert (Sos.Online.respects_releases r arrivals);
@@ -54,14 +55,14 @@ let () =
   Printf.printf "online/clairvoyant    : %.4f\n\n"
     (float_of_int r.Sos.Online.makespan /. float_of_int lb);
   let u =
-    Sos.Schedule.to_dense ~default:0.0 (Sos.Schedule.utilization r.Sos.Online.schedule)
+    Sos.Schedule.to_dense ~default:0.0 (Sos.Schedule.utilization schedule)
   in
   print_endline "rack power draw over the day (fraction of cap):";
   print_endline ("  " ^ Prelude.Ascii_plot.sparkline u);
   let jobs =
     Array.map float_of_int
       (Sos.Schedule.to_dense ~default:0
-         (Sos.Schedule.jobs_per_step r.Sos.Online.schedule))
+         (Sos.Schedule.jobs_per_step schedule))
   in
   print_endline "servers busy:";
   print_endline ("  " ^ Prelude.Ascii_plot.sparkline jobs);

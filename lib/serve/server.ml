@@ -140,20 +140,11 @@ let reply_detail reply =
 
 (* ------------------------------------------------------------- queries *)
 
-let find_id_of_position inst pos =
-  let original = inst.Sos.Instance.original in
-  let id = ref (-1) in
-  Array.iteri (fun i p -> if p = pos then id := i) original;
-  !id
-
 let format_solved ~index ~tenant session (r : Online.result) job =
-  let n = Sos.Instance.n r.Online.instance in
+  let n = r.Online.jobs in
   match job with
   | None ->
-      let lb =
-        Online.lower_bound ~m:(Session.m session) ~scale:(Session.scale session)
-          (Session.arrivals session)
-      in
+      let lb = Session.lower_bound session in
       if lb > 0 then
         Obs.Metrics.hist_observe h_query_ratio
           (float_of_int r.Online.makespan /. float_of_int lb);
@@ -164,10 +155,10 @@ let format_solved ~index ~tenant session (r : Online.result) job =
         Printf.sprintf "%d error invalid job %d out of range (have %d)" index k n
       else
         Printf.sprintf "%d ok job tenant=%s job=%d start=%d" index tenant k
-          r.Online.start_times.(find_id_of_position r.Online.instance k)
+          r.Online.starts.(k)
 
 let format_stale ~index ~tenant (r : Online.result) job =
-  let n = Sos.Instance.n r.Online.instance in
+  let n = r.Online.jobs in
   match job with
   | None ->
       Printf.sprintf "%d stale schedule tenant=%s jobs=%d makespan=%d" index
@@ -178,7 +169,7 @@ let format_stale ~index ~tenant (r : Online.result) job =
           index k n
       else
         Printf.sprintf "%d stale job tenant=%s job=%d start=%d" index tenant k
-          r.Online.start_times.(find_id_of_position r.Online.instance k)
+          r.Online.starts.(k)
 
 let handle_query (t : t) pool cancel ~index ~tenant ~job ~deadline =
   match Hashtbl.find_opt t.sessions tenant with

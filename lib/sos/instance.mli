@@ -20,6 +20,10 @@ val create : m:int -> scale:int -> (int * int) list -> t
     [scale < 1], or any size/req is non-positive. The empty job list is
     allowed. *)
 
+val check_shape : m:int -> scale:int -> unit
+(** Raises [Invalid_argument] if [m < 2] or [scale < 1], exactly as
+    {!create} does. *)
+
 val of_floats : m:int -> scale:int -> (int * float) list -> t
 (** Like {!create} with requirements given as fractions of the resource;
     each is rounded to the nearest unit, clamped to at least 1 unit. *)

@@ -1,11 +1,10 @@
 type arrival = { release : int; size : int; req : int }
 
-type result = {
-  instance : Instance.t;
-  schedule : Schedule.t;
-  start_times : int array;
-  makespan : int;
-}
+type history = Schedule.step list
+
+type result = { jobs : int; makespan : int; starts : int array; history : history }
+
+type offline = { instance : Instance.t; schedule : Schedule.t; start_times : int array }
 
 let validate_arrival i a =
   let open Robust.Failure in
@@ -24,20 +23,24 @@ let to_instance ~m ~scale arrivals =
     arrivals;
   Instance.create ~m ~scale (List.map (fun a -> (a.size, a.req)) arrivals)
 
-let release_table inst arrivals =
-  let by_pos = Array.of_list (List.map (fun a -> a.release) arrivals) in
-  Array.map (fun pos -> by_pos.(pos)) inst.Instance.original
+(* Eq. (1) over the sums, raised to the release horizon max_j (r_j + p_j):
+   the one formula behind [lower_bound] and [Session.lower_bound]. Raises
+   as [Bounds.lower_bound] would: on m and scale first, then on a sum
+   that overflowed ([None]). *)
+let clairvoyant_bound ~m ~scale ~requirement ~volume ~longest ~horizon =
+  Instance.check_shape ~m ~scale;
+  match Bounds.eq1_checked ~m ~scale ~requirement ~volume ~longest with
+  | Ok eq1 -> max eq1 horizon
+  | Error reason -> raise (Robust.Failure.Invalid reason)
 
 (* One pass over the arrivals, failing exactly as [Bounds.lower_bound]
    on [to_instance]'s result would: at the first malformed arrival, then
-   on m and scale (checked by [Instance.create] itself), then on an
-   overflowing sum. Eq. (1)'s sums do not depend on job order, so the
-   instance and its sort are not needed. *)
+   on m and scale, then on an overflowing sum. Eq. (1)'s sums do not
+   depend on job order, so the instance and its sort are not needed. A
+   sum that overflowed is held as -1. *)
 let lower_bound ~m ~scale arrivals =
-  let add_checked acc v =
-    match acc with Some a when v >= 0 && a <= max_int - v -> Some (a + v) | _ -> None
-  in
-  let requirement = ref (Some 0) and volume = ref (Some 0) in
+  let add_checked acc v = if acc < 0 || v < 0 || acc > max_int - v then -1 else acc + v in
+  let requirement = ref 0 and volume = ref 0 in
   let longest = ref 0 and horizon = ref 0 in
   List.iteri
     (fun i a ->
@@ -50,13 +53,9 @@ let lower_bound ~m ~scale arrivals =
       longest := max !longest a.size;
       horizon := max !horizon (a.release + a.size))
     arrivals;
-  ignore (Instance.create ~m ~scale [] : Instance.t);
-  match
-    Bounds.eq1_checked ~m ~scale ~requirement:!requirement ~volume:!volume
-      ~longest:!longest
-  with
-  | Ok eq1 -> max eq1 !horizon
-  | Error reason -> raise (Robust.Failure.Invalid reason)
+  let sum s = if s < 0 then None else Some s in
+  clairvoyant_bound ~m ~scale ~requirement:(sum !requirement) ~volume:(sum !volume)
+    ~longest:!longest ~horizon:!horizon
 
 (* ------------------------------------------------------ incremental core
 
@@ -67,39 +66,26 @@ let lower_bound ~m ~scale arrivals =
    every comparison the id-based simulation used to make — the admission
    order among jobs released together, the "everyone but the largest"
    split — is reproduced exactly by comparing (req, position). That is
-   what lets a session keep simulating as jobs arrive, without
-   renumbering history each time the sorted instance would shuffle ids,
-   and still materialize a result that is byte-identical to a
-   from-scratch [run] on the final job set. *)
+   what lets a session keep simulating as jobs arrive without ever
+   renumbering its history: a result's history and start times stay keyed
+   by position, an extension prepends its blocks to the history it
+   extends, and only [materialize] maps positions onto the ids of the
+   sorted instance, byte-identically to a from-scratch [run] on the same
+   job set. *)
 
 type sim = {
   mutable t : int;  (** steps simulated so far; the frontier *)
   mutable steps_rev : Schedule.step list;
-      (** this solve's blocks, latest first; allocs carry positions *)
+      (** the history, latest block first; allocs carry positions *)
   mutable active : int list;  (** positions *)
   rem : int array;  (** remaining requirement units per position *)
   start : int array;  (** first allocated step per position, -1 *)
 }
 
-let sim_empty () = { t = 0; steps_rev = []; active = []; rem = [||]; start = [||] }
-
 let grown a n fill =
   let b = Array.make n fill in
   Array.blit a 0 b 0 (Array.length a);
   b
-
-(* A scratch copy whose arrays are grown to [n] positions and which holds
-   no blocks yet: the history before its frontier lives in the result it
-   extends. The copy can be simulated — and abandoned on a mid-solve
-   deadline — without disturbing the committed original. *)
-let sim_scratch sim n =
-  {
-    t = sim.t;
-    steps_rev = [];
-    active = sim.active;
-    rem = grown sim.rem n 0;
-    start = grown sim.start n (-1);
-  }
 
 let by_req reqs p q =
   let c = Int.compare reqs.(p) reqs.(q) in
@@ -141,7 +127,8 @@ let dequeue q =
 
 (* Run the simulation of positions [from .. n-1] to completion, one block
    per stretch of identical steps, from [sim]'s frontier, where every
-   position below [from] has already finished.
+   position below [from] has already finished. [releases] and [reqs] hold
+   at least [n] positions; only the first [n] are read.
 
    Admission order. The per-step policy keeps the waiting jobs in a list,
    sorted by (req, position) at the start. Each admission takes the first
@@ -156,8 +143,10 @@ let dequeue q =
    one job released and the other not, and moved the released one ahead.
    Positions wait in [arriving], sorted by release, until the frontier
    reaches them; [next] is the first one not yet released, and its
-   release is the next release time. Each position is pushed and popped
-   once, at O(log n) each.
+   release is the next release time. A client that submits in time order
+   sends them sorted already, so an O(n) scan comes first and the sort
+   runs only when it finds one out of order. Each position is pushed and
+   popped once, at O(log n) each.
 
    Events. Stepping one time unit at a time, the state changes only at
    three kinds of event: a release while a slot is free ([admit] may grow
@@ -179,12 +168,13 @@ let dequeue q =
    that history. One cooperative cancellation poll per block keeps
    mid-solve deadlines responsive; the chaos site lets the fault suite
    kill whole solves. *)
-let simulate ~m ~scale ~releases ~reqs ~from sim =
+let simulate ~m ~scale ~n ~releases ~reqs ~from sim =
   Robust.Chaos.point "sos.online.run";
-  let n = Array.length releases in
   let fuel = ref (3 * n) in
   let arriving = Array.init (n - from) (fun i -> from + i) in
-  Array.stable_sort (fun p q -> Int.compare releases.(p) releases.(q)) arriving;
+  let rec in_order p = p >= n || (releases.(p - 1) <= releases.(p) && in_order (p + 1)) in
+  if not (in_order (from + 1)) then
+    Array.stable_sort (fun p q -> Int.compare releases.(p) releases.(q)) arriving;
   let next = ref 0 in
   let queue = { heap = Array.make (n - from) 0; size = 0; gen = Array.make n 0; reqs } in
   let admissions = ref 0 in
@@ -286,38 +276,22 @@ let rekey table (step : Schedule.step) =
         step.Schedule.allocs;
   }
 
-(* Map a completed position-keyed simulation onto the offline instance:
-   positions become instance ids, trailing idle steps are trimmed (none
-   expected; keeps the invariant that makespan = last step with work).
-   [prior], when given, is the result the simulation extends: its steps
-   are the history before this solve's blocks, and are re-keyed from its
-   instance's ids to the new instance's in the same pass. *)
-let materialize ~m ~scale ?prior arrivals sim =
+(* The history needs no trim: [simulate] pushes an idle block only ahead
+   of a release, whose job then runs, so the last block has work and the
+   schedule's makespan is the result's. *)
+let materialize ~m ~scale arrivals r =
   let inst = to_instance ~m ~scale arrivals in
   let n = Instance.n inst in
+  if n <> r.jobs then
+    raise
+      (Robust.Failure.Invalid
+         (Robust.Failure.Malformed
+            (Printf.sprintf "Online.materialize: %d arrivals for a result over %d jobs" n r.jobs)));
   let id_of_pos = Array.make n 0 in
   Array.iteri (fun id pos -> id_of_pos.(pos) <- id) inst.Instance.original;
-  let rec trim = function
-    | { Schedule.allocs = []; _ } :: rest -> trim rest
-    | steps -> steps
-  in
-  let steps = List.rev_map (rekey id_of_pos) (trim sim.steps_rev) in
-  let steps =
-    match prior with
-    | None -> steps
-    | Some r ->
-        let new_id = Array.map (fun pos -> id_of_pos.(pos)) r.instance.Instance.original in
-        let[@tail_mod_cons] rec onto = function
-          | [] -> steps
-          | step :: rest -> rekey new_id step :: onto rest
-        in
-        onto r.schedule.Schedule.steps
-  in
-  let start_times =
-    Array.init n (fun id -> sim.start.(inst.Instance.original.(id)))
-  in
-  let schedule = Schedule.make inst steps in
-  { instance = inst; schedule; start_times; makespan = schedule.Schedule.makespan }
+  let schedule = Schedule.make inst (List.rev_map (rekey id_of_pos) r.history) in
+  let start_times = Array.map (fun pos -> r.starts.(pos)) inst.Instance.original in
+  { instance = inst; schedule; start_times }
 
 module Session = struct
   type reject =
@@ -338,21 +312,25 @@ module Session = struct
     scale : int;
     max_jobs : int option;
     max_volume : int option;
-    mutable arrivals_rev : arrival list;
+    (* The admitted jobs as columns: position p < count is at index p.
+       [reserve] doubles all three when full, and no entry below [count]
+       is ever written again. *)
+    mutable releases : int array;
+    mutable sizes : int array;
+    mutable reqs : int array;
     mutable count : int;
     mutable volume : int;
     mutable last_release : int;
     mutable units : int;  (** Σ p_j·r_j *)
-    (* committed: the state at the frontier of a completed simulation
-       over the first [committed_n] positions, and [last_good], its
-       materialized result. The committed state keeps no blocks: the
-       result's schedule is the session's one copy of the history, and an
-       extension re-keys it onto the new instance. Solving never mutates
-       either in place — a scratch copy is simulated and swapped in only
-       on completion, so a deadline that unwinds mid-solve leaves the
-       last good state (and [peek]'s answer) intact. *)
-    mutable committed : sim;
-    mutable committed_n : int;
+    mutable longest : int;  (** max_j p_j *)
+    mutable horizon : int;  (** max_j (r_j + p_j) *)
+    (* The result of the last completed simulation, over the first
+       [jobs] positions. It is the session's only copy of its history, and
+       the frontier state a solve extends: at its makespan every job has
+       finished. Solving never mutates it — a solve simulates on fresh
+       arrays and a history that keeps the committed one as its tail, and
+       swaps the new result in only on completion — so a deadline that
+       unwinds mid-solve leaves it, and [peek]'s answer, intact. *)
     mutable last_good : result option;
     mutable full_solves : int;
     mutable extended_solves : int;
@@ -365,13 +343,15 @@ module Session = struct
       scale;
       max_jobs;
       max_volume;
-      arrivals_rev = [];
+      releases = [||];
+      sizes = [||];
+      reqs = [||];
       count = 0;
       volume = 0;
       last_release = 0;
       units = 0;
-      committed = sim_empty ();
-      committed_n = 0;
+      longest = 0;
+      horizon = 0;
       last_good = None;
       full_solves = 0;
       extended_solves = 0;
@@ -382,9 +362,18 @@ module Session = struct
   let scale t = t.scale
   let jobs t = t.count
   let volume t = t.volume
-  let dirty t = t.count > t.committed_n || t.last_good = None
-  let arrivals t = List.rev t.arrivals_rev
   let peek t = t.last_good
+
+  let dirty t =
+    match t.last_good with Some r -> t.count > r.jobs | None -> true
+
+  let arrivals t =
+    List.init t.count (fun p ->
+        { release = t.releases.(p); size = t.sizes.(p); req = t.reqs.(p) })
+
+  let lower_bound t =
+    clairvoyant_bound ~m:t.m ~scale:t.scale ~requirement:(Some t.units)
+      ~volume:(Some t.volume) ~longest:t.longest ~horizon:t.horizon
 
   let stats t =
     {
@@ -393,6 +382,14 @@ module Session = struct
       cached_hits = t.cached_hits;
     }
 
+  let reserve t =
+    if t.count = Array.length t.releases then begin
+      let cap = max 8 (2 * t.count) in
+      t.releases <- grown t.releases cap 0;
+      t.sizes <- grown t.sizes cap 0;
+      t.reqs <- grown t.reqs cap 0
+    end
+
   (* The session's makespan is at most its last release plus Σ p_j·r_j:
      every busy step consumes at least one resource unit (admission
      leaves the largest active job a positive leftover), and the policy
@@ -400,7 +397,9 @@ module Session = struct
      this bound past max_int keeps every simulated time representable,
      and every release below [simulate]'s "no release ahead" sentinel,
      max_int. A per-job check cannot do this: each of two jobs can fit
-     while their sum does not. [run] goes through [add] too. *)
+     while their sum does not. [run] goes through [add] too. The bound
+     also keeps [lower_bound]'s sums from overflowing: Σ p_j and every
+     r_j + p_j are at most last release + Σ p_j·r_j. *)
   let add t a =
     let last_release = max t.last_release a.release in
     match validate_arrival t.count a with
@@ -422,14 +421,21 @@ module Session = struct
               Error (Volume_budget { cap = cap_v; volume = t.volume })
             else begin
               let pos = t.count in
-              t.arrivals_rev <- a :: t.arrivals_rev;
+              reserve t;
+              t.releases.(pos) <- a.release;
+              t.sizes.(pos) <- a.size;
+              t.reqs.(pos) <- a.req;
               t.count <- t.count + 1;
               t.volume <- t.volume + a.size;
               t.last_release <- last_release;
               t.units <- t.units + (a.size * a.req);
+              t.longest <- max t.longest a.size;
+              t.horizon <- max t.horizon (a.release + a.size);
               Ok pos
             end
       end
+
+  let unsolved = { jobs = 0; makespan = 0; starts = [||]; history = [] }
 
   (* New positions can extend the committed simulation iff none of them
      is released before the committed frontier. The committed frontier is
@@ -440,48 +446,36 @@ module Session = struct
      do (idle until the first new release, then admit). Otherwise a new
      job could have joined a past admission decision and we must re-solve
      from 0. *)
+  let extends t r =
+    let rec from p = p >= t.count || (t.releases.(p) >= r.makespan && from (p + 1)) in
+    r.jobs > 0 && from r.jobs
+
   let solve t =
     match t.last_good with
-    | Some r when t.committed_n = t.count ->
+    | Some r when r.jobs = t.count ->
         t.cached_hits <- t.cached_hits + 1;
         r
     | last_good ->
-        let arrivals = List.rev t.arrivals_rev in
+        Instance.check_shape ~m:t.m ~scale:t.scale;
         let n = t.count in
-        let releases = Array.make n 0 in
-        let reqs = Array.make n 0 in
-        let sizes = Array.make n 0 in
-        List.iteri
-          (fun p a ->
-            releases.(p) <- a.release;
-            reqs.(p) <- a.req;
-            sizes.(p) <- a.size)
-          arrivals;
-        let prior =
-          if
-            t.committed_n > 0
-            && Array.for_all
-                 (fun r -> r >= t.committed.t)
-                 (Array.sub releases t.committed_n (n - t.committed_n))
-          then last_good
-          else None
+        let base = match last_good with Some r when extends t r -> r | _ -> unsolved in
+        let sim =
+          {
+            t = base.makespan;
+            steps_rev = base.history;
+            active = [];
+            rem = Array.make n 0;
+            start = grown base.starts n (-1);
+          }
         in
-        let from, sim =
-          match prior with
-          | Some _ -> (t.committed_n, sim_scratch t.committed n)
-          | None -> (0, sim_scratch (sim_empty ()) n)
-        in
-        for p = from to n - 1 do
-          sim.rem.(p) <- sizes.(p) * reqs.(p)
+        for p = base.jobs to n - 1 do
+          sim.rem.(p) <- t.sizes.(p) * t.reqs.(p)
         done;
-        simulate ~m:t.m ~scale:t.scale ~releases ~reqs ~from sim;
-        let r = materialize ~m:t.m ~scale:t.scale ?prior arrivals sim in
+        simulate ~m:t.m ~scale:t.scale ~n ~releases:t.releases ~reqs:t.reqs ~from:base.jobs sim;
         (* Commit only now: everything above may unwind on a deadline. *)
-        if from > 0 then t.extended_solves <- t.extended_solves + 1
+        if base.jobs > 0 then t.extended_solves <- t.extended_solves + 1
         else t.full_solves <- t.full_solves + 1;
-        sim.steps_rev <- [];
-        t.committed <- sim;
-        t.committed_n <- n;
+        let r = { jobs = n; makespan = sim.t; starts = sim.start; history = sim.steps_rev } in
         t.last_good <- Some r;
         r
 end
@@ -501,12 +495,6 @@ let run ~m ~scale arrivals =
     arrivals;
   Session.solve session
 
-let respects_releases result arrivals =
-  let releases = release_table result.instance arrivals in
-  let ok = ref true in
-  Array.iteri
-    (fun j start -> if start >= 0 && start < releases.(j) then ok := false)
-    result.start_times;
-  Array.iteri (fun j start -> if start < 0 && Job.s (Instance.job result.instance j) > 0 then ok := false)
-    result.start_times;
-  !ok
+let respects_releases r arrivals =
+  List.length arrivals = r.jobs
+  && List.for_all2 (fun a start -> start >= a.release) arrivals (Array.to_list r.starts)

@@ -37,22 +37,49 @@
     answering from cache when nothing changed, extending the finished
     simulation when every new job is released at or after its frontier,
     and only re-simulating from scratch when a new arrival rewrites
-    history. An extension simulates only the new events and materializes
-    the result in O(blocks + n log n). A session keeps one copy of its
-    history, the schedule of its last result; an extension re-keys that
-    schedule onto the grown instance. All three paths produce results
-    byte-identical to {!run} on the materialized job set (tested
+    history. Both return a {!result} keyed by submission position, the
+    form the simulation produces: its job count, makespan and start times
+    are what a serve reply reads, and its history is the schedule's
+    blocks. An extension simulates only the new events and prepends their
+    blocks to the history it extends, which the two results then share;
+    nothing is re-keyed or sorted, so it costs O(new events) plus an O(n)
+    copy of the frontier arrays. {!materialize} builds the offline views —
+    the sorted {!Instance.t}, the id-keyed {!Schedule.t} and the start
+    times in id order — for callers that want them. All three solve paths
+    produce results byte-identical to {!run} on the same job set (tested
     property). *)
 
 type arrival = { release : int; size : int; req : int }
 (** [release ≥ 0] in time steps; [size], [req] as in {!Instance}. *)
 
+type history
+(** A schedule's run-length blocks, keyed by submission position. Read it
+    through {!materialize}. *)
+
 type result = {
+  jobs : int;  (** jobs scheduled *)
+  makespan : int;
+  starts : int array;
+      (** [starts.(p)] is the 0-based first step of the job submitted at
+          position [p]; [jobs] entries. Read only: a session's next
+          solve starts from its last result's array. *)
+  history : history;
+}
+
+type offline = {
   instance : Instance.t;  (** the jobs, as an offline instance *)
   schedule : Schedule.t;  (** over the offline instance's job ids *)
-  start_times : int array;  (** 0-based first step of each job *)
-  makespan : int;
+  start_times : int array;  (** 0-based first step of each job, by instance id *)
 }
+
+val materialize : m:int -> scale:int -> arrival list -> result -> offline
+(** [materialize ~m ~scale arrivals r] is [r] as an offline schedule:
+    [arrivals], the jobs [r] scheduled in submission order, as an
+    {!Instance.t}; [r]'s history re-keyed onto its job ids; and the start
+    times in id order. O(blocks + n log n). Raises
+    [Robust.Failure.Invalid] on a malformed arrival or when [arrivals]
+    does not hold [r.jobs] jobs, and [Invalid_argument] on [m < 2] or
+    [scale < 1]. *)
 
 (** Incremental sessions: one tenant's arrival stream, solved on demand. *)
 module Session : sig
@@ -73,8 +100,8 @@ module Session : sig
   val create :
     ?max_jobs:int -> ?max_volume:int -> m:int -> scale:int -> unit -> t
   (** A fresh empty session. Budgets are enforced by {!add}; omitted means
-      unlimited. [m]/[scale] are validated when the first result is
-      materialized, exactly as {!run} validates them. *)
+      unlimited. [m]/[scale] are validated by the first {!solve}, exactly
+      as {!run} validates them. *)
 
   val add : t -> arrival -> (int, reject) Stdlib.result
   (** Admit one job; [Ok position] is its 0-based submission index.
@@ -82,11 +109,15 @@ module Session : sig
 
   val solve : t -> result
   (** The schedule for everything admitted so far — equal to
-      [run ~m ~scale (arrivals t)]. May raise {!Robust.Failure.Deadline}
-      (via the ambient {!Robust.Context.poll}) or a chaos-injected fault
-      from the [sos.online.run] site; either way the session keeps its
-      last committed state, so a later [solve] retries and {!peek} still
-      answers. *)
+      [run ~m ~scale (arrivals t)]. A cached answer costs O(1), an
+      extension O(new events) plus an O(n) copy of the frontier arrays,
+      and a full re-solve O(n log n) plus O(m) per block; none builds the
+      offline views ({!materialize} does). Raises [Invalid_argument] on
+      [m < 2] or [scale < 1]. May raise {!Robust.Failure.Deadline} (via
+      the ambient {!Robust.Context.poll}) or a chaos-injected fault from
+      the [sos.online.run] site; either way the session keeps its last
+      committed result and history, so a later [solve] retries and
+      {!peek} still answers. *)
 
   val peek : t -> result option
   (** The last successfully committed result, without solving. [None]
@@ -109,6 +140,10 @@ module Session : sig
   val arrivals : t -> arrival list
   (** In submission order. *)
 
+  val lower_bound : t -> int
+  (** [lower_bound ~m ~scale (arrivals t)], in O(1): the session keeps
+      the sums. Raises [Invalid_argument] on [m < 2] or [scale < 1]. *)
+
   type stats = { full_solves : int; extended_solves : int; cached_hits : int }
 
   val stats : t -> stats
@@ -118,7 +153,8 @@ end
 
 val run : m:int -> scale:int -> arrival list -> result
 (** Raises [Robust.Failure.Invalid] on any arrival {!Session.add} rejects
-    as [Bad_arrival]. *)
+    as [Bad_arrival], then [Invalid_argument] on [m < 2] or
+    [scale < 1]. *)
 
 val lower_bound : m:int -> scale:int -> arrival list -> int
 (** Clairvoyant bound: [max(Eq.(1) on all jobs, max_j (release_j + p_j))],
@@ -128,5 +164,6 @@ val lower_bound : m:int -> scale:int -> arrival list -> int
     then [Robust.Failure.Invalid (Overflow _)] on an overflowing sum. *)
 
 val respects_releases : result -> arrival list -> bool
-(** Every job starts no earlier than its release (the schedule validator
-    knows nothing about releases, so this is checked separately). *)
+(** [arrivals] holds [r.jobs] jobs and every one starts, no earlier than
+    its release (the schedule validator knows nothing about releases, so
+    this is checked separately). *)

@@ -90,8 +90,8 @@ let simulate ~m ~scale ~releases ~reqs sim =
   done
 
 (* A from-scratch run over [arrivals] (assumed well-formed), mapped onto
-   the offline instance's job ids as [Online.run] maps its own. *)
-let run ~m ~scale (arrivals : Online.arrival list) : Online.result =
+   the offline instance's job ids as [Online.materialize] maps a result. *)
+let run ~m ~scale (arrivals : Online.arrival list) : Online.offline =
   let inst =
     Instance.create ~m ~scale
       (List.map (fun (a : Online.arrival) -> (a.size, a.req)) arrivals)
@@ -133,4 +133,4 @@ let run ~m ~scale (arrivals : Online.arrival list) : Online.result =
   in
   let start_times = Array.init n (fun id -> sim.start.(inst.Instance.original.(id))) in
   let schedule = Schedule.make inst steps in
-  { Online.instance = inst; schedule; start_times; makespan = schedule.Schedule.makespan }
+  { Online.instance = inst; schedule; start_times }

@@ -12,6 +12,8 @@ let random_arrivals rng =
         req = Rng.int_in rng 1 120;
       })
 
+let schedule_of ~m ~scale arrivals r = (Online.materialize ~m ~scale arrivals r).Online.schedule
+
 let test_online_all_at_zero_matches_offline_spirit () =
   (* With all releases 0 the online scheduler is a plain greedy; it must be
      a valid non-preemptive schedule within the general guarantee window. *)
@@ -23,7 +25,7 @@ let test_online_all_at_zero_matches_offline_spirit () =
     in
     let m = Rng.int_in rng 2 8 in
     let r = Online.run ~m ~scale:100 arrivals in
-    (match Schedule.validate r.Online.schedule with
+    (match Schedule.validate (schedule_of ~m ~scale:100 arrivals r) with
     | Ok () -> ()
     | Error v ->
         Alcotest.failf "seed %d: invalid online schedule at %d: %s" seed
@@ -42,7 +44,7 @@ let test_online_respects_releases () =
     let r = Online.run ~m ~scale:100 arrivals in
     if not (Online.respects_releases r arrivals) then
       Alcotest.failf "seed %d: a job started before its release" seed;
-    match Schedule.validate r.Online.schedule with
+    match Schedule.validate (schedule_of ~m ~scale:100 arrivals r) with
     | Ok () -> ()
     | Error v ->
         Alcotest.failf "seed %d: invalid at %d: %s" seed v.Schedule.at_step
@@ -54,7 +56,7 @@ let test_online_idle_then_burst () =
   let r =
     Online.run ~m:3 ~scale:10 [ { Online.release = 10; size = 2; req = 5 } ]
   in
-  Alcotest.(check int) "starts at release" 10 r.Online.start_times.(0);
+  Alcotest.(check int) "starts at release" 10 r.Online.starts.(0);
   Alcotest.(check int) "makespan = 12" 12 r.Online.makespan
 
 let test_online_ratio_reasonable () =
@@ -76,19 +78,46 @@ let test_online_empty () =
   let r = Online.run ~m:4 ~scale:10 [] in
   Alcotest.(check int) "empty makespan" 0 r.Online.makespan
 
+let test_online_degenerate_shape () =
+  (* [run] and [Session.solve] refuse m < 2 and scale < 1 before they
+     simulate, with or without jobs. *)
+  let job = { Online.release = 0; size = 2; req = 5 } in
+  List.iter
+    (fun (m, scale, msg) ->
+      List.iter
+        (fun arrivals ->
+          Alcotest.check_raises
+            (Printf.sprintf "m=%d scale=%d, %d jobs" m scale (List.length arrivals))
+            (Invalid_argument msg)
+            (fun () -> ignore (Online.run ~m ~scale arrivals : Online.result)))
+        [ []; [ job ]; [ job; job ] ])
+    [ (1, 10, "Instance.create: need m >= 2"); (4, 0, "Instance.create: need scale >= 1") ]
+
 (* --- incremental sessions --- *)
 
-let check_same_result ~ctx (incr : Online.result) (scratch : Online.result) =
+(* A session's answer against a from-scratch [Online.run] over the same
+   [arrivals]: the part a serve reply reads (job count, makespan, start
+   times by position), then the materialized view (instance, start times
+   by id, blocks). *)
+let check_same_result ~ctx ~m ~scale arrivals (incr : Online.result) =
+  let scratch = Online.run ~m ~scale arrivals in
+  Alcotest.(check int) (ctx ^ ": jobs") scratch.Online.jobs incr.Online.jobs;
+  Alcotest.(check int) (ctx ^ ": makespan") scratch.Online.makespan incr.Online.makespan;
+  Alcotest.(check (array int)) (ctx ^ ": starts") scratch.Online.starts incr.Online.starts;
+  let a = Online.materialize ~m ~scale arrivals incr in
+  let b = Online.materialize ~m ~scale arrivals scratch in
   Alcotest.(check string)
     (ctx ^ ": instance")
-    (Instance.to_string scratch.Online.instance)
-    (Instance.to_string incr.Online.instance);
-  Alcotest.(check int) (ctx ^ ": makespan") scratch.Online.makespan incr.Online.makespan;
+    (Instance.to_string b.Online.instance)
+    (Instance.to_string a.Online.instance);
+  Alcotest.(check int)
+    (ctx ^ ": materialized makespan")
+    incr.Online.makespan a.Online.schedule.Schedule.makespan;
   Alcotest.(check (array int))
     (ctx ^ ": start times")
-    scratch.Online.start_times incr.Online.start_times;
-  if incr.Online.schedule.Schedule.steps <> scratch.Online.schedule.Schedule.steps
-  then Alcotest.failf "%s: step lists differ" ctx
+    b.Online.start_times a.Online.start_times;
+  if a.Online.schedule.Schedule.steps <> b.Online.schedule.Schedule.steps then
+    Alcotest.failf "%s: step lists differ" ctx
 
 let test_session_matches_scratch () =
   (* The qcheck-style core property: drive a session arrival by arrival,
@@ -120,14 +149,12 @@ let test_session_matches_scratch () =
           let prefix = Online.Session.arrivals session in
           check_same_result
             ~ctx:(Printf.sprintf "seed %d prefix %d" seed (i + 1))
-            (Online.Session.solve session)
-            (Online.run ~m ~scale:100 prefix)
+            ~m ~scale:100 prefix (Online.Session.solve session)
         end)
       arrivals;
     check_same_result
       ~ctx:(Printf.sprintf "seed %d final" seed)
-      (Online.Session.solve session)
-      (Online.run ~m ~scale:100 arrivals)
+      ~m ~scale:100 arrivals (Online.Session.solve session)
   done
 
 let test_session_solve_paths () =
@@ -155,8 +182,8 @@ let test_session_solve_paths () =
   Alcotest.(check int) "full solves" 2 stats.Online.Session.full_solves;
   Alcotest.(check int) "extended solves" 1 stats.Online.Session.extended_solves;
   Alcotest.(check int) "cached hits" 2 stats.Online.Session.cached_hits;
-  check_same_result ~ctx:"paths final" (Online.Session.solve session)
-    (Online.run ~m:4 ~scale:100 (Online.Session.arrivals session))
+  check_same_result ~ctx:"paths final" ~m:4 ~scale:100 (Online.Session.arrivals session)
+    (Online.Session.solve session)
 
 let test_session_budgets () =
   let session =
@@ -183,8 +210,8 @@ let test_session_budgets () =
   (* Rejections left the session untouched: still solvable, two jobs. *)
   Alcotest.(check int) "jobs" 2 (Online.Session.jobs session);
   Alcotest.(check int) "volume" 5 (Online.Session.volume session);
-  check_same_result ~ctx:"budget final" (Online.Session.solve session)
-    (Online.run ~m:4 ~scale:100 (Online.Session.arrivals session))
+  check_same_result ~ctx:"budget final" ~m:4 ~scale:100 (Online.Session.arrivals session)
+    (Online.Session.solve session)
 
 (* The admission bound is cumulative: each job fits on its own, the
    second pushes last release + Σ p_j·r_j past max_int. [run] shares it. *)
@@ -231,20 +258,24 @@ let test_session_peek_and_dirty () =
 
 (* --- event-driven simulation --- *)
 
-(* [Online.run] against the per-step oracle: same makespan, same start
-   times, same expanded steps; and a valid schedule that respects every
-   release. *)
+(* [Online.run] against the per-step oracle, compared on the materialized
+   view: same makespan, same start times, same expanded steps; and a valid
+   schedule that respects every release. *)
 let check_matches_oracle ~ctx ~m ~scale arrivals =
   let r = Online.run ~m ~scale arrivals in
+  let v = Online.materialize ~m ~scale arrivals r in
   let o = Online_oracle.run ~m ~scale arrivals in
-  Alcotest.(check int) (ctx ^ ": makespan") o.Online.makespan r.Online.makespan;
+  Alcotest.(check int)
+    (ctx ^ ": makespan") o.Online.schedule.Schedule.makespan r.Online.makespan;
+  Alcotest.(check int)
+    (ctx ^ ": materialized makespan") r.Online.makespan v.Online.schedule.Schedule.makespan;
   Alcotest.(check (array int))
-    (ctx ^ ": start times") o.Online.start_times r.Online.start_times;
+    (ctx ^ ": start times") o.Online.start_times v.Online.start_times;
   if
-    (Schedule.expand r.Online.schedule).Schedule.steps
+    (Schedule.expand v.Online.schedule).Schedule.steps
     <> (Schedule.expand o.Online.schedule).Schedule.steps
   then Alcotest.failf "%s: expanded steps differ" ctx;
-  (match Schedule.validate r.Online.schedule with
+  (match Schedule.validate v.Online.schedule with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "%s: invalid at %d: %s" ctx v.Schedule.at_step v.Schedule.reason);
@@ -304,11 +335,11 @@ let test_online_admission_order () =
       (fun (release, size, req) -> { Online.release; size; req })
       [ (1, 3, 5); (3, 1, 2); (2, 1, 6); (2, 1, 5) ]
   in
-  let by_position (r : Online.result) =
-    let starts = Array.make (Array.length r.Online.start_times) (-1) in
+  let by_position (o : Online.offline) =
+    let starts = Array.make (Array.length o.Online.start_times) (-1) in
     Array.iteri
-      (fun id pos -> starts.(pos) <- r.Online.start_times.(id))
-      r.Online.instance.Instance.original;
+      (fun id pos -> starts.(pos) <- o.Online.start_times.(id))
+      o.Online.instance.Instance.original;
     starts
   in
   Alcotest.(check (array int))
@@ -316,7 +347,7 @@ let test_online_admission_order () =
     (by_position (Online_oracle.run ~m:3 ~scale:10 arrivals));
   Alcotest.(check (array int))
     "starts by position" [| 1; 4; 3; 2 |]
-    (by_position (Online.run ~m:3 ~scale:10 arrivals))
+    (Online.run ~m:3 ~scale:10 arrivals).Online.starts
 
 let test_online_history_bounded () =
   (* 400 jobs released 200 steps apart, each finished long before the
@@ -330,27 +361,27 @@ let test_online_history_bounded () =
         { Online.release = 200 * i; size = Rng.int_in rng 1 7; req = Rng.int_in rng 1 scale })
   in
   let bound = 3 * List.length arrivals in
-  let check_blocks ctx (r : Online.result) =
-    let blocks = List.length r.Online.schedule.Schedule.steps in
+  let check_blocks ctx arrivals (r : Online.result) =
+    let blocks = List.length (schedule_of ~m ~scale arrivals r).Schedule.steps in
     if blocks > bound then
       Alcotest.failf "%s: %d blocks for makespan %d, bound %d" ctx blocks
         r.Online.makespan bound
   in
   let r = Online.run ~m ~scale arrivals in
   Alcotest.(check bool) "spans the release horizon" true (r.Online.makespan > 200 * 399);
-  check_blocks "run" r;
+  check_blocks "run" arrivals r;
   let session = Online.Session.create ~m ~scale () in
   List.iter
     (fun a ->
       (match Online.Session.add session a with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "reject: %s" (Online.Session.reject_message e));
-      check_blocks "session" (Online.Session.solve session))
+      check_blocks "session" (Online.Session.arrivals session) (Online.Session.solve session))
     arrivals;
   let stats = Online.Session.stats session in
   Alcotest.(check int) "full solves" 1 stats.Online.Session.full_solves;
   Alcotest.(check int) "extended solves" 399 stats.Online.Session.extended_solves;
-  check_same_result ~ctx:"extended history" (Online.Session.solve session) r
+  check_same_result ~ctx:"extended history" ~m ~scale arrivals (Online.Session.solve session)
 
 let add_all session arrivals =
   List.iter
@@ -378,8 +409,7 @@ let test_session_full_extend_cycle () =
         Alcotest.(check (pair int int))
           (ctx ^ ": full and extended solves") (full, extended)
           (stats.Online.Session.full_solves, stats.Online.Session.extended_solves);
-        check_same_result ~ctx r
-          (Online.run ~m:8 ~scale:1000 (Online.Session.arrivals session));
+        check_same_result ~ctx ~m:8 ~scale:1000 (Online.Session.arrivals session) r;
         frontier := r.Online.makespan)
       [
         ((fun _ -> 0), 1, 0);
@@ -389,11 +419,88 @@ let test_session_full_extend_cycle () =
       ]
   done
 
+(* One [Session.solve] under an abandoning hazard: the [sos.online.run]
+   chaos site, a deadline that has already passed (the first poll in the
+   simulation loop raises), or a 0.2 ms deadline, which lands wherever the
+   solve has got to on this host or not at all. [None] when the solve
+   unwound. *)
+let solve_under session hazard =
+  let with_deadline timeout =
+    Robust.Context.with_ctx
+      (Robust.Context.make ~index:0 ~attempt:0 ~cancel:(Robust.Cancel.create ~timeout ()))
+  in
+  match
+    match hazard with
+    | `Chaos ->
+        Robust.Chaos.arm_rules ~seed:1 [ ("sos.online.run", Robust.Chaos.Fail_prob 1.0) ];
+        Fun.protect ~finally:Robust.Chaos.disarm (fun () -> Online.Session.solve session)
+    | `Expired -> with_deadline 1e-9 (fun () -> Online.Session.solve session)
+    | `Short -> with_deadline 2e-4 (fun () -> Online.Session.solve session)
+  with
+  | r -> Some r
+  | exception (Robust.Chaos.Injected _ | Robust.Failure.Deadline _) -> None
+
+let test_session_abandoned_solves () =
+  (* Dense bursts that either extend the committed simulation or rewrite
+     its history, each followed by up to two solves under a hazard and
+     then a plain solve. An abandoned solve must leave [peek] answering
+     the very result it answered before, with the same starts and the
+     same materialized schedule, and the session dirty and its stats
+     unmoved; every completed solve must equal [run]'s. *)
+  let abandoned = ref 0 in
+  for seed = 1 to 20 do
+    let rng = Rng.create (seed * 367) in
+    let m = 8 and scale = 1000 in
+    let session = Online.Session.create ~m ~scale () in
+    let check_completed ctx r =
+      check_same_result ~ctx ~m ~scale (Online.Session.arrivals session) r
+    in
+    for round = 0 to 9 do
+      let frontier =
+        match Online.Session.peek session with Some r -> r.Online.makespan | None -> 0
+      in
+      let first =
+        if frontier > 0 && Rng.int_in rng 0 2 = 0 then Rng.int_in rng 0 (frontier - 1)
+        else frontier + Rng.int_in rng 0 50
+      in
+      add_all session (dense_arrivals rng ~first (Rng.int_in rng 1 150));
+      let ctx = Printf.sprintf "seed %d round %d" seed round in
+      for _ = 1 to Rng.int_in rng 0 2 do
+        let before = Online.Session.peek session in
+        let view (r : Online.result) =
+          let prefix = List.filteri (fun i _ -> i < r.Online.jobs) (Online.Session.arrivals session) in
+          ( r.Online.makespan,
+            Array.copy r.Online.starts,
+            (schedule_of ~m ~scale prefix r).Schedule.steps )
+        in
+        let snapshot = Option.map view before in
+        let stats = Online.Session.stats session in
+        match solve_under session (Rng.choose rng [| `Chaos; `Expired; `Short |]) with
+        | Some r -> check_completed (ctx ^ " hazard survived") r
+        | None ->
+            incr abandoned;
+            let after = Online.Session.peek session in
+            (match (before, after) with
+            | Some a, Some b when a == b -> ()
+            | None, None -> ()
+            | _ -> Alcotest.failf "%s: an abandoned solve replaced the committed result" ctx);
+            if Option.map view after <> snapshot then
+              Alcotest.failf "%s: an abandoned solve changed the committed result" ctx;
+            Alcotest.(check bool) (ctx ^ ": dirty") true (Online.Session.dirty session);
+            if Online.Session.stats session <> stats then
+              Alcotest.failf "%s: an abandoned solve was counted" ctx
+      done;
+      check_completed ctx (Online.Session.solve session)
+    done
+  done;
+  if !abandoned = 0 then Alcotest.fail "no solve was abandoned"
+
 let test_session_one_history () =
-  (* The session's one copy of its history is its last result's
-     schedule: the committed simulation state keeps no blocks. A 400-job
+  (* A session holds one copy of its history: the position-keyed blocks
+     of its last result, which an extension prepends to. A 400-job
      session solved after every add, dense (full re-solves) or sparse
-     (extensions), must stay under 1.5x the size of its peek result. *)
+     (extensions), must stay under 1.5x the size of one materialized
+     schedule of the same jobs (its instance and its blocks). *)
   List.iter
     (fun (shape, release) ->
       let rng = Rng.create 4243 in
@@ -408,12 +515,15 @@ let test_session_one_history () =
       match Online.Session.peek session with
       | None -> Alcotest.failf "%s: no result after solving" shape
       | Some r ->
+          let schedule =
+            schedule_of ~m:8 ~scale:1000 (Online.Session.arrivals session) r
+          in
           let held = Obj.reachable_words (Obj.repr session) in
-          let result = Obj.reachable_words (Obj.repr r) in
-          if 2 * held >= 3 * result then
-            Alcotest.failf "%s: the session holds %d words, its result %d (%.2fx >= 1.5x)"
-              shape held result
-              (float_of_int held /. float_of_int result))
+          let one = Obj.reachable_words (Obj.repr schedule) in
+          if 2 * held >= 3 * one then
+            Alcotest.failf "%s: the session holds %d words, one schedule %d (%.2fx >= 1.5x)"
+              shape held one
+              (float_of_int held /. float_of_int one))
     [
       ("dense", fun rng _ last -> last + Rng.int_in rng 0 1);
       ("sparse", fun _ i _ -> 200 * i);
@@ -501,6 +611,47 @@ let test_online_lower_bound_one_pass () =
       if count = 0 then Alcotest.failf "outcome kind %d never occurred" kind)
     seen
 
+let test_session_lower_bound () =
+  (* The session's O(1) bound against [Online.lower_bound] over its
+     arrivals, after every add, accepted or refused (a malformed job, an
+     overflowing one, one past the volume budget), and on the empty
+     session: the value, or the exception on a degenerate m or scale,
+     must match. *)
+  for seed = 1 to 200 do
+    let rng = Rng.create (seed * 359) in
+    let m = if Rng.int_in rng 0 9 = 0 then Rng.int_in rng (-1) 1 else Rng.int_in rng 2 10 in
+    let scale =
+      if Rng.int_in rng 0 9 = 0 then Rng.int_in rng (-1) 0
+      else Rng.choose rng [| 10; 100; 1000 |]
+    in
+    let session = Online.Session.create ~max_volume:(Rng.int_in rng 100 600) ~m ~scale () in
+    let check ctx =
+      Alcotest.(check (result int string))
+        (Printf.sprintf "seed %d %s" seed ctx)
+        (lower_bound_outcome (fun () ->
+             Online.lower_bound ~m ~scale (Online.Session.arrivals session)))
+        (lower_bound_outcome (fun () -> Online.Session.lower_bound session))
+    in
+    check "empty";
+    for i = 1 to Rng.int_in rng 1 60 do
+      let a =
+        {
+          Online.release = Rng.int_in rng 0 5000;
+          size = Rng.int_in rng 1 20;
+          req = Rng.int_in rng 1 1000;
+        }
+      in
+      let a =
+        match Rng.int_in rng 0 9 with
+        | 0 -> { a with Online.release = -1 }
+        | 1 -> { a with Online.size = max_int / 2; req = 3 }
+        | _ -> a
+      in
+      ignore (Online.Session.add session a : (int, Online.Session.reject) result);
+      check (Printf.sprintf "after add %d" i)
+    done
+  done
+
 (* --- SVG --- *)
 
 let test_svg_well_formed () =
@@ -540,6 +691,7 @@ let suite =
       Alcotest.test_case "idle then burst" `Quick test_online_idle_then_burst;
       Alcotest.test_case "ratio reasonable" `Quick test_online_ratio_reasonable;
       Alcotest.test_case "empty" `Quick test_online_empty;
+      Alcotest.test_case "m < 2 or scale < 1 refused" `Quick test_online_degenerate_shape;
       Alcotest.test_case "session matches from-scratch" `Quick
         test_session_matches_scratch;
       Alcotest.test_case "session solve paths" `Quick test_session_solve_paths;
@@ -556,9 +708,13 @@ let suite =
         test_online_history_bounded;
       Alcotest.test_case "session full/extend/full/extend" `Quick
         test_session_full_extend_cycle;
+      Alcotest.test_case "session abandoned solves keep committed state" `Quick
+        test_session_abandoned_solves;
       Alcotest.test_case "session keeps one history" `Quick test_session_one_history;
       Alcotest.test_case "lower bound in one pass" `Quick
         test_online_lower_bound_one_pass;
+      Alcotest.test_case "session lower bound after every add" `Quick
+        test_session_lower_bound;
       Alcotest.test_case "svg well-formed" `Quick test_svg_well_formed;
       Alcotest.test_case "svg to file" `Quick test_svg_to_file;
     ] )

@@ -73,7 +73,7 @@ let test_online_large () =
         })
   in
   let r = Online.run ~m:24 ~scale:10_000 arrivals in
-  (match Schedule.validate r.Online.schedule with
+  (match Schedule.validate (Online.materialize ~m:24 ~scale:10_000 arrivals r).Online.schedule with
   | Ok () -> ()
   | Error v -> Alcotest.failf "invalid at %d: %s" v.Schedule.at_step v.Schedule.reason);
   Alcotest.(check bool) "releases respected" true (Online.respects_releases r arrivals)
