@@ -144,7 +144,9 @@ let t7c () =
 
 (* Streaming-batch throughput: a binary spec corpus streamed off disk
    through Workload.Specs -> Engine.Batch.stream_seq under the bounded
-   window — the same constant-memory pipeline as `sosctl batch --stream`.
+   window — the same constant-memory pipeline as `sosctl batch`, whose
+   only feed it is (the gate re-implements it in-process; sosbench's
+   batch-stream workload runs the real binary).
    Rows record specs/s and peak RSS for 1e5 and 1e6 specs: the two RSS
    numbers being (nearly) equal at a 10x corpus-size gap is the
    constant-memory acceptance check, preserved in BENCH_fast.json. The

@@ -12,14 +12,20 @@ let read_input = function
 
 (* Exit-code discipline (doc/ROBUSTNESS.md): 0 success, 1 batch completed
    with per-task failures, 2 usage error / invalid input, 3 a solver
-   produced an invalid schedule, 130 interrupted (SIGINT, cooperative
-   cancel). [Usage] carries the message for code 2. *)
+   produced an invalid schedule, 4 a checkpoint journal cannot be trusted
+   (fail-stop), 130 interrupted (SIGINT, cooperative cancel).
+   [Usage] carries the message for code 2. *)
 exception Usage of string
 
 let invalid_input reason =
   Printf.eprintf "sosctl: invalid input: %s\n"
     (Robust.Failure.invalid_to_string reason);
   2
+
+let malformed fmt = Printf.ksprintf (fun msg -> invalid_input (Robust.Failure.Malformed msg)) fmt
+
+(* Continue with [k] on [Ok]; an [Error] is invalid input. *)
+let checked result k = match result with Ok v -> k v | Error msg -> malformed "%s" msg
 
 (* A comma-separated list of integers in int_of_string's syntax; the
    first token that is not one is invalid input. *)
@@ -131,13 +137,11 @@ let solver_flag ~default =
 let gen_cmd =
   let run family n m seed scale =
     match family_of_name family with
-    | Error msg ->
-        prerr_endline msg;
-        1
+    | Error msg -> malformed "%s" msg
     | Ok family ->
         if m < 2 then invalid_input (Robust.Failure.Too_few_processors { m; need = 2 })
         else if scale < 1 then invalid_input (Robust.Failure.Bad_scale scale)
-        else if n < 0 then invalid_input (Robust.Failure.Malformed "n must be >= 0")
+        else if n < 0 then malformed "n must be >= 0"
         else begin
           let rng = Prelude.Rng.create seed in
           let inst = Workload.Sos_gen.generate rng family ~n ~m ~scale () in
@@ -262,9 +266,10 @@ let ratio_cmd =
   let run obs family n m reps seed =
     with_obs obs @@ fun () ->
     match family_of_name family with
-    | Error msg ->
-        prerr_endline msg;
-        1
+    | Error msg -> malformed "%s" msg
+    | Ok _ when m < 2 -> invalid_input (Robust.Failure.Too_few_processors { m; need = 2 })
+    | Ok _ when n < 0 -> malformed "n must be >= 0"
+    | Ok _ when reps < 1 -> malformed "--reps must be >= 1 (got %d)" reps
     | Ok family ->
         let ratios =
           Array.init reps (fun rep ->
@@ -296,7 +301,7 @@ let binpack_cmd =
   let run obs k capacity sizes show optimal =
     with_obs obs @@ fun () ->
     int_list "SIZES" sizes @@ fun sizes ->
-    let inst = Binpack.Packing.instance ~k ~capacity sizes in
+    checked (Binpack.Packing.instance_checked ~k ~capacity sizes) @@ fun inst ->
     let packing = Binpack.Algorithms.window inst in
     Binpack.Packing.assert_valid inst packing;
     Printf.printf "items       : %d\n" (List.length sizes);
@@ -340,19 +345,20 @@ let binpack_cmd =
 (* ------------------------------------------------------------------ sas *)
 
 let sas_cmd =
-  let run obs profile k m seed =
+  let run obs profile_name k m seed =
     with_obs obs @@ fun () ->
     let profile =
       List.find_opt
-        (fun p -> p.Workload.Sas_gen.name = profile)
+        (fun p -> p.Workload.Sas_gen.name = profile_name)
         Workload.Sas_gen.all_profiles
     in
     match profile with
     | None ->
-        Printf.eprintf "unknown profile (try: %s)\n"
+        malformed "unknown profile %s (try: %s)" profile_name
           (String.concat ", "
-             (List.map (fun p -> p.Workload.Sas_gen.name) Workload.Sas_gen.all_profiles));
-        1
+             (List.map (fun p -> p.Workload.Sas_gen.name) Workload.Sas_gen.all_profiles))
+    | Some _ when m < 4 -> malformed "sas needs m >= 4 processors (got m = %d)" m
+    | Some _ when k < 1 -> malformed "-k must be >= 1 (got %d)" k
     | Some profile ->
         let rng = Prelude.Rng.create seed in
         let inst = Workload.Sas_gen.generate rng profile ~k ~m () in
@@ -506,8 +512,9 @@ let fault_tolerance_flags =
           ~doc:
             "Replay the --checkpoint journal of a killed run verbatim and compute only \
              the rest, so the output is byte-identical to an uninterrupted run. \
-             Refused if the journal header does not match; serve exits 4 when a \
-             re-driven request no longer matches its journalled digest.")
+             Refused if the journal header does not match; exits 4 when a \
+             journalled entry is missing or answers another spec (batch) or \
+             request (serve).")
   in
   let shards =
     Arg.(
@@ -567,31 +574,27 @@ let arm_fault_tolerance ~seed ft =
 
 (* ---------------------------------------------------------------- batch *)
 
-(* Solve many instances on the Engine domain pool. Specs come from a
-   corpus file — newline-delimited text or the compact binary form, both
-   read through the autodetecting streaming reader (Workload.Specs) —
-   and results stream to stdout in spec order as they complete, one line
-   per instance, with no timing in the lines: the output is byte-identical
-   at every -j (the acceptance check CI runs) and identical between the
-   materialized and --stream paths. Determinism discipline: spec i's
-   generator on attempt a is seeded by (--seed, i, a), never by the domain
-   that happens to solve it.
-
-   One pipeline runs both feeds; only where the records come from differs:
-   - default: a records array read (and digested) up front, window = batch
-     size (workers are never throttled by a slow consumer);
-   - --stream: the reader itself, under a bounded in-flight window
-     (--window, default 4 x domains x chunk), so a million-spec corpus
-     runs in O(window) memory.
+(* Solve many instances on the Engine domain pool. Specs stream off a
+   corpus file or stdin — newline-delimited text or the compact binary
+   form, both read through the autodetecting streaming reader
+   (Workload.Specs) — under a bounded in-flight window (--window, default
+   4 x domains x chunk), so a million-spec corpus runs in O(window)
+   memory. Results stream to stdout in spec order as they complete, one
+   line per instance, with no timing in the lines: the output is
+   byte-identical at every -j (the acceptance check CI runs).
+   Determinism discipline: spec i's generator on attempt a is seeded by
+   (--seed, i, a), never by the domain that happens to solve it.
 
    Resilience (doc/ROBUSTNESS.md): per-spec failures become structured
    `<idx> error <class> line <l>: <msg>` lines; --retries/--task-timeout
    map onto Engine.Batch's bounded deterministic retry and cooperative
-   deadlines; --checkpoint journals every emitted line (sharded over
-   --shards files, flushed per --sync-every) so a killed run resumed with
-   --resume replays the completed prefix byte-identically; --chaos arms
-   the seeded fault injector; SIGINT cancels the batch-wide token and
-   exits 130. *)
+   deadlines; --checkpoint journals every emitted line, bound to its
+   spec's canonical text (sharded over --shards files, flushed per
+   --sync-every), so a killed run resumed with --resume replays the
+   completed prefix byte-identically, and fail-stops with exit 4 on an
+   entry that is missing or answers another spec; --chaos arms the
+   seeded fault injector; SIGINT cancels the batch-wide token and exits
+   130. *)
 
 (* What a batch task hands back: a freshly solved instance, or a marker
    that its output line was already journaled by the interrupted run and
@@ -600,9 +603,6 @@ let arm_fault_tolerance ~seed ft =
 type batch_result =
   | Solved of string * Sos.Instance.t * Sos.Schedule.t
   | Replayed
-
-let payload_is_error line =
-  match String.split_on_char ' ' line with _ :: "error" :: _ -> true | _ -> false
 
 (* Streamed aggregation for --summary: per-line stdout is suppressed and
    every emitted line (fresh or replayed — so an interrupted-and-resumed
@@ -716,8 +716,8 @@ module Summary = struct
 end
 
 let batch_cmd =
-  let run obs file jobs seed out_dir solver ft task_timeout verbose_errors stream_mode summary
-      chunk win_opt progress =
+  let run obs file jobs seed out_dir solver ft task_timeout verbose_errors (_stream : bool)
+      summary chunk win_opt progress =
     with_obs obs @@ fun () ->
     try
       if jobs < 1 then raise (Usage "-j must be >= 1");
@@ -728,11 +728,6 @@ let batch_cmd =
       (match win_opt with
       | Some w when w < 1 -> raise (Usage "--window must be >= 1")
       | _ -> ());
-      if stream_mode && ft.checkpoint <> None && file = "-" then
-        raise
-          (Usage
-             "--stream with --checkpoint needs a spec FILE: the journal header digest \
-              takes a pass over the corpus before solving, and stdin cannot be re-read");
       let backoff = arm_fault_tolerance ~seed ft in
       (* Backtraces are only captured by the runtime when recording is on;
          --verbose-errors implies it so Task_exn backtraces are real. *)
@@ -741,13 +736,6 @@ let batch_cmd =
       | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
       | _ -> ());
       let window = solver.Solvers.requires = Window in
-      let open_source () =
-        match
-          if file = "-" then Workload.Specs.of_channel stdin else Workload.Specs.open_path file
-        with
-        | Ok s -> s
-        | Error msg -> raise (Usage msg)
-      in
       let solve idx (r : Workload.Specs.record) =
         let open Robust.Failure in
         let admit = function Ok inst -> inst | Error reason -> raise (Invalid reason) in
@@ -786,6 +774,34 @@ let batch_cmd =
               v.Sos.Schedule.at_step v.Sos.Schedule.reason);
         Solved (label, inst, sched)
       in
+      let src =
+        match
+          if file = "-" then Workload.Specs.of_channel stdin else Workload.Specs.open_path file
+        with
+        | Ok s -> s
+        | Error msg -> raise (Usage msg)
+      in
+      let win = match win_opt with Some w -> max chunk w | None -> 4 * jobs * chunk in
+      (* Keep the newest 64k trace events, not all of them, so a
+         million-spec run with --trace stays in constant memory (the
+         export reports the overwritten count as "droppedEvents"). *)
+      if Obs.Trace.active () then Obs.Trace.set_ring (Some 65536);
+      (* The header binds the journal to the run configuration, so a
+         resume under another seed or algorithm is refused up front; each
+         entry binds its line to its spec's canonical text, identical for
+         a text corpus and its binary conversion. *)
+      let journal =
+        Option.map
+          (fun path ->
+            let header = Printf.sprintf "sosj2 seed=%d algo=%s" seed solver.name in
+            let { shards; sync_every; _ } = ft in
+            if not ft.resume then Robust.Journal.Sharded.start ~path ~shards ~sync_every ~header ()
+            else
+              match Robust.Journal.Sharded.resume ~path ~shards ~sync_every ~header () with
+              | Ok j -> j
+              | Error msg -> raise (Usage ("cannot resume: " ^ msg)))
+          ft.checkpoint
+      in
       let batch_token = Robust.Cancel.create () in
       let prev_sigint =
         Sys.signal Sys.sigint
@@ -803,100 +819,14 @@ let batch_cmd =
                term_seen := true;
                Robust.Cancel.cancel batch_token))
       in
-      (* The feed is all that differs between the two modes: [next i]
-         yields record i (None at the end), [recno_of] maps an emitted
-         index back to its input line, and at most [win] specs are in
-         flight. *)
-      let digest, win, total, next, recno_of, close_feed =
-        if stream_mode then begin
-          (* Constant-memory: the corpus is never materialized. The
-             journal header digest (when checkpointing) is one extra
-             streaming pass over the file before solving begins. *)
-          let digest =
-            match ft.checkpoint with
-            | None -> ""
-            | Some _ -> (
-                match Workload.Specs.digest_of_path file with
-                | Ok d -> d
-                | Error msg -> raise (Usage msg))
-          in
-          let win =
-            match win_opt with Some w -> max chunk w | None -> max 1 (4 * jobs * chunk)
-          in
-          (* Bound the trace buffer on the streamed path: a million-spec
-             run with --trace keeps the newest 64k events instead of all
-             of them, preserving the constant-memory contract (the export
-             reports the overwritten count as "droppedEvents"). *)
-          if Obs.Trace.active () then Obs.Trace.set_ring (Some 65536);
-          let src = open_source () in
-          (* recnos ring: written by the producer, read by emit — both on
-             the calling thread, at most [win] indices apart. *)
-          let recnos = Array.make win 0 in
-          ( digest,
-            win,
-            None,
-            (fun i ->
-              Option.map
-                (fun (r : Workload.Specs.record) ->
-                  recnos.(i mod win) <- r.recno;
-                  r)
-                (Workload.Specs.read src)),
-            (fun idx -> recnos.(idx mod win)),
-            fun () -> Workload.Specs.close src )
-        end
-        else begin
-          (* Materialized: the records, digested in the same pass, with
-             window = batch size so workers are never throttled by a slow
-             consumer. Record numbers come from the array, and no closure
-             keeps the closed reader reachable: a corpus-length ring or a
-             live reader would each add to peak RSS. *)
-          let records, digest =
-            let src = open_source () in
-            Fun.protect
-              ~finally:(fun () -> Workload.Specs.close src)
-              (fun () ->
-                let st = Workload.Specs.digest_create () in
-                let acc = ref [] in
-                let rec go () =
-                  match Workload.Specs.read src with
-                  | None -> ()
-                  | Some r ->
-                      Workload.Specs.digest_line st (Workload.Specs.canonical r);
-                      acc := r :: !acc;
-                      go ()
-                in
-                go ();
-                (Array.of_list (List.rev !acc), Workload.Specs.digest_finish st))
-          in
-          let n = Array.length records in
-          ( digest,
-            max n 1,
-            Some n,
-            (fun i -> if i < n then Some records.(i) else None),
-            (fun idx -> records.(idx).Workload.Specs.recno),
-            ignore )
-        end
-      in
-      (* The checkpoint header binds the journal to one run configuration:
-         resuming under a different seed, algorithm, or spec corpus must be
-         refused, not silently mixed. The digest is the chained canonical
-         record digest (Workload.Specs), identical for a text corpus and
-         its binary conversion. *)
-      let journal =
-        Option.map
-          (fun path ->
-            let header =
-              Printf.sprintf "sosj1 seed=%d algo=%s specs=%s" seed solver.name digest
-            in
-            let { shards; sync_every; _ } = ft in
-            if not ft.resume then Robust.Journal.Sharded.start ~path ~shards ~sync_every ~header ()
-            else
-              match Robust.Journal.Sharded.resume ~path ~shards ~sync_every ~header () with
-              | Ok j -> j
-              | Error msg -> raise (Usage ("cannot resume: " ^ msg)))
-          ft.checkpoint
-      in
+      (* The records in flight, by index mod [win]: written by the
+         producer, read by emit — both on the calling thread, at most
+         [win] indices apart. *)
+      let inflight = Array.make win { Workload.Specs.recno = 0; raw = ""; payload = Bad "" } in
       let failures = ref 0 in
+      (* Set once a replayed entry cannot be trusted: the batch is
+         cancelled, and nothing after the fail-stop line is emitted. *)
+      let fail_stopped = ref false in
       let summary_state = if summary then Some (Summary.create ()) else None in
       (* --progress heartbeats: ticked on the caller thread after each
          ordered emission, so they cost the workers nothing, write only to
@@ -904,12 +834,7 @@ let batch_cmd =
       let emitted = ref 0 in
       let produced = ref 0 in
       let progress =
-        Option.map
-          (fun interval ->
-            Obs.Progress.create ~interval ?total
-              ?window_cap:(if stream_mode then Some win else None)
-              ())
-          progress
+        Option.map (fun interval -> Obs.Progress.create ~interval ~window_cap:win ()) progress
       in
       let after_emit idx =
         incr emitted;
@@ -917,40 +842,80 @@ let batch_cmd =
         Option.iter
           (fun p ->
             Obs.Progress.tick p ~done_:!emitted ~errors:!failures
-              ?occupancy:(if stream_mode then Some (!produced - !emitted) else None)
-              ())
+              ~occupancy:(!produced - !emitted))
           progress
       in
-      let emit_line ~fresh idx line =
-        (match summary_state with
+      let emit_line line =
+        match summary_state with
         | Some st -> Summary.add st line
         | None ->
             print_endline line;
-            flush stdout);
-        if fresh then
-          Option.iter (fun j -> Robust.Journal.Sharded.append j ~index:idx ~payload:line) journal
+            flush stdout
+      in
+      (* A fresh line is journalled, bound to the spec it answers. *)
+      let emit_fresh idx line =
+        emit_line line;
+        Option.iter
+          (fun j ->
+            Robust.Journal.Sharded.append j ~index:idx
+              ~payload:
+                (Robust.Journal.bind
+                   ~binding:(Workload.Specs.canonical inflight.(idx mod win))
+                   line))
+          journal
+      in
+      (* Fail-stop, as the serve WAL does: a journal that lost an entry, or
+         whose entry answers another spec, cannot be replayed
+         byte-identically, so the batch stops there with exit 4 instead of
+         emitting a line the uninterrupted run would not have. *)
+      let fail_stop fmt =
+        Printf.ksprintf
+          (fun line ->
+            fail_stopped := true;
+            incr failures;
+            emit_line line;
+            Robust.Cancel.cancel batch_token)
+          fmt
       in
       let emit idx (outcome : batch_result Engine.Batch.outcome) =
+        let r = inflight.(idx mod win) in
         match (outcome, journal) with
+        | _ when !fail_stopped -> ()
         | Ok Replayed, None -> ()
         | Ok Replayed, Some j -> (
             match Robust.Journal.Sharded.replay j idx with
             | None ->
-                (* The resume bitset says this index completed, yet no
-                   shard holds its entry: the checkpoint lost data.
-                   Emitting nothing would silently break byte-identical
-                   resume, so surface it as a failure. Not journalled —
-                   the corrupt journal should not gain an error entry for
-                   an index it claims succeeded. *)
-                incr failures;
-                emit_line ~fresh:false idx
-                  (Printf.sprintf
-                     "%d error task-exn line %d: checkpoint entry missing on replay \
-                      (corrupt journal; re-run without --resume)"
-                     idx (recno_of idx))
-            | Some payload ->
-                if payload_is_error payload then incr failures;
-                emit_line ~fresh:false idx payload)
+                fail_stop
+                  "%d error journal line %d: checkpoint entry missing on replay (corrupt \
+                   journal; re-run without --resume)"
+                  idx r.recno
+            | Some entry -> (
+                match Robust.Journal.unbind ~binding:(Workload.Specs.canonical r) entry with
+                | Ok line -> (
+                    (* An error line also names its spec's input line,
+                       which the canonical text does not fix: a comment
+                       added above the spec moves it. *)
+                    match String.split_on_char ' ' line with
+                    | _ :: "error" :: _ :: "line" :: l :: _
+                      when l <> Printf.sprintf "%d:" r.recno ->
+                        fail_stop
+                          "%d error resume-mismatch line %d: spec %S was journalled at \
+                           another line (re-run without --resume)"
+                          idx r.recno (Workload.Specs.canonical r)
+                    | _ :: "error" :: _ ->
+                        incr failures;
+                        emit_line line
+                    | _ -> emit_line line)
+                | Error `Unbound ->
+                    fail_stop
+                      "%d error journal line %d: checkpoint entry carries no spec (corrupt \
+                       journal; re-run without --resume)"
+                      idx r.recno
+                | Error `Mismatch ->
+                    fail_stop
+                      "%d error resume-mismatch line %d: spec %S differs from the journalled \
+                       one (re-run without --resume)"
+                      idx r.recno (Workload.Specs.canonical r)))
         | Ok (Solved (label, inst, sched)), _ ->
             (match out_dir with
             | Some dir ->
@@ -961,13 +926,11 @@ let batch_cmd =
             | None -> ());
             let makespan = sched.Sos.Schedule.makespan in
             let lb = Sos.Bounds.lower_bound inst in
-            let line =
-              Printf.sprintf "%d ok %s n=%d m=%d makespan=%d lb=%d ratio=%.4f blocks=%d"
-                idx label (Sos.Instance.n inst) inst.Sos.Instance.m makespan lb
-                (Sos.Bounds.ratio ~lb ~makespan)
-                (List.length sched.Sos.Schedule.steps)
-            in
-            emit_line ~fresh:true idx line
+            emit_fresh idx
+              (Printf.sprintf "%d ok %s n=%d m=%d makespan=%d lb=%d ratio=%.4f blocks=%d"
+                 idx label (Sos.Instance.n inst) inst.Sos.Instance.m makespan lb
+                 (Sos.Bounds.ratio ~lb ~makespan)
+                 (List.length sched.Sos.Schedule.steps))
         | Error { failure = Robust.Failure.Cancelled; _ }, _ ->
             (* Interrupted, not failed: no line, no journal entry —
                --resume re-runs it. *)
@@ -975,12 +938,12 @@ let batch_cmd =
         | Error (e : Engine.Batch.error), _ ->
             incr failures;
             let message = String.map (function '\n' | '\r' -> ' ' | c -> c) e.message in
-            emit_line ~fresh:true idx
+            emit_fresh idx
               (Printf.sprintf "%d error %s line %d: %s" idx
-                 (Robust.Failure.class_name e.failure) (recno_of idx) message);
+                 (Robust.Failure.class_name e.failure) r.recno message);
             if verbose_errors then begin
               Printf.eprintf "batch: task %d (line %d) failed after %d attempt%s: %s\n" idx
-                (recno_of idx) e.attempts
+                r.recno e.attempts
                 (if e.attempts = 1 then "" else "s")
                 (Robust.Failure.to_string e.failure);
               if e.backtrace <> "" then prerr_string e.backtrace;
@@ -990,17 +953,20 @@ let batch_cmd =
       let producer i =
         if Robust.Cancel.cancelled batch_token then None
         else
-          match next i with
+          match Workload.Specs.read src with
           | None -> None
           | Some r ->
               incr produced;
+              inflight.(i mod win) <- r;
               Obs.Trace.flow_start ~id:i "spec";
               let skip =
                 match journal with Some j -> Robust.Journal.Sharded.mem j i | None -> false
               in
               Some (fun () -> if skip then Replayed else solve i r)
       in
-      Fun.protect ~finally:close_feed (fun () ->
+      Fun.protect
+        ~finally:(fun () -> Workload.Specs.close src)
+        (fun () ->
           Obs.Trace.with_span ~cat:"cli" "batch"
             ~args:[ ("domains", Obs.Trace.I jobs); ("window", Obs.Trace.I win) ]
             (fun () ->
@@ -1017,7 +983,8 @@ let batch_cmd =
       Robust.Chaos.disarm ();
       (match summary_state with Some st -> Summary.render st | None -> ());
       Option.iter (fun p -> Obs.Progress.finish p ~done_:!emitted ~errors:!failures) progress;
-      if Robust.Cancel.cancelled batch_token then if !term_seen then 143 else 130
+      if !fail_stopped then 4
+      else if Robust.Cancel.cancelled batch_token then if !term_seen then 143 else 130
       else if !failures > 0 then 1
       else 0
     with Usage msg ->
@@ -1072,15 +1039,13 @@ let batch_cmd =
              and the backtrace captured at the raise site to stderr (stdout stays \
              byte-identical).")
   in
-  let stream_mode =
+  let stream =
     Arg.(
       value & flag
       & info [ "stream" ]
           ~doc:
-            "Constant-memory pipeline: pull specs off the corpus reader through a \
-             bounded in-flight window instead of materializing them, so peak RSS \
-             is independent of corpus size. Output is byte-identical to the \
-             default path at any -j.")
+            "Accepted for older command lines and ignored: batch always streams its \
+             specs through the bounded window (see --window).")
   in
   let summary =
     Arg.(
@@ -1108,9 +1073,9 @@ let batch_cmd =
       & opt (some int) None
       & info [ "window" ]
           ~doc:
-            "With --stream: max specs in flight between producer and ordered \
-             emission (default 4 x domains x chunk). Peak RSS grows with \
-             $(docv); output bytes never change."
+            "Max specs in flight between the corpus reader and ordered emission \
+             (default 4 x domains x chunk). Peak RSS grows with $(docv), not with \
+             the corpus; output bytes never change."
           ~docv:"W")
   in
   let progress =
@@ -1120,8 +1085,7 @@ let batch_cmd =
       & info [ "progress" ]
           ~doc:
             "Emit a heartbeat line to stderr every $(docv) seconds (default 2): \
-             done count (with total and ETA when the corpus size is known), \
-             specs/s, error count, streaming-window occupancy, and peak RSS; a \
+             done count, specs/s, error count, window occupancy, and peak RSS; a \
              final line summarizes the whole run. Driven from the caller-thread \
              pull loop — stdout stays byte-identical."
           ~docv:"SECS")
@@ -1129,13 +1093,13 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Solve a stream of instances on the multicore pool (results stream in \
-          input order; deterministic at any -j; per-spec failures become \
-          structured error lines; --stream for constant-memory million-spec \
-          corpora).")
+         "Solve a stream of instances on the multicore pool (specs stream through \
+          a bounded window, so memory does not grow with the corpus; results \
+          stream in input order; deterministic at any -j; per-spec failures \
+          become structured error lines).")
     Term.(
       const run $ obs_flags $ file $ jobs $ seed $ out_dir $ solver_flag ~default:"window"
-      $ fault_tolerance_flags $ task_timeout $ verbose_errors $ stream_mode $ summary $ chunk
+      $ fault_tolerance_flags $ task_timeout $ verbose_errors $ stream $ summary $ chunk
       $ win_opt $ progress)
 
 (* ---------------------------------------------------------------- serve *)
@@ -1335,7 +1299,11 @@ let serve_cmd =
 let hardness_cmd =
   let run numbers =
     int_list "NUMBERS" numbers @@ fun numbers ->
-    let tp = Exact.Three_partition.create numbers in
+    checked
+      (Result.map_error
+         (( ^ ) "not a 3-Partition instance: ")
+         (Exact.Three_partition.create_checked numbers))
+    @@ fun tp ->
     let yes = Exact.Three_partition.solvable tp in
     let q = Exact.Three_partition.yes_gap tp in
     Printf.printf "3-partition  : %s\n" (if yes then "YES" else "NO");
@@ -1377,9 +1345,7 @@ let corpus_cmd =
         0
     | Some name -> begin
         match Workload.Corpus.find name with
-        | None ->
-            Printf.eprintf "unknown corpus entry %S\n" name;
-            1
+        | None -> malformed "unknown corpus entry %S" name
         | Some e ->
             let inst = e.Workload.Corpus.instance in
             Printf.printf "%s: %s\n\n" e.Workload.Corpus.name e.Workload.Corpus.note;

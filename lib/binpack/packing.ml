@@ -1,12 +1,17 @@
 type instance = { k : int; capacity : int; sizes : int array }
 
+let instance_checked ~k ~capacity sizes =
+  if k < 1 then Error (Printf.sprintf "need k >= 1 (got %d)" k)
+  else if capacity < 1 then Error (Printf.sprintf "need capacity >= 1 (got %d)" capacity)
+  else
+    match List.find_opt (fun s -> s <= 0) sizes with
+    | Some s -> Error (Printf.sprintf "non-positive item size %d" s)
+    | None -> Ok { k; capacity; sizes = Array.of_list sizes }
+
 let instance ~k ~capacity sizes =
-  if k < 1 then invalid_arg "Packing.instance: need k >= 1";
-  if capacity < 1 then invalid_arg "Packing.instance: need capacity >= 1";
-  List.iter
-    (fun s -> if s <= 0 then invalid_arg "Packing.instance: non-positive item size")
-    sizes;
-  { k; capacity; sizes = Array.of_list sizes }
+  match instance_checked ~k ~capacity sizes with
+  | Ok inst -> inst
+  | Error msg -> invalid_arg ("Packing.instance: " ^ msg)
 
 type packing = (int * int) list list
 

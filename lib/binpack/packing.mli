@@ -16,9 +16,11 @@ type instance = private {
   sizes : int array;  (** positive; item [i] has size [sizes.(i)] *)
 }
 
+val instance_checked : k:int -> capacity:int -> int list -> (instance, string) result
+(** [Error] on [k < 1], [capacity < 1] or a non-positive size. *)
+
 val instance : k:int -> capacity:int -> int list -> instance
-(** Raises [Invalid_argument] on [k < 1], [capacity < 1] or a non-positive
-    size. *)
+(** {!instance_checked}, raising [Invalid_argument] on [Error]. *)
 
 type packing = (int * int) list list
 (** Bins in order; each bin lists [(item, amount)] parts, amounts positive. *)

@@ -86,7 +86,12 @@ val stream_seq :
 
     At most [window] tasks (default [4 * domains * chunk], clamped up to
     [chunk]) are in flight between producer and consumer, so memory is
-    O(window) regardless of stream length. The determinism contract is
+    O(window) regardless of stream length. On two or more domains [f]
+    runs only once the window is full or the producer has returned
+    [None] ({!Pool.run_ordered_seq}), so a [window] of the batch's whole
+    length [n] holds every outcome until the last task is submitted: it
+    suits only a consumer that waits for the end anyway, as {!map_pool}
+    does. The determinism contract is
     unchanged: task randomness keyed on the submission index (e.g.
     {!Prelude.Rng.create2}/[create3]) makes the emitted sequence
     byte-identical at any domain count, and [?retries]/[?task_timeout]/

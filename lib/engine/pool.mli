@@ -38,15 +38,20 @@ val run_ordered_seq :
     strictly in increasing index order and exactly once per index, until it
     returns [None]; each supplied thunk runs on the worker domains ([chunk]
     consecutive thunks per queued task, default 1), and [emit i] is called
-    on the calling thread in increasing index order, as soon as tasks
-    [0 .. i] have all completed. Returns the number of tasks supplied. A
-    batch of known size [n] passes [~window:n], so workers are never
-    throttled by the consumer.
+    on the calling thread in increasing index order, once tasks [0 .. i]
+    have all completed. Returns the number of tasks supplied.
 
     At most [window] tasks are in flight (supplied but not yet emitted) at
     any moment — the producer is only pulled when there is window room, so
     memory stays O(window) no matter how long the stream is. [window]
     defaults to [4 * domains * chunk] and is clamped up to [chunk].
+
+    On two or more domains the caller emits only when it cannot supply:
+    once the window is full, or once [supply] has returned [None]. A
+    completed result therefore waits, held in memory, until then. So
+    [window = n] over a batch of known size [n] suits only a consumer
+    that does nothing until the end ({!Batch.map_pool}); a consumer that
+    prints or writes as it goes wants the default window.
 
     A thunk must not raise (wrap it; {!Batch} captures exceptions per
     task); a raising thunk is swallowed so it cannot wedge the pool.

@@ -4,21 +4,26 @@ type t = { numbers : int array; target : int; q : int }
 
 let in_range target a = 4 * a > target && 2 * a < target
 
-let create numbers_list =
+let create_checked numbers_list =
   let numbers = Array.of_list numbers_list in
   let n = Array.length numbers in
-  if n = 0 || n mod 3 <> 0 then
-    invalid_arg "Three_partition.create: need 3q elements";
-  let q = n / 3 in
-  let sum = Array.fold_left ( + ) 0 numbers in
-  if sum mod q <> 0 then invalid_arg "Three_partition.create: sum not divisible by q";
-  let target = sum / q in
-  Array.iter
-    (fun a ->
-      if not (in_range target a) then
-        invalid_arg "Three_partition.create: element outside (target/4, target/2)")
-    numbers;
-  { numbers; target; q }
+  if n = 0 || n mod 3 <> 0 then Error "need 3q elements"
+  else begin
+    let q = n / 3 in
+    let sum = Array.fold_left ( + ) 0 numbers in
+    if sum mod q <> 0 then Error "sum not divisible by q"
+    else begin
+      let target = sum / q in
+      if Array.exists (fun a -> not (in_range target a)) numbers then
+        Error "element outside (target/4, target/2)"
+      else Ok { numbers; target; q }
+    end
+  end
+
+let create numbers_list =
+  match create_checked numbers_list with
+  | Ok t -> t
+  | Error msg -> invalid_arg ("Three_partition.create: " ^ msg)
 
 let solvable t =
   (* Take the largest unused number, try all pairs completing its triple. *)

@@ -21,10 +21,13 @@
 
 type t = private { numbers : int array; target : int; q : int }
 
+val create_checked : int list -> (t, string) result
+(** [Error] unless the multiset has [3q] elements summing to [q·target]
+    for integral [target] with all elements in (target/4, target/2) —
+    i.e. it is a well-formed 3-Partition instance. *)
+
 val create : int list -> t
-(** Raises [Invalid_argument] unless the multiset has [3q] elements summing
-    to [q·target] for integral [target] with all elements in
-    (target/4, target/2) — i.e. it is a well-formed 3-Partition instance. *)
+(** {!create_checked}, raising [Invalid_argument] on [Error]. *)
 
 val solvable : t -> bool
 (** Exhaustive search with pruning (exponential; fine for q ≤ 5). *)

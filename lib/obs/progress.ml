@@ -7,8 +7,7 @@
 
 type t = {
   interval : float;
-  total : int option;
-  window_cap : int option;
+  window_cap : int;
   out : string -> unit;
   started : float;
   mutable last_t : float;
@@ -39,13 +38,12 @@ let status_kb field =
                | None -> int_of_string_opt rest)
              else None)
 
-let create ?(interval = 2.0) ?total ?window_cap ?(out = to_stderr) () =
+let create ?(interval = 2.0) ~window_cap ?(out = to_stderr) () =
   let now =
     (Prelude.Clock.now () [@sos.allow "A1: progress heartbeats are runtime-class stderr visibility; never part of solver output or det-class telemetry"])
   in
   {
     interval = (if interval < 0.0 then 0.0 else interval);
-    total;
     window_cap;
     out;
     started = now;
@@ -54,53 +52,29 @@ let create ?(interval = 2.0) ?total ?window_cap ?(out = to_stderr) () =
     beats = 0;
   }
 
-let format_line ~done_ ~total ~rate ~errors ~window ~rss_kb ~eta_s =
+let format_line ~done_ ~rate ~errors ~window:(occ, cap) ~rss_kb =
   let b = Buffer.create 96 in
-  Buffer.add_string b (Printf.sprintf "progress %d" done_);
-  (match total with
-  | Some t ->
-      Buffer.add_string b
-        (Printf.sprintf "/%d (%.1f%%)" t (100.0 *. float_of_int done_ /. float_of_int (max 1 t)))
-  | None -> ());
-  Buffer.add_string b (Printf.sprintf " %.0f/s err=%d" rate errors);
-  (match window with
-  | Some (occ, cap) -> Buffer.add_string b (Printf.sprintf " window=%d/%d" occ cap)
-  | None -> ());
+  Buffer.add_string b
+    (Printf.sprintf "progress %d %.0f/s err=%d window=%d/%d" done_ rate errors occ cap);
   (match rss_kb with
   | Some kb -> Buffer.add_string b (Printf.sprintf " vmhwm=%dkB" kb)
   | None -> ());
-  (match eta_s with
-  | Some s -> Buffer.add_string b (Printf.sprintf " eta=%.0fs" s)
-  | None -> ());
   Buffer.contents b
 
-let format_final ~done_ ~total ~errors ~elapsed_s =
+let format_final ~done_ ~errors ~elapsed_s =
   let rate = if elapsed_s > 0.0 then float_of_int done_ /. elapsed_s else 0.0 in
-  Printf.sprintf "progress done %d%s err=%d elapsed=%.1fs avg=%.0f/s" done_
-    (match total with Some t -> Printf.sprintf "/%d" t | None -> "")
-    errors elapsed_s rate
+  Printf.sprintf "progress done %d err=%d elapsed=%.1fs avg=%.0f/s" done_ errors elapsed_s rate
 
-let tick t ~done_ ~errors ?occupancy () =
+let tick t ~done_ ~errors ~occupancy =
   let now =
     (Prelude.Clock.now () [@sos.allow "A1: progress heartbeats are runtime-class stderr visibility; never part of solver output or det-class telemetry"])
   in
   let dt = now -. t.last_t in
   if dt >= t.interval then begin
     let rate = if dt > 0.0 then float_of_int (done_ - t.last_done) /. dt else 0.0 in
-    let eta_s =
-      match t.total with
-      | Some total when rate > 0.0 && total > done_ ->
-          Some (float_of_int (total - done_) /. rate)
-      | _ -> None
-    in
-    let window =
-      match (occupancy, t.window_cap) with
-      | Some occ, Some cap -> Some (occ, cap)
-      | Some occ, None -> Some (occ, occ)
-      | None, _ -> None
-    in
     t.out
-      (format_line ~done_ ~total:t.total ~rate ~errors ~window ~rss_kb:(status_kb "VmHWM") ~eta_s
+      (format_line ~done_ ~rate ~errors ~window:(occupancy, t.window_cap)
+         ~rss_kb:(status_kb "VmHWM")
       ^ "\n");
     t.last_t <- now;
     t.last_done <- done_;
@@ -112,7 +86,7 @@ let finish t ~done_ ~errors =
     (Prelude.Clock.now () [@sos.allow "A1: progress heartbeats are runtime-class stderr visibility; never part of solver output or det-class telemetry"])
     -. t.started
   in
-  t.out (format_final ~done_ ~total:t.total ~errors ~elapsed_s ^ "\n");
+  t.out (format_final ~done_ ~errors ~elapsed_s ^ "\n");
   t.beats <- t.beats + 1
 
 let beats t = t.beats

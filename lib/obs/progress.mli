@@ -10,28 +10,24 @@
     Heartbeat line (key=value, one per line, written to [out] — default
     stderr):
 
-    {v progress DONE[/TOTAL (PCT%)] RATE/s err=N [window=OCC/CAP] [vmhwm=NkB] [eta=Ss] v}
+    {v progress DONE RATE/s err=N window=OCC/CAP [vmhwm=NkB] v}
 
     The final line replaces the rate with the whole-run average:
 
-    {v progress done DONE[/TOTAL] err=N elapsed=Ss avg=RATE/s v} *)
+    {v progress done DONE err=N elapsed=Ss avg=RATE/s v}
+
+    There is no total and no ETA: a streaming reader never knows how long
+    its corpus is. *)
 
 type t
 
-val create :
-  ?interval:float ->
-  ?total:int ->
-  ?window_cap:int ->
-  ?out:(string -> unit) ->
-  unit ->
-  t
+val create : ?interval:float -> window_cap:int -> ?out:(string -> unit) -> unit -> t
 (** [interval] seconds between heartbeats (default 2.0; 0 means every
-    tick). [total] enables the [/TOTAL] field and ETA. [window_cap] is
-    the configured streaming-window capacity shown as [window=occ/cap].
-    [out] receives each line including its ["\n"] (default: write and
-    flush stderr). *)
+    tick). [window_cap] is the configured streaming-window capacity shown
+    as [window=occ/cap]. [out] receives each line including its ["\n"]
+    (default: write and flush stderr). *)
 
-val tick : t -> done_:int -> errors:int -> ?occupancy:int -> unit -> unit
+val tick : t -> done_:int -> errors:int -> occupancy:int -> unit
 (** Report progress; emits a heartbeat iff at least [interval] seconds
     have passed since the last one. [occupancy] is the current number of
     in-flight specs in the streaming window. *)
@@ -45,16 +41,9 @@ val beats : t -> int
 (** {1 Pure formatting} (exposed for golden tests) *)
 
 val format_line :
-  done_:int ->
-  total:int option ->
-  rate:float ->
-  errors:int ->
-  window:(int * int) option ->
-  rss_kb:int option ->
-  eta_s:float option ->
-  string
+  done_:int -> rate:float -> errors:int -> window:int * int -> rss_kb:int option -> string
 
-val format_final : done_:int -> total:int option -> errors:int -> elapsed_s:float -> string
+val format_final : done_:int -> errors:int -> elapsed_s:float -> string
 
 val status_kb : string -> int option
 (** [status_kb field] is a kB-valued field of [/proc/self/status] —

@@ -4,7 +4,7 @@
 
    The buffer is either unbounded (the default, for short diagnostic
    runs) or a fixed-capacity ring that keeps the newest events and counts
-   the overwritten ones — [sosctl batch --stream --trace] arms the ring
+   the overwritten ones — [sosctl batch --trace] arms the ring
    so a million-spec run traces in O(ring) memory, preserving the
    constant-memory contract. *)
 

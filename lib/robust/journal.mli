@@ -7,8 +7,29 @@
     public format is {!Sharded}. *)
 
 val digest : string -> string
-(** MD5 hex of a string (also used by callers to fingerprint the spec list
-    into the header). *)
+(** MD5 hex of a string (the serve WAL binds each reply to the digest of
+    its canonical request). *)
+
+(** {2 Bound payloads}
+
+    A payload can carry the input it answers, so a resumed run refuses to
+    replay it against an input that changed: the serve WAL binds each
+    reply to the digest of its canonical request, and [sosctl batch] binds
+    each result line to its spec's canonical text. *)
+
+val bind : binding:string -> string -> string
+(** [bind ~binding payload] is the payload to journal: [binding] with
+    every ['%'], [' '] and ['\n'] percent-encoded ([%25], [%20], [%0A]),
+    one space, then [payload]. The encoding makes the first space end the
+    binding, so two bindings can never be confused, and leaves a hex
+    digest byte-for-byte as is. *)
+
+val unbind :
+  binding:string -> string -> (string, [ `Unbound | `Mismatch ]) result
+(** The check of a replayed payload against the input it now answers:
+    [Ok payload] when it was bound to [binding], [Error `Mismatch] when it
+    was bound to another input, [Error `Unbound] when it carries no
+    binding at all (it has no space). *)
 
 (** Sharded journal: the checkpoint of `sosctl batch` and the
     write-ahead log of `sosctl serve` (both `--checkpoint PATH`).
@@ -18,13 +39,14 @@ val digest : string -> string
     [index mod shards], file [PATH.k], or [PATH] itself when
     [shards = 1]. Each shard is:
     {[
-      <header line>                      e.g. "sosj1 seed=7 algo=window specs=<md5>"
+      <header line>                      e.g. "sosj2 seed=7 algo=window"
       <index> <md5-of-payload> <payload>
       ...
     ]}
     The header binds the journal to one run configuration; {!resume}
     refuses a journal whose header differs (resuming under a different
-    seed, algorithm, or spec list would silently mix outputs). With
+    seed or algorithm would silently mix outputs). What each entry
+    answers is bound per entry ({!bind}), not in the header. With
     [N > 1] shards every header is suffixed with [" shard=k/N"], so a
     journal can never be resumed under a different shard count. {!resume}
     drops any entry whose digest does not match its payload — a process

@@ -332,7 +332,7 @@ let deliver (t : t) output ~index ~binding reply =
   | Some j -> begin
       try
         in_request_scope ~index (fun () -> Robust.Chaos.point "serve.journal");
-        Journal.Sharded.append j ~index ~payload:(binding ^ " " ^ reply);
+        Journal.Sharded.append j ~index ~payload:(Journal.bind ~binding reply);
         Obs.Metrics.incr c_journal_entries
       with e ->
         let bt = Printexc.get_raw_backtrace () in
@@ -346,22 +346,17 @@ let try_replay (t : t) ~index ~binding =
       match Journal.Sharded.replay j index with
       | None ->
           raise (Wal_failure (Printf.sprintf "journal lost entry %d" index))
-      | Some payload -> begin
-          match String.index_opt payload ' ' with
-          | None ->
+      | Some entry -> begin
+          match Journal.unbind ~binding entry with
+          | Ok reply -> Some reply
+          | Error `Unbound ->
               raise
                 (Wal_failure (Printf.sprintf "journal entry %d malformed" index))
-          | Some sp ->
-              let stored = String.sub payload 0 sp in
-              let reply =
-                String.sub payload (sp + 1) (String.length payload - sp - 1)
-              in
-              if not (String.equal stored binding) then
-                raise
-                  (Resume_mismatch
-                     (Printf.sprintf
-                        "request %d diverged from the journalled request" index))
-              else Some reply
+          | Error `Mismatch ->
+              raise
+                (Resume_mismatch
+                   (Printf.sprintf
+                      "request %d diverged from the journalled request" index))
         end
     end
   | _ -> None

@@ -46,11 +46,7 @@ let canonical_gen family n m scale =
   | None -> Printf.sprintf "%s %d %d" family n m
   | Some s -> Printf.sprintf "%s %d %d %d" family n m s
 
-let canonical r =
-  match r.payload with
-  | Gen { family; n; m; scale } -> canonical_gen family n m scale
-  | File path -> "@" ^ path
-  | Bad _ -> r.raw
+let canonical r = r.raw
 
 let family_names () =
   List.map
@@ -254,7 +250,15 @@ let rec read s =
             s.lineno <- s.lineno + 1;
             let t = String.trim line in
             if t = "" || String.starts_with ~prefix:"#" t then read s
-            else Some { recno = s.lineno; raw = t; payload = parse_line t })
+            else begin
+              let payload = parse_line t in
+              let raw =
+                match payload with
+                | Gen { family; n; m; scale } -> canonical_gen family n m scale
+                | File _ | Bad _ -> t
+              in
+              Some { recno = s.lineno; raw; payload }
+            end)
     | Binary b -> (
         match read_exact s s.rec_buf record_bytes with
         | 0 -> None
@@ -263,29 +267,20 @@ let rec read s =
                as one malformed spec instead of dying *)
             b.recno <- b.recno + 1;
             s.finished <- true;
-            Some
-              {
-                recno = b.recno;
-                raw = "";
-                payload =
-                  Bad
-                    (Printf.sprintf "truncated record %d (%d of %d bytes)" b.recno got
-                       record_bytes);
-              }
+            let msg =
+              Printf.sprintf "truncated record %d (%d of %d bytes)" b.recno got record_bytes
+            in
+            Some { recno = b.recno; raw = msg; payload = Bad msg }
         | _ ->
             b.recno <- b.recno + 1;
             let fi = u32 s.rec_buf 0 in
             let n = u32 s.rec_buf 4 in
             let m = u32 s.rec_buf 8 in
             let sc = u32 s.rec_buf 12 in
-            if fi >= Array.length b.names then
-              Some
-                {
-                  recno = b.recno;
-                  raw = "";
-                  payload =
-                    Bad (Printf.sprintf "bad family index %d in record %d" fi b.recno);
-                }
+            if fi >= Array.length b.names then begin
+              let msg = Printf.sprintf "bad family index %d in record %d" fi b.recno in
+              Some { recno = b.recno; raw = msg; payload = Bad msg }
+            end
             else begin
               let raw =
                 canonical_gen b.names.(fi) n m (if sc = 0 then None else Some sc)

@@ -29,7 +29,10 @@ type payload =
 
 type record = {
   recno : int;  (** 1-based line (text) / record (binary) number *)
-  raw : string;  (** the spec as written (trimmed), for diagnostics *)
+  raw : string;
+      (** the record's canonical text ({!canonical}): a generator request
+          whitespace-normalized, [@PATH] and a malformed text spec as
+          written (trimmed), a corrupt binary record its diagnostic *)
   payload : payload;
 }
 
@@ -41,8 +44,10 @@ val parse_line : string -> payload
 
 val canonical : record -> string
 (** The canonical text form of a record — whitespace-normalized, identical
-    whether the record was read from text or binary. This is the digest
-    alphabet: corpora with equal record streams have equal digests. *)
+    whether the record was read from text or binary, and built once by
+    the reader, so reading it costs nothing. Records with equal canonical
+    text solve identically: [sosctl batch] binds each checkpoint entry to
+    it, and the digest below folds it. *)
 
 val family_names : unit -> string list
 (** The generator families a binary corpus can name, in table order:
@@ -52,8 +57,9 @@ val family_names : unit -> string list
 
     Chained MD5 over the canonical record stream, folded in fixed
     1024-record blocks — O(1) memory, invariant under reader buffering,
-    and equal for a text corpus and its binary conversion. Used to bind
-    checkpoint journals to their spec input. *)
+    and equal for a text corpus and its binary conversion. No [sosctl]
+    command calls these (its checkpoint binds each entry to its spec);
+    they stay because [benchmark/]'s replica links them. *)
 
 type digest_state
 

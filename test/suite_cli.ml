@@ -1,0 +1,242 @@
+(* Layer 12 — the sosctl binary, end to end.
+
+   Two contracts only the real binary can show: every subcommand answers
+   an out-of-range argument with exit 2 and one `sosctl: invalid input:`
+   line (never cmdliner's uncaught-exception exit 125, never the batch
+   exit 1), and `sosctl batch --resume` reproduces the uninterrupted
+   run's stdout and exit code from every crash point of its checkpoint —
+   each shard truncated at every entry boundary and at seeded interior
+   offsets — or fail-stops with exit 4 when an entry answers another
+   spec. *)
+
+let sosctl = "../bin/sosctl/sosctl.exe"
+
+type run = { code : int; out : string; err : string }
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let with_temp_dir f =
+  let d = Filename.temp_file "sosctl" ".d" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat d name)) (Sys.readdir d);
+      Sys.rmdir d)
+    (fun () -> f d)
+
+(* Run sosctl with [args], stdin from [stdin]; capture both streams. *)
+let run ?(stdin = "/dev/null") args =
+  let out = Filename.temp_file "sosctl" ".out" and err = Filename.temp_file "sosctl" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s < %s > %s 2> %s"
+         (String.concat " " (List.map Filename.quote (sosctl :: args)))
+         (Filename.quote stdin) (Filename.quote out) (Filename.quote err))
+  in
+  let r = { code; out = read_file out; err = read_file err } in
+  Sys.remove out;
+  Sys.remove err;
+  r
+
+(* ------------------------------------------------------ argument ranges *)
+
+let test_invalid_arguments () =
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let r = run args in
+      Alcotest.(check int) (what ^ ": exit code") 2 r.code;
+      Alcotest.(check bool)
+        (what ^ ": one invalid-input line, no backtrace")
+        true
+        (String.starts_with ~prefix:"sosctl: invalid input: " r.err
+        && String.index r.err '\n' = String.length r.err - 1))
+    [
+      [ "ratio"; "-m"; "1" ];
+      [ "ratio"; "--reps"; "0" ];
+      [ "sas"; "-m"; "3" ];
+      [ "binpack"; "-k"; "0"; "1,2" ];
+      [ "binpack"; "-c"; "0"; "1,2" ];
+      [ "binpack"; "--"; "-1,2" ];
+      [ "hardness"; "1,2" ];
+      [ "hardness"; "1,2,3" ];
+      [ "gen"; "-f"; "nosuch" ];
+      [ "ratio"; "-f"; "nosuch" ];
+      [ "sas"; "-p"; "nosuch" ];
+      [ "corpus"; "nosuch" ];
+    ]
+
+(* ------------------------------------------------------ batch resume *)
+
+(* Ok specs, three kinds of invalid spec, and index 3 crashed by chaos on
+   every attempt; the comment line makes input line numbers differ from
+   record indices. *)
+let corpus =
+  "# crash-point corpus\n\
+   uniform-small 12 6\n\
+   bimodal 0 8\n\
+   heavy-tail 20 6\n\
+   uniform-small 12 6\n\
+   uniform-wide 10 2\n\
+   tiny 15 4 5\n\
+   nosuchfamily 10 8\n\
+   near-one 16 5\n\
+   bimodal 14 7\n\
+   uniform-wide 18 3\n"
+
+let batch_args ~ck ~shards ?(resume = false) ?(seed = 7) ?(j = 2) specs =
+  [
+    "batch"; "-j"; string_of_int j; "--seed"; string_of_int seed; "--chaos"; "sos.fast.run@3";
+    "--checkpoint"; ck; "--shards"; string_of_int shards;
+  ]
+  @ (if resume then [ "--resume" ] else [])
+  @ [ specs ]
+
+let shard_paths ck shards =
+  if shards = 1 then [ ck ] else List.init shards (Printf.sprintf "%s.%d" ck)
+
+let copy_journal ~src ~dst shards =
+  List.iter2
+    (fun s d -> write_file d (read_file s))
+    (shard_paths src shards) (shard_paths dst shards)
+
+(* Offsets just past each newline (and 0): a kill between two appends. *)
+let boundaries text =
+  0
+  :: List.filter_map Fun.id
+       (List.init (String.length text) (fun i -> if text.[i] = '\n' then Some (i + 1) else None))
+
+let check_same what (ref_ : run) (r : run) =
+  Alcotest.(check int) (what ^ ": exit code") ref_.code r.code;
+  Alcotest.(check string) (what ^ ": stdout") ref_.out r.out
+
+let test_resume_crash_points () =
+  with_temp_dir @@ fun dir ->
+  let specs = Filename.concat dir "specs.txt" in
+  write_file specs corpus;
+  let plain = run [ "batch"; "-j"; "1"; "--seed"; "7"; "--chaos"; "sos.fast.run@3"; specs ] in
+  Alcotest.(check int) "failures exit 1" 1 plain.code;
+  Alcotest.(check int) "one line per spec" 10
+    (List.length (String.split_on_char '\n' (String.trim plain.out)));
+  let rng = Prelude.Rng.create 0x5eed in
+  List.iter
+    (fun shards ->
+      let full = Filename.concat dir (Printf.sprintf "full-%d" shards) in
+      let ref_ = run (batch_args ~ck:full ~shards ~j:1 specs) in
+      check_same (Printf.sprintf "shards=%d checkpointed run" shards) plain ref_;
+      let ck = Filename.concat dir (Printf.sprintf "ck-%d" shards) in
+      List.iteri
+        (fun k shard ->
+          let text = read_file shard in
+          let header_end = String.index text '\n' + 1 in
+          let interior =
+            List.init 4 (fun _ ->
+                header_end + Prelude.Rng.int rng (String.length text - header_end))
+          in
+          List.iter
+            (fun cut ->
+              copy_journal ~src:full ~dst:ck shards;
+              write_file (List.nth (shard_paths ck shards) k) (String.sub text 0 cut);
+              check_same
+                (Printf.sprintf "shards=%d shard %d cut at %d" shards k cut)
+                ref_
+                (run (batch_args ~ck ~shards ~resume:true specs)))
+            (List.sort_uniq compare (boundaries text @ interior));
+          (* A kill inside the header write: refused up front. *)
+          copy_journal ~src:full ~dst:ck shards;
+          write_file (List.nth (shard_paths ck shards) k) (String.sub text 0 (header_end / 2));
+          let r = run (batch_args ~ck ~shards ~resume:true specs) in
+          Alcotest.(check (pair int string)) "torn header refused" (2, "") (r.code, r.out))
+        (shard_paths full shards);
+      (* The same resume, fed on stdin. *)
+      copy_journal ~src:full ~dst:ck shards;
+      let shard0 = List.hd (shard_paths ck shards) in
+      let text = read_file shard0 in
+      write_file shard0 (String.sub text 0 (String.length text / 2));
+      check_same
+        (Printf.sprintf "shards=%d resume from stdin" shards)
+        ref_
+        (run ~stdin:specs (batch_args ~ck ~shards ~resume:true "-")))
+    [ 1; 4 ]
+
+(* A journal is bound per entry to its spec's canonical text, which is
+   the same for a text corpus and its binary conversion. *)
+let test_resume_across_encodings () =
+  with_temp_dir @@ fun dir ->
+  let text = Filename.concat dir "specs.txt" and bin = Filename.concat dir "specs.bin" in
+  write_file text
+    "uniform-small 12 6\nuniform-wide 10 2\nheavy-tail 20 6\ntiny  15   4\nnear-one 16 5\n";
+  Alcotest.(check int) "conversion" 0 (run [ "export"; text; "--specs-bin"; bin ]).code;
+  let ck = Filename.concat dir "ck" in
+  let ref_ = run (batch_args ~ck ~shards:1 text) in
+  let fresh_bin = run [ "batch"; "--seed"; "7"; "--chaos"; "sos.fast.run@3"; bin ] in
+  check_same "binary run equals text run" ref_ fresh_bin;
+  let journal = read_file ck in
+  write_file ck (String.sub journal 0 (List.nth (boundaries journal) 3));
+  check_same "text journal resumed on the binary corpus" ref_
+    (run (batch_args ~ck ~shards:1 ~resume:true bin))
+
+let lines s = String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
+let take k l = List.filteri (fun i _ -> i < k) l
+
+(* Resuming against a changed corpus either replays an entry its spec
+   still answers or stops at the first one it does not: lines before it
+   unchanged, then one resume-mismatch line, exit 4. *)
+let test_resume_mismatch () =
+  with_temp_dir @@ fun dir ->
+  let specs = Filename.concat dir "specs.txt" in
+  write_file specs corpus;
+  let ck = Filename.concat dir "ck" in
+  let ref_ = run (batch_args ~ck ~shards:4 specs) in
+  let full = Filename.concat dir "full" in
+  copy_journal ~src:ck ~dst:full 4;
+  let resume_on what text ~stop_at =
+    write_file specs text;
+    copy_journal ~src:full ~dst:ck 4;
+    let r = run (batch_args ~ck ~shards:4 ~resume:true specs) in
+    Alcotest.(check int) (what ^ ": exit code") 4 r.code;
+    let got = lines r.out in
+    Alcotest.(check (list string))
+      (what ^ ": lines before the stop")
+      (take stop_at (lines ref_.out))
+      (take stop_at got);
+    Alcotest.(check int) (what ^ ": one line past them") (stop_at + 1) (List.length got);
+    Alcotest.(check bool) (what ^ ": resume-mismatch line") true
+      (String.starts_with
+         ~prefix:(Printf.sprintf "%d error resume-mismatch line " stop_at)
+         (List.nth got stop_at))
+  in
+  (* Spec 5 changed. Its new text followed by a space begins its old
+     entry ("tiny 15 4 5 5 ok ..."), so a bare prefix check would replay
+     "5 5 ok ..." here. *)
+  resume_on "spec 5 changed"
+    (String.concat "\n"
+       (List.map
+          (fun l -> if l = "tiny 15 4 5" then "tiny 15 4" else l)
+          (String.split_on_char '\n' corpus)))
+    ~stop_at:5;
+  (* One more comment line: specs keep their text, but the first error
+     line names an input line that moved. *)
+  resume_on "line numbers moved" ("#\n" ^ corpus) ~stop_at:1;
+  (* Another seed or an old-format journal: refused before any line. *)
+  write_file specs corpus;
+  copy_journal ~src:full ~dst:ck 4;
+  let r = run (batch_args ~ck ~shards:4 ~resume:true ~seed:8 specs) in
+  Alcotest.(check (pair int string)) "another seed" (2, "") (r.code, r.out);
+  let old = Filename.concat dir "old" in
+  write_file old
+    "sosj1 seed=7 algo=window specs=0123456789abcdef0123456789abcdef\n\
+     0 d41d8cd98f00b204e9800998ecf8427e \n";
+  let r = run (batch_args ~ck:old ~shards:1 ~resume:true specs) in
+  Alcotest.(check (pair int string)) "sosj1 journal" (2, "") (r.code, r.out)
+
+let suite =
+  ( "cli",
+    [
+      Alcotest.test_case "out-of-range arguments exit 2" `Quick test_invalid_arguments;
+      Alcotest.test_case "batch resume at every crash point" `Quick test_resume_crash_points;
+      Alcotest.test_case "batch resume across encodings" `Quick test_resume_across_encodings;
+      Alcotest.test_case "batch resume fail-stop" `Quick test_resume_mismatch;
+    ] )

@@ -131,7 +131,7 @@ let test_stream_ordered () =
 
 (* qcheck: the pull-based streaming path emits byte-identical outcomes to
    the materialized map, at d ∈ {1,2,4} — the tentpole determinism
-   contract of `sosctl batch --stream`. *)
+   contract of `sosctl batch`. *)
 let test_stream_seq_matches_map =
   Helpers.qcheck ~count:25 "stream_seq byte-identical to map for domains 1/2/4"
     QCheck.(pair (int_bound 10_000) (int_range 1 12))

@@ -222,6 +222,29 @@ let test_journal_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "header mismatch accepted"
 
+(* A bound payload names its input in front of it. A hex digest (the
+   serve WAL's binding) is written as is; any other binding is
+   percent-encoded so its first space ends it, which keeps a binding that
+   begins another's entry ("tiny 15 4" against "tiny 15 4 5 5 ok ...")
+   from passing for it. *)
+let test_journal_binding () =
+  let md5 = Robust.Journal.digest "open t0" in
+  Alcotest.(check string) "digest binding written as is" (md5 ^ " 0 ok")
+    (Robust.Journal.bind ~binding:md5 "0 ok");
+  let entry = Robust.Journal.bind ~binding:"tiny 15 4 5" "5 ok tiny" in
+  Alcotest.(check string) "spaces encoded" "tiny%2015%204%205 5 ok tiny" entry;
+  Alcotest.(check (option string)) "round trip" (Some "5 ok tiny")
+    (Result.to_option (Robust.Journal.unbind ~binding:"tiny 15 4 5" entry));
+  Alcotest.(check bool) "a prefix binding is another input" true
+    (Robust.Journal.unbind ~binding:"tiny 15 4" entry = Error `Mismatch);
+  Alcotest.(check bool) "an extension is another input" true
+    (Robust.Journal.unbind ~binding:"tiny 15 4 5 5" entry = Error `Mismatch);
+  let odd = "@a%20b c\nd" in
+  Alcotest.(check (option string)) "escape byte and newline round trip" (Some "x")
+    (Result.to_option (Robust.Journal.unbind ~binding:odd (Robust.Journal.bind ~binding:odd "x")));
+  Alcotest.(check bool) "no binding at all" true
+    (Robust.Journal.unbind ~binding:md5 "0ok" = Error `Unbound)
+
 let test_journal_torn_line () =
   with_temp_journal @@ fun path ->
   let header = "sosj1 seed=1 algo=window specs=x" in
@@ -730,6 +753,7 @@ let suite =
       Alcotest.test_case "ambient context scope" `Quick test_context_scope;
       Alcotest.test_case "journal roundtrip + header binding" `Quick test_journal_roundtrip;
       Alcotest.test_case "journal torn-line recovery" `Quick test_journal_torn_line;
+      Alcotest.test_case "journal entry binding" `Quick test_journal_binding;
       Alcotest.test_case "sharded journal roundtrip + replay" `Quick test_sharded_roundtrip;
       Alcotest.test_case "sharded journal header binding" `Quick test_sharded_header_binding;
       Alcotest.test_case "sharded journal torn-tail compaction" `Quick test_sharded_torn_tails;

@@ -1,7 +1,7 @@
 (* Workload.Specs: the streaming spec-corpus reader/writer behind
-   `sosctl batch --stream`. The central properties are (1) the binary
+   `sosctl batch`. The central properties are (1) the binary
    encoding round-trips through the text form record-for-record — same
-   canonical stream, same digest — so a converted corpus replays
+   canonical stream, same digest — so a converted corpus resumes
    byte-identically, and (2) malformed input (bad text specs, torn
    trailing binary records) becomes a [Bad] record, never an exception. *)
 
@@ -59,7 +59,7 @@ let test_text_reader () =
   with_temp_file ".specs" @@ fun path ->
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc
-        "# a comment\nbimodal 10 4\n\n  uniform-small 3 2 50  \n@inst.txt\nnope\n");
+        "# a comment\nbimodal  010 4\n\n  uniform-small 3 2 50  \n@inst.txt\nnope\n");
   match Specs.open_path path with
   | Error msg -> Alcotest.fail msg
   | Ok src ->
@@ -143,7 +143,11 @@ let test_binary_torn_record () =
           match r.payload with
           | Specs.Bad msg ->
               Alcotest.(check bool) "diagnostic names the record" true
-                (Helpers.contains msg "truncated record 1")
+                (Helpers.contains msg "truncated record 1");
+              (* Its canonical text is the diagnostic, so a checkpoint
+                 entry bound to it cannot replay for another corrupt
+                 record at the same index. *)
+              Alcotest.(check string) "canonical text" msg (Specs.canonical r)
           | _ -> Alcotest.fail "torn record not Bad")
       | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs));
       Specs.close src)

@@ -20,6 +20,7 @@ let () =
       Suite_obs.suite;
       Suite_robust.suite;
       Suite_serve.suite;
+      Suite_cli.suite;
       Suite_lint.suite;
       Suite_analysis.suite;
     ]
