@@ -145,7 +145,7 @@ let h1 () =
       Table.add_row t
         [
           String.concat "," (List.map string_of_int numbers); Table.fmt_int q;
-          (if yes then "YES" else "NO"); Table.fmt_int opt; Table.fmt_bool_ok holds;
+          (if yes then "YES" else "NO"); Table.fmt_int opt; verdict holds;
           Table.fmt_int win;
         ])
     cases;
@@ -173,7 +173,7 @@ let h1 () =
       Table.add_row t2
         [
           String.concat "," (List.map string_of_int numbers); Table.fmt_int gap;
-          (if yes then "YES" else "NO"); Table.fmt_int opt; Table.fmt_bool_ok holds;
+          (if yes then "YES" else "NO"); Table.fmt_int opt; verdict holds;
         ])
     [
       [ 26; 35; 39; 30; 30; 40 ];

@@ -38,7 +38,7 @@ let t1 () =
         [
           family.Workload.Sos_gen.name; Table.fmt_int m; Table.fmt_ratio mean;
           Table.fmt_ratio mx; Table.fmt_ratio bound;
-          Table.fmt_bool_ok (mx <= bound +. 1e-9);
+          verdict (mx <= bound +. 1e-9);
         ])
       (grid Workload.Sos_gen.all_families ms)
   in
@@ -102,7 +102,7 @@ let t2 () =
         [
           family.Workload.Sos_gen.name; Table.fmt_int m; Table.fmt_ratio mx1;
           Table.fmt_ratio b1; Table.fmt_ratio mx2; Table.fmt_ratio mx3;
-          Table.fmt_ratio b2; Table.fmt_bool_ok !ok;
+          Table.fmt_ratio b2; verdict !ok;
         ])
       (grid
          [ Workload.Sos_gen.uniform_wide; Workload.Sos_gen.bimodal; Workload.Sos_gen.heavy_tail ]

@@ -72,4 +72,12 @@ let () =
      EXPERIMENTS.md; every table is deterministic (fixed seeds).\n";
   let t0 = Prelude.Clock.now () in
   List.iter (fun (_, _, run) -> run ()) selected;
-  Printf.printf "\ntotal: %.1f s\n" (Prelude.Clock.now () -. t0)
+  (* The wall clock goes to stderr, so stdout is the same on every run
+     (bench/experiments.expected pins it). *)
+  flush stdout;
+  Printf.eprintf "\ntotal: %.1f s\n" (Prelude.Clock.now () -. t0);
+  let violated = Atomic.get Exp_common.violations in
+  if violated > 0 then begin
+    Printf.eprintf "%d bound cell(s) VIOLATED\n" violated;
+    exit 1
+  end

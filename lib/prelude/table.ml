@@ -73,4 +73,3 @@ let[@sos.allow
 let fmt_float ?(digits = 3) x = Printf.sprintf "%.*f" digits x
 let fmt_ratio x = Printf.sprintf "%.4f" x
 let fmt_int = string_of_int
-let fmt_bool_ok b = if b then "ok" else "VIOLATED"

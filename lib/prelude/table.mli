@@ -30,5 +30,3 @@ val fmt_ratio : float -> string
 (** Ratio with 4 digits, e.g. ["1.0833"]. *)
 
 val fmt_int : int -> string
-val fmt_bool_ok : bool -> string
-(** ["ok"] / ["VIOLATED"]. *)

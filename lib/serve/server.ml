@@ -332,7 +332,8 @@ let deliver (t : t) output ~index ~binding reply =
   | Some j -> begin
       try
         in_request_scope ~index (fun () -> Robust.Chaos.point "serve.journal");
-        Journal.Sharded.append j ~index ~payload:(Journal.bind ~binding reply);
+        Journal.Sharded.append j ~index
+          ~payload:(Journal.bind ~binding:(Lazy.force binding) reply);
         Obs.Metrics.incr c_journal_entries
       with e ->
         let bt = Printexc.get_raw_backtrace () in
@@ -347,7 +348,7 @@ let try_replay (t : t) ~index ~binding =
       | None ->
           raise (Wal_failure (Printf.sprintf "journal lost entry %d" index))
       | Some entry -> begin
-          match Journal.unbind ~binding entry with
+          match Journal.unbind ~binding:(Lazy.force binding) entry with
           | Ok reply -> Some reply
           | Error `Unbound ->
               raise
@@ -413,13 +414,17 @@ let count_reply (t : t) reply =
         Obs.Metrics.incr c_err_deadline
   | _ -> ()
 
+(* The binding ties a WAL entry to its request. Only a journal reads it,
+   so it is hashed on first use, once per request, and never without
+   [--checkpoint]. *)
 let handle_line (t : t) pool cancel output ~index line =
   let parsed = Protocol.parse line in
   let binding =
-    Journal.digest
-      (match parsed with
-      | Ok cmd -> Protocol.canonical cmd
-      | Error _ -> String.trim line)
+    lazy
+      (Journal.digest
+         (match parsed with
+         | Ok cmd -> Protocol.canonical cmd
+         | Error _ -> String.trim line))
   in
   match try_replay t ~index ~binding with
   | Some reply ->

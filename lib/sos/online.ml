@@ -1,8 +1,6 @@
 type arrival = { release : int; size : int; req : int }
 
-type history = Schedule.step list
-
-type result = { jobs : int; makespan : int; starts : int array; history : history }
+type result = { jobs : int; makespan : int; starts : int array }
 
 type offline = { instance : Instance.t; schedule : Schedule.t; start_times : int array }
 
@@ -13,15 +11,6 @@ let validate_arrival i a =
   else if a.size <= 0 then Error (Nonpositive_size { job = i; size = a.size })
   else if a.req <= 0 then Error (Nonpositive_req { job = i; req = a.req })
   else Ok ()
-
-let to_instance ~m ~scale arrivals =
-  List.iteri
-    (fun i a ->
-      match validate_arrival i a with
-      | Ok () -> ()
-      | Error inv -> raise (Robust.Failure.Invalid inv))
-    arrivals;
-  Instance.create ~m ~scale (List.map (fun a -> (a.size, a.req)) arrivals)
 
 (* Eq. (1) over the sums, raised to the release horizon max_j (r_j + p_j):
    the one formula behind [lower_bound] and [Session.lower_bound]. Raises
@@ -34,7 +23,7 @@ let clairvoyant_bound ~m ~scale ~requirement ~volume ~longest ~horizon =
   | Error reason -> raise (Robust.Failure.Invalid reason)
 
 (* One pass over the arrivals, failing exactly as [Bounds.lower_bound]
-   on [to_instance]'s result would: at the first malformed arrival, then
+   on their offline instance would: at the first malformed arrival, then
    on m and scale, then on an overflowing sum. Eq. (1)'s sums do not
    depend on job order, so the instance and its sort are not needed. A
    sum that overflowed is held as -1. *)
@@ -59,28 +48,13 @@ let lower_bound ~m ~scale arrivals =
 
 (* ------------------------------------------------------ incremental core
 
-   The simulation state below is keyed on arrival POSITIONS (the order
-   jobs were submitted), not on instance ids. [Instance.create] sorts by
-   [Job.compare_req], which tie-breaks on the original position, so
-   instance-id order and (req, position) lexicographic order coincide:
-   every comparison the id-based simulation used to make — the admission
-   order among jobs released together, the "everyone but the largest"
-   split — is reproduced exactly by comparing (req, position). That is
-   what lets a session keep simulating as jobs arrive without ever
-   renumbering its history: a result's history and start times stay keyed
-   by position, an extension prepends its blocks to the history it
-   extends, and only [materialize] maps positions onto the ids of the
-   sorted instance, byte-identically to a from-scratch [run] on the same
-   job set. *)
-
-type sim = {
-  mutable t : int;  (** steps simulated so far; the frontier *)
-  mutable steps_rev : Schedule.step list;
-      (** the history, latest block first; allocs carry positions *)
-  mutable active : int list;  (** positions *)
-  rem : int array;  (** remaining requirement units per position *)
-  start : int array;  (** first allocated step per position, -1 *)
-}
+   The simulation is keyed on submission POSITIONS, not instance ids.
+   [Instance.create] sorts by [Job.compare_req], which tie-breaks on the
+   position, so every comparison an id-keyed simulation makes — the
+   admission order, the "everyone but the largest" split — is the same
+   comparison on (req, position). A session therefore never renumbers
+   anything: a result's starts stay keyed by position, and only
+   [materialize] maps positions onto the sorted instance's ids. *)
 
 let grown a n fill =
   let b = Array.make n fill in
@@ -125,10 +99,12 @@ let dequeue q =
   done;
   q.heap.(!i) <- last
 
-(* Run the simulation of positions [from .. n-1] to completion, one block
-   per stretch of identical steps, from [sim]'s frontier, where every
-   position below [from] has already finished. [releases] and [reqs] hold
-   at least [n] positions; only the first [n] are read.
+(* Run positions [from .. n-1] to completion from time [clock], where
+   every position below [from] has finished; write each one's first step
+   into [starts] (-1 until then) and return the makespan. Only the first
+   [n] positions of the columns are read. [block active amounts k repeat]
+   sees each block: the first [k] running positions and what each gets
+   per step, for [repeat] steps ([k = 0] is an idle gap).
 
    Admission order. The per-step policy keeps the waiting jobs in a list,
    sorted by (req, position) at the start. Each admission takes the first
@@ -148,6 +124,12 @@ let dequeue q =
    runs only when it finds one out of order. Each position is pushed and
    popped once, at O(log n) each.
 
+   Active set. [active] holds the running positions in (req, position)
+   order, so the largest is the last slot, and [sum] is their Σ req. An
+   admission shifts its job into place and a block compacts finished
+   jobs out, in O(m) and without allocating. [active] has min(m − 1,
+   n − from) cells, whatever m is.
+
    Events. Stepping one time unit at a time, the state changes only at
    three kinds of event: a release while a slot is free ([admit] may grow
    the active set), a job finishing (the active set shrinks), and a job's
@@ -163,12 +145,12 @@ let dequeue q =
    per distinct release time), at a job's finish, or one step before a
    finish — an interval cut short by a job's partial last step, which the
    next, one-step block then finishes. A completed simulation over n
-   positions therefore holds at most 3n blocks, whatever its makespan,
-   and so does any one call below, since every call runs one stretch of
-   that history. One cooperative cancellation poll per block keeps
+   positions therefore has at most 3n blocks, whatever its makespan, and
+   so does any one call below, since every call runs one stretch of that
+   simulation. One cooperative cancellation poll per block keeps
    mid-solve deadlines responsive; the chaos site lets the fault suite
    kill whole solves. *)
-let simulate ~m ~scale ~n ~releases ~reqs ~from sim =
+let simulate ~m ~scale ~n ~releases ~sizes ~reqs ~from ~clock ~starts ~block =
   Robust.Chaos.point "sos.online.run";
   let fuel = ref (3 * n) in
   let arriving = Array.init (n - from) (fun i -> from + i) in
@@ -178,120 +160,96 @@ let simulate ~m ~scale ~n ~releases ~reqs ~from sim =
   let next = ref 0 in
   let queue = { heap = Array.make (n - from) 0; size = 0; gen = Array.make n 0; reqs } in
   let admissions = ref 0 in
-  let push allocs repeat =
-    sim.steps_rev <- { Schedule.allocs; repeat } :: sim.steps_rev;
-    sim.t <- sim.t + repeat
+  let rem = Array.make n 0 in
+  for p = from to n - 1 do
+    rem.(p) <- sizes.(p) * reqs.(p)
+  done;
+  let slots = Int.min (m - 1) (n - from) in
+  let active = Array.make slots 0 and amounts = Array.make slots 0 in
+  let k = ref 0 and sum = ref 0 and t = ref clock in
+  (* Admit queued jobs in order while the active set keeps property (b):
+     everything except the largest member must fit below the full
+     resource. *)
+  let rec admit () =
+    if queue.size > 0 && !k < m - 1 then begin
+      let c = queue.heap.(0) in
+      let largest = if !k > 0 then reqs.(active.(!k - 1)) else 0 in
+      if !sum + reqs.(c) - Int.max largest reqs.(c) < scale then begin
+        dequeue queue;
+        incr admissions;
+        let i = ref !k in
+        while !i > 0 && by_req reqs active.(!i - 1) c > 0 do
+          active.(!i) <- active.(!i - 1);
+          decr i
+        done;
+        active.(!i) <- c;
+        incr k;
+        sum := !sum + reqs.(c);
+        admit ()
+      end
+    end
   in
-  while !next < Array.length arriving || queue.size > 0 || sim.active <> [] do
+  while !next < Array.length arriving || queue.size > 0 || !k > 0 do
     Robust.Context.poll ();
     decr fuel;
     if !fuel < 0 then Robust.Failure.internal_error "Online.run: no progress";
-    while !next < Array.length arriving && releases.(arriving.(!next)) <= sim.t do
+    while !next < Array.length arriving && releases.(arriving.(!next)) <= !t do
       let p = arriving.(!next) in
       queue.gen.(p) <- !admissions;
       enqueue queue p;
       incr next
     done;
-    (* Admit queued jobs in order while the active set keeps property
-       (b): everything except the largest member must fit below the full
-       resource. *)
-    let rec admit () =
-      if queue.size > 0 && List.length sim.active < m - 1 then begin
-        let members = queue.heap.(0) :: sim.active in
-        let sum = List.fold_left (fun acc p -> acc + reqs.(p)) 0 members in
-        let mx = List.fold_left (fun acc p -> max acc reqs.(p)) 0 members in
-        if sum - mx < scale then begin
-          dequeue queue;
-          incr admissions;
-          sim.active <- members;
-          admit ()
-        end
-      end
-    in
     admit ();
     let next_release =
       if !next < Array.length arriving then releases.(arriving.(!next)) else max_int
     in
-    (if sim.active = [] then begin
-       (* Idle until the next release: with m >= 2 and scale >= 1 an empty
-          active set admits any released job, so the queue is empty and
-          every job still to run lies ahead. With no release ahead,
-          nothing can ever be admitted. *)
-       if next_release = max_int then
-         Robust.Failure.internal_error "Online.run: no progress";
-       push [] (next_release - sim.t)
-     end
-     else begin
-       let ordered = List.sort (by_req reqs) sim.active in
-       let rec split_last acc = function
-         | [ last ] -> (List.rev acc, last)
-         | x :: rest -> split_last (x :: acc) rest
-         | [] -> assert false
-       in
-       let others, biggest = split_last [] ordered in
-       let spent = ref 0 in
-       let allocs_others =
-         List.map
-           (fun p ->
-             let assigned = min reqs.(p) sim.rem.(p) in
-             spent := !spent + assigned;
-             { Schedule.job = p; assigned; consumed = assigned })
-           others
-       in
-       let leftover = scale - !spent in
-       let big_assigned = min (min leftover reqs.(biggest)) sim.rem.(biggest) in
-       let allocs =
-         allocs_others
-         @ [ { Schedule.job = biggest; assigned = big_assigned; consumed = big_assigned } ]
-       in
-       (* The step repeats while every job can pay its allocation in full
-          again. Every allocation is positive: admission keeps the others'
-          requirements below [scale], so the largest job's leftover is at
-          least 1. A free slot also stops the block at the next release. *)
-       let repeat =
-         List.fold_left
-           (fun k (a : Schedule.alloc) -> min k (sim.rem.(a.job) / a.consumed))
-           max_int allocs
-       in
-       let repeat =
-         if List.length sim.active < m - 1 then min repeat (next_release - sim.t)
-         else repeat
-       in
-       List.iter
-         (fun (a : Schedule.alloc) ->
-           if sim.start.(a.job) < 0 then sim.start.(a.job) <- sim.t;
-           sim.rem.(a.job) <- sim.rem.(a.job) - (repeat * a.consumed))
-         allocs;
-       push allocs repeat;
-       sim.active <- List.filter (fun p -> sim.rem.(p) > 0) sim.active
-     end)
-  done
-
-let rekey table (step : Schedule.step) =
-  {
-    step with
-    Schedule.allocs =
-      List.map
-        (fun (a : Schedule.alloc) -> { a with Schedule.job = table.(a.job) })
-        step.Schedule.allocs;
-  }
-
-(* The history needs no trim: [simulate] pushes an idle block only ahead
-   of a release, whose job then runs, so the last block has work and the
-   schedule's makespan is the result's. *)
-let materialize ~m ~scale arrivals r =
-  let inst = to_instance ~m ~scale arrivals in
-  let n = Instance.n inst in
-  if n <> r.jobs then
-    raise
-      (Robust.Failure.Invalid
-         (Robust.Failure.Malformed
-            (Printf.sprintf "Online.materialize: %d arrivals for a result over %d jobs" n r.jobs)));
-  let id_of_pos = Array.make n 0 in
-  Array.iteri (fun id pos -> id_of_pos.(pos) <- id) inst.Instance.original;
-  let schedule = Schedule.make inst (List.rev_map (rekey id_of_pos) r.history) in
-  let start_times = Array.map (fun pos -> r.starts.(pos)) inst.Instance.original in
-  { instance = inst; schedule; start_times }
+    if !k = 0 then begin
+      (* Idle until the next release: with m >= 2 and scale >= 1 an empty
+         active set admits any released job, so the queue is empty and
+         every job still to run lies ahead. With no release ahead,
+         nothing can ever be admitted. *)
+      if next_release = max_int then Robust.Failure.internal_error "Online.run: no progress";
+      block active amounts 0 (next_release - !t);
+      t := next_release
+    end
+    else begin
+      (* Everyone but the largest gets its requirement, the largest the
+         leftover. The step repeats while every job can pay its amount in
+         full again. Every amount is positive: admission keeps the
+         others' requirements below [scale]. A free slot also stops the
+         block at the next release. *)
+      let last = !k - 1 in
+      let spent = ref 0 in
+      for i = 0 to last - 1 do
+        let p = active.(i) in
+        let a = Int.min reqs.(p) rem.(p) in
+        amounts.(i) <- a;
+        spent := !spent + a
+      done;
+      let big = active.(last) in
+      amounts.(last) <- Int.min (Int.min (scale - !spent) reqs.(big)) rem.(big);
+      let repeat = ref (if !k < m - 1 then next_release - !t else max_int) in
+      for i = 0 to last do
+        repeat := Int.min !repeat (rem.(active.(i)) / amounts.(i))
+      done;
+      let repeat = !repeat in
+      block active amounts !k repeat;
+      let kept = ref 0 in
+      for i = 0 to last do
+        let p = active.(i) in
+        if starts.(p) < 0 then starts.(p) <- !t;
+        rem.(p) <- rem.(p) - (repeat * amounts.(i));
+        if rem.(p) > 0 then begin
+          active.(!kept) <- p;
+          incr kept
+        end
+        else sum := !sum - reqs.(p)
+      done;
+      k := !kept;
+      t := !t + repeat
+    end
+  done;
+  !t
 
 module Session = struct
   type reject =
@@ -325,12 +283,11 @@ module Session = struct
     mutable longest : int;  (** max_j p_j *)
     mutable horizon : int;  (** max_j (r_j + p_j) *)
     (* The result of the last completed simulation, over the first
-       [jobs] positions. It is the session's only copy of its history, and
-       the frontier state a solve extends: at its makespan every job has
-       finished. Solving never mutates it — a solve simulates on fresh
-       arrays and a history that keeps the committed one as its tail, and
-       swaps the new result in only on completion — so a deadline that
-       unwinds mid-solve leaves it, and [peek]'s answer, intact. *)
+       [jobs] positions: the frontier a solve extends, since at its
+       makespan every job has finished. Solving never mutates it — a solve
+       simulates on fresh arrays and swaps the new result in only on
+       completion — so a deadline that unwinds mid-solve leaves it, and
+       [peek]'s answer, intact. *)
     mutable last_good : result option;
     mutable full_solves : int;
     mutable extended_solves : int;
@@ -435,7 +392,7 @@ module Session = struct
             end
       end
 
-  let unsolved = { jobs = 0; makespan = 0; starts = [||]; history = [] }
+  let unsolved = { jobs = 0; makespan = 0; starts = [||] }
 
   (* New positions can extend the committed simulation iff none of them
      is released before the committed frontier. The committed frontier is
@@ -450,6 +407,17 @@ module Session = struct
     let rec from p = p >= t.count || (t.releases.(p) >= r.makespan && from (p + 1)) in
     r.jobs > 0 && from r.jobs
 
+  (* Simulate the positions past [base.jobs] from [base]'s frontier, on
+     a fresh copy of its starts. *)
+  let resume t base ~block =
+    let n = t.count in
+    let starts = grown base.starts n (-1) in
+    let makespan =
+      simulate ~m:t.m ~scale:t.scale ~n ~releases:t.releases ~sizes:t.sizes ~reqs:t.reqs
+        ~from:base.jobs ~clock:base.makespan ~starts ~block
+    in
+    { jobs = n; makespan; starts }
+
   let solve t =
     match t.last_good with
     | Some r when r.jobs = t.count ->
@@ -457,30 +425,17 @@ module Session = struct
         r
     | last_good ->
         Instance.check_shape ~m:t.m ~scale:t.scale;
-        let n = t.count in
         let base = match last_good with Some r when extends t r -> r | _ -> unsolved in
-        let sim =
-          {
-            t = base.makespan;
-            steps_rev = base.history;
-            active = [];
-            rem = Array.make n 0;
-            start = grown base.starts n (-1);
-          }
-        in
-        for p = base.jobs to n - 1 do
-          sim.rem.(p) <- t.sizes.(p) * t.reqs.(p)
-        done;
-        simulate ~m:t.m ~scale:t.scale ~n ~releases:t.releases ~reqs:t.reqs ~from:base.jobs sim;
+        let r = resume t base ~block:(fun _ _ _ _ -> ()) in
         (* Commit only now: everything above may unwind on a deadline. *)
         if base.jobs > 0 then t.extended_solves <- t.extended_solves + 1
         else t.full_solves <- t.full_solves + 1;
-        let r = { jobs = n; makespan = sim.t; starts = sim.start; history = sim.steps_rev } in
         t.last_good <- Some r;
         r
 end
 
-let run ~m ~scale arrivals =
+(* A session holding [arrivals], which refuses what [Session.add] does. *)
+let session_of ~m ~scale arrivals =
   let session = Session.create ~m ~scale () in
   List.iter
     (fun a ->
@@ -493,7 +448,47 @@ let run ~m ~scale arrivals =
             (Robust.Failure.Invalid
                (Robust.Failure.Malformed (Session.reject_message r))))
     arrivals;
-  Session.solve session
+  session
+
+let run ~m ~scale arrivals = Session.solve (session_of ~m ~scale arrivals)
+
+(* The offline schedule comes from a second run of the same simulation,
+   from scratch over [arrivals], whose blocks are recorded keyed by
+   instance id. Its makespan and starts must be [r]'s, so every call also
+   checks [r] (an extended result, say) against a from-scratch run. The
+   schedule needs no trim: [simulate] reports an idle block only ahead of
+   a release, whose job then runs, so the last block has work. *)
+let materialize ~m ~scale arrivals r =
+  let session = session_of ~m ~scale arrivals in
+  let inst =
+    Instance.create ~m ~scale (List.map (fun (a : arrival) -> (a.size, a.req)) arrivals)
+  in
+  let n = Instance.n inst in
+  let id_of_pos = Array.make n 0 in
+  Array.iteri (fun id pos -> id_of_pos.(pos) <- id) inst.Instance.original;
+  let steps = ref [] in
+  let block active amounts k repeat =
+    let allocs = ref [] in
+    for i = k - 1 downto 0 do
+      let amount = amounts.(i) in
+      allocs :=
+        { Schedule.job = id_of_pos.(active.(i)); assigned = amount; consumed = amount }
+        :: !allocs
+    done;
+    steps := { Schedule.allocs = !allocs; repeat } :: !steps
+  in
+  let fresh = Session.resume session Session.unsolved ~block in
+  if r.jobs <> n || r.makespan <> fresh.makespan || r.starts <> fresh.starts then
+    raise
+      (Robust.Failure.Invalid
+         (Robust.Failure.Malformed
+            (Printf.sprintf
+               "Online.materialize: a result over %d jobs (makespan %d) is not the run of \
+                %d arrivals (makespan %d)"
+               r.jobs r.makespan n fresh.makespan)));
+  let schedule = Schedule.make inst (List.rev !steps) in
+  let start_times = Array.map (fun pos -> fresh.starts.(pos)) inst.Instance.original in
+  { instance = inst; schedule; start_times }
 
 let respects_releases r arrivals =
   List.length arrivals = r.jobs

@@ -23,12 +23,14 @@
 
     The simulation does not step through time one unit at a time. It
     jumps from event to event — a release while a slot is free, a job
-    finishing, a job's partial last step — and records one run-length
-    block per interval in between, including one per idle gap. A result
-    over n jobs therefore holds at most 3n blocks whatever its makespan,
+    finishing, a job's partial last step — and decides one run-length
+    block per interval in between, including one per idle gap. A run
+    over n jobs therefore has at most 3n blocks whatever its makespan,
     and a solve's work grows with its events, not with its makespan.
-    The expanded schedule is exactly the per-step policy's (tested
-    against a per-step reference simulator).
+    The running jobs sit in one array in (req, position) order, at most
+    min(m − 1, n) of them, so a block costs O(m) array work and
+    allocates nothing. The expanded schedule is exactly the per-step
+    policy's (tested against a per-step reference simulator).
 
     Two entry points share one engine. {!run} is the one-shot form.
     {!Session} is the incremental form behind [sosctl serve]: jobs are
@@ -37,34 +39,32 @@
     answering from cache when nothing changed, extending the finished
     simulation when every new job is released at or after its frontier,
     and only re-simulating from scratch when a new arrival rewrites
-    history. Both return a {!result} keyed by submission position, the
-    form the simulation produces: its job count, makespan and start times
-    are what a serve reply reads, and its history is the schedule's
-    blocks. An extension simulates only the new events and prepends their
-    blocks to the history it extends, which the two results then share;
-    nothing is re-keyed or sorted, so it costs O(new events) plus an O(n)
-    copy of the frontier arrays. {!materialize} builds the offline views —
-    the sorted {!Instance.t}, the id-keyed {!Schedule.t} and the start
-    times in id order — for callers that want them. All three solve paths
-    produce results byte-identical to {!run} on the same job set (tested
-    property). *)
+    history. Both return a {!result} keyed by submission position: its
+    job count, makespan and start times, what a serve reply reads. A
+    result keeps no blocks. It needs none to be extended: at its makespan
+    every job has finished, so the frontier is the makespan and the
+    starts. An extension simulates only the new events, so it costs
+    O(new events) plus an O(n) copy of the starts. {!materialize} builds
+    the offline views — the sorted {!Instance.t}, the id-keyed
+    {!Schedule.t} and the start times in id order — for callers that
+    want them, by running the same simulation again from scratch, and
+    checks the result it was given against that run. All three solve
+    paths produce results byte-identical to {!run} on the same job set
+    (tested property). *)
 
 type arrival = { release : int; size : int; req : int }
 (** [release ≥ 0] in time steps; [size], [req] as in {!Instance}. *)
 
-type history
-(** A schedule's run-length blocks, keyed by submission position. Read it
-    through {!materialize}. *)
-
 type result = {
   jobs : int;  (** jobs scheduled *)
-  makespan : int;
+  makespan : int;  (** the step at which the last job has finished *)
   starts : int array;
       (** [starts.(p)] is the 0-based first step of the job submitted at
           position [p]; [jobs] entries. Read only: a session's next
           solve starts from its last result's array. *)
-  history : history;
 }
+(** A finished simulation, keyed by submission position. It holds no
+    schedule blocks: {!materialize} rebuilds them. *)
 
 type offline = {
   instance : Instance.t;  (** the jobs, as an offline instance *)
@@ -75,11 +75,16 @@ type offline = {
 val materialize : m:int -> scale:int -> arrival list -> result -> offline
 (** [materialize ~m ~scale arrivals r] is [r] as an offline schedule:
     [arrivals], the jobs [r] scheduled in submission order, as an
-    {!Instance.t}; [r]'s history re-keyed onto its job ids; and the start
-    times in id order. O(blocks + n log n). Raises
-    [Robust.Failure.Invalid] on a malformed arrival or when [arrivals]
-    does not hold [r.jobs] jobs, and [Invalid_argument] on [m < 2] or
-    [scale < 1]. *)
+    {!Instance.t}; the schedule's blocks keyed by its job ids; and the
+    start times in id order. The blocks come from a from-scratch run of
+    the simulation over [arrivals], so a call costs O(n log n + blocks),
+    and that run must give [r]'s makespan and starts: every call checks
+    [r], an extended result say, against it. Raises
+    [Robust.Failure.Invalid] on an arrival {!run} refuses, then
+    [Invalid_argument] on [m < 2] or [scale < 1], then
+    [Robust.Failure.Invalid (Malformed _)] when [arrivals] does not hold
+    [r.jobs] jobs or their run's makespan or any start differs from
+    [r]'s. *)
 
 (** Incremental sessions: one tenant's arrival stream, solved on demand. *)
 module Session : sig
@@ -110,14 +115,14 @@ module Session : sig
   val solve : t -> result
   (** The schedule for everything admitted so far — equal to
       [run ~m ~scale (arrivals t)]. A cached answer costs O(1), an
-      extension O(new events) plus an O(n) copy of the frontier arrays,
-      and a full re-solve O(n log n) plus O(m) per block; none builds the
+      extension O(new events) plus an O(n) copy of the starts, and a
+      full re-solve O(n log n) plus O(m) per block; none builds the
       offline views ({!materialize} does). Raises [Invalid_argument] on
       [m < 2] or [scale < 1]. May raise {!Robust.Failure.Deadline} (via
       the ambient {!Robust.Context.poll}) or a chaos-injected fault from
       the [sos.online.run] site; either way the session keeps its last
-      committed result and history, so a later [solve] retries and
-      {!peek} still answers. *)
+      committed result, so a later [solve] retries and {!peek} still
+      answers. *)
 
   val peek : t -> result option
   (** The last successfully committed result, without solving. [None]

@@ -351,7 +351,7 @@ let test_online_admission_order () =
 
 let test_online_history_bounded () =
   (* 400 jobs released 200 steps apart, each finished long before the
-     next arrives: the shape of a sparse serve tenant. The history must
+     next arrives: the shape of a sparse serve tenant. The schedule must
      stay within [simulate]'s event bound of three blocks per job, for a
      one-shot run and for a session that extends on every solve. *)
   let m = 4 and scale = 100 in
@@ -495,12 +495,12 @@ let test_session_abandoned_solves () =
   done;
   if !abandoned = 0 then Alcotest.fail "no solve was abandoned"
 
-let test_session_one_history () =
-  (* A session holds one copy of its history: the position-keyed blocks
-     of its last result, which an extension prepends to. A 400-job
-     session solved after every add, dense (full re-solves) or sparse
-     (extensions), must stay under 1.5x the size of one materialized
-     schedule of the same jobs (its instance and its blocks). *)
+let test_session_no_history () =
+  (* A session keeps no schedule blocks, only its three job columns and
+     the starts of its last result. A 400-job session solved after every
+     add, dense (full re-solves) or sparse (extensions), must hold at most
+     8 words per job; one that kept its blocks would hold 24 (sparse) to
+     55 (dense). *)
   List.iter
     (fun (shape, release) ->
       let rng = Rng.create 4243 in
@@ -512,22 +512,79 @@ let test_session_one_history () =
           [ { Online.release = !last; size = Rng.int_in rng 1 20; req = Rng.int_in rng 1 500 } ];
         ignore (Online.Session.solve session : Online.result)
       done;
-      match Online.Session.peek session with
-      | None -> Alcotest.failf "%s: no result after solving" shape
-      | Some r ->
-          let schedule =
-            schedule_of ~m:8 ~scale:1000 (Online.Session.arrivals session) r
-          in
-          let held = Obj.reachable_words (Obj.repr session) in
-          let one = Obj.reachable_words (Obj.repr schedule) in
-          if 2 * held >= 3 * one then
-            Alcotest.failf "%s: the session holds %d words, one schedule %d (%.2fx >= 1.5x)"
-              shape held one
-              (float_of_int held /. float_of_int one))
+      let held = Obj.reachable_words (Obj.repr session) in
+      if held > 8 * 400 then
+        Alcotest.failf "%s: the session holds %d words for 400 jobs (%.1f per job > 8)" shape
+          held
+          (float_of_int held /. 400.))
     [
       ("dense", fun rng _ last -> last + Rng.int_in rng 0 1);
       ("sparse", fun _ i _ -> 200 * i);
     ]
+
+let test_materialize_refuses_other_runs () =
+  (* [materialize] re-runs the simulation from scratch over its arrivals
+     and must refuse any result that is not that run: one start moved,
+     the makespan moved, or the run of another job set of the same size
+     (the same jobs released 5 steps later). *)
+  let m = 4 and scale = 100 in
+  let rng = Rng.create 4244 in
+  let arrivals =
+    List.init 30 (fun _ ->
+        { Online.release = Rng.int_in rng 0 30; size = Rng.int_in rng 1 6; req = Rng.int_in rng 1 120 })
+  in
+  let r = Online.run ~m ~scale arrivals in
+  ignore (Online.materialize ~m ~scale arrivals r : Online.offline);
+  let refused ctx r =
+    match Online.materialize ~m ~scale arrivals r with
+    | _ -> Alcotest.failf "%s: materialize accepted it" ctx
+    | exception Robust.Failure.Invalid (Robust.Failure.Malformed _) -> ()
+  in
+  let starts = Array.copy r.Online.starts in
+  starts.(7) <- starts.(7) + 1;
+  refused "one start changed" { r with Online.starts };
+  refused "makespan changed" { r with Online.makespan = r.Online.makespan + 1 };
+  refused "another job set"
+    (Online.run ~m ~scale
+       (List.map (fun (a : Online.arrival) -> { a with Online.release = a.release + 5 }) arrivals))
+
+let test_online_huge_m () =
+  (* Nothing is sized by m: with m = max_int a run must be the run at
+     m = n + 1, where the slot limit never binds either; so must a session
+     with m = max_int, after a full solve and after an extension. *)
+  let same ctx (expected : Online.result) (got : Online.result) =
+    Alcotest.(check int) (ctx ^ ": jobs") expected.Online.jobs got.Online.jobs;
+    Alcotest.(check int) (ctx ^ ": makespan") expected.Online.makespan got.Online.makespan;
+    Alcotest.(check (array int)) (ctx ^ ": starts") expected.Online.starts got.Online.starts
+  in
+  for seed = 1 to 50 do
+    let rng = Rng.create (seed * 373) in
+    let ctx = Printf.sprintf "seed %d" seed in
+    let arrivals = random_arrivals rng in
+    let n = List.length arrivals in
+    same (ctx ^ " run")
+      (Online.run ~m:(n + 1) ~scale:100 arrivals)
+      (Online.run ~m:max_int ~scale:100 arrivals);
+    let session = Online.Session.create ~m:max_int ~scale:100 () in
+    add_all session arrivals;
+    let r = Online.Session.solve session in
+    same (ctx ^ " session") (Online.run ~m:(n + 1) ~scale:100 arrivals) r;
+    let more =
+      List.init (Rng.int_in rng 1 10) (fun _ ->
+          {
+            Online.release = r.Online.makespan + Rng.int_in rng 0 20;
+            size = Rng.int_in rng 1 6;
+            req = Rng.int_in rng 1 120;
+          })
+    in
+    add_all session more;
+    let all = arrivals @ more in
+    same (ctx ^ " extended session")
+      (Online.run ~m:(List.length all + 1) ~scale:100 all)
+      (Online.Session.solve session);
+    Alcotest.(check int) (ctx ^ ": extended solves") 1
+      (Online.Session.stats session).Online.Session.extended_solves
+  done
 
 (* --- lower bound --- *)
 
@@ -710,7 +767,10 @@ let suite =
         test_session_full_extend_cycle;
       Alcotest.test_case "session abandoned solves keep committed state" `Quick
         test_session_abandoned_solves;
-      Alcotest.test_case "session keeps one history" `Quick test_session_one_history;
+      Alcotest.test_case "session keeps no history" `Quick test_session_no_history;
+      Alcotest.test_case "materialize refuses other runs" `Quick
+        test_materialize_refuses_other_runs;
+      Alcotest.test_case "m = max_int sizes nothing by m" `Quick test_online_huge_m;
       Alcotest.test_case "lower bound in one pass" `Quick
         test_online_lower_bound_one_pass;
       Alcotest.test_case "session lower bound after every add" `Quick

@@ -164,6 +164,30 @@ let test_serve_overflow_submit () =
     replies;
   Alcotest.(check int) "exit code" 0 s.S.exit_code
 
+let test_serve_huge_m () =
+  (* An m far past the job count is accepted and answered: the
+     simulation sizes its active set by the jobs, never by m. *)
+  let replies, s =
+    drive
+      [
+        "open t m=4611686018427387903";
+        "submit t 0 1 1";
+        "submit t 1 2 3";
+        "query t";
+        "query t job=1";
+      ]
+  in
+  check_lines "huge-m transcript"
+    [
+      "0 ok open tenant=t m=4611686018427387903 scale=100";
+      "1 ok submit tenant=t job=0";
+      "2 ok submit tenant=t job=1";
+      "3 ok schedule tenant=t jobs=2 makespan=3 lb=3";
+      "4 ok job tenant=t job=1 start=1";
+    ]
+    replies;
+  Alcotest.(check int) "exit code" 0 s.S.exit_code
+
 (* --- admission control / overload shedding --- *)
 
 let test_serve_overload () =
@@ -369,6 +393,7 @@ let suite =
       Alcotest.test_case "invalid submit is structured + survivable" `Quick
         test_serve_invalid_submit;
       Alcotest.test_case "overflowing submit is refused" `Quick test_serve_overflow_submit;
+      Alcotest.test_case "m far past the job count" `Quick test_serve_huge_m;
       Alcotest.test_case "overload shedding" `Quick test_serve_overload;
       Alcotest.test_case "deadline degrades to last-good" `Quick
         test_serve_deadline_degrades;
