@@ -171,16 +171,16 @@ let gen_cmd =
 (* ---------------------------------------------------------------- solve *)
 
 (* solve and analyze: load under the solver's precondition, solve, and
-   validate the schedule before [report] sees it; an invalid schedule is a
-   solver bug and exits 3. *)
+   validate the column store before [report] sees its list form; an
+   invalid schedule is a solver bug and exits 3. *)
 let solve_checked solver file report =
   load_instance ~solver file @@ fun inst ->
-  let sched = Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> solver.Solvers.run inst) in
+  let cols = Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> solver.Solvers.run inst) in
   match
     Obs.Trace.with_span ~cat:"cli" "validate" (fun () ->
-        Sos.Schedule.validate ~preemption_ok:solver.preemptive sched)
+        Sos.Schedule.Columns.validate ~preemption_ok:solver.preemptive cols)
   with
-  | Ok () -> report inst sched
+  | Ok () -> report inst (Sos.Schedule.Columns.to_schedule cols)
   | Error v ->
       Printf.eprintf "INVALID schedule at step %d: %s\n" v.Sos.Schedule.at_step
         v.Sos.Schedule.reason;
@@ -424,10 +424,10 @@ let export_cmd =
                     | _ -> []
                   in
                   Sos.Export.trace_to_csv trace inst
-              | `Schedule -> Sos.Export.schedule_to_csv (solver.run inst)
-              | `Schedule_rle -> Sos.Export.schedule_to_csv_rle (solver.run inst)
-              | `Utilization -> Sos.Export.utilization_to_csv (solver.run inst)
-              | `Svg -> Sos.Svg.render ~title:"sosctl schedule" (solver.run inst));
+              | `Schedule -> Sos.Export.schedule_to_csv (Solvers.schedule solver inst)
+              | `Schedule_rle -> Sos.Export.columns_to_csv_rle (solver.run inst)
+              | `Utilization -> Sos.Export.utilization_to_csv (Solvers.schedule solver inst)
+              | `Svg -> Sos.Svg.render ~title:"sosctl schedule" (Solvers.schedule solver inst));
             0)
   in
   let what =
@@ -601,7 +601,7 @@ let arm_fault_tolerance ~seed ft =
    will be replayed verbatim at emit time (never recomputed — even an
    armed chaos rule on the task site cannot change a replayed line). *)
 type batch_result =
-  | Solved of string * Sos.Instance.t * Sos.Schedule.t
+  | Solved of string * Sos.Instance.t * Sos.Schedule.Columns.t
   | Replayed
 
 (* Streamed aggregation for --summary: per-line stdout is suppressed and
@@ -766,13 +766,13 @@ let batch_cmd =
         in
         let inst = admit (Solvers.check solver inst) in
         Obs.Trace.flow_step ~id:idx "spec";
-        let sched = solver.run inst in
-        (match Sos.Schedule.validate ~preemption_ok:solver.preemptive sched with
+        let cols = solver.run inst in
+        (match Sos.Schedule.Columns.validate ~preemption_ok:solver.preemptive cols with
         | Ok () -> ()
         | Error v ->
             Robust.Failure.internal_error "invalid schedule at step %d: %s"
               v.Sos.Schedule.at_step v.Sos.Schedule.reason);
-        Solved (label, inst, sched)
+        Solved (label, inst, cols)
       in
       let src =
         match
@@ -916,21 +916,20 @@ let batch_cmd =
                       "%d error resume-mismatch line %d: spec %S differs from the journalled \
                        one (re-run without --resume)"
                       idx r.recno (Workload.Specs.canonical r)))
-        | Ok (Solved (label, inst, sched)), _ ->
+        | Ok (Solved (label, inst, cols)), _ ->
             (match out_dir with
             | Some dir ->
                 Out_channel.with_open_text
                   (Printf.sprintf "%s/batch-%04d.csv" dir idx)
-                  (fun oc ->
-                    Out_channel.output_string oc (Sos.Export.schedule_to_csv_rle sched))
+                  (fun oc -> Out_channel.output_string oc (Sos.Export.columns_to_csv_rle cols))
             | None -> ());
-            let makespan = sched.Sos.Schedule.makespan in
+            let makespan = cols.Sos.Schedule.Columns.makespan in
             let lb = Sos.Bounds.lower_bound inst in
             emit_fresh idx
               (Printf.sprintf "%d ok %s n=%d m=%d makespan=%d lb=%d ratio=%.4f blocks=%d"
                  idx label (Sos.Instance.n inst) inst.Sos.Instance.m makespan lb
                  (Sos.Bounds.ratio ~lb ~makespan)
-                 (List.length sched.Sos.Schedule.steps))
+                 cols.blocks)
         | Error { failure = Robust.Failure.Cancelled; _ }, _ ->
             (* Interrupted, not failed: no line, no journal entry —
                --resume re-runs it. *)
@@ -1358,7 +1357,7 @@ let corpus_cmd =
             List.iter
               (fun (s : Solvers.t) ->
                 if Result.is_ok (Solvers.check s inst) then
-                  Printf.printf "  %-22s %d\n" s.name (s.run inst).Sos.Schedule.makespan)
+                  Printf.printf "  %-22s %d\n" s.name (s.run inst).Sos.Schedule.Columns.makespan)
               Solvers.all;
             0
       end

@@ -4,25 +4,31 @@ type t = {
   name : string;
   requires : requires;
   preemptive : bool;
-  run : Sos.Instance.t -> Sos.Schedule.t;
+  run : Sos.Instance.t -> Sos.Schedule.Columns.t;
 }
 
 let solver ?(preemptive = false) name requires run = { name; requires; preemptive; run }
 
+(* A reference algorithm that builds the list form. *)
+let listed ?preemptive name requires run =
+  solver ?preemptive name requires (fun i -> Sos.Schedule.Columns.of_schedule (run i))
+
 let all =
   [
-    solver "window" Window (fun i -> Sos.Fast.run i);
-    solver "listing1" Window (fun i -> Sos.Listing1.run ~check:true i);
-    solver "unit" Unit_sizes Sos.Splittable.run ~preemptive:true;
-    solver "unit-np" Unit_sizes Sos.Splittable.run_nonpreemptive;
-    solver "list-sched" Any (fun i -> List_scheduling.run i);
-    solver "greedy" Any Greedy_fair.run;
-    solver "naive-fracture" Window Sos.Ablation.run_naive_fracture;
-    solver "no-move" Window Sos.Ablation.run_no_move;
-    solver "literal" Window (fun i -> Sos.Fast.run ~variant:`Literal i);
-    solver "preemptive" Any (fun i -> Sos.Preemptive.run i) ~preemptive:true;
-    solver "fixed-assignment" Any (fun i -> Fixed_assignment.run i);
+    solver "window" Window (fun i -> fst (Sos.Fast.run_columns i));
+    listed "listing1" Window (fun i -> Sos.Listing1.run ~check:true i);
+    listed "unit" Unit_sizes Sos.Splittable.run ~preemptive:true;
+    listed "unit-np" Unit_sizes Sos.Splittable.run_nonpreemptive;
+    listed "list-sched" Any (fun i -> List_scheduling.run i);
+    listed "greedy" Any Greedy_fair.run;
+    listed "naive-fracture" Window Sos.Ablation.run_naive_fracture;
+    listed "no-move" Window Sos.Ablation.run_no_move;
+    solver "literal" Window (fun i -> fst (Sos.Fast.run_columns ~variant:`Literal i));
+    listed "preemptive" Any (fun i -> Sos.Preemptive.run i) ~preemptive:true;
+    listed "fixed-assignment" Any (fun i -> Fixed_assignment.run i);
   ]
+
+let schedule s inst = Sos.Schedule.Columns.to_schedule (s.run inst)
 
 let find name = List.find_opt (fun s -> String.equal s.name name) all
 

@@ -12,13 +12,20 @@ type t = {
   name : string;  (** the [-a] name *)
   requires : requires;
   preemptive : bool;  (** validate its schedules with [~preemption_ok:true] *)
-  run : Sos.Instance.t -> Sos.Schedule.t;
+  run : Sos.Instance.t -> Sos.Schedule.Columns.t;
+      (** The column store: native for the window solvers, converted once
+          with {!Sos.Schedule.Columns.of_schedule} for the list-building
+          reference algorithms. *)
 }
 
 val all : t list
 (** In [-a] listing order. *)
 
 val find : string -> t option
+
+val schedule : t -> Sos.Instance.t -> Sos.Schedule.t
+(** [run], converted to the list form by {!Sos.Schedule.Columns.to_schedule}:
+    the one conversion every caller outside [sosctl batch] reads. *)
 
 val check : t -> Sos.Instance.t -> (Sos.Instance.t, Robust.Failure.invalid) result
 (** [Ok inst] when [inst] meets [t.requires]; otherwise

@@ -59,4 +59,4 @@ let run_no_move inst =
      this ablation removes. *)
   generic_run inst ~window_of ~assign:(fun st w ->
       let outcome = Assign.compute st w ~budget ~extra:false in
-      (outcome.Assign.allocs, outcome.Assign.window))
+      (Assign.allocs outcome, outcome.Assign.window))

@@ -17,8 +17,18 @@
 
 type case = Case_full | Case_partial
 
+type scratch
+(** Reusable column buffer for {!compute}: one step's allocations as three
+    flat int columns ([job], [assigned], [consumed]) in window order, grown
+    by doubling — no [Schedule.alloc] record or cons cell per allocation.
+    An outcome's allocations live in the scratch it was computed into, so
+    they are valid until the next {!compute} on that scratch; without
+    [~scratch], {!compute} uses a fresh one. *)
+
 type outcome = {
-  allocs : Schedule.alloc list;  (** in window order; includes the extra job *)
+  block : scratch;
+      (** the step's allocations, in window order; includes the extra job.
+          Read them with {!allocs}, {!append} or {!apply}. *)
   window : Window.t;  (** input window, extended by the extra job if started *)
   case : case;
   extra : int option;  (** the job started on the m-th processor, if any *)
@@ -37,12 +47,6 @@ type outcome = {
           congruence) — see the implementation for the case analysis. *)
 }
 
-type scratch
-(** Reusable allocation buffer for {!compute}: avoids re-allocating the
-    intermediate per-step structures in hot solver loops. The returned
-    [outcome.allocs] list is always freshly built, so reusing one scratch
-    across iterations never aliases earlier outcomes. *)
-
 val make_scratch : unit -> scratch
 
 val compute : ?scratch:scratch -> State.t -> Window.t -> budget:int -> extra:bool -> outcome
@@ -54,17 +58,25 @@ val compute : ?scratch:scratch -> State.t -> Window.t -> budget:int -> extra:boo
     (callers only invoke it while unfinished jobs remain, so the computed
     window is never empty). *)
 
+val allocs : outcome -> Schedule.alloc list
+(** The step's allocations as a fresh list, in window order — for the
+    step-by-step reference algorithms and tests. *)
+
+val append : outcome -> Schedule.Columns.t -> repeat:int -> unit
+(** Append the step to a column store as one block of [repeat] identical
+    steps ({!Schedule.Columns.append}). *)
+
 val apply : State.t -> outcome -> int list
 (** Consumes the outcome's allocations and returns the jobs that finished
     in this step (window order). Does not unlink them. *)
 
 val apply_n : State.t -> outcome -> reps:int -> int list
 (** {!apply} for [reps ≥ 1] identical steps at once: consumes
-    [reps × consumed] per allocation in a single walk and returns the jobs
-    that finished on the {e last} of those steps (window order). Sound
-    exactly when [reps − 1 ≤ outcome.repeats] and the window is at a fixed
-    point (see {!Window.stable}): the certificate guarantees no job
-    finishes and the allocation repeats verbatim on every step but
-    possibly the last, where full-requirement receivers may finish exactly.
-    Does not unlink and does not advance the clock. Raises
-    [Invalid_argument] if [reps < 1]. *)
+    [reps × consumed] per allocation in a single walk over the scratch
+    columns ({!State.consume_block}) and returns the jobs that finished on
+    the {e last} of those steps (window order). Sound exactly when
+    [reps − 1 ≤ outcome.repeats] and the window is at a fixed point (see
+    {!Window.stable}): the certificate guarantees no job finishes and the
+    allocation repeats verbatim on every step but possibly the last, where
+    full-requirement receivers may finish exactly. Does not unlink and
+    does not advance the clock. Raises [Invalid_argument] if [reps < 1]. *)

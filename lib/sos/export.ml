@@ -15,16 +15,21 @@ let schedule_to_csv (sched : Schedule.t) =
     sched.steps;
   Buffer.contents buf
 
-let schedule_to_csv_rle (sched : Schedule.t) =
+let columns_to_csv_rle (c : Schedule.Columns.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "t0,repeat,job,assigned,consumed\n";
-  Schedule.fold_segments sched ~init:() ~f:(fun () ~t0 ~repeat allocs ->
-      List.iter
-        (fun (a : Schedule.alloc) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%d,%d,%d,%d,%d\n" t0 repeat a.job a.assigned a.consumed))
-        allocs);
+  let t0 = ref 0 in
+  for b = 0 to c.blocks - 1 do
+    let repeat = c.repeat.(b) in
+    for i = c.first.(b) to c.first.(b + 1) - 1 do
+      Buffer.add_string buf
+        (Printf.sprintf "%d,%d,%d,%d,%d\n" !t0 repeat c.job.(i) c.assigned.(i) c.consumed.(i))
+    done;
+    t0 := !t0 + repeat
+  done;
   Buffer.contents buf
+
+let schedule_to_csv_rle sched = columns_to_csv_rle (Schedule.Columns.of_schedule sched)
 
 let instance_to_csv (inst : Instance.t) =
   let buf = Buffer.create 1024 in

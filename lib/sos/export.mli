@@ -10,10 +10,14 @@ val schedule_to_csv : Schedule.t -> string
     expanded time step; resource amounts in units of [1/scale]. Θ(makespan)
     rows: export only schedules of moderate makespan. *)
 
-val schedule_to_csv_rle : Schedule.t -> string
+val columns_to_csv_rle : Schedule.Columns.t -> string
 (** Columns: [t0,repeat,job,assigned,consumed] — one row per allocation per
     RLE block (the block covers steps [t0 .. t0+repeat−1]). O(Σ|allocs|)
-    rows regardless of makespan. *)
+    rows regardless of makespan. [sosctl batch --out-dir] writes it. *)
+
+val schedule_to_csv_rle : Schedule.t -> string
+(** {!columns_to_csv_rle} of the list form, converted with
+    {!Schedule.Columns.of_schedule}. *)
 
 val instance_to_csv : Instance.t -> string
 (** Columns: [job,original_position,size,req,scale,m]. *)

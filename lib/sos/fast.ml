@@ -31,45 +31,29 @@ let h_blocks =
 
 let h_solve = Obs.Metrics.runtime_hist "sos.fast.solve_s"
 
-(* Resource accounting for one emitted RLE block ([repeat] identical
-   steps): fold the allocations once, scale by the repeat count. *)
-let record_block allocs repeat =
-  let a = ref 0 and c = ref 0 in
-  List.iter
-    (fun (x : Schedule.alloc) ->
-      a := !a + x.assigned;
-      c := !c + x.consumed)
-    allocs;
+(* Resource accounting for the block just appended ([repeat] identical
+   steps): fold its allocation columns once, scale by the repeat count. *)
+let record_block (c : Schedule.Columns.t) =
+  let b = c.blocks - 1 in
+  let a = ref 0 and k = ref 0 in
+  for i = c.first.(b) to c.first.(b + 1) - 1 do
+    a := !a + c.assigned.(i);
+    k := !k + c.consumed.(i)
+  done;
+  let repeat = c.repeat.(b) in
   Obs.Metrics.incr c_blocks;
   Obs.Metrics.add c_assigned (repeat * !a);
-  Obs.Metrics.add c_consumed (repeat * !c);
-  Obs.Metrics.add c_waste (repeat * (!a - !c))
+  Obs.Metrics.add c_consumed (repeat * !k);
+  Obs.Metrics.add c_waste (repeat * (!a - !k))
 
-(* Growable RLE block buffer: the loop pushes completed blocks here and
-   [Schedule.of_blocks] consumes the array directly — no per-iteration
-   list consing. *)
-let dummy_step = { Schedule.allocs = []; repeat = 1 }
-
-type blocks = { mutable buf : Schedule.step array; mutable len : int }
-
-let push_block bl allocs repeat =
-  let cap = Array.length bl.buf in
-  if bl.len = cap then begin
-    let buf = Array.make (2 * cap) dummy_step in
-    Array.blit bl.buf 0 buf 0 cap;
-    bl.buf <- buf
-  end;
-  bl.buf.(bl.len) <- { Schedule.allocs; repeat };
-  bl.len <- bl.len + 1
-
-let run_count ?(variant = `Fixed) inst =
+let run_columns ?(variant = `Fixed) inst =
   Obs.Metrics.time h_solve @@ fun () ->
   Obs.Metrics.incr c_runs;
   Robust.Chaos.point "sos.fast.run";
   let st = State.create inst in
   let size = inst.Instance.m - 1 in
   let budget = inst.Instance.scale in
-  let blocks = { buf = Array.make 64 dummy_step; len = 0 } in
+  let cols = Schedule.Columns.create inst in
   let carried = ref Window.empty in
   (* Window pre-computed for the next iteration (the stability probe below
      lands on exactly the window the next iteration would compute, so it is
@@ -114,9 +98,9 @@ let run_count ?(variant = `Fixed) inst =
     in
     let finished_jobs = Assign.apply_n st outcome ~reps in
     State.advance st reps;
-    push_block blocks outcome.Assign.allocs reps;
+    Assign.append outcome cols ~repeat:reps;
     if Obs.Metrics.enabled () then begin
-      record_block outcome.Assign.allocs reps;
+      record_block cols;
       if reps > 1 then begin
         Obs.Metrics.incr c_skip_hits;
         Obs.Metrics.add c_skipped (reps - 1)
@@ -144,8 +128,12 @@ let run_count ?(variant = `Fixed) inst =
   Obs.Metrics.add c_makespan (State.now st);
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.hist_observe_int h_iters !iters;
-    Obs.Metrics.hist_observe_int h_blocks blocks.len
+    Obs.Metrics.hist_observe_int h_blocks cols.Schedule.Columns.blocks
   end;
-  (Schedule.of_blocks inst blocks.buf ~len:blocks.len, !iters)
+  (cols, !iters)
+
+let run_count ?variant inst =
+  let cols, iters = run_columns ?variant inst in
+  (Schedule.Columns.to_schedule cols, iters)
 
 let run ?variant inst = fst (run_count ?variant inst)

@@ -17,15 +17,23 @@
     window recomputation. See doc/ALGORITHM.md §5a for the proof sketch
     and the iteration bound.
 
-    {b Zero-allocation steps.} Blocks are emitted run-length encoded into
-    a growable array consumed by {!Schedule.of_blocks}; the window after a
-    finishing step is repaired in O(finished) ({!Window.repair}); the
-    stability probe's window is handed to the next iteration instead of
-    recomputed. Between events the loop allocates nothing. *)
+    {b Column-native output.} {!Assign.compute} writes each step's
+    allocations into scratch int columns, {!State.consume_block} consumes
+    them, and the loop appends them as one run-length-encoded block to a
+    {!Schedule.Columns.t}: no [alloc] record, cons cell or [step] record per
+    block. The window after a finishing step is repaired in O(finished)
+    ({!Window.repair}); the stability probe's window is handed to the next
+    iteration instead of recomputed. *)
+
+val run_columns : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.Columns.t * int
+(** The schedule as a column store, and the number of loop iterations
+    actually simulated. [sosctl batch] validates and reports from the store
+    without building the list form. *)
 
 val run : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.t
 (** Produces the same schedule as [Listing1.run] (same [variant]) with runs
-    of identical steps run-length encoded. *)
+    of identical steps run-length encoded: {!run_columns} converted once
+    by {!Schedule.Columns.to_schedule}. *)
 
 val run_count : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.t * int
 (** Also returns the number of loop iterations actually simulated (the

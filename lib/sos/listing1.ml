@@ -34,7 +34,7 @@ let run_traced ?(check = false) ?(variant = `Fixed) inst =
       in
       assert (List.length fractured <= 1)
     end;
-    steps := { Schedule.allocs = outcome.Assign.allocs; repeat = 1 } :: !steps;
+    steps := { Schedule.allocs = Assign.allocs outcome; repeat = 1 } :: !steps;
     trace :=
       {
         time = State.now st + 1;

@@ -59,76 +59,209 @@ let violation at_step fmt = Format.kasprintf (fun reason -> { at_step; reason })
 
 exception Bad of violation
 
-let validate ?(preemption_ok = false) t =
-  let inst = t.inst in
-  let { Instance.m; scale; jobs; _ } = inst in
-  let n = Array.length jobs in
-  let remaining = Array.init n (fun i -> Job.s jobs.(i)) in
-  let first_seen = Array.make n (-1) in
-  let last_seen = Array.make n (-1) in
-  let steps_seen = Array.make n 0 in
-  (* index of the last block each job was met in: meeting it again in
-     the same block is a double allocation *)
-  let stamp = Array.make n (-1) in
-  let rec allocs b t0 repeat count total = function
-    | [] ->
-        if total > scale then
-          raise (Bad (violation t0 "resource overused: %d > scale %d" total scale));
-        if count > m then
-          raise (Bad (violation t0 "too many jobs in one step: %d > m=%d" count m))
-    | a :: rest ->
-        if a.job < 0 || a.job >= n then
-          raise (Bad (violation t0 "allocation for unknown job %d" a.job));
-        if stamp.(a.job) = b then
-          raise (Bad (violation t0 "job %d allocated twice in one step" a.job));
-        stamp.(a.job) <- b;
-        if a.assigned < 0 then raise (Bad (violation t0 "job %d: negative assignment" a.job));
-        if a.consumed < 0 then
-          raise (Bad (violation t0 "job %d: negative consumption" a.job));
-        let r = jobs.(a.job).Job.req in
-        let cap = Int.min a.assigned r in
-        if a.consumed > cap then
-          raise
-            (Bad
-               (violation t0 "job %d: consumed %d > min(assigned=%d, r=%d)" a.job a.consumed
-                  a.assigned r));
-        let used = repeat * a.consumed in
-        if used > remaining.(a.job) then
-          raise
-            (Bad
-               (violation t0 "job %d: over-consumed (%d > remaining %d)" a.job used
-                  remaining.(a.job)));
-        remaining.(a.job) <- remaining.(a.job) - used;
-        if a.consumed < cap && (repeat > 1 || remaining.(a.job) <> 0) then
-          raise
-            (Bad
-               (violation t0 "job %d: under-consumed (%d < %d) outside its finishing step"
-                  a.job a.consumed cap));
-        if first_seen.(a.job) < 0 then first_seen.(a.job) <- t0;
-        last_seen.(a.job) <- t0 + repeat - 1;
-        steps_seen.(a.job) <- steps_seen.(a.job) + repeat;
-        allocs b t0 repeat (count + 1) (total + a.assigned) rest
-  in
-  let rec blocks b t0 = function
-    | [] -> ()
-    | st :: rest ->
-        allocs b t0 st.repeat 0 0 st.allocs;
-        blocks (b + 1) (t0 + st.repeat) rest
-  in
-  try
-    blocks 0 0 t.steps;
-    for j = 0 to n - 1 do
-      if remaining.(j) <> 0 then
-        raise (Bad (violation (-1) "job %d not finished: %d units left" j remaining.(j)));
-      if (not preemption_ok) && steps_seen.(j) <> last_seen.(j) - first_seen.(j) + 1
-      then
-        raise
-          (Bad
-             (violation (-1) "job %d preempted: present %d of steps [%d..%d]" j
-                steps_seen.(j) first_seen.(j) last_seen.(j)))
+(* ------------------------------------------------------------- columns *)
+
+module Columns = struct
+  type schedule = t
+
+  (* Block b's allocations are [first.(b), first.(b+1)): [first] keeps one
+     entry past the last block, the start of the block being filled. *)
+  type t = {
+    inst : Instance.t;
+    mutable blocks : int;
+    mutable repeat : int array;
+    mutable first : int array;
+    mutable allocs : int;
+    mutable job : int array;
+    mutable assigned : int array;
+    mutable consumed : int array;
+    mutable makespan : int;
+  }
+
+  let with_capacity inst ~blocks ~allocs =
+    {
+      inst;
+      blocks = 0;
+      repeat = Array.make blocks 0;
+      first = Array.make (blocks + 1) 0;
+      allocs = 0;
+      job = Array.make allocs 0;
+      assigned = Array.make allocs 0;
+      consumed = Array.make allocs 0;
+      makespan = 0;
+    }
+
+  (* Sized by n, never by m: the Fast solver emits up to about 2 blocks
+     and 8 allocations per job, each block of at most m allocations, and
+     m may be huge. *)
+  let create inst =
+    let n = Instance.n inst in
+    with_capacity inst ~blocks:(2 * n) ~allocs:(8 * n)
+
+  let grow a used =
+    let b = Array.make ((2 * Array.length a) + 8) 0 in
+    Array.blit a 0 b 0 used;
+    b
+
+  let append c ~job ~assigned ~consumed ~len ~repeat =
+    let base = c.allocs in
+    while base + len > Array.length c.job do
+      c.job <- grow c.job base;
+      c.assigned <- grow c.assigned base;
+      c.consumed <- grow c.consumed base
     done;
-    Ok ()
-  with Bad v -> Error v
+    let b = c.blocks in
+    if b = Array.length c.repeat then begin
+      c.repeat <- grow c.repeat b;
+      c.first <- grow c.first (b + 1)
+    end;
+    let cj = c.job and ca = c.assigned and cc = c.consumed in
+    for i = 0 to len - 1 do
+      cj.(base + i) <- job.(i);
+      ca.(base + i) <- assigned.(i);
+      cc.(base + i) <- consumed.(i)
+    done;
+    c.allocs <- base + len;
+    c.repeat.(b) <- repeat;
+    c.first.(b + 1) <- base + len;
+    c.blocks <- b + 1;
+    c.makespan <- c.makespan + repeat
+
+  (* The list's [makespan] field is copied, not recomputed, so [validate]
+     sees the makespan the list claims. One counting pass sizes the
+     columns exactly; one filling pass writes them. *)
+  let of_schedule (s : schedule) =
+    let rec count blocks allocs = function
+      | [] -> (blocks, allocs)
+      | (st : step) :: rest -> count (blocks + 1) (allocs + List.length st.allocs) rest
+    in
+    let blocks, allocs = count 0 0 s.steps in
+    let c = with_capacity s.inst ~blocks ~allocs in
+    let rec fill_allocs i = function
+      | [] -> i
+      | (a : alloc) :: rest ->
+          c.job.(i) <- a.job;
+          c.assigned.(i) <- a.assigned;
+          c.consumed.(i) <- a.consumed;
+          fill_allocs (i + 1) rest
+    in
+    let rec fill b i = function
+      | [] -> ()
+      | (st : step) :: rest ->
+          let i = fill_allocs i st.allocs in
+          c.repeat.(b) <- st.repeat;
+          c.first.(b + 1) <- i;
+          fill (b + 1) i rest
+    in
+    fill 0 0 s.steps;
+    c.blocks <- blocks;
+    c.allocs <- allocs;
+    c.makespan <- s.makespan;
+    c
+
+  (* One backward pass. A job handed the same amounts in block after block
+     gets one shared record, as the solver's list output always had. *)
+  let to_schedule c : schedule =
+    let n = Instance.n c.inst in
+    let last = Array.make n ({ job = -1; assigned = 0; consumed = 0 } : alloc) in
+    let record j assigned consumed =
+      if j < 0 || j >= n then ({ job = j; assigned; consumed } : alloc)
+      else
+        let a = last.(j) in
+        if a.job = j && a.assigned = assigned && a.consumed = consumed then a
+        else begin
+          let a : alloc = { job = j; assigned; consumed } in
+          last.(j) <- a;
+          a
+        end
+    in
+    let cj = c.job and ca = c.assigned and cc = c.consumed and first = c.first in
+    let steps = ref [] in
+    for b = c.blocks - 1 downto 0 do
+      let allocs = ref [] in
+      for i = first.(b + 1) - 1 downto first.(b) do
+        allocs := record cj.(i) ca.(i) cc.(i) :: !allocs
+      done;
+      steps := ({ allocs = !allocs; repeat = c.repeat.(b) } : step) :: !steps
+    done;
+    ({ inst = c.inst; steps = !steps; makespan = c.makespan } : schedule)
+
+  let validate ?(preemption_ok = false) c =
+    let { Instance.m; scale; jobs; _ } = c.inst in
+    let n = Array.length jobs in
+    let remaining = Array.init n (fun i -> Job.s jobs.(i)) in
+    let first_seen = Array.make n (-1) in
+    let last_seen = Array.make n (-1) in
+    let steps_seen = Array.make n 0 in
+    (* index of the last block each job was met in: meeting it again in
+       the same block is a double allocation *)
+    let stamp = Array.make n (-1) in
+    let cj = c.job and ca = c.assigned and cc = c.consumed and first = c.first in
+    let block b t0 =
+      let repeat = c.repeat.(b) in
+      if repeat < 1 then raise (Bad (violation t0 "non-positive repeat %d" repeat));
+      let total = ref 0 in
+      for i = first.(b) to first.(b + 1) - 1 do
+        let j = cj.(i) and assigned = ca.(i) and consumed = cc.(i) in
+        if j < 0 || j >= n then raise (Bad (violation t0 "allocation for unknown job %d" j));
+        if stamp.(j) = b then
+          raise (Bad (violation t0 "job %d allocated twice in one step" j));
+        stamp.(j) <- b;
+        if assigned < 0 then raise (Bad (violation t0 "job %d: negative assignment" j));
+        if consumed < 0 then raise (Bad (violation t0 "job %d: negative consumption" j));
+        let r = jobs.(j).Job.req in
+        let cap = Int.min assigned r in
+        if consumed > cap then
+          raise
+            (Bad
+               (violation t0 "job %d: consumed %d > min(assigned=%d, r=%d)" j consumed
+                  assigned r));
+        let used = repeat * consumed in
+        if used > remaining.(j) then
+          raise
+            (Bad
+               (violation t0 "job %d: over-consumed (%d > remaining %d)" j used remaining.(j)));
+        remaining.(j) <- remaining.(j) - used;
+        if consumed < cap && (repeat > 1 || remaining.(j) <> 0) then
+          raise
+            (Bad
+               (violation t0 "job %d: under-consumed (%d < %d) outside its finishing step" j
+                  consumed cap));
+        if first_seen.(j) < 0 then first_seen.(j) <- t0;
+        last_seen.(j) <- t0 + repeat - 1;
+        steps_seen.(j) <- steps_seen.(j) + repeat;
+        total := !total + assigned
+      done;
+      if !total > scale then
+        raise (Bad (violation t0 "resource overused: %d > scale %d" !total scale));
+      let count = first.(b + 1) - first.(b) in
+      if count > m then
+        raise (Bad (violation t0 "too many jobs in one step: %d > m=%d" count m));
+      t0 + repeat
+    in
+    try
+      let t0 = ref 0 in
+      for b = 0 to c.blocks - 1 do
+        t0 := block b !t0
+      done;
+      if !t0 <> c.makespan then
+        raise
+          (Bad (violation (-1) "makespan %d differs from the blocks' total %d" c.makespan !t0));
+      for j = 0 to n - 1 do
+        if remaining.(j) <> 0 then
+          raise (Bad (violation (-1) "job %d not finished: %d units left" j remaining.(j)));
+        if (not preemption_ok) && steps_seen.(j) <> last_seen.(j) - first_seen.(j) + 1
+        then
+          raise
+            (Bad
+               (violation (-1) "job %d preempted: present %d of steps [%d..%d]" j
+                  steps_seen.(j) first_seen.(j) last_seen.(j)))
+      done;
+      Ok ()
+    with Bad v -> Error v
+end
+
+let validate ?preemption_ok t = Columns.validate ?preemption_ok (Columns.of_schedule t)
 
 let assert_valid ?preemption_ok t =
   match validate ?preemption_ok t with

@@ -3,7 +3,8 @@
     A schedule is a run-length-encoded list of steps. Each step carries the
     allocations of one time step; [repeat] says how many consecutive time
     steps use exactly these allocations (the step-skipping solver emits
-    [repeat > 1]). For every allocation, [assigned] is the resource share
+    [repeat > 1]). The same blocks also come as a flat-int-column store,
+    {!Columns}, which is what the solver emits and [sosctl batch] reads. For every allocation, [assigned] is the resource share
     handed to the job's processor and [consumed] the amount of its remaining
     requirement actually paid for, i.e. [min(assigned, r_j, s_j(t−1))];
     [assigned − consumed] is wasted resource.
@@ -37,11 +38,10 @@ val empty : Instance.t -> t
 
 val of_blocks : Instance.t -> step array -> len:int -> t
 (** [of_blocks inst blocks ~len] builds a schedule from the first [len]
-    entries of a block array in time order — the RLE-native entry point for
-    the event-driven solver, which accumulates blocks into a growable
-    scratch array instead of consing a reversed list. One backward pass;
-    the array is not retained. Raises [Invalid_argument] on a non-positive
-    [repeat] or [len] out of range. *)
+    entries of a block array in time order, for callers that accumulate
+    [step] records in a growable array (the solver itself now emits a
+    {!Columns.t}). One backward pass; the array is not retained. Raises
+    [Invalid_argument] on a non-positive [repeat] or [len] out of range. *)
 
 (** {1 RLE-native iteration} *)
 
@@ -63,19 +63,77 @@ type violation = {
   reason : string;
 }
 
+(** {1 Column store}
+
+    The solver's native output: one flat int column per field, no record,
+    cons cell or step per allocation. Per block, [repeat.(b)] and
+    [first.(b)], the offset of its first allocation; block [b]'s
+    allocations are [first.(b) .. first.(b+1) − 1] ([first] keeps one entry
+    past the last block). Per allocation, [job.(i)], [assigned.(i)] and
+    [consumed.(i)]. Only the first [blocks] (resp. [allocs]) entries are
+    meaningful; the columns grow by doubling from capacities sized by the
+    instance's n, never by m ([serve] accepts m = [max_int]).
+
+    [validate] checks exist once, here; {!val-validate} on the list form
+    converts with {!Columns.of_schedule} first. *)
+module Columns : sig
+  type schedule := t
+
+  type t = private {
+    inst : Instance.t;
+    mutable blocks : int;
+    mutable repeat : int array;
+    mutable first : int array;
+    mutable allocs : int;
+    mutable job : int array;
+    mutable assigned : int array;
+    mutable consumed : int array;
+    mutable makespan : int;  (** [Σ repeat] when built by {!append} *)
+  }
+
+  val create : Instance.t -> t
+  (** An empty store with capacity for [2n] blocks and [8n] allocations:
+      the Fast solver emits up to about 2 blocks and 8 allocations per
+      job, and a 4-job spec needs only a few entries. *)
+
+  val append :
+    t -> job:int array -> assigned:int array -> consumed:int array -> len:int -> repeat:int -> unit
+  (** Add the first [len] entries of three columns as one block of [repeat]
+      steps (possibly with no allocation), and add [repeat] to the
+      makespan — how the Fast solver appends each RLE block. No check:
+      {!validate} rejects [repeat < 1]. *)
+
+  val of_schedule : schedule -> t
+  (** The list form's blocks, in order, with its [makespan] field copied as
+      is (not recomputed), so {!validate} sees what the list claims. *)
+
+  val to_schedule : t -> schedule
+  (** The list form, in one backward pass. A job handed the same amounts in
+      consecutive appearances shares one [alloc] record, as the solver's
+      list output always did. [to_schedule (of_schedule s)] is
+      structurally [s]. *)
+
+  val validate : ?preemption_ok:bool -> t -> (unit, violation) result
+  (** The checks listed at {!val-validate}, one pass over the columns. *)
+end
+
 val validate : ?preemption_ok:bool -> t -> (unit, violation) result
 (** Checks, against the schedule's instance:
+    - per block: [repeat ≥ 1];
     - per step: at most [m] allocations, pairwise-distinct jobs,
       [Σ assigned ≤ scale], [0 ≤ consumed ≤ min(assigned, r_j)], and
       [consumed < min(assigned, r_j)] only in a job's finishing step;
+    - globally: [makespan = Σ repeat];
     - per job: consumed totals exactly [s_j], never over-consumed;
     - unless [preemption_ok]: each job's allocation steps are contiguous
-      (non-preemption) and a fixed-processor assignment exists
-      (non-migration) — with [≤ m] jobs per step and contiguous intervals
-      a greedy interval coloring always suffices, and the validator
-      constructs it.
+      (non-preemption). Together with [≤ m] jobs per step this suffices
+      for non-migration: contiguous intervals of an interval graph with
+      clique number ≤ m are m-colourable, so a fixed-processor assignment
+      exists. The validator does not build it; {!processor_assignment}
+      does, by greedy interval colouring.
 
-    One pass over the RLE blocks: O(Σ|allocs|), independent of makespan. *)
+    Converts with {!Columns.of_schedule} and runs {!Columns.validate}: one
+    pass over the blocks, O(Σ|allocs|), independent of makespan. *)
 
 val assert_valid : ?preemption_ok:bool -> t -> unit
 (** Raises [Failure] with the violation message. *)

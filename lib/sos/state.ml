@@ -113,36 +113,33 @@ let consume t i amount =
   t.d.(i) <- d;
   t.q.(i) <- s - (d * r)
 
-(* Fused bulk consume over one step's allocations, repeated [reps] times:
-   one walk, one division-free cache update for full-requirement receivers
-   (the common case — d drops by [reps], q is untouched because the amount
-   is a multiple of r), one division for the at-most-two others. Returns
-   the jobs that hit s = 0, in allocation (window) order. *)
-let rec consume_allocs_go t reps acc allocs =
-  match allocs with
-  | [] -> List.rev acc
-  | (a : Schedule.alloc) :: tl ->
-      let i = a.job in
-      let c = a.consumed in
-      let amount = reps * c in
-      if amount < 0 then invalid_arg "State.consume_allocs: negative amount";
-      if amount > t.s.(i) then
-        invalid_arg "State.consume_allocs: amount exceeds remaining";
-      let s = t.s.(i) - amount in
-      t.s.(i) <- s;
-      let r = t.r.(i) in
-      if c = r then t.d.(i) <- t.d.(i) - reps
-      else begin
-        let d = s / r in
-        t.d.(i) <- d;
-        t.q.(i) <- s - (d * r)
-      end;
-      if s = 0 then consume_allocs_go t reps (i :: acc) tl
-      else consume_allocs_go t reps acc tl
-
-let consume_allocs t allocs ~reps =
-  if reps < 1 then invalid_arg "State.consume_allocs: reps must be >= 1";
-  consume_allocs_go t reps [] allocs
+(* Fused bulk consume over one block's allocation columns, repeated
+   [reps] times: one walk, one division-free cache update for
+   full-requirement receivers (the common case — d drops by [reps], q is
+   untouched because the amount is a multiple of r), one division for the
+   at-most-two others. The walk runs backwards so the finished jobs come
+   out in allocation (window) order without a reversal. *)
+let consume_block t ~job ~consumed ~len ~reps =
+  if reps < 1 then invalid_arg "State.consume_block: reps must be >= 1";
+  let finished = ref [] in
+  for k = len - 1 downto 0 do
+    let i = job.(k) in
+    let c = consumed.(k) in
+    let amount = reps * c in
+    if amount < 0 then invalid_arg "State.consume_block: negative amount";
+    if amount > t.s.(i) then invalid_arg "State.consume_block: amount exceeds remaining";
+    let s = t.s.(i) - amount in
+    t.s.(i) <- s;
+    let r = t.r.(i) in
+    if c = r then t.d.(i) <- t.d.(i) - reps
+    else begin
+      let d = s / r in
+      t.d.(i) <- d;
+      t.q.(i) <- s - (d * r)
+    end;
+    if s = 0 then finished := i :: !finished
+  done;
+  !finished
 
 let unlink t i =
   if not t.linked.(i) then invalid_arg "State.unlink: already unlinked";

@@ -89,12 +89,14 @@ val consume : t -> int -> int -> unit
 (** [consume t i amount] reduces [s_i] by [amount]; raises
     [Invalid_argument] if [amount < 0] or [amount > s_i]. Does not unlink. *)
 
-val consume_allocs : t -> Schedule.alloc list -> reps:int -> int list
-(** Consume [reps ≥ 1] copies of every allocation's [consumed] in one walk
-    and return the jobs that reached [s = 0], in allocation order. Updates
-    the cached quotient/remainder without a division for full-requirement
-    receivers. Same checks as {!consume} per allocation; does not unlink
-    and does not advance the clock. *)
+val consume_block :
+  t -> job:int array -> consumed:int array -> len:int -> reps:int -> int list
+(** Consume [reps ≥ 1] copies of [consumed.(k)] for job [job.(k)], for every
+    [k < len], in one walk over the columns, and return the jobs that
+    reached [s = 0], in column order. Updates the cached quotient/remainder
+    without a division for full-requirement receivers. Same checks as
+    {!consume} per allocation; does not unlink and does not advance the
+    clock. *)
 
 val unlink : t -> int -> unit
 (** Remove a finished job from the remaining list. Raises

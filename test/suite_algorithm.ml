@@ -455,6 +455,74 @@ let test_utilization_profile () =
   let capped = Schedule.to_dense ~cap:2 ~default:0.0 u in
   Alcotest.(check int) "cap truncates" (min 2 s.Schedule.makespan) (Array.length capped)
 
+(* The column solve against the list-building loop it replaced
+   (test/fast_oracle.ml): the same blocks — repeat, and per allocation job,
+   assigned and consumed, in order — from the same number of iterations
+   ([sosctl batch] prints the block count on every line). Covers the six
+   generator families and their -unit variants at m = 3, 8 and 16, and
+   T7b-shaped instances (uniform p in [1, p_max], m = 8) at p_max 10^5 and
+   10^7, under both variants. *)
+let test_fast_matches_list_oracle () =
+  let blocks_of (s : Schedule.t) =
+    List.map
+      (fun (st : Schedule.step) ->
+        ( st.repeat,
+          List.map (fun (a : Schedule.alloc) -> (a.job, a.assigned, a.consumed)) st.allocs ))
+      s.steps
+  in
+  let column_blocks (c : Schedule.Columns.t) =
+    List.init c.blocks (fun b ->
+        ( c.repeat.(b),
+          List.init
+            (c.first.(b + 1) - c.first.(b))
+            (fun k ->
+              let i = c.first.(b) + k in
+              (c.job.(i), c.assigned.(i), c.consumed.(i))) ))
+  in
+  let check label inst =
+    List.iter
+      (fun variant ->
+        let reference, ref_iters = Fast_oracle.run_count ~variant inst in
+        let cols, iters = Fast.run_columns ~variant inst in
+        let name =
+          Printf.sprintf "%s %s" label (match variant with `Fixed -> "fixed" | `Literal -> "literal")
+        in
+        Alcotest.(check int) (name ^ ": iterations") ref_iters iters;
+        Alcotest.(check int) (name ^ ": makespan") reference.Schedule.makespan cols.makespan;
+        if blocks_of reference <> column_blocks cols then
+          Alcotest.failf "%s: blocks differ from the list oracle" name;
+        let listed, listed_iters = Fast.run_count ~variant inst in
+        Alcotest.(check int) (name ^ ": run_count iterations") ref_iters listed_iters;
+        if listed <> reference then Alcotest.failf "%s: Fast.run_count differs" name)
+      variants
+  in
+  let families =
+    Workload.Sos_gen.all_families @ List.map Workload.Sos_gen.unit_of Workload.Sos_gen.all_families
+  in
+  List.iteri
+    (fun fi (f : Workload.Sos_gen.family) ->
+      List.iter
+        (fun m ->
+          for seed = 1 to 3 do
+            let rng = Prelude.Rng.create2 (fi + 1) ((m * 10) + seed) in
+            let n = 20 + (40 * seed) in
+            check
+              (Printf.sprintf "%s n=%d m=%d seed=%d" f.name n m seed)
+              (Workload.Sos_gen.generate rng f ~n ~m ())
+          done)
+        [ 3; 8; 16 ])
+    families;
+  List.iter
+    (fun (n, pmax) ->
+      let rng = Prelude.Rng.create2 n pmax in
+      let scale = Workload.Sos_gen.default_scale in
+      let inst =
+        Instance.create ~m:8 ~scale
+          (List.init n (fun _ -> (Prelude.Rng.int_in rng 1 pmax, Prelude.Rng.int_in rng 1 scale)))
+      in
+      check (Printf.sprintf "t7b n=%d p_max=%d" n pmax) inst)
+    [ (50, 100_000); (400, 100_000); (50, 10_000_000); (400, 10_000_000) ]
+
 let suite =
   ( "algorithm",
     [
@@ -483,6 +551,8 @@ let suite =
       Alcotest.test_case "fast ≡ listing1 (medium volumes)" `Quick
         test_fast_equiv_medium_volumes;
       Alcotest.test_case "fast iteration goldens" `Quick test_fast_iteration_goldens;
+      Alcotest.test_case "fast columns ≡ list-building oracle" `Quick
+        test_fast_matches_list_oracle;
       Alcotest.test_case "fast iterations ≤ 2n (t7b shapes)" `Quick
         test_fast_iterations_linear;
       Alcotest.test_case "makespan ≥ lower bound" `Quick test_makespan_at_least_lb;

@@ -11,7 +11,7 @@ let mk ?(m = 4) reqs_sizes =
 let allocs_of outcome =
   List.map
     (fun (a : Schedule.alloc) -> (a.job, a.assigned, a.consumed))
-    outcome.Assign.allocs
+    (Assign.allocs outcome)
 
 (* --- case 1: r(W∖F) ≥ budget --- *)
 
@@ -63,7 +63,7 @@ let test_case2_no_extra_when_disabled () =
   let w = Window.of_members st [ 0; 1; 2 ] in
   let o = Assign.compute st w ~budget:100 ~extra:false in
   Alcotest.(check (option int)) "no extra" None o.Assign.extra;
-  Alcotest.(check int) "three allocations" 3 (List.length o.Assign.allocs)
+  Alcotest.(check int) "three allocations" 3 (List.length (Assign.allocs o))
 
 let test_case2_iota_capped () =
   (* Fractured ι with tiny remainder: it gets min(gap, s, r). *)

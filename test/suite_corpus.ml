@@ -14,7 +14,7 @@ let run_all entry =
   List.filter_map
     (fun (s : Solvers.t) ->
       match Solvers.check s inst with
-      | Ok inst -> Some (s.name, (s.run inst).Schedule.makespan)
+      | Ok inst -> Some (s.name, (s.run inst).Schedule.Columns.makespan)
       | Error _ -> None)
     Solvers.all
 
@@ -25,7 +25,7 @@ let test_corpus_validity () =
       List.iter
         (fun (s : Solvers.t) ->
           match Solvers.check s inst with
-          | Ok inst -> Helpers.check_valid ~preemption_ok:s.preemptive (s.run inst)
+          | Ok inst -> Helpers.check_valid ~preemption_ok:s.preemptive (Solvers.schedule s inst)
           | Error reason ->
               if s.requires = Any then
                 Alcotest.failf "%s rejects %s: %s" s.name entry.Corpus.name
@@ -90,10 +90,42 @@ let test_determinism () =
       if a <> b then Alcotest.failf "%s: nondeterministic schedule" entry.Corpus.name)
     Corpus.all
 
+(* The two schedule forms hold the same blocks: on every solver row's
+   output over the corpus, list -> columns -> list is the identity, and so
+   is columns -> list -> columns on the columns' meaningful prefixes. *)
+let test_column_list_round_trip () =
+  let prefix (c : Schedule.Columns.t) =
+    ( c.blocks,
+      Array.sub c.repeat 0 c.blocks,
+      Array.sub c.first 0 (c.blocks + 1),
+      (Array.sub c.job 0 c.allocs, Array.sub c.assigned 0 c.allocs, Array.sub c.consumed 0 c.allocs),
+      c.makespan )
+  in
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun (s : Solvers.t) ->
+          match Solvers.check s entry.Corpus.instance with
+          | Error _ -> ()
+          | Ok inst ->
+              let cols = s.run inst in
+              let listed = Schedule.Columns.to_schedule cols in
+              let again = Schedule.Columns.of_schedule listed in
+              if Schedule.Columns.to_schedule again <> listed then
+                Alcotest.failf "%s on %s: list -> columns -> list changed the schedule" s.name
+                  entry.Corpus.name;
+              if prefix again <> prefix cols then
+                Alcotest.failf "%s on %s: columns -> list -> columns changed the store" s.name
+                  entry.Corpus.name)
+        Solvers.all)
+    Corpus.all
+
 let suite =
   ( "corpus",
     [
       Alcotest.test_case "all algorithms valid on corpus" `Quick test_corpus_validity;
+      Alcotest.test_case "schedule forms round-trip on corpus" `Quick
+        test_column_list_round_trip;
       Alcotest.test_case "recorded optima consistent" `Quick test_exact_opt_entries;
       Alcotest.test_case "golden: three-tight" `Quick test_three_tight_golden;
       Alcotest.test_case "golden: giant-dust" `Quick test_giant_dust_golden;

@@ -22,20 +22,48 @@ let good_steps () =
     step [ alloc 0 2 2; alloc 2 6 6 ];
   ]
 
+(* The same blocks appended to a column store one by one, as the solver
+   appends them, not through [Columns.of_schedule]: its makespan is the
+   blocks' total, whatever the list claims. *)
+let built_columns (s : Schedule.t) =
+  let c = Schedule.Columns.create s.inst in
+  List.iter
+    (fun (st : Schedule.step) ->
+      let column f = Array.of_list (List.map f st.allocs) in
+      Schedule.Columns.append c
+        ~job:(column (fun (a : Schedule.alloc) -> a.job))
+        ~assigned:(column (fun a -> a.assigned))
+        ~consumed:(column (fun a -> a.consumed))
+        ~len:(List.length st.allocs) ~repeat:st.repeat)
+    s.steps;
+  c
+
 (* The validator must name the violation exactly: its step and its
-   message. *)
-let expect_reason ~at_step reason sched =
-  match Schedule.validate sched with
-  | Ok () -> Alcotest.failf "expected violation %S" reason
-  | Error v ->
-      Alcotest.(check (pair int string))
-        "violation" (at_step, reason) (v.Schedule.at_step, v.Schedule.reason)
+   message, the same from the list entry and from the column validator.
+   [columns] defaults to [built_columns]; a case about the list's own
+   makespan field passes its conversion. *)
+let expect_reason ?columns ~at_step reason sched =
+  let columns = match columns with Some c -> c | None -> built_columns sched in
+  let check what = function
+    | Ok () -> Alcotest.failf "%s: expected violation %S" what reason
+    | Error v ->
+        Alcotest.(check (pair int string))
+          what (at_step, reason) (v.Schedule.at_step, v.Schedule.reason)
+  in
+  check "list entry" (Schedule.validate sched);
+  check "column validator" (Schedule.Columns.validate columns)
+
+let expect_valid ?preemption_ok what sched =
+  let check entry = function
+    | Ok () -> ()
+    | Error v -> Alcotest.failf "%s (%s): %s" what entry v.Schedule.reason
+  in
+  check "list entry" (Schedule.validate ?preemption_ok sched);
+  check "column validator" (Schedule.Columns.validate ?preemption_ok (built_columns sched))
 
 let test_good_schedule () =
   let inst = base_instance () in
-  match Schedule.validate (Schedule.make inst (good_steps ())) with
-  | Ok () -> ()
-  | Error v -> Alcotest.failf "fixture should be valid: %s" v.Schedule.reason
+  expect_valid "fixture should be valid" (Schedule.make inst (good_steps ()))
 
 let valid_fixture () = (base_instance (), good_steps ())
 
@@ -86,9 +114,7 @@ let test_preemption_gap () =
   expect_reason ~at_step:(-1) "job 0 preempted: present 2 of steps [0..2]"
     (Schedule.make inst steps);
   (* ...but with preemption_ok the same schedule passes. *)
-  match Schedule.validate ~preemption_ok:true (Schedule.make inst steps) with
-  | Ok () -> ()
-  | Error v -> Alcotest.failf "preemption_ok should accept: %s" v.Schedule.reason
+  expect_valid ~preemption_ok:true "preemption_ok should accept" (Schedule.make inst steps)
 
 let test_unfinished () =
   let inst = Instance.create ~m:2 ~scale:10 [ (2, 4) ] in
@@ -105,9 +131,7 @@ let test_rle_under_consumption () =
   let good =
     [ { Schedule.allocs = [ alloc 0 4 4 ]; repeat = 4 } ]
   in
-  match Schedule.validate (Schedule.make inst good) with
-  | Ok () -> ()
-  | Error v -> Alcotest.failf "RLE schedule should be valid: %s" v.Schedule.reason
+  expect_valid "RLE schedule should be valid" (Schedule.make inst good)
 
 let test_negative_values () =
   let inst, steps = valid_fixture () in
@@ -123,9 +147,7 @@ let test_same_job_consecutive_blocks () =
     [ { Schedule.allocs = [ alloc 0 4 4 ]; repeat = 2 };
       { Schedule.allocs = [ alloc 0 4 4 ]; repeat = 2 } ]
   in
-  match Schedule.validate (Schedule.make inst blocks) with
-  | Ok () -> ()
-  | Error v -> Alcotest.failf "consecutive blocks should be valid: %s" v.Schedule.reason
+  expect_valid "consecutive blocks should be valid" (Schedule.make inst blocks)
 
 let test_double_allocation_edges () =
   let inst, steps = valid_fixture () in
@@ -145,6 +167,34 @@ let test_job_index_past_end () =
     (Schedule.make inst (step [ alloc 3 1 1 ] :: steps));
   expect_reason ~at_step:0 "allocation for unknown job -1"
     (Schedule.make inst (step [ alloc (-1) 1 1 ] :: steps))
+
+(* The list form's makespan field and its repeats are what [sosctl batch]
+   prints and what every per-job total is scaled by; none of them may be
+   taken on trust. *)
+let test_makespan_field () =
+  let inst, steps = valid_fixture () in
+  let s = Schedule.make inst steps in
+  let bad = { s with Schedule.makespan = s.Schedule.makespan + 5 } in
+  expect_reason ~columns:(Schedule.Columns.of_schedule bad) ~at_step:(-1)
+    "makespan 8 differs from the blocks' total 3" bad
+
+let test_empty_negative_block () =
+  let inst, steps = valid_fixture () in
+  let s = Schedule.make inst steps in
+  let bad =
+    { s with Schedule.steps = s.Schedule.steps @ [ { Schedule.allocs = []; repeat = -3 } ] }
+  in
+  expect_reason ~at_step:3 "non-positive repeat -3" bad
+
+let test_negative_repeat_refund () =
+  (* One job, p = 2, r = 5 (s = 10). Three steps at 5 over-consume it...
+     unless a repeat = -1 block refunds 5 units first. *)
+  let inst = Instance.create ~m:2 ~scale:10 [ (2, 5) ] in
+  let over = [ { Schedule.allocs = [ alloc 0 5 5 ]; repeat = 3 } ] in
+  expect_reason ~at_step:0 "job 0: over-consumed (15 > remaining 10)" (Schedule.make inst over);
+  let refund = { Schedule.allocs = [ alloc 0 5 5 ]; repeat = -1 } in
+  let bad = { Schedule.inst; steps = refund :: over; makespan = 2 } in
+  expect_reason ~at_step:0 "non-positive repeat -1" bad
 
 (* --- export --- *)
 
@@ -485,6 +535,11 @@ let suite =
       Alcotest.test_case "inject: double allocation at the edges" `Quick
         test_double_allocation_edges;
       Alcotest.test_case "inject: job index n" `Quick test_job_index_past_end;
+      Alcotest.test_case "inject: makespan field off its blocks" `Quick test_makespan_field;
+      Alcotest.test_case "inject: empty block with negative repeat" `Quick
+        test_empty_negative_block;
+      Alcotest.test_case "inject: negative repeat refunding consumption" `Quick
+        test_negative_repeat_refund;
       Alcotest.test_case "csv exports" `Quick test_csv_exports;
       Alcotest.test_case "RLE expand agreement" `Quick test_expand_agreement;
       qcheck_utilization_matches_reference;
