@@ -596,13 +596,71 @@ let arm_fault_tolerance ~seed ft =
    seeded fault injector; SIGINT cancels the batch-wide token and exits
    130. *)
 
-(* What a batch task hands back: a freshly solved instance, or a marker
-   that its output line was already journaled by the interrupted run and
-   will be replayed verbatim at emit time (never recomputed — even an
-   armed chaos rule on the task site cannot change a replayed line). *)
+(* What a batch task hands back: the figures of a freshly solved
+   instance's line (and its --out-dir CSV text), read from the store
+   inside the task, or a marker that its output line was already journaled
+   by the interrupted run and will be replayed verbatim at emit time (never
+   recomputed — even an armed chaos rule on the task site cannot change a
+   replayed line). No store outlives its task. *)
 type batch_result =
-  | Solved of string * Sos.Instance.t * Sos.Schedule.Columns.t
+  | Solved of {
+      label : string;
+      n : int;
+      m : int;
+      makespan : int;
+      lb : int;
+      blocks : int;
+      csv : string option;
+    }
   | Replayed
+
+(* The solve buffers one batch task borrows: a [Fast] workspace and a
+   validator scratch. A run keeps its idle bundles on an [Atomic] free
+   list, so a task on any domain takes one that is not in use, reinitialises
+   it for its instance, and gives it back when done (also when the solve
+   failed: the next solve reinitialises whatever it left). A borrow or a
+   give-back that loses a race with another domain allocates a fresh
+   bundle or drops this one instead of retrying, so neither loops. *)
+module Bundles = struct
+  type bundle = { ws : Sos.Fast.workspace; check : Sos.Schedule.Columns.validator }
+
+  (* A bundle holds about 40 words per job of the largest instance it
+     solved: 7 in the state, 28 in the store, 5 in the validator, plus the
+     step scratch. A task borrows one only for an instance that [fits], and
+     only a bundle whose buffers stay within [budget] goes back on the free
+     list. A larger instance is solved on the one-shot path, whose state
+     is garbage before its schedule is validated; a borrowed bundle would
+     keep the state alive through validation and so raise the peak by 7n
+     words. Over the seed-1 batch-large corpus (n 800-3200) on a 2-vCPU VM,
+     peak RSS from sosbench (10 s runs) and top heap words from
+     OCAMLRUNPARAM=v=0x400 sosctl batch -j 1 read:
+       no bundles                          10.58, 10.55 MB   553,676 words
+       bundles for every n, all kept       12.32, 12.39 MB
+       bundles for every n, kept n <= 512  10.95, 10.94 MB   576,107 words
+       bundles for n <= 512 only (this)    10.44, 10.38 MB   553,676 words
+     batch-mixed (n 100-300) takes every spec through a bundle. *)
+  let words_per_job = 41
+  let budget = words_per_job * 512
+  let fits inst = words_per_job * Sos.Instance.n inst <= budget
+  let words b = Sos.Fast.workspace_words b.ws + Sos.Schedule.Columns.validator_words b.check
+
+  let create () : bundle list Atomic.t = Atomic.make []
+
+  let borrow free =
+    match Atomic.get free with
+    | b :: rest as seen when Atomic.compare_and_set free seen rest -> b
+    | _ -> { ws = Sos.Fast.workspace (); check = Sos.Schedule.Columns.validator () }
+
+  let give_back free b =
+    if words b <= budget then begin
+      let seen = Atomic.get free in
+      ignore (Atomic.compare_and_set free seen (b :: seen))
+    end
+
+  let with_bundle free f =
+    let b = borrow free in
+    Fun.protect ~finally:(fun () -> give_back free b) (fun () -> f b)
+end
 
 (* Streamed aggregation for --summary: per-line stdout is suppressed and
    every emitted line (fresh or replayed — so an interrupted-and-resumed
@@ -736,6 +794,7 @@ let batch_cmd =
       | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
       | _ -> ());
       let window = solver.Solvers.requires = Window in
+      let bundles = Bundles.create () in
       let solve idx (r : Workload.Specs.record) =
         let open Robust.Failure in
         let admit = function Ok inst -> inst | Error reason -> raise (Invalid reason) in
@@ -766,13 +825,27 @@ let batch_cmd =
         in
         let inst = admit (Solvers.check solver inst) in
         Obs.Trace.flow_step ~id:idx "spec";
-        let cols = solver.run inst in
-        (match Sos.Schedule.Columns.validate ~preemption_ok:solver.preemptive cols with
-        | Ok () -> ()
-        | Error v ->
-            Robust.Failure.internal_error "invalid schedule at step %d: %s"
-              v.Sos.Schedule.at_step v.Sos.Schedule.reason);
-        Solved (label, inst, cols)
+        let report ?scratch (cols : Sos.Schedule.Columns.t) =
+          (match Sos.Schedule.Columns.validate ?scratch ~preemption_ok:solver.preemptive cols with
+          | Ok () -> ()
+          | Error v ->
+              Robust.Failure.internal_error "invalid schedule at step %d: %s"
+                v.Sos.Schedule.at_step v.Sos.Schedule.reason);
+          Solved
+            {
+              label;
+              n = Sos.Instance.n inst;
+              m = inst.Sos.Instance.m;
+              makespan = cols.makespan;
+              lb = Sos.Bounds.lower_bound inst;
+              blocks = cols.blocks;
+              csv = Option.map (fun _ -> Sos.Export.columns_to_csv_rle cols) out_dir;
+            }
+        in
+        if Bundles.fits inst then
+          Bundles.with_bundle bundles (fun { ws; check } ->
+              report ~scratch:check (solver.run_in ws inst))
+        else report (solver.run inst)
       in
       let src =
         match
@@ -916,20 +989,18 @@ let batch_cmd =
                       "%d error resume-mismatch line %d: spec %S differs from the journalled \
                        one (re-run without --resume)"
                       idx r.recno (Workload.Specs.canonical r)))
-        | Ok (Solved (label, inst, cols)), _ ->
-            (match out_dir with
-            | Some dir ->
+        | Ok (Solved { label; n; m; makespan; lb; blocks; csv }), _ ->
+            (match (out_dir, csv) with
+            | Some dir, Some csv ->
                 Out_channel.with_open_text
                   (Printf.sprintf "%s/batch-%04d.csv" dir idx)
-                  (fun oc -> Out_channel.output_string oc (Sos.Export.columns_to_csv_rle cols))
-            | None -> ());
-            let makespan = cols.Sos.Schedule.Columns.makespan in
-            let lb = Sos.Bounds.lower_bound inst in
+                  (fun oc -> Out_channel.output_string oc csv)
+            | _ -> ());
             emit_fresh idx
               (Printf.sprintf "%d ok %s n=%d m=%d makespan=%d lb=%d ratio=%.4f blocks=%d"
-                 idx label (Sos.Instance.n inst) inst.Sos.Instance.m makespan lb
+                 idx label n m makespan lb
                  (Sos.Bounds.ratio ~lb ~makespan)
-                 cols.blocks)
+                 blocks)
         | Error { failure = Robust.Failure.Cancelled; _ }, _ ->
             (* Interrupted, not failed: no line, no journal entry —
                --resume re-runs it. *)

@@ -5,17 +5,28 @@ type t = {
   requires : requires;
   preemptive : bool;
   run : Sos.Instance.t -> Sos.Schedule.Columns.t;
+  run_in : Sos.Fast.workspace -> Sos.Instance.t -> Sos.Schedule.Columns.t;
 }
 
-let solver ?(preemptive = false) name requires run = { name; requires; preemptive; run }
+(* A window solver: [Fast] on a fresh workspace, or on the caller's. *)
+let windowed name variant =
+  {
+    name;
+    requires = Window;
+    preemptive = false;
+    run = (fun i -> fst (Sos.Fast.run_columns ~variant i));
+    run_in = (fun ws i -> fst (Sos.Fast.run_in ~variant ws i));
+  }
 
-(* A reference algorithm that builds the list form. *)
-let listed ?preemptive name requires run =
-  solver ?preemptive name requires (fun i -> Sos.Schedule.Columns.of_schedule (run i))
+(* A reference algorithm that builds the list form; it has no use for a
+   workspace. *)
+let listed ?(preemptive = false) name requires run =
+  let run i = Sos.Schedule.Columns.of_schedule (run i) in
+  { name; requires; preemptive; run; run_in = (fun _ i -> run i) }
 
 let all =
   [
-    solver "window" Window (fun i -> fst (Sos.Fast.run_columns i));
+    windowed "window" `Fixed;
     listed "listing1" Window (fun i -> Sos.Listing1.run ~check:true i);
     listed "unit" Unit_sizes Sos.Splittable.run ~preemptive:true;
     listed "unit-np" Unit_sizes Sos.Splittable.run_nonpreemptive;
@@ -23,7 +34,7 @@ let all =
     listed "greedy" Any Greedy_fair.run;
     listed "naive-fracture" Window Sos.Ablation.run_naive_fracture;
     listed "no-move" Window Sos.Ablation.run_no_move;
-    solver "literal" Window (fun i -> fst (Sos.Fast.run_columns ~variant:`Literal i));
+    windowed "literal" `Literal;
     listed "preemptive" Any (fun i -> Sos.Preemptive.run i) ~preemptive:true;
     listed "fixed-assignment" Any (fun i -> Fixed_assignment.run i);
   ]

@@ -16,6 +16,11 @@ type t = {
       (** The column store: native for the window solvers, converted once
           with {!Sos.Schedule.Columns.of_schedule} for the list-building
           reference algorithms. *)
+  run_in : Sos.Fast.workspace -> Sos.Instance.t -> Sos.Schedule.Columns.t;
+      (** [run] through a caller-owned workspace: the window solvers solve
+          in it with {!Sos.Fast.run_in}, so the store is the workspace's
+          and valid until its next solve; the reference algorithms ignore
+          it and return a fresh store. *)
 }
 
 val all : t list

@@ -41,6 +41,8 @@ let make_scratch () =
     iota_q = 0;
   }
 
+let scratch_words sc = 3 * Array.length sc.job
+
 let grow a =
   let b = Array.make (2 * Array.length a) 0 in
   Array.blit a 0 b 0 (Array.length a);

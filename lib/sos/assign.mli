@@ -49,6 +49,9 @@ type outcome = {
 
 val make_scratch : unit -> scratch
 
+val scratch_words : scratch -> int
+(** Words its columns hold, headers aside. *)
+
 val compute : ?scratch:scratch -> State.t -> Window.t -> budget:int -> extra:bool -> outcome
 (** Does not mutate the state. Walks the window's linked-list range
     directly in a single pass (pushing full-requirement allocations and

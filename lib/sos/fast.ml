@@ -46,14 +46,33 @@ let record_block (c : Schedule.Columns.t) =
   Obs.Metrics.add c_consumed (repeat * !k);
   Obs.Metrics.add c_waste (repeat * (!a - !k))
 
-let run_columns ?(variant = `Fixed) inst =
+(* The solve's buffers: the state, the per-step scratch and the column
+   store. [run_in] reinitialises all three for its instance, so a solve
+   abandoned mid-loop (a chaos crash, a deadline, a cancel) leaves nothing
+   the next one reads. *)
+type workspace = { st : State.t; scratch : Assign.scratch; cols : Schedule.Columns.t }
+
+let no_jobs = Instance.create ~m:2 ~scale:1 []
+
+let workspace () =
+  {
+    st = State.create no_jobs;
+    scratch = Assign.make_scratch ();
+    cols = Schedule.Columns.create no_jobs;
+  }
+
+let workspace_words ws =
+  State.words ws.st + Assign.scratch_words ws.scratch + Schedule.Columns.words ws.cols
+
+let run_in ?(variant = `Fixed) ws inst =
   Obs.Metrics.time h_solve @@ fun () ->
   Obs.Metrics.incr c_runs;
   Robust.Chaos.point "sos.fast.run";
-  let st = State.create inst in
+  let { st; scratch; cols } = ws in
+  State.reset st inst;
+  Schedule.Columns.reset cols inst;
   let size = inst.Instance.m - 1 in
   let budget = inst.Instance.scale in
-  let cols = Schedule.Columns.create inst in
   let carried = ref Window.empty in
   (* Window pre-computed for the next iteration (the stability probe below
      lands on exactly the window the next iteration would compute, so it is
@@ -61,7 +80,6 @@ let run_columns ?(variant = `Fixed) inst =
   let pre = ref Window.empty in
   let have_pre = ref false in
   let iters = ref 0 in
-  let scratch = Assign.make_scratch () in
   while not (State.all_finished st) do
     incr iters;
     Obs.Metrics.incr c_iters;
@@ -131,6 +149,8 @@ let run_columns ?(variant = `Fixed) inst =
     Obs.Metrics.hist_observe_int h_blocks cols.Schedule.Columns.blocks
   end;
   (cols, !iters)
+
+let run_columns ?variant inst = run_in ?variant (workspace ()) inst
 
 let run_count ?variant inst =
   let cols, iters = run_columns ?variant inst in

@@ -25,10 +25,31 @@
     ({!Window.repair}); the stability probe's window is handed to the next
     iteration instead of recomputed. *)
 
+type workspace
+(** A solve's buffers, owned by the caller: the {!State} arrays, the
+    per-step {!Assign} scratch and the {!Schedule.Columns} store. Each
+    {!run_in} reinitialises them for its instance (growing them when they
+    are too short for its n) instead of allocating them, whatever an
+    earlier solve left behind, one abandoned mid-loop included. A
+    workspace serves one solve at a time: it must not be used by two
+    domains at once. *)
+
+val workspace : unit -> workspace
+(** An empty workspace; its buffers grow to the first instance solved. *)
+
+val workspace_words : workspace -> int
+(** Words its buffers hold, headers aside: what keeping it costs. *)
+
+val run_in :
+  ?variant:[ `Fixed | `Literal ] -> workspace -> Instance.t -> Schedule.Columns.t * int
+(** {!run_columns} through a caller-owned workspace. The store returned is
+    the workspace's own: it is valid until the next [run_in] on that
+    workspace, so read from it (validate, count, write out) before then. *)
+
 val run_columns : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.Columns.t * int
 (** The schedule as a column store, and the number of loop iterations
-    actually simulated. [sosctl batch] validates and reports from the store
-    without building the list form. *)
+    actually simulated: {!run_in} on a fresh workspace, so the store is the
+    caller's to keep. *)
 
 val run : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.t
 (** Produces the same schedule as [Listing1.run] (same [variant]) with runs

@@ -13,7 +13,7 @@ type t = {
    an O(n) scan finds it in that order already: the order [to_string]
    writes, so decoding a generated file sorts nothing. Sorted, it is the
    instance's [original]. *)
-let of_columns ~m ~scale ~order ~size ~req =
+let assemble ~m ~scale ~order ~size ~req =
   let in_order = ref true in
   for k = 1 to Array.length order - 1 do
     let p0 = order.(k - 1) and p1 = order.(k) in
@@ -36,17 +36,24 @@ let check_shape ~m ~scale =
   if m < 2 then invalid_arg "Instance.create: need m >= 2";
   if scale < 1 then invalid_arg "Instance.create: need scale >= 1"
 
-let create ~m ~scale specs =
+let of_columns ~m ~scale ~size ~req =
+  let n = Array.length size in
+  if Array.length req <> n then invalid_arg "Instance.of_columns: columns differ in length";
   check_shape ~m ~scale;
+  for p = 0 to n - 1 do
+    Job.check ~size:size.(p) ~req:req.(p)
+  done;
+  assemble ~m ~scale ~order:(Array.init n Fun.id) ~size ~req
+
+let create ~m ~scale specs =
   let n = List.length specs in
   let size = Array.make n 0 and req = Array.make n 0 in
   List.iteri
     (fun p (sz, r) ->
-      Job.check ~size:sz ~req:r;
       size.(p) <- sz;
       req.(p) <- r)
     specs;
-  of_columns ~m ~scale ~order:(Array.init n Fun.id) ~size ~req
+  of_columns ~m ~scale ~size ~req
 
 let of_floats ~m ~scale specs =
   let quantize f =
@@ -370,7 +377,7 @@ let of_string str =
       for p = 0 to Array.length order - 1 do
         Job.check ~size:size.(p) ~req:req.(p)
       done;
-      of_columns ~m ~scale ~order ~size ~req
+      assemble ~m ~scale ~order ~size ~req
 
 let of_string_checked ?window str =
   match decode str with
@@ -381,7 +388,7 @@ let of_string_checked ?window str =
       | None -> (
           match if p < 0 then None else spec_error ~job:p ~size:size.(p) ~req:req.(p) with
           | Some e -> Error e
-          | None -> checked ?window (of_columns ~m ~scale ~order ~size ~req) sums))
+          | None -> checked ?window (assemble ~m ~scale ~order ~size ~req) sums))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>instance m=%d scale=%d n=%d@," t.m t.scale (n t);

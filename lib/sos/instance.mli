@@ -20,6 +20,13 @@ val create : m:int -> scale:int -> (int * int) list -> t
     [scale < 1], or any size/req is non-positive. The empty job list is
     allowed. *)
 
+val of_columns : m:int -> scale:int -> size:int array -> req:int array -> t
+(** {!create} over two columns: the job at caller position [p] is
+    [(size.(p), req.(p))]. Same checks, in the same order, with the same
+    messages; raises [Invalid_argument] as well if the columns differ in
+    length. Neither array is retained, so a caller may refill them for
+    the next instance. *)
+
 val check_shape : m:int -> scale:int -> unit
 (** Raises [Invalid_argument] if [m < 2] or [scale < 1], exactly as
     {!create} does. *)

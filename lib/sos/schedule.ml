@@ -67,7 +67,7 @@ module Columns = struct
   (* Block b's allocations are [first.(b), first.(b+1)): [first] keeps one
      entry past the last block, the start of the block being filled. *)
   type t = {
-    inst : Instance.t;
+    mutable inst : Instance.t;
     mutable blocks : int;
     mutable repeat : int array;
     mutable first : int array;
@@ -97,6 +97,29 @@ module Columns = struct
   let create inst =
     let n = Instance.n inst in
     with_capacity inst ~blocks:(2 * n) ~allocs:(8 * n)
+
+  (* The columns are kept, not reallocated, unless they are shorter than
+     [create]'s capacities for this n. The three allocation columns get one
+     length, since [append] sizes them by [job]. [first.(0)] is 0 for good:
+     nothing writes it. *)
+  let reset c inst =
+    let n = Instance.n inst in
+    let fit a len = if Array.length a >= len then a else Array.make len 0 in
+    let allocs = Int.max (8 * n) (Array.length c.job) in
+    c.job <- fit c.job allocs;
+    c.assigned <- fit c.assigned allocs;
+    c.consumed <- fit c.consumed allocs;
+    let blocks = Int.max (2 * n) (Array.length c.repeat) in
+    c.repeat <- fit c.repeat blocks;
+    c.first <- fit c.first (blocks + 1);
+    c.inst <- inst;
+    c.blocks <- 0;
+    c.allocs <- 0;
+    c.makespan <- 0
+
+  let words c =
+    Array.length c.repeat + Array.length c.first + Array.length c.job
+    + Array.length c.assigned + Array.length c.consumed
 
   let grow a used =
     let b = Array.make ((2 * Array.length a) + 8) 0 in
@@ -186,16 +209,42 @@ module Columns = struct
     done;
     ({ inst = c.inst; steps = !steps; makespan = c.makespan } : schedule)
 
-  let validate ?(preemption_ok = false) c =
+  (* The validator's per-job arrays, at least n entries each; [validate]
+     refills the first n. Nothing here is shared with the solver. *)
+  type validator = {
+    mutable remaining : int array;
+    mutable first_seen : int array;
+    mutable last_seen : int array;
+    mutable steps_seen : int array;
+    mutable stamp : int array;
+  }
+
+  let validator () =
+    { remaining = [||]; first_seen = [||]; last_seen = [||]; steps_seen = [||]; stamp = [||] }
+
+  let validator_words v = 5 * Array.length v.remaining
+
+  let validate ?scratch ?(preemption_ok = false) c =
     let { Instance.m; scale; jobs; _ } = c.inst in
     let n = Array.length jobs in
-    let remaining = Array.init n (fun i -> Job.s jobs.(i)) in
-    let first_seen = Array.make n (-1) in
-    let last_seen = Array.make n (-1) in
-    let steps_seen = Array.make n 0 in
-    (* index of the last block each job was met in: meeting it again in
-       the same block is a double allocation *)
-    let stamp = Array.make n (-1) in
+    let v = match scratch with Some v -> v | None -> validator () in
+    if Array.length v.remaining < n then begin
+      v.remaining <- Array.make n 0;
+      v.first_seen <- Array.make n 0;
+      v.last_seen <- Array.make n 0;
+      v.steps_seen <- Array.make n 0;
+      v.stamp <- Array.make n 0
+    end;
+    let { remaining; first_seen; last_seen; steps_seen; stamp } = v in
+    for j = 0 to n - 1 do
+      remaining.(j) <- Job.s jobs.(j);
+      first_seen.(j) <- -1;
+      last_seen.(j) <- -1;
+      steps_seen.(j) <- 0;
+      (* index of the last block each job was met in: meeting it again in
+         the same block is a double allocation *)
+      stamp.(j) <- -1
+    done;
     let cj = c.job and ca = c.assigned and cc = c.consumed and first = c.first in
     let block b t0 =
       let repeat = c.repeat.(b) in

@@ -80,7 +80,7 @@ module Columns : sig
   type schedule := t
 
   type t = private {
-    inst : Instance.t;
+    mutable inst : Instance.t;
     mutable blocks : int;
     mutable repeat : int array;
     mutable first : int array;
@@ -95,6 +95,16 @@ module Columns : sig
   (** An empty store with capacity for [2n] blocks and [8n] allocations:
       the Fast solver emits up to about 2 blocks and 8 allocations per
       job, and a 4-job spec needs only a few entries. *)
+
+  val reset : t -> Instance.t -> unit
+  (** Empty the store and bind it to another instance, keeping its columns
+      unless they are shorter than {!create}'s capacities for that
+      instance's n. Whatever the store held before (a solve abandoned
+      mid-loop included) is dropped. *)
+
+  val words : t -> int
+  (** Words the columns hold, headers aside: their capacity, not the
+      blocks and allocations in use. *)
 
   val append :
     t -> job:int array -> assigned:int array -> consumed:int array -> len:int -> repeat:int -> unit
@@ -113,8 +123,21 @@ module Columns : sig
       list output always did. [to_schedule (of_schedule s)] is
       structurally [s]. *)
 
-  val validate : ?preemption_ok:bool -> t -> (unit, violation) result
-  (** The checks listed at {!val-validate}, one pass over the columns. *)
+  type validator
+  (** The validator's per-job scratch (remaining requirement, first and
+      last step seen, steps seen, last block seen), grown to the largest n
+      it has checked. It shares nothing with the store or the solver. *)
+
+  val validator : unit -> validator
+
+  val validator_words : validator -> int
+  (** Words its arrays hold, headers aside. *)
+
+  val validate : ?scratch:validator -> ?preemption_ok:bool -> t -> (unit, violation) result
+  (** The checks listed at {!val-validate}, one pass over the columns. With
+      [~scratch] the per-job arrays are refilled rather than allocated, so
+      a caller that checks one store after another allocates none of them
+      again; without it, a fresh scratch is used. *)
 end
 
 val validate : ?preemption_ok:bool -> t -> (unit, violation) result

@@ -6,61 +6,95 @@ type view = {
   v_next : int array;
 }
 
+(* The arrays hold at least n entries; only the first n are meaningful.
+   [reset] refills them for another instance and replaces them only when
+   they are too short, so one state can serve a sequence of solves. *)
 type t = {
-  inst : Instance.t;
-  s : int array;
-  r : int array; (* per-job requirement, denormalized for the hot loops *)
-  d : int array; (* s.(i) / r.(i), maintained by every consume *)
-  q : int array; (* s.(i) mod r.(i), maintained by every consume *)
-  next : int array;
-  prev : int array;
-  linked : bool array;
-  vw : view; (* aliases s/r/d/q/next; rebuilt by [copy] *)
+  mutable inst : Instance.t;
+  mutable s : int array;
+  mutable r : int array; (* per-job requirement, denormalized for the hot loops *)
+  mutable d : int array; (* s.(i) / r.(i), maintained by every consume *)
+  mutable q : int array; (* s.(i) mod r.(i), maintained by every consume *)
+  mutable next : int array;
+  mutable prev : int array;
+  mutable linked : bool array;
+  mutable vw : view; (* aliases s/r/d/q/next; rebuilt when they are replaced *)
   mutable head : int; (* -1 when empty *)
   mutable remaining : int;
   mutable now : int;
   mutable version : int; (* membership mutations (unlinks) so far *)
 }
 
-let create inst =
+let reset t inst =
   let n = Instance.n inst in
-  let s = Array.init n (fun i -> Job.s (Instance.job inst i)) in
-  let r = Array.init n (fun i -> (Instance.job inst i).Job.req) in
-  (* s_j = p_j·r_j, so initially d = p_j and q = 0 *)
-  let d = Array.init n (fun i -> (Instance.job inst i).Job.size) in
-  let q = Array.make n 0 in
-  let next = Array.init n (fun i -> if i = n - 1 then -1 else i + 1) in
-  let prev = Array.init n (fun i -> i - 1) in
-  {
-    inst;
-    s;
-    r;
-    d;
-    q;
-    next;
-    prev;
-    linked = Array.make n true;
-    vw = { v_s = s; v_r = r; v_d = d; v_q = q; v_next = next };
-    head = (if n = 0 then -1 else 0);
-    remaining = n;
-    now = 0;
-    version = 0;
-  }
+  if Array.length t.s < n then begin
+    t.s <- Array.make n 0;
+    t.r <- Array.make n 0;
+    t.d <- Array.make n 0;
+    t.q <- Array.make n 0;
+    t.next <- Array.make n 0;
+    t.prev <- Array.make n 0;
+    t.linked <- Array.make n true;
+    t.vw <- { v_s = t.s; v_r = t.r; v_d = t.d; v_q = t.q; v_next = t.next }
+  end;
+  let { Instance.jobs; _ } = inst in
+  for i = 0 to n - 1 do
+    let { Job.size; req; _ } = jobs.(i) in
+    t.s.(i) <- size * req;
+    t.r.(i) <- req;
+    (* s_j = p_j·r_j, so initially d = p_j and q = 0 *)
+    t.d.(i) <- size;
+    t.q.(i) <- 0;
+    t.next.(i) <- (if i = n - 1 then -1 else i + 1);
+    t.prev.(i) <- i - 1;
+    t.linked.(i) <- true
+  done;
+  t.inst <- inst;
+  t.head <- (if n = 0 then -1 else 0);
+  t.remaining <- n;
+  t.now <- 0;
+  t.version <- 0
 
+let create inst =
+  let t =
+    {
+      inst;
+      s = [||];
+      r = [||];
+      d = [||];
+      q = [||];
+      next = [||];
+      prev = [||];
+      linked = [||];
+      vw = { v_s = [||]; v_r = [||]; v_d = [||]; v_q = [||]; v_next = [||] };
+      head = -1;
+      remaining = 0;
+      now = 0;
+      version = 0;
+    }
+  in
+  reset t inst;
+  t
+
+let words t = 7 * Array.length t.s
+
+(* [r] is copied too: [reset] refills it in place. *)
 let copy t =
   let s = Array.copy t.s in
+  let r = Array.copy t.r in
   let d = Array.copy t.d in
   let q = Array.copy t.q in
   let next = Array.copy t.next in
   {
     t with
     s;
+    r;
     d;
     q;
     next;
     prev = Array.copy t.prev;
     linked = Array.copy t.linked;
-    vw = { v_s = s; v_r = t.r; v_d = d; v_q = q; v_next = next };
+    vw = { v_s = s; v_r = r; v_d = d; v_q = q; v_next = next };
   }
 
 let view t = t.vw

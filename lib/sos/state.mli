@@ -10,6 +10,17 @@ type t
 val create : Instance.t -> t
 (** Fresh state at time 0: [s_j(0) = s_j], no job started. *)
 
+val reset : t -> Instance.t -> unit
+(** [reset t inst] makes [t] the state {!create} [inst] returns, whatever
+    [t] held before (a solve abandoned mid-loop included). It refills the
+    arrays in place and replaces them only when they hold fewer than
+    [Instance.n inst] jobs, so a {!view} taken before may be stale after
+    it. *)
+
+val words : t -> int
+(** Words the per-job arrays hold, headers aside: their capacity, not the
+    current instance's n. *)
+
 val copy : t -> t
 val instance : t -> Instance.t
 val now : t -> int

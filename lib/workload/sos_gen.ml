@@ -5,14 +5,34 @@ type family = { name : string; req : D.t; size : D.t }
 
 let default_scale = 720720
 
+(* A family draws requirements as fractions of the resource, in units of
+   1/default_scale. At another scale the draw r becomes ⌈r·scale/D⌉
+   (D = default_scale), computed as r·q + ⌈r·rem/D⌉ with scale = q·D + rem:
+   for r ≤ D neither product passes scale ≤ max_int, and the result lies
+   in [1, scale]. Rounding up keeps a strict lower bound such as
+   near-one's r > D/2 strict. A draw above the whole resource (only a
+   custom family makes one) is capped at it there; at default_scale every
+   draw is kept as it is. *)
+let to_scale ~scale r =
+  if scale = default_scale then r
+  else begin
+    let r = if r > default_scale then default_scale else r in
+    let q = scale / default_scale and rem = scale mod default_scale in
+    (r * q) + (((r * rem) + default_scale - 1) / default_scale)
+  end
+
+(* Draws straight into the two columns [Instance.of_columns] reads: no
+   job list, no tuple per job. Job p draws its size, then its requirement,
+   in position order; every seeded instance (goldens, transcripts, bench
+   digests) depends on that order. *)
 let generate rng family ~n ~m ?(scale = default_scale) () =
-  let specs =
-    List.init n (fun _ ->
-        let size = max 1 (D.sample rng family.size) in
-        let req = max 1 (D.sample rng family.req) in
-        (size, req))
-  in
-  Sos.Instance.create ~m ~scale specs
+  if n < 0 then invalid_arg "Sos_gen.generate: n must be >= 0";
+  let size = Array.make n 0 and req = Array.make n 0 in
+  for p = 0 to n - 1 do
+    size.(p) <- max 1 (D.sample rng family.size);
+    req.(p) <- to_scale ~scale (max 1 (D.sample rng family.req))
+  done;
+  Sos.Instance.of_columns ~m ~scale ~size ~req
 
 let sizes_1_20 = D.Uniform { lo = 1; hi = 20 }
 let s = default_scale

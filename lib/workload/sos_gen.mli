@@ -3,7 +3,9 @@
 
 type family = {
   name : string;
-  req : Distributions.t;  (** requirement, in units of [1/scale] *)
+  req : Distributions.t;
+      (** requirement as a fraction of the resource, in units of
+          [1/default_scale] *)
   size : Distributions.t;  (** processing volume [p_j] *)
 }
 
@@ -13,7 +15,15 @@ val default_scale : int
 
 val generate :
   Prelude.Rng.t -> family -> n:int -> m:int -> ?scale:int -> unit -> Sos.Instance.t
-(** Draw [n] jobs from the family (default scale {!default_scale}). *)
+(** Draw [n ≥ 0] jobs from the family (default scale {!default_scale}) into
+    two int columns and build them with {!Sos.Instance.of_columns}. Job [p]
+    draws its size, then its requirement, in position order. At any other
+    [scale] a requirement draw [r] becomes [⌈r·scale/default_scale⌉], so
+    each family keeps its fractions of the resource (near-one stays in
+    (1/2, 1]) and [1 ≤ r_j ≤ scale] up to [scale = max_int]; a draw above
+    the whole resource, which only a custom family makes, is capped at it.
+    At [default_scale] the draws are kept as they are. Raises
+    [Invalid_argument] if [n < 0], and as {!Sos.Instance.create} does. *)
 
 (* Named families (requirements as fractions of the resource): *)
 

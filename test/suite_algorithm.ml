@@ -455,6 +455,22 @@ let test_utilization_profile () =
   let capped = Schedule.to_dense ~cap:2 ~default:0.0 u in
   Alcotest.(check int) "cap truncates" (min 2 s.Schedule.makespan) (Array.length capped)
 
+let blocks_of (s : Schedule.t) =
+  List.map
+    (fun (st : Schedule.step) ->
+      ( st.repeat,
+        List.map (fun (a : Schedule.alloc) -> (a.job, a.assigned, a.consumed)) st.allocs ))
+    s.steps
+
+let column_blocks (c : Schedule.Columns.t) =
+  List.init c.blocks (fun b ->
+      ( c.repeat.(b),
+        List.init
+          (c.first.(b + 1) - c.first.(b))
+          (fun k ->
+            let i = c.first.(b) + k in
+            (c.job.(i), c.assigned.(i), c.consumed.(i))) ))
+
 (* The column solve against the list-building loop it replaced
    (test/fast_oracle.ml): the same blocks — repeat, and per allocation job,
    assigned and consumed, in order — from the same number of iterations
@@ -463,22 +479,6 @@ let test_utilization_profile () =
    T7b-shaped instances (uniform p in [1, p_max], m = 8) at p_max 10^5 and
    10^7, under both variants. *)
 let test_fast_matches_list_oracle () =
-  let blocks_of (s : Schedule.t) =
-    List.map
-      (fun (st : Schedule.step) ->
-        ( st.repeat,
-          List.map (fun (a : Schedule.alloc) -> (a.job, a.assigned, a.consumed)) st.allocs ))
-      s.steps
-  in
-  let column_blocks (c : Schedule.Columns.t) =
-    List.init c.blocks (fun b ->
-        ( c.repeat.(b),
-          List.init
-            (c.first.(b + 1) - c.first.(b))
-            (fun k ->
-              let i = c.first.(b) + k in
-              (c.job.(i), c.assigned.(i), c.consumed.(i))) ))
-  in
   let check label inst =
     List.iter
       (fun variant ->
@@ -523,6 +523,165 @@ let test_fast_matches_list_oracle () =
       check (Printf.sprintf "t7b n=%d p_max=%d" n pmax) inst)
     [ (50, 100_000); (400, 100_000); (50, 10_000_000); (400, 10_000_000) ]
 
+(* One workspace through a sequence of solves whose n goes up, down and
+   across sosctl batch's bundle size (n = 512): 300, 5, 1, then six times
+   a 2000-job solve abandoned mid-loop by the [sos.fast.step] chaos site
+   followed by the same 2000 jobs again, then 40. Each completed solve,
+   under both variants, must give the blocks, makespan and iterations of
+   a fresh [Fast.run_columns] and of the list-building oracle, and the
+   validator scratch shared across them must answer as a fresh validator
+   does, on the schedule and on the schedule with its last block dropped.
+   The store a solve returns is the workspace's own, so after an abandoned
+   solve it shows how far that solve got. *)
+let test_workspace_reuse () =
+  let ws = Fast.workspace () and check = Schedule.Columns.validator () in
+  let gen fam ~n ~m seed = Workload.Sos_gen.generate (Rng.create seed) fam ~n ~m () in
+  let big = gen Workload.Sos_gen.uniform_wide ~n:2000 ~m:8 4 in
+  let store = ref None in
+  let solve label inst =
+    List.iter
+      (fun variant ->
+        let name =
+          Printf.sprintf "%s %s" label (match variant with `Fixed -> "fixed" | `Literal -> "literal")
+        in
+        let cols, iters = Fast.run_in ~variant ws inst in
+        (match !store with
+        | Some c when c != cols -> Alcotest.failf "%s: the workspace changed its store" name
+        | _ -> store := Some cols);
+        let fresh, fresh_iters = Fast.run_columns ~variant inst in
+        let reference, ref_iters = Fast_oracle.run_count ~variant inst in
+        Alcotest.(check int) (name ^ ": iterations (fresh)") fresh_iters iters;
+        Alcotest.(check int) (name ^ ": iterations (oracle)") ref_iters iters;
+        Alcotest.(check int) (name ^ ": makespan") fresh.makespan cols.makespan;
+        if column_blocks cols <> column_blocks fresh then
+          Alcotest.failf "%s: blocks differ from a fresh solve" name;
+        if column_blocks cols <> blocks_of reference then
+          Alcotest.failf "%s: blocks differ from the list oracle" name;
+        let verdict v = Result.map_error (fun (e : Schedule.violation) -> (e.at_step, e.reason)) v in
+        let same what got want =
+          if verdict got <> verdict want then
+            Alcotest.failf "%s: %s: the shared validator disagrees with a fresh one" name what
+        in
+        same "schedule" (Schedule.Columns.validate ~scratch:check cols) (Schedule.validate reference);
+        if reference.steps <> [] then begin
+          let steps = List.filteri (fun i _ -> i < List.length reference.steps - 1) reference.steps in
+          let cut = Schedule.Columns.of_schedule (Schedule.make inst steps) in
+          same "last block dropped"
+            (Schedule.Columns.validate ~scratch:check cut)
+            (Schedule.validate (Schedule.make inst steps))
+        end)
+      variants
+  in
+  solve "n=300" (gen Workload.Sos_gen.bimodal ~n:300 ~m:16 1);
+  solve "n=5" (gen Workload.Sos_gen.uniform_wide ~n:5 ~m:3 2);
+  solve "n=1" (gen Workload.Sos_gen.near_one ~n:1 ~m:4 3);
+  (* In a task scope the chaos draws are a function of (seed, site, index,
+     attempt, hit), so each crash lands at the same step on every run; six
+     task indices give six different stopping points, each followed by the
+     same 2000 jobs solved again in the dirty workspace. *)
+  let full = (fst (Fast.run_columns big)).blocks in
+  for index = 0 to 5 do
+    let abandoned =
+      Robust.Chaos.arm_rules ~seed:7 [ ("sos.fast.step", Robust.Chaos.Fail_prob 0.01) ];
+      Fun.protect ~finally:Robust.Chaos.disarm (fun () ->
+          Robust.Context.with_ctx
+            (Robust.Context.make ~index ~attempt:0 ~cancel:Robust.Cancel.none)
+            (fun () ->
+              match Fast.run_in ws big with
+              | _ -> false
+              | exception Robust.Chaos.Injected _ -> true))
+    in
+    Alcotest.(check bool) "the 2000-job solve was abandoned" true abandoned;
+    (match !store with
+    | Some c ->
+        if not (c.inst == big && c.blocks > 0 && c.blocks < full) then
+          Alcotest.failf "the abandoned solve stopped at block %d of %d, not mid-loop" c.blocks
+            full
+    | None -> Alcotest.fail "no store");
+    solve (Printf.sprintf "n=2000 after abandoned solve %d" index) big
+  done;
+  solve "n=40" (gen Workload.Sos_gen.uniform_small ~n:40 ~m:16 5)
+
+(* [State.reset] against [State.create], on every observable of the state,
+   after the state was left dirty: jobs part-consumed (fractured, with a
+   remainder q), finished and unlinked, the clock advanced. The sequence
+   shrinks the arrays' use, grows them, and shrinks it again. Comparing
+   solves is not enough here: a reset that left an abandoned solve's
+   remainder in place gave the fresh schedule on every generator family
+   at m = 3, 8 and 16, since the solver rewrites a job's remainder before
+   it reads it on the instances tried. *)
+let test_state_reset () =
+  let gen ~n seed = Workload.Sos_gen.generate (Rng.create seed) Workload.Sos_gen.bimodal ~n ~m:8 () in
+  let dirty st inst =
+    for i = 0 to Instance.n inst - 1 do
+      match i mod 3 with
+      | 0 -> State.consume st i ((State.s st i / 2) + 1)
+      | 1 ->
+          State.consume st i (State.s st i);
+          State.unlink st i
+      | _ -> ()
+    done;
+    State.advance st 17
+  in
+  let same label st inst =
+    let fresh = State.create inst in
+    let n = Instance.n inst in
+    let check what got want = Alcotest.(check int) (label ^ ": " ^ what) want got in
+    check "now" (State.now st) (State.now fresh);
+    check "version" (State.version st) (State.version fresh);
+    check "remaining" (State.remaining_count st) (State.remaining_count fresh);
+    check "head" (State.head_idx st) (State.head_idx fresh);
+    Alcotest.(check (list int)) (label ^ ": remaining jobs") (State.remaining_jobs fresh)
+      (State.remaining_jobs st);
+    for i = 0 to n - 1 do
+      let job what got want = check (Printf.sprintf "job %d %s" i what) got want in
+      job "s" (State.s st i) (State.s fresh i);
+      job "q" (State.q st i) (State.q fresh i);
+      job "req" (State.req st i) (State.req fresh i);
+      job "next" (State.next_idx st i) (State.next_idx fresh i);
+      job "prev" (State.prev_idx st i) (State.prev_idx fresh i);
+      if State.started st i || State.fractured st i || State.finished st i then
+        Alcotest.failf "%s: job %d not as created" label i;
+      let v = State.view st in
+      job "d" v.v_d.(i) (State.view fresh).v_d.(i)
+    done
+  in
+  let st = State.create (gen ~n:300 1) in
+  List.iter
+    (fun inst ->
+      dirty st (State.instance st);
+      State.reset st inst;
+      same (Printf.sprintf "reset to n=%d" (Instance.n inst)) st inst)
+    [ gen ~n:40 2; gen ~n:2000 3; gen ~n:5 4; gen ~n:300 1 ]
+
+(* Once warmed up, a workspace and a validator scratch take an n = 300,
+   m = 16 solve and its validation without allocating anything directly
+   in the major heap (where every array of more than 256 words would go). *)
+let test_workspace_no_major_alloc () =
+  let ws = Fast.workspace () and check = Schedule.Columns.validator () in
+  let insts =
+    List.mapi
+      (fun i fam -> Workload.Sos_gen.generate (Rng.create (i + 11)) fam ~n:300 ~m:16 ())
+      Workload.Sos_gen.all_families
+  in
+  let solve inst =
+    let cols, _ = Fast.run_in ws inst in
+    match Schedule.Columns.validate ~scratch:check cols with
+    | Ok () -> ()
+    | Error v -> Alcotest.failf "invalid schedule: %s" v.reason
+  in
+  List.iter solve insts;
+  List.iter
+    (fun inst ->
+      let minor0, promoted0, major0 = Gc.counters () in
+      solve inst;
+      let minor1, promoted1, major1 = Gc.counters () in
+      Alcotest.(check (float 0.0))
+        "words allocated directly in the major heap" 0.0
+        (major1 -. major0 -. (promoted1 -. promoted0));
+      if minor1 <= minor0 then Alcotest.fail "minor counter did not move")
+    insts
+
 let suite =
   ( "algorithm",
     [
@@ -553,6 +712,10 @@ let suite =
       Alcotest.test_case "fast iteration goldens" `Quick test_fast_iteration_goldens;
       Alcotest.test_case "fast columns ≡ list-building oracle" `Quick
         test_fast_matches_list_oracle;
+      Alcotest.test_case "state reset equals create" `Quick test_state_reset;
+      Alcotest.test_case "fast workspace reused across solves" `Quick test_workspace_reuse;
+      Alcotest.test_case "fast workspace: no major allocation once warm" `Quick
+        test_workspace_no_major_alloc;
       Alcotest.test_case "fast iterations ≤ 2n (t7b shapes)" `Quick
         test_fast_iterations_linear;
       Alcotest.test_case "makespan ≥ lower bound" `Quick test_makespan_at_least_lb;
