@@ -441,12 +441,13 @@ let e4 () =
           let rng = Rng.create (base_seed + (100 * rep) + int_of_float (pct *. 100.0)) in
           let specs =
             List.init (Sos.Instance.n inst) (fun i ->
-                let j = Sos.Instance.job inst i in
                 let noise =
                   1.0 +. ((Rng.float rng 2.0 -. 1.0) *. pct)
                 in
-                let req = max 1 (int_of_float (float_of_int j.Sos.Job.req *. noise)) in
-                (j.Sos.Job.size, req))
+                let req =
+                  max 1 (int_of_float (float_of_int inst.Sos.Instance.req.(i) *. noise))
+                in
+                (inst.Sos.Instance.size.(i), req))
           in
           let pert = Sos.Instance.create ~m:8 ~scale:inst.Sos.Instance.scale specs in
           let w = float_of_int (Sos.Fast.run pert).Sos.Schedule.makespan in

@@ -12,9 +12,7 @@ let assign strategy inst =
       done
   | By_volume ->
       let ids = Array.init n Fun.id in
-      Array.sort
-        (fun a b -> compare (Job.s (Instance.job inst b), a) (Job.s (Instance.job inst a), b))
-        ids;
+      Array.sort (fun a b -> compare (Instance.s inst b, a) (Instance.s inst a, b)) ids;
       let load = Array.make m 0 in
       Array.iter
         (fun j ->
@@ -22,7 +20,7 @@ let assign strategy inst =
           for q = 1 to m - 1 do
             if load.(q) < load.(!p) then p := q
           done;
-          load.(!p) <- load.(!p) + Job.s (Instance.job inst j);
+          load.(!p) <- load.(!p) + Instance.s inst j;
           queues.(!p) <- j :: queues.(!p))
         ids;
       Array.iteri (fun p q -> queues.(p) <- List.rev q) queues);
@@ -34,8 +32,8 @@ let assign strategy inst =
    served first with a floor of 1; unstarted heads may be starved (they
    simply have not begun yet). *)
 let water_fill inst s budget heads =
-  let req j = (Instance.job inst j).Job.req in
-  let started j = s.(j) < Job.s (Instance.job inst j) in
+  let req j = inst.Instance.req.(j) in
+  let started j = s.(j) < Instance.s inst j in
   let by_req = List.sort (fun a b -> compare (req a, a) (req b, b)) in
   let first, second = List.partition started heads in
   let rec go ~floor left count acc = function
@@ -52,7 +50,7 @@ let water_fill inst s budget heads =
 
 let run ?(strategy = Round_robin) inst =
   let queues = assign strategy inst in
-  let s = Array.init (Instance.n inst) (fun i -> Job.s (Instance.job inst i)) in
+  let s = Array.init (Instance.n inst) (Instance.s inst) in
   let budget = inst.Instance.scale in
   let steps = ref [] in
   let fuel = ref (Instance.total_requirement inst + 1) in

@@ -26,8 +26,9 @@ let run inst =
   let slots = min m scale in
   let admit () =
     while !next < n && List.length !running < slots do
-      let job = Instance.job inst !next in
-      running := { job = !next; req = min job.Job.req scale; remaining = Job.s job } :: !running;
+      let j = !next in
+      let r = { job = j; req = min inst.Instance.req.(j) scale; remaining = Instance.s inst j } in
+      running := r :: !running;
       incr next
     done
   in

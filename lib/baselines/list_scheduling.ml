@@ -20,17 +20,9 @@ let run ?(order = By_requirement) inst =
   (match order with
   | By_requirement -> ()
   | By_volume_desc ->
-      Array.sort
-        (fun a b ->
-          compare
-            ((Instance.job inst b).Job.size, a)
-            ((Instance.job inst a).Job.size, b))
-        ids
+      Array.sort (fun a b -> compare (inst.Instance.size.(b), a) (inst.Instance.size.(a), b)) ids
   | By_total_req_desc ->
-      Array.sort
-        (fun a b ->
-          compare (Job.s (Instance.job inst b), a) (Job.s (Instance.job inst a), b))
-        ids);
+      Array.sort (fun a b -> compare (Instance.s inst b, a) (Instance.s inst a, b)) ids);
   let next = ref 0 in
   let running : running list ref = ref [] in
   let free_procs = ref m in
@@ -44,12 +36,11 @@ let run ?(order = By_requirement) inst =
       if i >= n then List.rev skipped
       else begin
         let j = ids.(i) in
-        let job = Instance.job inst j in
-        let hold = min job.Job.req scale in
+        let hold = min inst.Instance.req.(j) scale in
         if !free_procs >= 1 && hold <= !free_res then begin
           free_procs := !free_procs - 1;
           free_res := !free_res - hold;
-          let s = Job.s job in
+          let s = Instance.s inst j in
           let d = ((s - 1) / hold) + 1 in
           running := { job = j; hold; steps_left = d; remaining = s } :: !running;
           scan (i + 1) skipped

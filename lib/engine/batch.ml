@@ -47,6 +47,15 @@ let never_ran index =
     attempts = 0;
   }
 
+(* A negative retry count is the caller's error. Every entry point checks
+   it before it creates a pool or pulls the producer, so no task runs:
+   raised inside a task thunk, the pool would swallow it. *)
+let check_retries = function
+  | Some retries when retries < 0 ->
+      invalid_arg "Engine.Batch: retries < 0"
+      [@sos.allow "R6: caller-side argument contract, rejected before the first attempt"]
+  | _ -> ()
+
 (* One task: run up to [1 + retries] attempts, each inside its own ambient
    scope carrying (index, attempt, cancel token). The per-attempt token
    owns the --task-timeout deadline and chains to the batch-wide [cancel]
@@ -56,9 +65,6 @@ let never_ran index =
    (base seed, index, Robust.Context.attempt ()) — e.g. Rng.create3 —
    reproduces the same attempt sequence at any domain count. *)
 let protect ?(retries = 0) ?task_timeout ?cancel ?backoff index task =
-  if retries < 0 then
-    invalid_arg "Engine.Batch: retries < 0"
-    [@sos.allow "R6: caller-side argument contract, rejected before the first attempt"];
   let rec go attempt =
     if match cancel with Some c -> Robust.Cancel.cancelled c | None -> false then begin
       record_failure Robust.Failure.Cancelled;
@@ -97,6 +103,7 @@ let protect ?(retries = 0) ?task_timeout ?cancel ?backoff index task =
 
 (* window = n: workers are never throttled by the (no-op) consumer. *)
 let map_pool pool ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
+  check_retries retries;
   let n = Array.length tasks in
   let out = Array.init n (fun i -> Error (never_ran i)) in
   ignore
@@ -109,6 +116,7 @@ let map_pool pool ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
   out
 
 let map ?domains ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
+  check_retries retries;
   Pool.with_pool ?domains (fun pool ->
       map_pool pool ?chunk ?retries ?task_timeout ?cancel ?backoff tasks)
 
@@ -118,6 +126,7 @@ let map ?domains ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
    (the pool's in-flight bound), and the pool's completion handshake makes
    the worker's write visible to the caller. *)
 let stream_seq pool ?(chunk = 1) ?window ?retries ?task_timeout ?cancel ?backoff producer ~f =
+  check_retries retries;
   let chunk = max 1 chunk in
   let window =
     match window with

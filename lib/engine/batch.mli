@@ -11,7 +11,9 @@
     {b Resilience} (doc/ROBUSTNESS.md). Every entry point takes:
     - [?retries]: failed attempts of {e transient} classes
       ({!Robust.Failure.transient}: task exceptions and deadline expiry)
-      are re-run up to [retries] extra times. Each attempt executes inside
+      are re-run up to [retries] extra times. A negative [retries]
+      raises [Invalid_argument] on the caller, before any task runs or
+      the producer is pulled. Each attempt executes inside
       an ambient {!Robust.Context} scope carrying [(index, attempt)], so a
       task re-deriving randomness via [Rng.create3 base index attempt]
       retries deterministically at any domain count.

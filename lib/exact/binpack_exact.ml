@@ -172,9 +172,7 @@ let optimum_packing ?(node_limit = 2_000_000) inst =
 let unit_sos_optimum ?node_limit inst =
   if not (Sos.Instance.unit_size inst) then
     invalid_arg "Binpack_exact.unit_sos_optimum: non-unit sizes";
-  let sizes =
-    List.init (Sos.Instance.n inst) (fun i -> (Sos.Instance.job inst i).Sos.Job.req)
-  in
+  let sizes = Array.to_list inst.Sos.Instance.req in
   if sizes = [] then Some 0
   else
     optimum ?node_limit

@@ -66,7 +66,3 @@ let geometric_mean xs =
     in
     exp (acc /. float_of_int n)
   end
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4f sd=%.4f min=%.4f p50=%.4f p90=%.4f p99=%.4f max=%.4f"
-    s.count s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max

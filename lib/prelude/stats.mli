@@ -27,4 +27,3 @@ val summarize : float array -> summary
 val geometric_mean : float array -> float
 (** Geometric mean of strictly positive samples; 0 on the empty array. *)
 
-val pp_summary : Format.formatter -> summary -> unit

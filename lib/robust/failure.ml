@@ -65,10 +65,6 @@ let message = function
 
 let to_string t = class_name t ^ ": " ^ message t
 
-let backtrace_string = function
-  | Task_exn (_, bt) -> Printexc.raw_backtrace_to_string bt
-  | _ -> ""
-
 (* Registered so that a [Invalid]/[Deadline] escaping to a generic
    [Printexc.to_string] consumer still prints a real message rather than a
    constructor dump. *)

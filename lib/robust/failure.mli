@@ -87,6 +87,3 @@ val message : t -> string
 val to_string : t -> string
 (** [class_name ^ ": " ^ message]. *)
 
-val backtrace_string : t -> string
-(** The captured backtrace of a [Task_exn] (may be [""] when backtrace
-    recording is off); [""] for every other class. *)

@@ -43,8 +43,3 @@ let flat_sos t =
            Array.to_list (Array.map (fun r -> (1, r)) task.Task.reqs))
   in
   Sos.Instance.create ~m:t.m ~scale:t.scale specs
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>sas m=%d scale=%d k=%d@," t.m t.scale (k t);
-  Array.iter (fun task -> Format.fprintf ppf "  %a@," Task.pp task) t.tasks;
-  Format.fprintf ppf "@]"

@@ -29,5 +29,3 @@ val normalize_scale : t -> t
 val flat_sos : t -> Sos.Instance.t
 (** All jobs of all tasks as one unit-size SoS instance (used to validate
     merged schedules); job order = task-major. *)
-
-val pp : Format.formatter -> t -> unit

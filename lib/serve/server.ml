@@ -103,6 +103,8 @@ let create cfg =
     }
   in
   match cfg.checkpoint with
+  (* rejected here, so no query ever meets Engine.Batch's own check *)
+  | _ when cfg.retries < 0 -> Error "retries must be >= 0"
   | None -> Ok (fresh None)
   | Some path ->
       let header = header cfg in
@@ -122,7 +124,6 @@ let create cfg =
                    ~sync_every:cfg.sync_every ~header ())))
 
 let stopped t = t.stop_code <> None
-let draining t = t.draining
 
 (* Run [f] inside an ambient scope carrying the request index, so chaos
    site rules like [serve.request@7:attempts=1] target protocol requests

@@ -63,8 +63,8 @@ type t
 (** A running server: session table, WAL, drain state, reply counters. *)
 
 val create : config -> (t, string) result
-(** [Error] when the WAL cannot be started or resumed (header mismatch,
-    unreadable shard). *)
+(** [Error] when [retries < 0], or when the WAL cannot be started or
+    resumed (header mismatch, unreadable shard). *)
 
 type summary = {
   requests : int;  (** lines handled, including replayed ones *)
@@ -96,8 +96,6 @@ val serve :
 val stopped : t -> bool
 (** The server decided to stop ([shutdown], abort, or WAL failure);
     callers running an accept loop must stop offering it connections. *)
-
-val draining : t -> bool
 
 val finish : t -> summary
 (** Flush and close the WAL and return the final counters. The server

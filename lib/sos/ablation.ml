@@ -26,7 +26,7 @@ let generic_run inst ~window_of ~assign =
 let naive_assign st w ~budget =
   let ms = Window.members st w in
   let mx = match Window.last w with Some j -> j | None -> assert false in
-  let req j = (Instance.job (State.instance st) j).Job.req in
+  let req j = (State.instance st).Instance.req.(j) in
   let spent = ref 0 in
   let allocs =
     List.map

@@ -34,12 +34,11 @@ let schedule_to_csv_rle sched = columns_to_csv_rle (Schedule.Columns.of_schedule
 let instance_to_csv (inst : Instance.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "job,original_position,size,req,scale,m\n";
-  Array.iteri
-    (fun i (j : Job.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%d,%d,%d\n" i inst.original.(i) j.size j.req
-           inst.scale inst.m))
-    inst.jobs;
+  for i = 0 to Instance.n inst - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf "%d,%d,%d,%d,%d,%d\n" i inst.original.(i) inst.size.(i) inst.req.(i)
+         inst.scale inst.m)
+  done;
   Buffer.contents buf
 
 let utilization_to_csv (sched : Schedule.t) =

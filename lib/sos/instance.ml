@@ -1,48 +1,92 @@
 type t = {
   m : int;
   scale : int;
-  jobs : Job.t array;
+  size : int array;
+  req : int array;
   original : int array;
 }
+
+(* Caller position [a] comes before [b] in the instance: by requirement,
+   ties by position. Positions differ, so the order is strict and total,
+   and every correct sort gives the same result. [req] is typed so that
+   these are integer comparisons, not calls to the generic compare. *)
+let before (req : int array) a b = req.(a) < req.(b) || (req.(a) = req.(b) && a < b)
+
+(* Merges the sorted runs [src.(lo..mid-1)] and [src.(mid..hi-1)] into
+   [dst.(lo..hi-1)]. *)
+let merge req src dst lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !j >= hi || (!i < mid && before req src.(!i) src.(!j)) then begin
+      dst.(k) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(k) <- src.(!j);
+      incr j
+    end
+  done
+
+(* A bottom-up merge sort of [order] by {!before}, through one scratch
+   array and with no closure: [Array.stable_sort] builds one per merge,
+   a few words a job. Pass k merges runs of width 2^k; a pass runs while
+   the width is below n, so at most 62 of them on 63-bit ints. *)
+let sort req order =
+  let n = Array.length order in
+  let src = ref order and dst = ref (Array.make n 0) in
+  for k = 0 to 61 do
+    let width = 1 lsl k in
+    if width < n then begin
+      for run = 0 to (n - 1) / (2 * width) do
+        let lo = 2 * width * run in
+        let mid = Int.min n (lo + width) in
+        merge req !src !dst lo mid (Int.min n (mid + width))
+      done;
+      let sorted = !dst in
+      dst := !src;
+      src := sorted
+    end
+  done;
+  if !src != order then Array.blit !src 0 order 0 n
 
 (* The one constructor. [size.(p)] and [req.(p)] are the job at caller
    position p, for p < n = Array.length order, and callers have checked
    that they are positive. [order] holds the positions 0..n-1 in the
-   order the jobs came. It is sorted in place by (req, position), which
-   is [Job.compare_req] on caller positions, with a stable sort, unless
-   an O(n) scan finds it in that order already: the order [to_string]
+   order the jobs came. It is sorted in place by {!before}, unless an
+   O(n) scan finds it in that order already: the order [to_string]
    writes, so decoding a generated file sorts nothing. Sorted, it is the
-   instance's [original]. *)
+   instance's [original], and the columns are read through it. *)
 let assemble ~m ~scale ~order ~size ~req =
+  let n = Array.length order in
   let in_order = ref true in
-  for k = 1 to Array.length order - 1 do
-    let p0 = order.(k - 1) and p1 = order.(k) in
-    if req.(p0) > req.(p1) || (req.(p0) = req.(p1) && p0 > p1) then in_order := false
+  for k = 1 to n - 1 do
+    if before req order.(k) order.(k - 1) then in_order := false
   done;
-  if not !in_order then
-    Array.stable_sort
-      (fun a b ->
-        let c = Int.compare req.(a) req.(b) in
-        if c <> 0 then c else Int.compare a b)
-      order;
-  {
-    m;
-    scale;
-    jobs = Array.mapi (fun i p -> { Job.id = i; size = size.(p); req = req.(p) }) order;
-    original = order;
-  }
+  if not !in_order then sort req order;
+  let sorted_size = Array.make n 0 and sorted_req = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let p = order.(i) in
+    sorted_size.(i) <- size.(p);
+    sorted_req.(i) <- req.(p)
+  done;
+  { m; scale; size = sorted_size; req = sorted_req; original = order }
 
 let check_shape ~m ~scale =
   if m < 2 then invalid_arg "Instance.create: need m >= 2";
   if scale < 1 then invalid_arg "Instance.create: need scale >= 1"
 
+(* The per-job checks, by caller position, the first failure winning. *)
+let check_jobs ~size ~req n =
+  for p = 0 to n - 1 do
+    if size.(p) <= 0 then invalid_arg "Instance.create: size must be positive";
+    if req.(p) <= 0 then invalid_arg "Instance.create: req must be positive"
+  done
+
 let of_columns ~m ~scale ~size ~req =
   let n = Array.length size in
   if Array.length req <> n then invalid_arg "Instance.of_columns: columns differ in length";
   check_shape ~m ~scale;
-  for p = 0 to n - 1 do
-    Job.check ~size:size.(p) ~req:req.(p)
-  done;
+  check_jobs ~size ~req n;
   assemble ~m ~scale ~order:(Array.init n Fun.id) ~size ~req
 
 let create ~m ~scale specs =
@@ -64,38 +108,31 @@ let of_floats ~m ~scale specs =
   in
   create ~m ~scale (List.map (fun (size, f) -> (size, quantize f)) specs)
 
-let n t = Array.length t.jobs
+let n t = Array.length t.size
+let s t i = t.size.(i) * t.req.(i)
+let total_volume t = Array.fold_left ( + ) 0 t.size
 
-let job t i =
-  if i < 0 || i >= Array.length t.jobs then invalid_arg "Instance.job: index";
-  t.jobs.(i)
+let total_requirement t =
+  let acc = ref 0 in
+  for i = 0 to n t - 1 do
+    acc := !acc + s t i
+  done;
+  !acc
 
-let total_volume t = Array.fold_left (fun acc j -> acc + j.Job.size) 0 t.jobs
-let total_requirement t = Array.fold_left (fun acc j -> acc + Job.s j) 0 t.jobs
-let sum_req t = Array.fold_left (fun acc j -> acc + j.Job.req) 0 t.jobs
-let max_size t = Array.fold_left (fun acc j -> Int.max acc j.Job.size) 0 t.jobs
-let unit_size t = Array.for_all (fun j -> j.Job.size = 1) t.jobs
+let sum_req t = Array.fold_left ( + ) 0 t.req
+let max_size t = Array.fold_left Int.max 0 t.size
+let unit_size t = Array.for_all (fun p -> p = 1) t.size
 
 let rescale t c =
   if c < 1 then invalid_arg "Instance.rescale: factor must be >= 1";
-  {
-    t with
-    scale = t.scale * c;
-    jobs = Array.map (fun j -> { j with Job.req = j.Job.req * c }) t.jobs;
-  }
-
-let restrict_m t m =
-  if m < 2 then invalid_arg "Instance.restrict_m: need m >= 2";
-  { t with m }
+  { t with scale = t.scale * c; req = Array.map (fun r -> r * c) t.req }
 
 let to_string t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "sos %d %d %d\n" t.m t.scale (n t));
-  Array.iteri
-    (fun i j ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d %d %d\n" t.original.(i) j.Job.size j.Job.req))
-    t.jobs;
+  for i = 0 to n t - 1 do
+    Buffer.add_string buf (Printf.sprintf "%d %d %d\n" t.original.(i) t.size.(i) t.req.(i))
+  done;
   Buffer.contents buf
 
 (* ------------------------------------------------- overflow-checked sums
@@ -114,8 +151,8 @@ let sum_opt v = if v < 0 then None else Some v
 
 let eq1_sums t =
   let volume = ref 0 and requirement = ref 0 and req_sum = ref 0 in
-  for i = 0 to Array.length t.jobs - 1 do
-    let { Job.size; req; _ } = t.jobs.(i) in
+  for i = 0 to n t - 1 do
+    let size = t.size.(i) and req = t.req.(i) in
     volume := add_checked !volume size;
     requirement := add_checked !requirement (if mul_overflows size req then -1 else size * req);
     req_sum := add_checked !req_sum req
@@ -374,9 +411,7 @@ let of_string str =
   | Ok (m, scale, { order; size; req; _ }) ->
       check_shape ~m ~scale;
       (* create's job checks, in its order: by position *)
-      for p = 0 to Array.length order - 1 do
-        Job.check ~size:size.(p) ~req:req.(p)
-      done;
+      check_jobs ~size ~req (Array.length order);
       assemble ~m ~scale ~order ~size ~req
 
 let of_string_checked ?window str =
@@ -389,8 +424,3 @@ let of_string_checked ?window str =
           match if p < 0 then None else spec_error ~job:p ~size:size.(p) ~req:req.(p) with
           | Some e -> Error e
           | None -> checked ?window (assemble ~m ~scale ~order ~size ~req) sums))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>instance m=%d scale=%d n=%d@," t.m t.scale (n t);
-  Array.iter (fun j -> Format.fprintf ppf "  %a@," Job.pp j) t.jobs;
-  Format.fprintf ppf "@]"

@@ -3,21 +3,33 @@
     [m] identical processors share one divisible resource of total size 1 per
     time step. The resource is represented in exact fixed-point: the instance
     fixes [scale ∈ ℕ] and "1 unit of resource" means [1/scale] of the whole;
-    a full time step offers [scale] units. Jobs are stored sorted by
-    non-decreasing requirement, as the paper assumes ([r_1 ≤ … ≤ r_n]); the
-    permutation back to the caller's original order is retained. *)
+    a full time step offers [scale] units. A job is two integers, its size
+    [p_j ≥ 1] and its requirement [r_j ≥ 1] in units (it may exceed
+    [scale]), and an instance holds them as two int columns, sorted by
+    non-decreasing requirement as the paper assumes ([r_1 ≤ … ≤ r_n]), ties
+    in the caller's order. Job [i] is index [i] of both columns; its total
+    resource requirement is [s_j = p_j · r_j] ({!s}). The permutation back
+    to the caller's original order is retained.
+
+    The columns are read-only: the record is private, but an array's cells
+    are not, and writing one would break the sort and the checks every
+    constructor made. *)
 
 type t = private {
   m : int;  (** number of processors, [≥ 2] *)
   scale : int;  (** resource units per time step, [≥ 1] *)
-  jobs : Job.t array;  (** sorted by {!Job.compare_req}; [jobs.(i).id = i] *)
-  original : int array;  (** [original.(i)] = caller position of [jobs.(i)] *)
+  size : int array;  (** [size.(i) = p_i ≥ 1], in sorted order; read-only *)
+  req : int array;
+      (** [req.(i) = r_i ≥ 1], non-decreasing, ties by caller position;
+          read-only *)
+  original : int array;  (** [original.(i)] = caller position of job [i] *)
 }
 
 val create : m:int -> scale:int -> (int * int) list -> t
 (** [create ~m ~scale specs] builds an instance from [(size, req)] pairs,
     [req] in units of [1/scale]. Raises [Invalid_argument] if [m < 2],
-    [scale < 1], or any size/req is non-positive. The empty job list is
+    [scale < 1], or any size/req is non-positive (the first such job in
+    list order, its size before its req). The empty job list is
     allowed. *)
 
 val of_columns : m:int -> scale:int -> size:int array -> req:int array -> t
@@ -36,9 +48,10 @@ val of_floats : m:int -> scale:int -> (int * float) list -> t
     each is rounded to the nearest unit, clamped to at least 1 unit. *)
 
 val n : t -> int
-val job : t -> int -> Job.t
-(** [job t i] for [i] in sorted order. Raises [Invalid_argument] out of
-    range. *)
+
+val s : t -> int -> int
+(** [s t i] is job [i]'s total resource requirement [s_i = p_i · r_i], in
+    resource units. Raises [Invalid_argument] out of range. *)
 
 val total_volume : t -> int
 (** [Σ_j p_j]. *)
@@ -59,9 +72,6 @@ val rescale : t -> int -> t
 (** [rescale t c] multiplies [scale] and every requirement by [c ≥ 1]. The
     instance is combinatorially identical; useful to make budgets like
     [(⌊m/2⌋−1)/(m−1)] exactly representable. *)
-
-val restrict_m : t -> int -> t
-(** Same jobs, different processor count. *)
 
 val to_string : t -> string
 (** A line-oriented text format, parsed back by {!of_string}: a header
@@ -114,5 +124,3 @@ val of_floats_checked :
 val of_string_checked : ?window:bool -> string -> (t, Robust.Failure.invalid) result
 (** {!of_string} with parse failures as [Malformed], then the checks of
     {!create_checked} on the jobs in position order. *)
-
-val pp : Format.formatter -> t -> unit

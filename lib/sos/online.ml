@@ -49,10 +49,10 @@ let lower_bound ~m ~scale arrivals =
 (* ------------------------------------------------------ incremental core
 
    The simulation is keyed on submission POSITIONS, not instance ids.
-   [Instance.create] sorts by [Job.compare_req], which tie-breaks on the
-   position, so every comparison an id-keyed simulation makes — the
-   admission order, the "everyone but the largest" split — is the same
-   comparison on (req, position). A session therefore never renumbers
+   [Instance.create] sorts by requirement, ties broken by the position,
+   so every comparison an id-keyed simulation makes — the admission
+   order, the "everyone but the largest" split — is the same comparison
+   on (req, position). A session therefore never renumbers
    anything: a result's starts stay keyed by position, and only
    [materialize] maps positions onto the sorted instance's ids. *)
 

@@ -3,8 +3,8 @@ let remaining_steps s r = ((s - 1) / r) + 1
 let run ?(fuel = 2_000_000) inst =
   let n = Instance.n inst in
   let m = inst.Instance.m and budget = inst.Instance.scale in
-  let s = Array.init n (fun i -> Job.s (Instance.job inst i)) in
-  let req i = (Instance.job inst i).Job.req in
+  let s = Array.init n (Instance.s inst) in
+  let req i = inst.Instance.req.(i) in
   let alive = ref (List.init n Fun.id) in
   let steps = ref [] in
   let fuel = ref fuel in

@@ -12,8 +12,6 @@ let make inst steps =
   in
   { inst; steps; makespan }
 
-let empty inst = { inst; steps = []; makespan = 0 }
-
 let of_blocks inst blocks ~len =
   if len < 0 || len > Array.length blocks then
     invalid_arg "Schedule.of_blocks: len out of range";
@@ -225,8 +223,8 @@ module Columns = struct
   let validator_words v = 5 * Array.length v.remaining
 
   let validate ?scratch ?(preemption_ok = false) c =
-    let { Instance.m; scale; jobs; _ } = c.inst in
-    let n = Array.length jobs in
+    let { Instance.m; scale; req; _ } = c.inst in
+    let n = Array.length req in
     let v = match scratch with Some v -> v | None -> validator () in
     if Array.length v.remaining < n then begin
       v.remaining <- Array.make n 0;
@@ -237,7 +235,7 @@ module Columns = struct
     end;
     let { remaining; first_seen; last_seen; steps_seen; stamp } = v in
     for j = 0 to n - 1 do
-      remaining.(j) <- Job.s jobs.(j);
+      remaining.(j) <- Instance.s c.inst j;
       first_seen.(j) <- -1;
       last_seen.(j) <- -1;
       steps_seen.(j) <- 0;
@@ -258,7 +256,7 @@ module Columns = struct
         stamp.(j) <- b;
         if assigned < 0 then raise (Bad (violation t0 "job %d: negative assignment" j));
         if consumed < 0 then raise (Bad (violation t0 "job %d: negative consumption" j));
-        let r = jobs.(j).Job.req in
+        let r = req.(j) in
         let cap = Int.min assigned r in
         if consumed > cap then
           raise
@@ -312,11 +310,6 @@ end
 
 let validate ?preemption_ok t = Columns.validate ?preemption_ok (Columns.of_schedule t)
 
-let assert_valid ?preemption_ok t =
-  match validate ?preemption_ok t with
-  | Ok () -> ()
-  | Error v -> failwith (Printf.sprintf "invalid schedule at step %d: %s" v.at_step v.reason)
-
 let processor_assignment =
   let full_validate = validate in
   fun ?(validate = true) t ->
@@ -333,7 +326,7 @@ let processor_assignment =
   for p = inst.Instance.m - 1 downto 0 do
     Queue.push p free
   done;
-  let remaining = Array.init n (fun i -> Job.s (Instance.job inst i)) in
+  let remaining = Array.init n (Instance.s inst) in
   let result = ref [] in
   fold_segments t ~init:() ~f:(fun () ~t0 ~repeat allocs ->
       (* Assign processors to jobs appearing for the first time. *)
@@ -379,7 +372,7 @@ let job_spans t =
 
 let completion_times t =
   let n = Instance.n t.inst in
-  let remaining = Array.init n (fun i -> Job.s (Instance.job t.inst i)) in
+  let remaining = Array.init n (Instance.s t.inst) in
   let completion = Array.make n 0 in
   fold_segments t ~init:() ~f:(fun () ~t0 ~repeat allocs ->
       List.iter
@@ -397,7 +390,7 @@ let completion_times t =
         allocs);
   Array.iteri
     (fun j c ->
-      if c = 0 && Job.s (Instance.job t.inst j) > 0 then
+      if c = 0 && Instance.s t.inst j > 0 then
         invalid_arg "Schedule.completion_times: job never completes")
     completion;
   completion
@@ -496,7 +489,3 @@ let render_gantt ?(max_width = 120) t =
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf "schedule(makespan=%d, steps=%d, waste=%d)" t.makespan
-    (List.length t.steps) (total_waste t)

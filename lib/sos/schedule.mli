@@ -34,8 +34,6 @@ val make : Instance.t -> step list -> t
 (** Computes the makespan; raises [Invalid_argument] on a non-positive
     [repeat]. *)
 
-val empty : Instance.t -> t
-
 val of_blocks : Instance.t -> step array -> len:int -> t
 (** [of_blocks inst blocks ~len] builds a schedule from the first [len]
     entries of a block array in time order, for callers that accumulate
@@ -158,9 +156,6 @@ val validate : ?preemption_ok:bool -> t -> (unit, violation) result
     Converts with {!Columns.of_schedule} and runs {!Columns.validate}: one
     pass over the blocks, O(Σ|allocs|), independent of makespan. *)
 
-val assert_valid : ?preemption_ok:bool -> t -> unit
-(** Raises [Failure] with the violation message. *)
-
 val expand : t -> t
 (** Replace every run-length-encoded step by [repeat] copies. Semantically
     identical; [validate] agrees on both forms (tested property). Only for
@@ -232,5 +227,3 @@ val render_gantt : ?max_width:int -> t -> string
 (** ASCII Gantt chart (rows = processors, columns = time steps); truncated
     to [max_width] (default 120) columns. Only the blocks intersecting the
     visible columns are walked — O(m·max_width) regardless of makespan. *)
-
-val pp : Format.formatter -> t -> unit

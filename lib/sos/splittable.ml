@@ -139,8 +139,7 @@ let run_nonpreemptive inst =
     invalid_arg "Splittable.run_nonpreemptive: instance has non-unit job sizes";
   let items =
     sort_items
-      (List.init (Instance.n inst) (fun i ->
-           { id = i; size = (Instance.job inst i).Job.req }))
+      (List.init (Instance.n inst) (fun i -> { id = i; size = inst.Instance.req.(i) }))
   in
   let budget = inst.Instance.scale and size = inst.Instance.m in
   let steps = ref [] in
@@ -194,7 +193,7 @@ let run inst =
   if not (Instance.unit_size inst) then
     invalid_arg "Splittable.run: instance has non-unit job sizes";
   let items =
-    List.init (Instance.n inst) (fun i -> { id = i; size = (Instance.job inst i).Job.req })
+    List.init (Instance.n inst) (fun i -> { id = i; size = inst.Instance.req.(i) })
   in
   let bins = pack items ~size:inst.Instance.m ~budget:inst.Instance.scale in
   let steps =

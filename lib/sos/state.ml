@@ -37,9 +37,9 @@ let reset t inst =
     t.linked <- Array.make n true;
     t.vw <- { v_s = t.s; v_r = t.r; v_d = t.d; v_q = t.q; v_next = t.next }
   end;
-  let { Instance.jobs; _ } = inst in
+  let { Instance.size; req; _ } = inst in
   for i = 0 to n - 1 do
-    let { Job.size; req; _ } = jobs.(i) in
+    let size = size.(i) and req = req.(i) in
     t.s.(i) <- size * req;
     t.r.(i) <- req;
     (* s_j = p_j·r_j, so initially d = p_j and q = 0 *)
@@ -111,7 +111,7 @@ let advance t k =
 let remaining_count t = t.remaining
 let all_finished t = t.remaining = 0
 let s t i = t.s.(i)
-let started t i = t.s.(i) < Job.s (Instance.job t.inst i)
+let started t i = t.s.(i) < Instance.s t.inst i
 let finished t i = t.s.(i) = 0
 let req t i = t.r.(i)
 let q t i = t.q.(i)

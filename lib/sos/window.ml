@@ -11,7 +11,6 @@ let empty = Empty
 let is_empty = function Empty -> true | Range _ -> false
 let count = function Empty -> 0 | Range r -> r.count
 let rsum = function Empty -> 0 | Range r -> r.rsum
-let first = function Empty -> None | Range r -> Some r.first
 let last = function Empty -> None | Range r -> Some r.last
 let first_idx = function Empty -> -1 | Range r -> r.first
 let last_idx = function Empty -> -1 | Range r -> r.last
@@ -330,8 +329,3 @@ let is_effectively_maximal st w ~k ~budget =
   && count w <= k
   && (count w >= k || left_neighbor st w = None || rsum w >= budget)
   && (rsum w >= budget || right_neighbor st w = None)
-
-let pp ppf = function
-  | Empty -> Format.fprintf ppf "<empty window>"
-  | Range r ->
-      Format.fprintf ppf "[%d..%d|#%d r=%d]" r.first r.last r.count r.rsum

@@ -17,15 +17,12 @@ val count : t -> int
 val rsum : t -> int
 (** [r(W) = Σ_{j∈W} r_j] in resource units. *)
 
-val first : t -> int option
-(** [min W] — smallest requirement. *)
-
 val last : t -> int option
 (** [max W] — largest requirement. *)
 
 val first_idx : t -> int
 val last_idx : t -> int
-(** {!first}/{!last} with −1 for the empty window — allocation-free
+(** [min W] and [max W], with −1 for the empty window — allocation-free
     variants for the solver hot loops. *)
 
 val mem : t -> int -> bool
@@ -148,5 +145,3 @@ val is_effectively_maximal : State.t -> t -> k:int -> budget:int -> bool
     step is covered by the [T_R] case of the proof of Theorem 3.3 — which is
     why the empirical ratio tests still hold. The engine's [~check] mode
     therefore asserts this predicate rather than {!is_k_maximal}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,33 +1,33 @@
 (* The list-based reference for [Sos.Instance]'s constructors and text
    decoder: the parser splits the text into trimmed, non-blank lines and
    each line into tokens, writes every job into its position's slot, and
-   [create] sorts (position, job) pairs with [Job.compare_req]. This is
-   the code the library ran before it decoded in one pass into columns,
-   kept as it was so the suite can check that the library accepts,
-   rejects and reports exactly as it did. It shares no code with the
-   library's decoder or its sort. An instance is returned as the text
-   [Instance.to_string] would write for it. *)
+   [create] sorts (position, job) pairs by (req, position). This is the
+   code the library ran before it decoded in one pass into columns, kept
+   as it was so the suite can check that the library accepts, rejects and
+   reports exactly as it did. It shares no code with the library's
+   instance: it has its own job record, checks and sort. An instance is
+   returned as the text [Instance.to_string] would write for it. *)
 
-open Sos
+type job = { size : int; req : int }
+type built = { m : int; scale : int; sorted : (int * job) array }
 
-type built = { m : int; scale : int; sorted : (int * Job.t) array }
+let job ~size ~req =
+  if size <= 0 then invalid_arg "Instance.create: size must be positive";
+  if req <= 0 then invalid_arg "Instance.create: req must be positive";
+  { size; req }
 
 let build ~m ~scale specs =
   if m < 2 then invalid_arg "Instance.create: need m >= 2";
   if scale < 1 then invalid_arg "Instance.create: need scale >= 1";
-  let tagged =
-    List.mapi (fun pos (size, req) -> (pos, Job.v ~id:pos ~size ~req)) specs
-  in
-  let arr = Array.of_list tagged in
-  Array.sort (fun (_, a) (_, b) -> Job.compare_req a b) arr;
+  let arr = Array.of_list (List.mapi (fun pos (size, req) -> (pos, job ~size ~req)) specs) in
+  Array.sort (fun (p, a) (q, b) -> compare (a.req, p) (b.req, q)) arr;
   { m; scale; sorted = arr }
 
 let render b =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "sos %d %d %d\n" b.m b.scale (Array.length b.sorted));
   Array.iter
-    (fun (pos, j) ->
-      Buffer.add_string buf (Printf.sprintf "%d %d %d\n" pos j.Job.size j.Job.req))
+    (fun (pos, j) -> Buffer.add_string buf (Printf.sprintf "%d %d %d\n" pos j.size j.req))
     b.sorted;
   Buffer.contents buf
 
@@ -47,11 +47,11 @@ let validate ?(window = false) b =
   let open Robust.Failure in
   if window && b.m < 3 then Error (Too_few_processors { m = b.m; need = 3 })
   else begin
-    let s_of (j : Job.t) = if j.size > max_int / j.req then -1 else j.size * j.req in
+    let s_of j = if j.size > max_int / j.req then -1 else j.size * j.req in
     match
-      ( sum_checked (fun (j : Job.t) -> j.size) b.sorted,
+      ( sum_checked (fun j -> j.size) b.sorted,
         sum_checked s_of b.sorted,
-        sum_checked (fun (j : Job.t) -> j.req) b.sorted )
+        sum_checked (fun j -> j.req) b.sorted )
     with
     | Some _, Some _, Some _ -> Ok (render b)
     | None, _, _ -> Error (Overflow "total volume Σ p_j exceeds max_int")

@@ -126,7 +126,7 @@ let prop_observation_3_2 inst =
         List.length
           (List.filter
              (fun (a : Schedule.alloc) ->
-               a.consumed = (Instance.job inst a.job).Job.req
+               a.consumed = inst.Instance.req.(a.job)
                || List.mem a.job info.finished)
              allocs)
       in

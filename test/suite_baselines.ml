@@ -51,11 +51,7 @@ let prop_garey_graham_ratio inst =
     let lb = Bounds.lower_bound inst in
     (* Clamping r_j > scale changes the model; restrict to instances the
        original guarantee speaks about. *)
-    let clamped =
-      List.exists
-        (fun i -> (Instance.job inst i).Job.req > inst.Instance.scale)
-        (List.init (Instance.n inst) Fun.id)
-    in
+    let clamped = Array.exists (fun r -> r > inst.Instance.scale) inst.Instance.req in
     if not clamped then begin
       let bound = Baselines.List_scheduling.guarantee ~m:inst.Instance.m in
       let limit = (bound *. float_of_int lb) +. float_of_int lb +. 1.0 in

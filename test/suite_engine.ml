@@ -333,6 +333,36 @@ let test_backoff_byte_identity () =
         true (got = clean))
     [ 1; 2; 4 ]
 
+(* A negative retry count is the caller's error: every entry point raises
+   it before it makes a pool or pulls the producer, so no task runs at any
+   domain count. Raised inside a task, the pool used to swallow it and
+   report the task as never run. *)
+let test_negative_retries_rejected () =
+  let ran = Atomic.make 0 and pulled = ref 0 in
+  let task () =
+    Atomic.incr ran;
+    1
+  in
+  let rejects what f =
+    Alcotest.check_raises what (Invalid_argument "Engine.Batch: retries < 0") (fun () ->
+        ignore (f ()))
+  in
+  List.iter
+    (fun domains ->
+      let at what = Printf.sprintf "%s at %d domains" what domains in
+      rejects (at "map") (fun () -> Batch.map ~domains ~retries:(-1) [| task |]);
+      Pool.with_pool ~domains (fun pool ->
+          rejects (at "map_pool") (fun () -> Batch.map_pool pool ~retries:(-1) [| task |]);
+          rejects (at "stream_seq") (fun () ->
+              Batch.stream_seq pool ~retries:(-1)
+                (fun i ->
+                  incr pulled;
+                  if i = 0 then Some task else None)
+                ~f:(fun _ _ -> ()))))
+    [ 1; 2 ];
+  Alcotest.(check int) "producer never pulled" 0 !pulled;
+  Alcotest.(check int) "no task ran" 0 (Atomic.get ran)
+
 let suite =
   ( "engine",
     [
@@ -347,6 +377,8 @@ let suite =
       Alcotest.test_case "stream_seq bounded memory (100k specs)" `Quick test_stream_seq_bounded_memory;
       Alcotest.test_case "backoff retries stay byte-identical" `Quick
         test_backoff_byte_identity;
+      Alcotest.test_case "negative retries rejected before any task" `Quick
+        test_negative_retries_rejected;
       Alcotest.test_case "pool basics" `Quick test_pool_basics;
       Alcotest.test_case "clock time_it/best_of" `Quick test_clock;
       Alcotest.test_case "rng create2" `Quick test_rng_create2;

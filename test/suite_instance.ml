@@ -1,26 +1,41 @@
-(* Tests for Sos.Job, Sos.Instance and Sos.Bounds. *)
+(* Tests for Sos.Instance and Sos.Bounds. *)
 
 open Sos
 
-let test_job_smart_constructor () =
-  Alcotest.check_raises "size 0" (Invalid_argument "Job.v: size must be positive")
-    (fun () -> ignore (Job.v ~id:0 ~size:0 ~req:1));
-  Alcotest.check_raises "req 0" (Invalid_argument "Job.v: req must be positive")
-    (fun () -> ignore (Job.v ~id:0 ~size:1 ~req:0));
-  let j = Job.v ~id:3 ~size:4 ~req:5 in
-  Alcotest.(check int) "s = p*r" 20 (Job.s j)
+(* The per-job checks: the first failing job in caller order, its size
+   before its requirement, from the list and the column constructor
+   alike. *)
+let test_per_job_checks () =
+  let size_msg = Invalid_argument "Instance.create: size must be positive" in
+  let req_msg = Invalid_argument "Instance.create: req must be positive" in
+  Alcotest.check_raises "size 0" size_msg (fun () ->
+      ignore (Instance.create ~m:2 ~scale:10 [ (0, 1) ]));
+  Alcotest.check_raises "req 0" req_msg (fun () ->
+      ignore (Instance.create ~m:2 ~scale:10 [ (1, 0) ]));
+  Alcotest.check_raises "size before req" size_msg (fun () ->
+      ignore (Instance.create ~m:2 ~scale:10 [ (0, 0) ]));
+  Alcotest.check_raises "first job first" req_msg (fun () ->
+      ignore (Instance.create ~m:2 ~scale:10 [ (1, 1); (1, -1); (-1, 1) ]));
+  Alcotest.check_raises "columns" size_msg (fun () ->
+      ignore (Instance.of_columns ~m:2 ~scale:10 ~size:[| 1; 0 |] ~req:[| 1; 1 |]));
+  let inst = Instance.create ~m:2 ~scale:10 [ (4, 5) ] in
+  Alcotest.(check int) "s = p*r" 20 (Instance.s inst 0)
 
 let test_instance_sorting () =
   let inst = Instance.create ~m:3 ~scale:100 [ (1, 70); (2, 10); (1, 40) ] in
   Alcotest.(check int) "n" 3 (Instance.n inst);
   Alcotest.(check (list int)) "sorted requirements" [ 10; 40; 70 ]
-    (List.init 3 (fun i -> (Instance.job inst i).Job.req));
+    (Array.to_list inst.Instance.req);
   Alcotest.(check (array int)) "original positions" [| 1; 2; 0 |] inst.Instance.original
 
-let test_instance_ids_relabelled () =
-  let inst = Instance.create ~m:2 ~scale:10 [ (1, 9); (1, 1) ] in
-  Alcotest.(check (list int)) "ids are sorted positions" [ 0; 1 ]
-    (List.init 2 (fun i -> (Instance.job inst i).Job.id))
+(* Job i is index i of both columns: the i-th smallest requirement, ties
+   in caller order, with its own size beside it. *)
+let test_instance_sorted_order () =
+  let inst = Instance.create ~m:2 ~scale:10 [ (1, 9); (2, 1); (3, 9); (4, 1) ] in
+  Alcotest.(check (array int)) "job i has the i-th smallest requirement" [| 1; 1; 9; 9 |]
+    inst.Instance.req;
+  Alcotest.(check (array int)) "sizes follow their jobs" [| 2; 4; 1; 3 |] inst.Instance.size;
+  Alcotest.(check (array int)) "ties keep caller order" [| 1; 3; 0; 2 |] inst.Instance.original
 
 let test_instance_validation () =
   Alcotest.check_raises "m < 2" (Invalid_argument "Instance.create: need m >= 2")
@@ -40,8 +55,7 @@ let test_instance_rescale () =
   let inst = Instance.create ~m:3 ~scale:10 [ (2, 3); (1, 7) ] in
   let r = Instance.rescale inst 6 in
   Alcotest.(check int) "scale" 60 r.Instance.scale;
-  Alcotest.(check (list int)) "reqs scaled" [ 18; 42 ]
-    (List.init 2 (fun i -> (Instance.job r i).Job.req));
+  Alcotest.(check (array int)) "reqs scaled" [| 18; 42 |] r.Instance.req;
   Alcotest.(check int) "lower bound unchanged" (Bounds.lower_bound inst)
     (Bounds.lower_bound r)
 
@@ -50,8 +64,8 @@ let test_instance_roundtrip () =
   let inst' = Instance.of_string (Instance.to_string inst) in
   Alcotest.(check int) "m" inst.Instance.m inst'.Instance.m;
   Alcotest.(check int) "scale" inst.Instance.scale inst'.Instance.scale;
-  Alcotest.(check bool) "jobs equal" true
-    (Array.for_all2 Job.equal inst.Instance.jobs inst'.Instance.jobs);
+  Alcotest.(check (array int)) "sizes equal" inst.Instance.size inst'.Instance.size;
+  Alcotest.(check (array int)) "reqs equal" inst.Instance.req inst'.Instance.req;
   Alcotest.(check (array int)) "original equal" inst.Instance.original inst'.Instance.original
 
 (* The position column is the jobs' original order, so it must be a
@@ -69,8 +83,7 @@ let test_instance_positions () =
 
 let test_of_floats () =
   let inst = Instance.of_floats ~m:2 ~scale:1000 [ (1, 0.5); (1, 1e-9); (1, 0.2501) ] in
-  Alcotest.(check (list int)) "quantized (sorted)" [ 1; 250; 500 ]
-    (List.init 3 (fun i -> (Instance.job inst i).Job.req))
+  Alcotest.(check (array int)) "quantized (sorted)" [| 1; 250; 500 |] inst.Instance.req
 
 let test_bounds_example () =
   (* 3 machines, scale 10. Jobs: (p=2,r=6),(p=1,r=9),(p=4,r=1).
@@ -99,7 +112,7 @@ let qcheck_sorted_after_create =
       let inst = Instance.create ~m:3 ~scale:20 specs in
       let ok = ref true in
       for i = 0 to Instance.n inst - 2 do
-        if (Instance.job inst i).Job.req > (Instance.job inst (i + 1)).Job.req then
+        if inst.Instance.req.(i) > inst.Instance.req.(i + 1) then
           ok := false
       done;
       !ok)
@@ -144,7 +157,10 @@ let qcheck_lb_le_trivial_schedule =
 
 (* Ok text | the exception's printed form. *)
 let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
-let ids_ok inst = Array.for_all Fun.id (Array.mapi (fun i j -> j.Job.id = i) inst.Instance.jobs)
+
+let columns_ok (inst : Instance.t) =
+  let n = Array.length inst.original in
+  Array.length inst.size = n && Array.length inst.req = n
 
 let max_int_plus_1 = "4611686018427387904"
 
@@ -273,7 +289,7 @@ let qcheck_decoder_matches_oracle =
       if lib <> oracle then
         QCheck.Test.fail_reportf "of_string_checked: %s, oracle: %s" (show lib) (show oracle);
       (match decoded with
-      | Ok inst when not (ids_ok inst) -> QCheck.Test.fail_reportf "ids are not 0..n-1"
+      | Ok inst when not (columns_ok inst) -> QCheck.Test.fail_reportf "columns differ in length"
       | _ -> ());
       let raising = outcome (fun () -> Instance.to_string (Instance.of_string text)) in
       let reference = outcome (fun () -> Instance_oracle.of_string text) in
@@ -315,18 +331,42 @@ let qcheck_create_matches_oracle =
         Instance.create_checked ~window:w ~m ~scale specs |> Result.map Instance.to_string
       in
       (match created with
-      | Ok inst when not (ids_ok inst) -> QCheck.Test.fail_reportf "ids are not 0..n-1"
+      | Ok inst when not (columns_ok inst) -> QCheck.Test.fail_reportf "columns differ in length"
       | _ -> ());
       Result.map Instance.to_string created = reference
       && checked false = Instance_oracle.create_checked ~window:false ~m ~scale specs
       && checked true = Instance_oracle.create_checked ~window:true ~m ~scale specs)
 
+(* Building an instance allocates nothing per job. Its columns are arrays,
+   which at n = 2,000 go straight to the major heap, so the minor heap
+   sees a constant number of words per call; a record per job would cost
+   about 4n. The columns below are unsorted, so [of_columns] sorts, and
+   the text is in sorted order, so the decoder does not. Counted after
+   one warm-up call. *)
+let test_construction_allocation () =
+  let n = 2_000 in
+  let size = Array.init n (fun p -> 1 + (p mod 7)) in
+  let req = Array.init n (fun p -> 1 + (p * 7919 mod 1000)) in
+  let text = Instance.to_string (Instance.of_columns ~m:8 ~scale:1000 ~size ~req) in
+  Alcotest.(check string) "sorted as the oracle sorts"
+    (Instance_oracle.create ~m:8 ~scale:1000 (List.init n (fun p -> (size.(p), req.(p)))))
+    text;
+  let check what f =
+    ignore (f ());
+    let before = Gc.minor_words () in
+    ignore (f ());
+    let words = Gc.minor_words () -. before in
+    if words >= float_of_int n then Alcotest.failf "%s: %.0f minor words at n = %d" what words n
+  in
+  check "of_columns" (fun () -> Instance.of_columns ~m:8 ~scale:1000 ~size ~req);
+  check "of_string_checked" (fun () -> Instance.of_string_checked text)
+
 let suite =
   ( "instance",
     [
-      Alcotest.test_case "job smart constructor" `Quick test_job_smart_constructor;
+      Alcotest.test_case "per-job checks" `Quick test_per_job_checks;
       Alcotest.test_case "sorting" `Quick test_instance_sorting;
-      Alcotest.test_case "id relabelling" `Quick test_instance_ids_relabelled;
+      Alcotest.test_case "sorted order" `Quick test_instance_sorted_order;
       Alcotest.test_case "validation" `Quick test_instance_validation;
       Alcotest.test_case "aggregates" `Quick test_instance_aggregates;
       Alcotest.test_case "rescale" `Quick test_instance_rescale;
@@ -343,4 +383,6 @@ let suite =
       qcheck_decoder_matches_oracle;
       Alcotest.test_case "decoder: max_int count over two lines" `Quick test_decoder_huge_count;
       qcheck_create_matches_oracle;
+      Alcotest.test_case "construction allocates nothing per job" `Quick
+        test_construction_allocation;
     ] )

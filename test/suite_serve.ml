@@ -385,6 +385,21 @@ let test_serve_resume_header_binding () =
       ignore (S.finish srv);
       Alcotest.fail "resume under different caps must be refused"
 
+(* A negative retry count is refused when the server is made, before its
+   WAL is started, so no query ever meets Engine.Batch's own check. *)
+let test_serve_negative_retries () =
+  with_temp_wal 1 @@ fun wal ->
+  Sys.remove wal;
+  List.iter
+    (fun checkpoint ->
+      match S.create { S.default with S.retries = -1; checkpoint } with
+      | Error msg -> Alcotest.(check string) "reason" "retries must be >= 0" msg
+      | Ok srv ->
+          ignore (S.finish srv);
+          Alcotest.fail "retries = -1 must be refused")
+    [ None; Some wal ];
+  Alcotest.(check bool) "no WAL shard written" false (Sys.file_exists (wal ^ ".0"))
+
 let suite =
   ( "serve",
     [
@@ -404,4 +419,5 @@ let suite =
       Alcotest.test_case "WAL tamper fail-stop" `Quick test_serve_resume_tamper_detected;
       Alcotest.test_case "WAL header binds admission caps" `Quick
         test_serve_resume_header_binding;
+      Alcotest.test_case "negative retries refused at create" `Quick test_serve_negative_retries;
     ] )

@@ -83,10 +83,9 @@ let test_correlated_family () =
   let split p_threshold =
     let accs = [| (0, 0); (0, 0) |] in
     for i = 0 to Sos.Instance.n inst - 1 do
-      let j = Sos.Instance.job inst i in
-      let idx = if j.Sos.Job.size >= p_threshold then 1 else 0 in
+      let idx = if inst.Sos.Instance.size.(i) >= p_threshold then 1 else 0 in
       let count, total = accs.(idx) in
-      accs.(idx) <- (count + 1, total + j.Sos.Job.req)
+      accs.(idx) <- (count + 1, total + inst.Sos.Instance.req.(i))
     done;
     accs
   in
@@ -143,7 +142,7 @@ let test_generate_matches_list_oracle () =
 (* Per caller position, (size, req). *)
 let by_position (inst : Sos.Instance.t) =
   let out = Array.make (Sos.Instance.n inst) (0, 0) in
-  Array.iteri (fun i (j : Sos.Job.t) -> out.(inst.original.(i)) <- (j.size, j.req)) inst.jobs;
+  Array.iteri (fun i p -> out.(p) <- (inst.size.(i), inst.req.(i))) inst.original;
   out
 
 (* [~scale] rescales every requirement draw: the job at each position keeps
@@ -190,12 +189,12 @@ let test_generate_rescales () =
     (fun scale ->
       let inst = Workload.Sos_gen.generate (Rng.create 1) over ~n:3 ~m:2 ~scale () in
       Array.iter
-        (fun (j : Sos.Job.t) ->
+        (fun req ->
           Alcotest.(check int)
             (Printf.sprintf "over-resource draw at scale %d" scale)
             (if scale = d then 2 * d else scale)
-            j.req)
-        inst.jobs)
+            req)
+        inst.req)
     scales
 
 let suite =
