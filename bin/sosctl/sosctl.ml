@@ -854,7 +854,7 @@ let batch_cmd =
         | Ok s -> s
         | Error msg -> raise (Usage msg)
       in
-      let win = match win_opt with Some w -> max chunk w | None -> 4 * jobs * chunk in
+      let win = Engine.Batch.window_size ~domains:jobs ~chunk win_opt in
       (* Keep the newest 64k trace events, not all of them, so a
          million-spec run with --trace stays in constant memory (the
          export reports the overwritten count as "droppedEvents"). *)
@@ -1181,7 +1181,7 @@ let batch_cmd =
    so the accept step runs under Robust.Supervise: an interrupted accept
    classifies as a transient failure, is retried after a deterministic
    backoff, and every retry re-checks the drain/abort flags first. *)
-let serve_socket srv ~pool ~cancel ~should_drain ~should_abort ?backoff path =
+let serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -1204,7 +1204,7 @@ let serve_socket srv ~pool ~cancel ~should_drain ~should_abort ?backoff path =
                     ~finally:(fun () ->
                       try Unix.close conn with Unix.Unix_error _ -> ())
                     (fun () ->
-                      Serve.Server.serve srv ~pool
+                      Serve.Server.serve srv
                         ~input:(Unix.in_channel_of_descr conn)
                         ~output:(Unix.out_channel_of_descr conn)
                         ~cancel ~should_drain ~should_abort ())
@@ -1263,14 +1263,11 @@ let serve_cmd =
           in
           let should_drain () = !terms >= 1 in
           let should_abort () = !ints >= 1 || !terms >= 2 in
-          Engine.Pool.with_pool ~domains:jobs (fun pool ->
-              match socket with
-              | None ->
-                  Serve.Server.serve srv ~pool ~input:stdin ~output:stdout ~cancel
-                    ~should_drain ~should_abort ()
-              | Some path ->
-                  serve_socket srv ~pool ~cancel ~should_drain ~should_abort ?backoff
-                    path);
+          (match socket with
+          | None ->
+              Serve.Server.serve srv ~input:stdin ~output:stdout ~cancel ~should_drain
+                ~should_abort ()
+          | Some path -> serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path);
           Sys.set_signal Sys.sigterm prev_sigterm;
           Sys.set_signal Sys.sigint prev_sigint;
           Robust.Chaos.disarm ();
@@ -1296,8 +1293,8 @@ let serve_cmd =
       value & opt int 1
       & info [ "j"; "domains" ]
           ~doc:
-            "Worker domains for placement queries. Reply bytes are identical at \
-             any value; only latency changes.")
+            "Accepted for older command lines and ignored: every request, \
+             placement queries included, runs on the calling thread.")
   in
   let seed =
     Arg.(

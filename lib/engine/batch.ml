@@ -48,8 +48,8 @@ let never_ran index =
   }
 
 (* A negative retry count is the caller's error. Every entry point checks
-   it before it creates a pool or pulls the producer, so no task runs:
-   raised inside a task thunk, the pool would swallow it. *)
+   it before it creates a pool, pulls the producer or runs an attempt, so
+   no task runs: raised inside a task thunk, the pool would swallow it. *)
 let check_retries = function
   | Some retries when retries < 0 ->
       invalid_arg "Engine.Batch: retries < 0"
@@ -64,7 +64,9 @@ let check_retries = function
    the failure class, and a task that re-derives randomness from
    (base seed, index, Robust.Context.attempt ()) — e.g. Rng.create3 —
    reproduces the same attempt sequence at any domain count. *)
-let protect ?(retries = 0) ?task_timeout ?cancel ?backoff index task =
+let run ?retries ?task_timeout ?cancel ?backoff ~index task =
+  check_retries retries;
+  let retries = Option.value retries ~default:0 in
   let rec go attempt =
     if match cancel with Some c -> Robust.Cancel.cancelled c | None -> false then begin
       record_failure Robust.Failure.Cancelled;
@@ -101,24 +103,9 @@ let protect ?(retries = 0) ?task_timeout ?cancel ?backoff index task =
   in
   go 0
 
-(* window = n: workers are never throttled by the (no-op) consumer. *)
-let map_pool pool ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
-  check_retries retries;
-  let n = Array.length tasks in
-  let out = Array.init n (fun i -> Error (never_ran i)) in
-  ignore
-    (Pool.run_ordered_seq pool ?chunk ~window:(max n 1)
-       (fun i ->
-         if i < n then
-           Some (fun () -> out.(i) <- protect ?retries ?task_timeout ?cancel ?backoff i tasks.(i))
-         else None)
-       ~emit:ignore);
-  out
-
-let map ?domains ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
-  check_retries retries;
-  Pool.with_pool ?domains (fun pool ->
-      map_pool pool ?chunk ?retries ?task_timeout ?cancel ?backoff tasks)
+let window_size ~domains ~chunk = function
+  | None -> 4 * domains * max 1 chunk
+  | Some w -> max (max 1 chunk) w
 
 (* Outcomes travel from worker to caller through a ring of [window] slots:
    task i writes slot (i mod window), emit i reads and clears it. Slot
@@ -128,11 +115,7 @@ let map ?domains ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
 let stream_seq pool ?(chunk = 1) ?window ?retries ?task_timeout ?cancel ?backoff producer ~f =
   check_retries retries;
   let chunk = max 1 chunk in
-  let window =
-    match window with
-    | None -> 4 * Pool.domains pool * chunk
-    | Some w -> max chunk (max 1 w)
-  in
+  let window = window_size ~domains:(Pool.domains pool) ~chunk window in
   let slots = Array.make window None in
   Pool.run_ordered_seq pool ~chunk ~window
     (fun i ->
@@ -142,13 +125,26 @@ let stream_seq pool ?(chunk = 1) ?window ?retries ?task_timeout ?cancel ?backoff
           Some
             (fun () ->
               slots.(i mod window) <-
-                Some (protect ?retries ?task_timeout ?cancel ?backoff i task)))
+                Some (run ?retries ?task_timeout ?cancel ?backoff ~index:i task)))
     ~emit:(fun i ->
       match slots.(i mod window) with
       | Some r ->
           slots.(i mod window) <- None;
           f i r
       | None ->
-          (* protect never raises, so the slot is always filled; this is a
+          (* run never raises here, so the slot is always filled; this is a
              backstop for a task the pool machinery lost entirely. *)
           f i (Error (never_ran i)))
+
+(* window = n: workers are never throttled by the consumer, which only
+   stores each outcome. *)
+let map ?domains ?chunk ?retries ?task_timeout ?cancel ?backoff tasks =
+  check_retries retries;
+  let n = Array.length tasks in
+  let out = Array.init n (fun i -> Error (never_ran i)) in
+  Pool.with_pool ?domains (fun pool ->
+      ignore
+        (stream_seq pool ?chunk ~window:n ?retries ?task_timeout ?cancel ?backoff
+           (fun i -> if i < n then Some tasks.(i) else None)
+           ~f:(fun i r -> out.(i) <- r)));
+  out

@@ -1,6 +1,7 @@
-(** Deterministic, fault-tolerant batches on a {!Pool}: {!map} and
-    {!map_pool} over an array of thunks, {!stream_seq} over a pull-based
-    producer. All three run on {!Pool.run_ordered_seq}.
+(** Deterministic, fault-tolerant batches: {!run} for one task on the
+    calling thread, {!map} over an array of thunks and {!stream_seq} over
+    a pull-based producer, both on a {!Pool} through
+    {!Pool.run_ordered_seq}.
 
     Results always come back in submission order, and a failing task turns
     into an [Error] for its own index instead of killing the pool or the
@@ -42,6 +43,29 @@ type error = {
 
 type 'a outcome = ('a, error) result
 
+val run :
+  ?retries:int ->
+  ?task_timeout:float ->
+  ?cancel:Robust.Cancel.t ->
+  ?backoff:Robust.Backoff.policy ->
+  index:int ->
+  (unit -> 'a) ->
+  'a outcome
+(** [run ~index task] runs one task on the calling thread, with the same
+    attempt loop every task of {!map} and {!stream_seq} gets: each attempt
+    in a {!Robust.Context} scope carrying [(index, attempt)], where the
+    ["engine.batch.task"] chaos site and the task's own sites see
+    [index]. [sosctl serve] runs each placement query this way, keyed on
+    its request index. Never raises, except [Invalid_argument] for a
+    negative [retries]. *)
+
+val window_size : domains:int -> chunk:int -> int option -> int
+(** The in-flight window of a stream over [domains] workers: [None] is
+    the default, [4 * domains * chunk]; [Some w] asks for [w]. Either is
+    clamped up to [chunk] (and [chunk] up to 1). {!stream_seq} sizes its
+    window with it, and a caller that keeps its own per-index ring beside
+    the stream sizes the ring with it too. *)
+
 val map :
   ?domains:int ->
   ?chunk:int ->
@@ -54,19 +78,8 @@ val map :
 (** [map ~domains ~chunk tasks] runs every thunk on a fresh pool of
     [domains] workers (default {!Pool.recommended_domain_count}), [chunk]
     consecutive tasks per queued unit of work (default 1), and returns the
-    outcomes in submission order. *)
-
-val map_pool :
-  Pool.t ->
-  ?chunk:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
-  ?cancel:Robust.Cancel.t ->
-  ?backoff:Robust.Backoff.policy ->
-  (unit -> 'a) array ->
-  'a outcome array
-(** [map] on an existing pool (reusable across batches — a failed task
-    leaves the pool fully usable). *)
+    outcomes in submission order. It collects {!stream_seq} over the
+    array, with a window of the array's length. *)
 
 val stream_seq :
   Pool.t ->
@@ -84,16 +97,16 @@ val stream_seq :
     increasing index order and exactly once per index, until it returns
     [None] — so a producer can pull specs straight off a file reader — and
     [f i outcome_i] is called on the calling thread in increasing index
-    order. Returns the number of tasks produced.
+    order. Returns the number of tasks produced. The pool can run further
+    streams afterwards: a failed task leaves it fully usable.
 
-    At most [window] tasks (default [4 * domains * chunk], clamped up to
-    [chunk]) are in flight between producer and consumer, so memory is
-    O(window) regardless of stream length. On two or more domains [f]
-    runs only once the window is full or the producer has returned
-    [None] ({!Pool.run_ordered_seq}), so a [window] of the batch's whole
-    length [n] holds every outcome until the last task is submitted: it
-    suits only a consumer that waits for the end anyway, as {!map_pool}
-    does. The determinism contract is
+    At most [window_size ~domains ~chunk window] tasks are in flight
+    between producer and consumer, so memory is O(window) regardless of
+    stream length. On two or more domains [f] runs only once the window
+    is full or the producer has returned [None] ({!Pool.run_ordered_seq}),
+    so a [window] of the batch's whole length [n] holds every outcome
+    until the last task is submitted: it suits only a consumer that waits
+    for the end anyway, as {!map} does. The determinism contract is
     unchanged: task randomness keyed on the submission index (e.g.
     {!Prelude.Rng.create2}/[create3]) makes the emitted sequence
     byte-identical at any domain count, and [?retries]/[?task_timeout]/

@@ -144,9 +144,12 @@ let submit t task =
     Mutex.unlock t.lock;
     raise (Robust.Failure.Pool_down "Engine.Pool: submit after shutdown")
   end;
-  while Queue.length t.queue >= t.capacity do
-    Condition.wait t.not_full t.lock
-  done;
+  (while Queue.length t.queue >= t.capacity do
+     Condition.wait t.not_full t.lock
+   done)
+  [@sos.allow
+    "A2: back-pressure wait; ends when a worker pops a task and signals [not_full]. Workers pop \
+     until the queue is empty, even while stopping, and the last live one never dies"];
   Queue.push task t.queue;
   Obs.Metrics.record_max g_queue_hwm (Queue.length t.queue);
   Condition.signal t.not_empty;
@@ -156,29 +159,29 @@ let submit t task =
    [window] slots: slot [i mod window] is reused by task [i + window],
    which cannot be supplied before task [i] was emitted (the in-flight
    bound), so a cleared slot is never observed stale. *)
-let run_ordered_seq t ?(chunk = 1) ?window supply ~emit =
+let run_ordered_seq t ?(chunk = 1) ~window supply ~emit =
   if t.stop then
     raise (Robust.Failure.Pool_down "Engine.Pool: run_ordered_seq after shutdown");
   let chunk = max 1 chunk in
   if t.workers = [] then begin
     (* The exact sequential path: pull, run, emit, one index at a time. *)
-    let rec go i =
-      match supply i with
-      | None -> i
-      | Some task ->
-          Obs.Metrics.incr c_tasks;
-          (try task () with _ -> ());
-          emit i;
-          go (i + 1)
-    in
-    go 0
+    (let rec go i =
+       match supply i with
+       | None -> i
+       | Some task ->
+           Obs.Metrics.incr c_tasks;
+           (try task () with _ -> ());
+           emit i;
+           go (i + 1)
+     in
+     go 0)
+    [@sos.allow
+      "A2: one call per supplied task; ends when [supply] returns [None], which a cancelled \
+       batch's producer does. Each task polls its own cancel token in its attempt scope"]
   end
   else begin
-    let window =
-      match window with
-      | None -> 4 * t.domains * chunk
-      | Some w -> max chunk (max 1 w)
-    in
+    (* Below [chunk], the emit branch would have nothing to wait on. *)
+    let window = max chunk window in
     let completed = Array.make window false in
     let lock = Mutex.create () in
     let ready = Condition.create () in
@@ -197,13 +200,14 @@ let run_ordered_seq t ?(chunk = 1) ?window supply ~emit =
     let pull k =
       let acc = ref [] in
       let cnt = ref 0 in
-      while !cnt < k && not !exhausted do
-        match supply (!next_submit + !cnt) with
-        | None -> exhausted := true
-        | Some f ->
-            acc := f :: !acc;
-            incr cnt
-      done;
+      (while !cnt < k && not !exhausted do
+         match supply (!next_submit + !cnt) with
+         | None -> exhausted := true
+         | Some f ->
+             acc := f :: !acc;
+             incr cnt
+       done)
+      [@sos.allow "A2: at most [k] pulls; each one adds a thunk or ends the stream"];
       Array.of_list (List.rev !acc)
     in
     (* Submit only when a full chunk of window space is free, and drain
@@ -213,46 +217,57 @@ let run_ordered_seq t ?(chunk = 1) ?window supply ~emit =
        submit/lock/signal round trips than the chunking contract promises.
        [window >= chunk] (clamped above) guarantees the emit branch always
        has at least one in-flight task to wait on. *)
-    while (not !exhausted) || !next_emit < !next_submit do
-      let inflight = !next_submit - !next_emit in
-      if (not !exhausted) && window - inflight >= chunk then begin
-        Obs.Metrics.hist_observe_int h_occupancy inflight;
-        let thunks = Obs.Metrics.time h_pull (fun () -> pull chunk) in
-        let k = Array.length thunks in
-        if k > 0 then begin
-          let lo = !next_submit in
-          next_submit := lo + k;
-          submit t (fun () ->
-              (try
-                 Array.iter
-                   (fun f ->
-                     Obs.Metrics.incr c_tasks;
-                     f ())
-                   thunks
-               with _ -> ());
-              mark lo (lo + k))
-        end
-      end
-      else begin
-        Mutex.lock lock;
-        while not completed.(!next_emit mod window) do
-          Condition.wait ready lock
-        done;
-        Mutex.unlock lock;
-        let draining = ref true in
-        while !draining && !next_emit < !next_submit do
-          Mutex.lock lock;
-          let ready_now = completed.(!next_emit mod window) in
-          if ready_now then completed.(!next_emit mod window) <- false;
-          Mutex.unlock lock;
-          if ready_now then begin
-            emit !next_emit;
-            incr next_emit
-          end
-          else draining := false
-        done
-      end
-    done;
+    (while (not !exhausted) || !next_emit < !next_submit do
+       let inflight = !next_submit - !next_emit in
+       if (not !exhausted) && window - inflight >= chunk then begin
+         Obs.Metrics.hist_observe_int h_occupancy inflight;
+         let thunks = Obs.Metrics.time h_pull (fun () -> pull chunk) in
+         let k = Array.length thunks in
+         if k > 0 then begin
+           let lo = !next_submit in
+           next_submit := lo + k;
+           submit t (fun () ->
+               (try
+                  Array.iter
+                    (fun f ->
+                      Obs.Metrics.incr c_tasks;
+                      f ())
+                    thunks
+                with _ -> ());
+               mark lo (lo + k))
+         end
+       end
+       else begin
+         Mutex.lock lock;
+         (while not completed.(!next_emit mod window) do
+            Condition.wait ready lock
+          done)
+         [@sos.allow
+           "A2: head wait; ends when the chunk holding the head marks it complete and broadcasts \
+            [ready]. The chunk's wrapper marks it even when a thunk raises, and the last live \
+            worker never dies, so every submitted chunk runs"];
+         Mutex.unlock lock;
+         let draining = ref true in
+         (while !draining && !next_emit < !next_submit do
+            Mutex.lock lock;
+            let ready_now = completed.(!next_emit mod window) in
+            if ready_now then completed.(!next_emit mod window) <- false;
+            Mutex.unlock lock;
+            if ready_now then begin
+              emit !next_emit;
+              incr next_emit
+            end
+            else draining := false
+          done)
+         [@sos.allow
+           "A2: at most [window] emits; ends at the first slot not yet completed or once every \
+            submitted task is emitted"]
+       end
+     done)
+    [@sos.allow
+      "A2: each pass submits a chunk, ends the stream, or emits the head; ends once [supply] has \
+       returned [None] and every submitted task is emitted. A cancelled batch's producer stops \
+       supplying, and each task polls its own cancel token in its attempt scope"];
     !next_emit
   end
 

@@ -29,7 +29,7 @@ val domains : t -> int
 val run_ordered_seq :
   t ->
   ?chunk:int ->
-  ?window:int ->
+  window:int ->
   (int -> (unit -> unit) option) ->
   emit:(int -> unit) ->
   int
@@ -43,14 +43,16 @@ val run_ordered_seq :
 
     At most [window] tasks are in flight (supplied but not yet emitted) at
     any moment — the producer is only pulled when there is window room, so
-    memory stays O(window) no matter how long the stream is. [window]
-    defaults to [4 * domains * chunk] and is clamped up to [chunk].
+    memory stays O(window) no matter how long the stream is. There is no
+    default: {!Batch.window_size} decides it, and a [window] below [chunk]
+    is raised to [chunk]. The exact sequential path holds one task at a
+    time whatever the window.
 
     On two or more domains the caller emits only when it cannot supply:
     once the window is full, or once [supply] has returned [None]. A
     completed result therefore waits, held in memory, until then. So
     [window = n] over a batch of known size [n] suits only a consumer
-    that does nothing until the end ({!Batch.map_pool}); a consumer that
+    that does nothing until the end ({!Batch.map}); a consumer that
     prints or writes as it goes wants the default window.
 
     A thunk must not raise (wrap it; {!Batch} captures exceptions per

@@ -72,11 +72,14 @@ let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c.cell n)
 
 let record_max c v =
   if Atomic.get on then begin
-    let rec go () =
-      let cur = Atomic.get c.cell in
-      if v > cur && not (Atomic.compare_and_set c.cell cur v) then go ()
-    in
-    go ()
+    (let rec go () =
+       let cur = Atomic.get c.cell in
+       if v > cur && not (Atomic.compare_and_set c.cell cur v) then go ()
+     in
+     go ())
+    [@sos.allow
+      "A2: CAS retry; ends once the cell holds at least [v]. A failed CAS means another writer \
+       raised the monotone cell, so every retry follows progress"]
   end
 
 let value c = Atomic.get c.cell

@@ -31,7 +31,7 @@ let default =
 
 (* The header binds the WAL to the knobs that shape reply bytes (the
    admission caps) and deliberately omits the ones that shape only timing
-   (deadline, retries, backoff, -j): a resumed run may change the latter
+   (deadline, retries, backoff): a resumed run may change the latter
    and still replay byte-identically. *)
 let header cfg =
   Printf.sprintf "sosv1 serve max-sessions=%d max-jobs=%d max-volume=%d"
@@ -172,37 +172,24 @@ let format_stale ~index ~tenant (r : Online.result) job =
         Printf.sprintf "%d stale job tenant=%s job=%d start=%d" index tenant k
           r.Online.starts.(k)
 
-let handle_query (t : t) pool cancel ~index ~tenant ~job ~deadline =
+let handle_query (t : t) cancel ~index ~tenant ~job ~deadline =
   match Hashtbl.find_opt t.sessions tenant with
   | None -> Printf.sprintf "%d error no-session tenant %s" index tenant
   | Some session ->
       let task_timeout =
         match deadline with Some d -> Some d | None -> t.cfg.deadline
       in
-      (* The solve runs as a one-task batch on the server's pool: it
-         inherits the engine's deadline token, bounded retry, and
-         deterministic backoff. Inside, the scope is re-keyed to the
-         request index (keeping the engine's token and attempt), so chaos
-         rules and Rng derivation see protocol-level indices. *)
-      let task () =
-        let attempt = Robust.Context.attempt () in
-        let token =
-          match Robust.Context.current () with
-          | Some c -> c.Robust.Context.cancel
-          | None -> Robust.Cancel.none
-        in
-        Robust.Context.with_ctx
-          (Robust.Context.make ~index ~attempt ~cancel:token)
-          (fun () ->
-            Robust.Chaos.point "serve.request";
-            Session.solve session)
-      in
+      (* The solve runs on the calling thread through the engine's attempt
+         loop, keyed on the request index: it inherits the deadline token,
+         bounded retry and deterministic backoff, and chaos rules and Rng
+         derivation see protocol-level indices. *)
       let before = Session.stats session in
       let out =
         Obs.Metrics.time h_solve_seconds (fun () ->
-            Engine.Batch.map_pool pool ~retries:t.cfg.retries ?task_timeout ?cancel
-              ?backoff:t.cfg.backoff
-              [| task |])
+            Engine.Batch.run ~index ~retries:t.cfg.retries ?task_timeout ?cancel
+              ?backoff:t.cfg.backoff (fun () ->
+                Robust.Chaos.point "serve.request";
+                Session.solve session))
       in
       let after = Session.stats session in
       let d a b = max 0 (a - b) in
@@ -212,7 +199,7 @@ let handle_query (t : t) pool cancel ~index ~tenant ~job ~deadline =
         (d after.Session.extended_solves before.Session.extended_solves);
       Obs.Metrics.add c_solve_cached
         (d after.Session.cached_hits before.Session.cached_hits);
-      (match out.(0) with
+      (match out with
       | Ok r -> format_solved ~index ~tenant session r job
       | Error err -> begin
           match err.Engine.Batch.failure with
@@ -236,10 +223,10 @@ let sorted_sessions (t : t) =
   Hashtbl.to_seq t.sessions |> List.of_seq
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let process (t : t) pool cancel ~index (cmd : Protocol.command) =
+let process (t : t) cancel ~index (cmd : Protocol.command) =
   match cmd with
   | Protocol.Query { tenant; job; deadline } ->
-      handle_query t pool cancel ~index ~tenant ~job ~deadline
+      handle_query t cancel ~index ~tenant ~job ~deadline
   | _ -> begin
       try
         in_request_scope ~index (fun () ->
@@ -418,7 +405,7 @@ let count_reply (t : t) reply =
 (* The binding ties a WAL entry to its request. Only a journal reads it,
    so it is hashed on first use, once per request, and never without
    [--checkpoint]. *)
-let handle_line (t : t) pool cancel output ~index line =
+let handle_line (t : t) cancel output ~index line =
   let parsed = Protocol.parse line in
   let binding =
     lazy
@@ -438,12 +425,12 @@ let handle_line (t : t) pool cancel output ~index line =
       let reply =
         match parsed with
         | Error msg -> Printf.sprintf "%d error parse %s" index msg
-        | Ok cmd -> process t pool cancel ~index cmd
+        | Ok cmd -> process t cancel ~index cmd
       in
       count_reply t reply;
       deliver t output ~index ~binding reply
 
-let serve (t : t) ~pool ~input ~output ?cancel ?(should_drain = fun () -> false)
+let serve (t : t) ?pool:_ ~input ~output ?cancel ?(should_drain = fun () -> false)
     ?(should_abort = fun () -> false) () =
   let rec loop () =
     if t.stop_code <> None then ()
@@ -465,7 +452,7 @@ let serve (t : t) ~pool ~input ~output ?cancel ?(should_drain = fun () -> false)
           let index = t.next_index in
           t.next_index <- index + 1;
           Obs.Metrics.incr c_requests;
-          (try handle_line t pool cancel output ~index line with
+          (try handle_line t cancel output ~index line with
           | Wal_failure msg ->
               let reply = Printf.sprintf "%d error journal %s" index msg in
               count_reply t reply;

@@ -3,13 +3,13 @@
     One server holds a table of per-tenant {!Sos.Online.Session}s and
     answers the {!Protocol} line protocol over any channel pair: requests
     are read one line at a time, handled strictly in order, and answered
-    with exactly one reply line each. Placement queries run on the given
-    {!Engine.Pool} through {!Engine.Batch} — inheriting its per-request
-    deadline, bounded retry, and deterministic backoff machinery — while
-    mutations are applied inline. The reply bytes for a given request
-    stream are identical at any [-j]: scheduling work is deterministic
-    ({!Sos.Online.Session}'s tested property) and only wall-clock effects
-    (deadline expiry answering [stale]) can differ between runs.
+    with exactly one reply line each, all on the calling thread. A
+    placement query runs through {!Engine.Batch.run}, keyed on its request
+    index — inheriting its per-request deadline, bounded retry, and
+    deterministic backoff machinery — while mutations are applied
+    directly. Scheduling work is deterministic ({!Sos.Online.Session}'s
+    tested property), so only wall-clock effects (deadline expiry
+    answering [stale]) can differ between runs of one request stream.
 
     {b Admission control.} The session table is bounded ([max_sessions]),
     and each session carries hard job-count and volume budgets. Work past
@@ -56,8 +56,8 @@ val default : config
 
 val header : config -> string
 (** The WAL header line. It binds the admission caps (they shape which
-    requests were accepted) but not deadlines, retries, or domain counts
-    (they shape only timing). *)
+    requests were accepted) but not deadlines or retries (they shape only
+    timing). *)
 
 type t
 (** A running server: session table, WAL, drain state, reply counters. *)
@@ -78,7 +78,7 @@ type summary = {
 
 val serve :
   t ->
-  pool:Engine.Pool.t ->
+  ?pool:Engine.Pool.t ->
   input:in_channel ->
   output:out_channel ->
   ?cancel:Robust.Cancel.t ->
@@ -91,7 +91,9 @@ val serve :
     written. May be called again with another channel pair (the unix
     socket accept loop does); request indices keep counting across
     calls. [cancel] is the parent of every solve's deadline token —
-    cancelling it makes in-flight solves unwind as [Cancelled]. *)
+    cancelling it makes in-flight solves unwind as [Cancelled]. [pool] is
+    accepted for older callers and ignored: queries run on the calling
+    thread. *)
 
 val stopped : t -> bool
 (** The server decided to stop ([shutdown], abort, or WAL failure);

@@ -35,9 +35,10 @@ type outcome = {
   repeats : int;
       (** Predictive stability certificate for the event-driven solver: the
           largest [k] such that — {e provided} the window recomputed after
-          applying this outcome is {!Window.equal} to the input window —
-          the next [k] time steps provably reproduce this exact allocation
-          (the case split of Listing 1 hands out the same amounts
+          applying this outcome is the input window again (as
+          {!Window.stable} certifies) — the next [k] time steps provably
+          reproduce this exact allocation (the case split of Listing 1
+          hands out the same amounts
           throughout; jobs may finish only on the last of them, exactly —
           every job starts at [s_j = p_j·r_j]). 0 when the step itself
           finishes a job, starts the Case-2 extra job, or stability cannot

@@ -22,7 +22,6 @@ type t = {
   mutable head : int; (* -1 when empty *)
   mutable remaining : int;
   mutable now : int;
-  mutable version : int; (* membership mutations (unlinks) so far *)
 }
 
 let reset t inst =
@@ -52,8 +51,7 @@ let reset t inst =
   t.inst <- inst;
   t.head <- (if n = 0 then -1 else 0);
   t.remaining <- n;
-  t.now <- 0;
-  t.version <- 0
+  t.now <- 0
 
 let create inst =
   let t =
@@ -70,7 +68,6 @@ let create inst =
       head = -1;
       remaining = 0;
       now = 0;
-      version = 0;
     }
   in
   reset t inst;
@@ -101,7 +98,6 @@ let view t = t.vw
 
 let instance t = t.inst
 let now t = t.now
-let version t = t.version
 let tick t = t.now <- t.now + 1
 
 let advance t k =
@@ -182,8 +178,7 @@ let unlink t i =
   if p >= 0 then t.next.(p) <- n else t.head <- n;
   if n >= 0 then t.prev.(n) <- p;
   t.linked.(i) <- false;
-  t.remaining <- t.remaining - 1;
-  t.version <- t.version + 1
+  t.remaining <- t.remaining - 1
 
 let remaining_jobs t =
   let rec walk acc i = if i < 0 then List.rev acc else walk (i :: acc) t.next.(i) in

@@ -32,14 +32,6 @@ val tick : t -> unit
 val advance : t -> int -> unit
 (** Advance the clock by [k ≥ 0] steps (used by the step-skipping solver). *)
 
-val version : t -> int
-(** Monotone dirty counter of membership changes: bumped by every
-    {!unlink}, untouched by {!consume}/{!tick}. Two observations with the
-    same version see the same remaining-jobs list (same members, same
-    order), so a [(version, window-range)] pair is an O(1) fingerprint for
-    "the window's member set is unchanged" without rebuilding and
-    structurally comparing member lists. *)
-
 val remaining_count : t -> int
 val all_finished : t -> bool
 

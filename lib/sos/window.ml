@@ -15,16 +15,6 @@ let last = function Empty -> None | Range r -> Some r.last
 let first_idx = function Empty -> -1 | Range r -> r.first
 let last_idx = function Empty -> -1 | Range r -> r.last
 
-let mem w i =
-  match w with Empty -> false | Range r -> r.first <= i && i <= r.last
-
-let equal a b =
-  match (a, b) with
-  | Empty, Empty -> true
-  | Range a, Range b ->
-      a.first = b.first && a.last = b.last && a.count = b.count && a.rsum = b.rsum
-  | _ -> false
-
 let req = State.req
 
 let members st w =
@@ -310,10 +300,11 @@ let is_window st w ~budget =
       let b = r.rsum - req st r.last < budget in
       (* (c) at most one fractured member *)
       let c = List.length (List.filter (State.fractured st) ms) <= 1 in
-      (* (d) every job outside the window is unstarted *)
+      (* (d) every job outside the window is unstarted; members are
+         consecutive, so the index range is the member set *)
       let d =
         List.for_all
-          (fun i -> mem w i || not (State.started st i))
+          (fun i -> (r.first <= i && i <= r.last) || not (State.started st i))
           (State.remaining_jobs st)
       in
       well_formed && b && c && d

@@ -25,16 +25,6 @@ val last_idx : t -> int
 (** [min W] and [max W], with −1 for the empty window — allocation-free
     variants for the solver hot loops. *)
 
-val mem : t -> int -> bool
-(** Index-range membership test (valid because members are consecutive). *)
-
-val equal : t -> t -> bool
-(** O(1) structural equality of the range representation
-    ([first]/[last]/count/r-sum). Two equal windows over states with the
-    same {!State.version} have identical member lists — a cheap
-    fingerprint for "same member set" that avoids materializing
-    {!members}. *)
-
 val members : State.t -> t -> int list
 (** Members in requirement order; O(|W|). *)
 

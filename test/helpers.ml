@@ -38,3 +38,15 @@ let check_valid ?preemption_ok sched =
 
 let instance_of_reqs ~m ~scale reqs =
   Sos.Instance.create ~m ~scale (List.map (fun r -> (1, r)) reqs)
+
+(* The outcomes of [tasks], run as one stream on an existing [pool], in
+   index order. The pool outlives the stream, so a test can drive it
+   again or shut it down in between. *)
+let stream_all pool tasks =
+  let n = Array.length tasks in
+  let out = Array.make n None in
+  ignore
+    (Engine.Batch.stream_seq pool
+       (fun i -> if i < n then Some tasks.(i) else None)
+       ~f:(fun i r -> out.(i) <- Some r));
+  Array.map Option.get out

@@ -628,7 +628,6 @@ let test_state_reset () =
     let n = Instance.n inst in
     let check what got want = Alcotest.(check int) (label ^ ": " ^ what) want got in
     check "now" (State.now st) (State.now fresh);
-    check "version" (State.version st) (State.version fresh);
     check "remaining" (State.remaining_count st) (State.remaining_count fresh);
     check "head" (State.head_idx st) (State.head_idx fresh);
     Alcotest.(check (list int)) (label ^ ": remaining jobs") (State.remaining_jobs fresh)

@@ -1,13 +1,15 @@
 (* Layer 12 — the sosctl binary, end to end.
 
-   Two contracts only the real binary can show: every subcommand answers
-   an out-of-range argument with exit 2 and one `sosctl: invalid input:`
+   Contracts only the real binary can show: every subcommand answers an
+   out-of-range argument with exit 2 and one `sosctl: invalid input:`
    line (never cmdliner's uncaught-exception exit 125, never the batch
-   exit 1), and `sosctl batch --resume` reproduces the uninterrupted
-   run's stdout and exit code from every crash point of its checkpoint —
-   each shard truncated at every entry boundary and at seeded interior
-   offsets — or fail-stops with exit 4 when an entry answers another
-   spec. *)
+   exit 1); `sosctl batch --resume` and `sosctl serve --resume`
+   reproduce the uninterrupted run's stdout and exit code from every
+   crash point of their journal — each shard truncated at every entry
+   boundary and at seeded interior offsets — or fail-stop with exit 4
+   when an entry answers another spec or request; and `sosctl serve
+   --socket` answers sequential connections as it answers stdin, and
+   leaves on SIGTERM. *)
 
 let sosctl = "../bin/sosctl/sosctl.exe"
 
@@ -232,6 +234,193 @@ let test_resume_mismatch () =
   let r = run (batch_args ~ck:old ~shards:1 ~resume:true specs) in
   Alcotest.(check (pair int string)) "sosj1 journal" (2, "") (r.code, r.out)
 
+(* ------------------------------------------------------ serve resume *)
+
+(* 120 requests with every verb. Tenant d releases each round before its
+   frontier, so its queries re-solve in full; s releases 100 steps apart,
+   so its queries extend; a query by position right after a full query
+   is a cached answer. Also a no-session query, a parse error, an
+   out-of-range job, a close, a drain that rejects a later submit, and a
+   shutdown. *)
+let serve_lines =
+  [ "open d m=3 scale=100"; "open s m=4 scale=50"; "stats"; "query nosuch" ]
+  @ List.concat_map
+      (fun r ->
+        List.init 4 (fun i ->
+            Printf.sprintf "submit d %d %d %d" ((2 * r) + (i / 2)) (1 + ((i + r) mod 4))
+              (10 + (((i * 29) + (r * 7)) mod 80)))
+        @ [
+            Printf.sprintf "submit s %d %d %d" (100 * r) (1 + (r mod 3)) (20 + (r * 13 mod 50));
+            "query d";
+            "query s";
+            Printf.sprintf "query d job=%d" (4 * r);
+          ])
+      (List.init 13 Fun.id)
+  @ [
+      "frobnicate d"; "query s job=99"; "open x m=2"; "submit x 0 1 1"; "query x job=0";
+      "close x"; "drain"; "submit d 0 1 1"; "query d"; "close s"; "stats"; "shutdown";
+    ]
+
+let unlines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls)
+
+let serve_args ~ck ~shards ?(resume = false) () =
+  [ "serve"; "--checkpoint"; ck; "--shards"; string_of_int shards ]
+  @ if resume then [ "--resume" ] else []
+
+let test_serve_resume_crash_points () =
+  with_temp_dir @@ fun dir ->
+  let stdin = Filename.concat dir "requests.txt" in
+  write_file stdin (unlines serve_lines);
+  let plain = run ~stdin [ "serve" ] in
+  Alcotest.(check int) "plain run exit" 0 plain.code;
+  Alcotest.(check int) "one reply per request" 120 (List.length (lines plain.out));
+  let rng = Prelude.Rng.create 0x5e7e in
+  List.iter
+    (fun shards ->
+      let full = Filename.concat dir (Printf.sprintf "full-%d" shards) in
+      let ref_ = run ~stdin (serve_args ~ck:full ~shards ()) in
+      check_same (Printf.sprintf "shards=%d checkpointed run" shards) plain ref_;
+      let ck = Filename.concat dir (Printf.sprintf "ck-%d" shards) in
+      let resume () = run ~stdin (serve_args ~ck ~shards ~resume:true ()) in
+      let wal path = List.map read_file (shard_paths path shards) in
+      List.iteri
+        (fun k shard ->
+          let text = read_file shard in
+          let header_end = String.index text '\n' + 1 in
+          let interior =
+            List.init 4 (fun _ ->
+                header_end + Prelude.Rng.int rng (String.length text - header_end))
+          in
+          List.iter
+            (fun cut ->
+              copy_journal ~src:full ~dst:ck shards;
+              write_file (List.nth (shard_paths ck shards) k) (String.sub text 0 cut);
+              let what = Printf.sprintf "serve shards=%d shard %d cut at %d" shards k cut in
+              check_same what ref_ (resume ());
+              (* The resume completes the WAL to the uninterrupted run's
+                 bytes, so the second resume below covers this cut too. *)
+              Alcotest.(check (list string)) (what ^ ": completed WAL") (wal full) (wal ck))
+            (List.sort_uniq compare (boundaries text @ interior));
+          (* A kill inside the header write: refused before any reply. *)
+          copy_journal ~src:full ~dst:ck shards;
+          write_file (List.nth (shard_paths ck shards) k) (String.sub text 0 (header_end / 2));
+          let r = resume () in
+          Alcotest.(check (pair int string)) "torn header refused" (2, "") (r.code, r.out))
+        (shard_paths full shards);
+      (* A second resume of a completed WAL replays every reply. *)
+      copy_journal ~src:full ~dst:ck shards;
+      check_same (Printf.sprintf "serve shards=%d completed WAL resumed" shards) ref_ (resume ()))
+    [ 1; 2 ]
+
+(* A changed request line stops the resume at its index: the replies
+   before it unchanged, then one resume-mismatch reply, exit 4. *)
+let test_serve_resume_mismatch () =
+  with_temp_dir @@ fun dir ->
+  let stdin = Filename.concat dir "requests.txt" in
+  List.iter
+    (fun shards ->
+      write_file stdin (unlines serve_lines);
+      let ck = Filename.concat dir (Printf.sprintf "ck-%d" shards) in
+      let ref_ = run ~stdin (serve_args ~ck ~shards ()) in
+      let at = 40 in
+      write_file stdin
+        (unlines
+           (List.mapi (fun i l -> if i = at then "submit s 7 1 20" else l) serve_lines));
+      let r = run ~stdin (serve_args ~ck ~shards ~resume:true ()) in
+      let what = Printf.sprintf "shards=%d" shards in
+      Alcotest.(check int) (what ^ ": exit code") 4 r.code;
+      let got = lines r.out in
+      Alcotest.(check (list string))
+        (what ^ ": replies before the change")
+        (take at (lines ref_.out))
+        (take at got);
+      Alcotest.(check int) (what ^ ": one reply past them") (at + 1) (List.length got);
+      Alcotest.(check bool) (what ^ ": resume-mismatch reply") true
+        (String.starts_with
+           ~prefix:(Printf.sprintf "%d error resume-mismatch " at)
+           (List.nth got at)))
+    [ 1; 2 ]
+
+(* ------------------------------------------------------ serve socket *)
+
+(* The stream without its shutdown, over two sequential connections that
+   share one request-index stream: their replies, joined, are the stdin
+   run's. Then SIGTERM, with the server back in accept, exits 0 and
+   removes the socket file. Every wait is bounded. *)
+let test_serve_socket () =
+  with_temp_dir @@ fun dir ->
+  let requests = List.filter (fun l -> l <> "shutdown") serve_lines in
+  let stdin = Filename.concat dir "requests.txt" in
+  write_file stdin (unlines requests);
+  let ref_ = run ~stdin [ "serve" ] in
+  Alcotest.(check int) "stdin run exit" 0 ref_.code;
+  let path = Filename.concat dir "serve.sock" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () -> Unix.create_process sosctl [| sosctl; "serve"; "--socket"; path |] null null null)
+  in
+  let status = ref None in
+  let reap ~tries =
+    let rec go k =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when k > 0 ->
+          Unix.sleepf 0.01;
+          go (k - 1)
+      | 0, _ -> ()
+      | _, st -> status := Some st
+    in
+    go tries
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if !status = None then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end)
+    (fun () ->
+      let converse lines =
+        let rec connect k =
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          match Unix.connect fd (Unix.ADDR_UNIX path) with
+          | () -> fd
+          | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when k > 0 ->
+              Unix.close fd;
+              Unix.sleepf 0.01;
+              connect (k - 1)
+        in
+        let fd = connect 500 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            let text = unlines lines in
+            ignore (Unix.write_substring fd text 0 (String.length text));
+            Unix.shutdown fd Unix.SHUTDOWN_SEND;
+            In_channel.input_all (Unix.in_channel_of_descr fd))
+      in
+      let first = converse (take 60 requests) in
+      let second = converse (List.filteri (fun i _ -> i >= 60) requests) in
+      Alcotest.(check string) "two connections answer as stdin does" ref_.out (first ^ second);
+      (* Bounded wait for the server to sleep in accept again, where the
+         system reports process states; a signal that lands just before
+         the call takes the same exit. *)
+      let stat = Printf.sprintf "/proc/%d/stat" pid in
+      let rec in_accept k =
+        k = 0
+        || (match read_file stat with
+           | exception Sys_error _ -> true
+           | s -> s.[String.rindex s ')' + 2] = 'S')
+        || (Unix.sleepf 0.01;
+            in_accept (k - 1))
+      in
+      ignore (in_accept 500);
+      Unix.kill pid Sys.sigterm;
+      reap ~tries:1000;
+      Alcotest.(check bool) "SIGTERM in accept exits 0" true (!status = Some (Unix.WEXITED 0));
+      Alcotest.(check bool) "socket file removed" false (Sys.file_exists path))
+
 let suite =
   ( "cli",
     [
@@ -239,4 +428,8 @@ let suite =
       Alcotest.test_case "batch resume at every crash point" `Quick test_resume_crash_points;
       Alcotest.test_case "batch resume across encodings" `Quick test_resume_across_encodings;
       Alcotest.test_case "batch resume fail-stop" `Quick test_resume_mismatch;
+      Alcotest.test_case "serve resume at every crash point" `Quick
+        test_serve_resume_crash_points;
+      Alcotest.test_case "serve resume fail-stop" `Quick test_serve_resume_mismatch;
+      Alcotest.test_case "serve over a unix socket" `Quick test_serve_socket;
     ] )

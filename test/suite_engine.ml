@@ -54,7 +54,7 @@ let test_error_capture_and_reuse () =
           (fun () -> 30);
         |]
       in
-      (match Batch.map_pool pool tasks with
+      (match Helpers.stream_all pool tasks with
       | [| Ok 10; Error e; Ok 30 |] ->
           Alcotest.(check int) "error index" 1 e.Batch.index;
           Alcotest.(check bool) "error message" true
@@ -69,7 +69,7 @@ let test_error_capture_and_reuse () =
                        | Error (e : Batch.error) -> "error@" ^ string_of_int e.index)
                      outcomes))));
       (* The failed task must leave the pool fully usable. *)
-      let again = Batch.map_pool pool (Array.init 20 (fun i () -> i * i)) in
+      let again = Helpers.stream_all pool (Array.init 20 (fun i () -> i * i)) in
       Array.iteri
         (fun i r -> Alcotest.(check bool) "reused pool result" true (r = Ok (i * i)))
         again)
@@ -351,8 +351,8 @@ let test_negative_retries_rejected () =
     (fun domains ->
       let at what = Printf.sprintf "%s at %d domains" what domains in
       rejects (at "map") (fun () -> Batch.map ~domains ~retries:(-1) [| task |]);
+      rejects (at "run") (fun () -> Batch.run ~retries:(-1) ~index:0 task);
       Pool.with_pool ~domains (fun pool ->
-          rejects (at "map_pool") (fun () -> Batch.map_pool pool ~retries:(-1) [| task |]);
           rejects (at "stream_seq") (fun () ->
               Batch.stream_seq pool ~retries:(-1)
                 (fun i ->

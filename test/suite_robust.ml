@@ -621,14 +621,14 @@ let test_pool_survives_worker_deaths () =
   let n = 50 * intensity in
   with_chaos [ ("engine.pool.worker", Robust.Chaos.Fail_prob 1.0) ] @@ fun () ->
   Engine.Pool.with_pool ~domains:4 (fun pool ->
-      let out = Batch.map_pool pool (Array.init n (fun i () -> i * 2)) in
+      let out = Helpers.stream_all pool (Array.init n (fun i () -> i * 2)) in
       Array.iteri
         (fun i r ->
           Alcotest.(check bool)
             (Printf.sprintf "result %d ok and ordered" i)
             true (r = Ok (i * 2)))
         out;
-      let again = Batch.map_pool pool (Array.init 10 (fun i () -> i + 1)) in
+      let again = Helpers.stream_all pool (Array.init 10 (fun i () -> i + 1)) in
       Array.iteri
         (fun i r ->
           Alcotest.(check bool) "pool usable after worker deaths" true (r = Ok (i + 1)))
@@ -636,10 +636,10 @@ let test_pool_survives_worker_deaths () =
 
 let test_pool_down_after_shutdown () =
   let pool = Engine.Pool.create ~domains:2 () in
-  let ok = Batch.map_pool pool [| (fun () -> 1) |] in
+  let ok = Helpers.stream_all pool [| (fun () -> 1) |] in
   Alcotest.(check bool) "live pool works" true (ok = [| Ok 1 |]);
   Engine.Pool.shutdown pool;
-  match Batch.map_pool pool [| (fun () -> 2) |] with
+  match Helpers.stream_all pool [| (fun () -> 2) |] with
   | exception F.Pool_down _ -> ()
   | [| Error e |] when class_name_of e = "pool-crashed" -> ()
   | _ -> Alcotest.fail "submit after shutdown not surfaced as pool-crashed"

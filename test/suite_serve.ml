@@ -24,10 +24,9 @@ let run_lines ?should_drain ?should_abort srv lines =
     (fun () ->
       Out_channel.with_open_text inp (fun oc ->
           List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
-      Engine.Pool.with_pool ~domains:2 (fun pool ->
-          In_channel.with_open_text inp (fun input ->
-              Out_channel.with_open_text outp (fun output ->
-                  S.serve srv ~pool ~input ~output ?should_drain ?should_abort ())));
+      In_channel.with_open_text inp (fun input ->
+          Out_channel.with_open_text outp (fun output ->
+              S.serve srv ~input ~output ?should_drain ?should_abort ()));
       let text = In_channel.with_open_text outp In_channel.input_all in
       String.split_on_char '\n' text |> List.filter (fun l -> l <> ""))
 
