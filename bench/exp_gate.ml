@@ -34,18 +34,18 @@ let reps = 3
 
 (* The full downstream pipeline on the solver output: everything here must
    stay proportional to |steps|, not makespan. *)
-let analytics sched =
-  (match Sos.Schedule.validate sched with
+let analytics cols =
+  (match Sos.Schedule.Columns.validate cols with
   | Ok () -> ()
   | Error v -> failwith ("gate: invalid schedule: " ^ v.Sos.Schedule.reason));
-  ignore (Sos.Schedule.completion_times sched);
-  ignore (Sos.Schedule.utilization sched);
-  ignore (Sos.Schedule.assigned_utilization sched);
-  ignore (Sos.Schedule.jobs_per_step sched);
-  ignore (Sos.Schedule.total_waste sched);
-  ignore (Sos.Schedule.processor_assignment ~validate:false sched);
-  ignore (Sos.Schedule.render_gantt ~max_width:100 sched);
-  ignore (Sos.Export.utilization_to_csv sched)
+  ignore (Sos.Schedule.completion_times cols);
+  ignore (Sos.Schedule.utilization cols);
+  ignore (Sos.Schedule.assigned_utilization cols);
+  ignore (Sos.Schedule.jobs_per_step cols);
+  ignore (Sos.Schedule.total_waste cols);
+  ignore (Sos.Schedule.processor_assignment cols);
+  ignore (Sos.Schedule.render_gantt ~max_width:100 cols);
+  ignore (Sos.Export.utilization_to_csv cols)
 
 type row = {
   name : string;
@@ -572,7 +572,8 @@ let gate () =
         let (sched, iters), wall_s =
           Clock.best_of ~k:reps (fun () -> Sos.Fast.run_count inst)
         in
-        let (), analytics_s = Clock.best_of ~k:reps (fun () -> analytics sched) in
+        let cols, _ = Sos.Fast.run_columns inst in
+        let (), analytics_s = Clock.best_of ~k:reps (fun () -> analytics cols) in
         {
           name; n; m; pmax; wall_s; iters;
           steps = List.length sched.Sos.Schedule.steps;

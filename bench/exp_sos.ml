@@ -77,17 +77,17 @@ let t2 () =
           let inst = Workload.Sos_gen.generate rng family ~n:300 ~m () in
           let lbi = Sos.Bounds.lower_bound inst in
           let lb = float_of_int lbi in
-          let s1 = Sos.Fast.run inst in
+          let s1, _ = Sos.Fast.run_columns inst in
           let s2 = Sos.Splittable.run inst in
           let s3 = Sos.Splittable.run_nonpreemptive inst in
           (* Subtract the +1 additive term before forming the display
              ratio; the pass/fail check uses the guarantees' own additive
              form, makespan ≤ factor·LB + 1 (rounded up). *)
-          r1 := (float_of_int (s1.Sos.Schedule.makespan - 1) /. lb) :: !r1;
-          r2 := (float_of_int (s2.Sos.Schedule.makespan - 1) /. lb) :: !r2;
-          r3 := (float_of_int (s3.Sos.Schedule.makespan - 1) /. lb) :: !r3;
-          let within factor (s : Sos.Schedule.t) =
-            s.Sos.Schedule.makespan
+          r1 := (float_of_int (s1.makespan - 1) /. lb) :: !r1;
+          r2 := (float_of_int (s2.makespan - 1) /. lb) :: !r2;
+          r3 := (float_of_int (s3.makespan - 1) /. lb) :: !r3;
+          let within factor (s : Sos.Schedule.Columns.t) =
+            s.makespan
             <= int_of_float (ceil (factor *. float_of_int lbi)) + 1
           in
           let b1 = Sos.Bounds.guarantee_unit ~m in
@@ -156,13 +156,13 @@ let t6 () =
         for rep = 0 to reps - 1 do
           let rng = Rng.create (base_seed + (3000 * rep) + int_of_float (scarcity *. 100.)) in
           let inst = Workload.Sos_gen.generate rng family ~n ~m ~scale () in
-          let sw = Sos.Fast.run inst in
+          let sw, _ = Sos.Fast.run_columns inst in
           let sl = Baselines.List_scheduling.run inst in
-          acc_w := !acc_w +. float_of_int sw.Sos.Schedule.makespan;
-          acc_l := !acc_l +. float_of_int sl.Sos.Schedule.makespan;
+          acc_w := !acc_w +. float_of_int sw.makespan;
+          acc_l := !acc_l +. float_of_int sl.makespan;
           acc_cw := !acc_cw +. Sos.Schedule.mean_completion_time sw;
           acc_cl := !acc_cl +. Sos.Schedule.mean_completion_time sl;
-          acc_g := !acc_g +. float_of_int (Baselines.Greedy_fair.run inst).Sos.Schedule.makespan;
+          acc_g := !acc_g +. float_of_int (Baselines.Greedy_fair.run inst).makespan;
           acc_lb := !acc_lb +. float_of_int (Sos.Bounds.lower_bound inst)
         done;
         let w = !acc_w /. float_of_int reps
@@ -197,7 +197,7 @@ let f1 () =
   let sched = Sos.Listing1.run inst in
   let u = Sos.Schedule.to_dense ~default:0.0 (Sos.Schedule.utilization sched) in
   note "instance: bimodal, n=60, m=6; makespan %d, LB %d, waste %d units"
-    sched.Sos.Schedule.makespan (Sos.Bounds.lower_bound inst)
+    sched.makespan (Sos.Bounds.lower_bound inst)
     (Sos.Schedule.total_waste sched);
   print_string
     (Prelude.Ascii_plot.series ~height:8 ~title:"resource utilization per step"
@@ -297,7 +297,7 @@ let e1 () =
           let inst = Workload.Sos_gen.generate rng family ~n:120 ~m () in
           let lb = float_of_int (Sos.Bounds.lower_bound inst) in
           w := !w +. (float_of_int (Sos.Fast.run inst).Sos.Schedule.makespan /. lb);
-          p := !p +. (float_of_int (Sos.Preemptive.run inst).Sos.Schedule.makespan /. lb)
+          p := !p +. (float_of_int (Sos.Preemptive.run inst).makespan /. lb)
         done;
         let w = !w /. float_of_int reps and p = !p /. float_of_int reps in
         [
@@ -337,11 +337,11 @@ let e2 () =
           add 1
             (Baselines.Fixed_assignment.run ~strategy:Baselines.Fixed_assignment.Round_robin
                inst)
-              .Sos.Schedule.makespan;
+              .makespan;
           add 2
             (Baselines.Fixed_assignment.run ~strategy:Baselines.Fixed_assignment.By_volume
                inst)
-              .Sos.Schedule.makespan;
+              .makespan;
           add 3 (Sos.Bounds.lower_bound inst)
         done;
         family.Workload.Sos_gen.name :: Table.fmt_int m
@@ -431,7 +431,7 @@ let e4 () =
   let inst = Workload.Sos_gen.generate base_rng Workload.Sos_gen.bimodal ~n:120 ~m:8 () in
   let base_w = float_of_int (Sos.Fast.run inst).Sos.Schedule.makespan in
   let base_l =
-    float_of_int (Baselines.List_scheduling.run inst).Sos.Schedule.makespan
+    float_of_int (Baselines.List_scheduling.run inst).makespan
   in
   let rows =
     par_map
@@ -451,7 +451,7 @@ let e4 () =
           in
           let pert = Sos.Instance.create ~m:8 ~scale:inst.Sos.Instance.scale specs in
           let w = float_of_int (Sos.Fast.run pert).Sos.Schedule.makespan in
-          let l = float_of_int (Baselines.List_scheduling.run pert).Sos.Schedule.makespan in
+          let l = float_of_int (Baselines.List_scheduling.run pert).makespan in
           dw := Float.abs ((w /. base_w) -. 1.0) :: !dw;
           dl := Float.abs ((l /. base_l) -. 1.0) :: !dl
         done;
@@ -496,13 +496,13 @@ let a1 () =
   in
   List.iter
     (fun (name, inst) ->
-      let mk f = (f inst).Sos.Schedule.makespan in
+      let mk f = (f inst : Sos.Schedule.Columns.t).makespan in
       Table.add_row t
         [
           name;
           Table.fmt_int (Sos.Bounds.lower_bound inst);
-          Table.fmt_int (mk Sos.Fast.run);
-          Table.fmt_int (mk (Sos.Fast.run ~variant:`Literal));
+          Table.fmt_int (mk (fun i -> fst (Sos.Fast.run_columns i)));
+          Table.fmt_int (mk (fun i -> fst (Sos.Fast.run_columns ~variant:`Literal i)));
           Table.fmt_int (mk Sos.Ablation.run_naive_fracture);
           Table.fmt_int (mk Sos.Ablation.run_no_move);
           Table.fmt_int (mk Baselines.List_scheduling.run);

@@ -170,17 +170,20 @@ let gen_cmd =
 
 (* ---------------------------------------------------------------- solve *)
 
-(* solve and analyze: load under the solver's precondition, solve, and
-   validate the column store before [report] sees its list form; an
+(* solve, analyze and export: load under the solver's precondition,
+   solve, and validate the column store before [report] reads it; an
    invalid schedule is a solver bug and exits 3. *)
 let solve_checked solver file report =
   load_instance ~solver file @@ fun inst ->
-  let cols = Obs.Trace.with_span ~cat:"cli" "solve" (fun () -> solver.Solvers.run inst) in
+  let cols =
+    Obs.Trace.with_span ~cat:"cli" "solve" (fun () ->
+        solver.Solvers.run (Sos.Fast.workspace ()) inst)
+  in
   match
     Obs.Trace.with_span ~cat:"cli" "validate" (fun () ->
         Sos.Schedule.Columns.validate ~preemption_ok:solver.preemptive cols)
   with
-  | Ok () -> report inst (Sos.Schedule.Columns.to_schedule cols)
+  | Ok () -> report inst cols
   | Error v ->
       Printf.eprintf "INVALID schedule at step %d: %s\n" v.Sos.Schedule.at_step
         v.Sos.Schedule.reason;
@@ -196,10 +199,9 @@ let solve_cmd =
     let lb = Sos.Bounds.lower_bound inst in
     Printf.printf "jobs        : %d\n" (Sos.Instance.n inst);
     Printf.printf "processors  : %d\n" inst.Sos.Instance.m;
-    Printf.printf "makespan    : %d\n" sched.Sos.Schedule.makespan;
+    Printf.printf "makespan    : %d\n" sched.makespan;
     Printf.printf "lower bound : %d\n" lb;
-    Printf.printf "ratio vs LB : %.4f\n"
-      (Sos.Bounds.ratio ~lb ~makespan:sched.Sos.Schedule.makespan);
+    Printf.printf "ratio vs LB : %.4f\n" (Sos.Bounds.ratio ~lb ~makespan:sched.makespan);
     Printf.printf "wasted res. : %d units (%.2f steps worth)\n"
       (Sos.Schedule.total_waste sched)
       (float_of_int (Sos.Schedule.total_waste sched)
@@ -238,15 +240,14 @@ let analyze_cmd =
     let peak_jobs = Array.fold_left (fun acc (_, _, k) -> max acc k) 0 jobs in
     Printf.printf "jobs            : %d\n" (Sos.Instance.n inst);
     Printf.printf "processors      : %d\n" inst.Sos.Instance.m;
-    Printf.printf "makespan        : %d\n" sched.Sos.Schedule.makespan;
-    Printf.printf "RLE blocks      : %d\n" (List.length sched.Sos.Schedule.steps);
+    Printf.printf "makespan        : %d\n" sched.makespan;
+    Printf.printf "RLE blocks      : %d\n" sched.blocks;
     Printf.printf "profile segments: %d (utilization), %d (jobs)\n" (Array.length u)
       (Array.length jobs);
     Printf.printf "lower bound     : %d\n" (Sos.Bounds.lower_bound inst);
     Printf.printf "mean completion : %.2f\n" (Sos.Schedule.mean_completion_time sched);
     Printf.printf "utilization     : peak %.4f, mean %.4f\n" peak
-      (if sched.Sos.Schedule.makespan = 0 then 0.0
-       else area /. float_of_int sched.Sos.Schedule.makespan);
+      (if sched.makespan = 0 then 0.0 else area /. float_of_int sched.makespan);
     Printf.printf "peak jobs/step  : %d\n" peak_jobs;
     Printf.printf "wasted resource : %d units (%.2f steps worth)\n"
       (Sos.Schedule.total_waste sched)
@@ -275,8 +276,8 @@ let ratio_cmd =
           Array.init reps (fun rep ->
               let rng = Prelude.Rng.create (seed + rep) in
               let inst = Workload.Sos_gen.generate rng family ~n ~m () in
-              let s = Sos.Fast.run inst in
-              Sos.Bounds.theorem_3_3_bound inst ~makespan:s.Sos.Schedule.makespan)
+              let s, _ = Sos.Fast.run_columns inst in
+              Sos.Bounds.theorem_3_3_bound inst ~makespan:s.makespan)
         in
         let s = Prelude.Stats.summarize ratios in
         Printf.printf "family=%s n=%d m=%d reps=%d\n" family.Workload.Sos_gen.name n m reps;
@@ -408,27 +409,41 @@ let export_cmd =
             load_instance file @@ fun inst ->
             print_string (Sos.Export.instance_to_csv inst);
             0
-        | (`Schedule | `Schedule_rle | `Utilization | `Trace | `Svg) as what ->
+        (* Only -w trace needs Listing 1's step-by-step traced run, and
+           only the window solvers have one. *)
+        | `Trace ->
             load_instance ~solver file @@ fun inst ->
-            print_string
-              (match what with
-              (* Only -w trace needs Listing 1's step-by-step traced run, and
-                 only the window solvers have one; the CSV/SVG writers are
-                 RLE-native, so they take the solver's compressed schedule
-                 and stay strongly polynomial. *)
-              | `Trace ->
-                  let trace =
-                    match solver.Solvers.name with
-                    | "window" | "listing1" -> snd (Sos.Listing1.run_traced inst)
-                    | "literal" -> snd (Sos.Listing1.run_traced ~variant:`Literal inst)
-                    | _ -> []
-                  in
-                  Sos.Export.trace_to_csv trace inst
-              | `Schedule -> Sos.Export.schedule_to_csv (Solvers.schedule solver inst)
-              | `Schedule_rle -> Sos.Export.columns_to_csv_rle (solver.run inst)
-              | `Utilization -> Sos.Export.utilization_to_csv (Solvers.schedule solver inst)
-              | `Svg -> Sos.Svg.render ~title:"sosctl schedule" (Solvers.schedule solver inst));
-            0)
+            let trace =
+              match solver.Solvers.name with
+              | "window" | "listing1" -> snd (Sos.Listing1.run_traced inst)
+              | "literal" -> snd (Sos.Listing1.run_traced ~variant:`Literal inst)
+              | _ -> []
+            in
+            print_string (Sos.Export.trace_to_csv trace inst);
+            0
+        (* The CSV/SVG writers are RLE-native: they read the solver's
+           validated store and stay strongly polynomial. An SVG draws each
+           job as one bar, so a preemptive solver's store is checked for a
+           preempted job first, and one is refused with exit 2. *)
+        | (`Schedule | `Schedule_rle | `Utilization | `Svg) as what -> (
+            solve_checked solver file @@ fun _ cols ->
+            let write text =
+              print_string text;
+              0
+            in
+            match what with
+            | `Schedule -> write (Sos.Export.schedule_to_csv cols)
+            | `Schedule_rle -> write (Sos.Export.columns_to_csv_rle cols)
+            | `Utilization -> write (Sos.Export.utilization_to_csv cols)
+            | `Svg -> (
+                match
+                  if solver.preemptive then Sos.Schedule.Columns.validate cols else Ok ()
+                with
+                | Ok () -> write (Sos.Svg.render ~title:"sosctl schedule" cols)
+                | Error v ->
+                    Printf.eprintf "sosctl export: -w svg needs a non-preemptive schedule: %s\n"
+                      v.reason;
+                    2)))
   in
   let what =
     Arg.(
@@ -844,8 +859,8 @@ let batch_cmd =
         in
         if Bundles.fits inst then
           Bundles.with_bundle bundles (fun { ws; check } ->
-              report ~scratch:check (solver.run_in ws inst))
-        else report (solver.run inst)
+              report ~scratch:check (solver.run ws inst))
+        else report (solver.run (Sos.Fast.workspace ()) inst)
       in
       let src =
         match
@@ -1180,12 +1195,18 @@ let batch_cmd =
    the journal ordering. accept(2) is where stop signals land as EINTR,
    so the accept step runs under Robust.Supervise: an interrupted accept
    classifies as a transient failure, is retried after a deterministic
-   backoff, and every retry re-checks the drain/abort flags first. *)
+   backoff, and every retry re-checks the drain/abort flags first.
+   SIGPIPE is ignored while serving: a client that closes before reading
+   its replies makes the reply write fail with EPIPE (Sys_error), which
+   ends that connection only — the reply's WAL entry is already written —
+   and the loop goes back to accept; so does a read the client reset. *)
 let serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect
     ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe prev_sigpipe;
       (try Unix.close sock with Unix.Unix_error _ -> ());
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
@@ -1200,14 +1221,17 @@ let serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path =
                 if stop () then ()
                 else begin
                   let conn, _ = Unix.accept sock in
+                  let output = Unix.out_channel_of_descr conn in
+                  (* Closing the channel closes [conn] and drops a reply
+                     the client never read, so no later flush writes it. *)
                   Fun.protect
-                    ~finally:(fun () ->
-                      try Unix.close conn with Unix.Unix_error _ -> ())
+                    ~finally:(fun () -> close_out_noerr output)
                     (fun () ->
-                      Serve.Server.serve srv
-                        ~input:(Unix.in_channel_of_descr conn)
-                        ~output:(Unix.out_channel_of_descr conn)
-                        ~cancel ~should_drain ~should_abort ())
+                      try
+                        Serve.Server.serve srv ~input:(Unix.in_channel_of_descr conn) ~output
+                          ~cancel ~should_drain ~should_abort ()
+                      with Sys_error msg ->
+                        Printf.eprintf "serve: connection dropped: %s\n%!" msg)
                 end)
           in
           (match outcome.Robust.Supervise.result with
@@ -1384,7 +1408,7 @@ let hardness_cmd =
         Printf.printf "gap holds    : %b\n" (if yes then opt = q else opt > q)
     | None -> Printf.printf "packing OPT  : (search limit exceeded)\n");
     let sched = Sos.Splittable.run (Exact.Three_partition.to_sos tp) in
-    Printf.printf "window steps : %d\n" sched.Sos.Schedule.makespan;
+    Printf.printf "window steps : %d\n" sched.makespan;
     0
   in
   let numbers =
@@ -1425,7 +1449,8 @@ let corpus_cmd =
             List.iter
               (fun (s : Solvers.t) ->
                 if Result.is_ok (Solvers.check s inst) then
-                  Printf.printf "  %-22s %d\n" s.name (s.run inst).Sos.Schedule.Columns.makespan)
+                  Printf.printf "  %-22s %d\n" s.name
+                    (s.run (Sos.Fast.workspace ()) inst).makespan)
               Solvers.all;
             0
       end

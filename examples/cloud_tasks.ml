@@ -75,7 +75,7 @@ let () =
     (Sas.Bounds.guarantee ~m:inst.Sas.Sas_instance.m);
 
   (* The merged schedule is a real schedule: validate it. *)
-  match Sos.Schedule.validate ~preemption_ok:true report.Sas.Combined.schedule with
+  match Sos.Schedule.Columns.validate ~preemption_ok:true report.Sas.Combined.schedule with
   | Ok () -> print_endline "merged schedule validated: resource and processor feasible"
   | Error v ->
       Printf.printf "validation FAILED at %d: %s\n" v.Sos.Schedule.at_step v.Sos.Schedule.reason

@@ -53,14 +53,13 @@ let () =
     Table.add_row t
       [
         name;
-        Table.fmt_int sched.Sos.Schedule.makespan;
-        Table.fmt_ratio
-          (float_of_int sched.Sos.Schedule.makespan /. float_of_int lb);
+        Table.fmt_int sched.Sos.Schedule.Columns.makespan;
+        Table.fmt_ratio (float_of_int sched.makespan /. float_of_int lb);
         Table.fmt_float
           (float_of_int (Sos.Schedule.total_waste sched) /. 1024.0);
       ]
   in
-  row "sliding window (paper)" (Sos.Fast.run inst);
+  row "sliding window (paper)" (fst (Sos.Fast.run_columns inst));
   row "list scheduling (GG75)" (Baselines.List_scheduling.run inst);
   row "fair share" (Baselines.Greedy_fair.run inst);
   Table.add_row t [ "lower bound (Eq. 1)"; Table.fmt_int lb; "1.0000"; "-" ];

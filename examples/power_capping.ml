@@ -46,7 +46,7 @@ let () =
   let r = Sos.Online.run ~m ~scale:cap arrivals in
   let lb = Sos.Online.lower_bound ~m ~scale:cap arrivals in
   let schedule = (Sos.Online.materialize ~m ~scale:cap arrivals r).Sos.Online.schedule in
-  (match Sos.Schedule.validate schedule with
+  (match Sos.Schedule.Columns.validate schedule with
   | Ok () -> ()
   | Error v -> failwith v.Sos.Schedule.reason);
   assert (Sos.Online.respects_releases r arrivals);

@@ -18,17 +18,18 @@ let () =
   in
 
   (* The paper's sliding-window algorithm (Theorem 3.3), polynomial-time
-     implementation. *)
-  let schedule = Sos.Fast.run inst in
+     implementation: the schedule as run-length-encoded blocks in flat int
+     columns, and the number of loop iterations it took. *)
+  let schedule, _iterations = Sos.Fast.run_columns inst in
 
-  Printf.printf "makespan      : %d steps\n" schedule.Sos.Schedule.makespan;
+  Printf.printf "makespan      : %d steps\n" schedule.makespan;
   Printf.printf "lower bound   : %d steps (Equation (1))\n" (Sos.Bounds.lower_bound inst);
   Printf.printf "proven ratio  : <= %.3f (= 2 + 1/(m-2))\n"
     (Sos.Bounds.guarantee_general ~m:4);
 
   (* Every schedule can be validated independently: resource never overused,
      at most m jobs per step, non-preemptive, work conserved. *)
-  (match Sos.Schedule.validate schedule with
+  (match Sos.Schedule.Columns.validate schedule with
   | Ok () -> print_endline "validation    : ok"
   | Error v -> Printf.printf "validation    : FAILED at %d: %s\n" v.Sos.Schedule.at_step v.Sos.Schedule.reason);
 

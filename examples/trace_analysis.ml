@@ -19,7 +19,7 @@ let () =
   end;
 
   Printf.printf "bimodal instance: n=%d, m=%d, makespan %d (LB %d)\n\n"
-    (Sos.Instance.n inst) inst.Sos.Instance.m sched.Sos.Schedule.makespan
+    (Sos.Instance.n inst) inst.Sos.Instance.m sched.makespan
     (Sos.Bounds.lower_bound inst);
 
   (* The analysis of Theorem 3.3 revolves around two phase boundaries:

@@ -52,7 +52,7 @@ let run ?(strategy = Round_robin) inst =
   let queues = assign strategy inst in
   let s = Array.init (Instance.n inst) (Instance.s inst) in
   let budget = inst.Instance.scale in
-  let steps = ref [] in
+  let cols = Schedule.Columns.create inst in
   let fuel = ref (Instance.total_requirement inst + 1) in
   let heads () =
     Array.to_list queues |> List.filter_map (function j :: _ -> Some j | [] -> None)
@@ -90,7 +90,7 @@ let run ?(strategy = Round_robin) inst =
         | [] -> assert false
       end
     in
-    steps := { Schedule.allocs; repeat = 1 } :: !steps;
+    Schedule.Columns.add_block cols ~repeat:1 allocs;
     pop_finished ()
   done;
-  Schedule.make inst (List.rev !steps)
+  cols

@@ -18,6 +18,6 @@ type strategy =
 val assign : strategy -> Sos.Instance.t -> int list array
 (** Per-processor job queues (front = first executed). *)
 
-val run : ?strategy:strategy -> Sos.Instance.t -> Sos.Schedule.t
+val run : ?strategy:strategy -> Sos.Instance.t -> Sos.Schedule.Columns.t
 (** Execute the fixed assignment with water-filling resource shares.
     Non-preemptive and migration-free by construction. *)

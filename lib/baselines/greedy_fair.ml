@@ -20,7 +20,7 @@ let run inst =
   let scale = inst.Instance.scale and m = inst.Instance.m in
   let next = ref 0 in
   let running = ref [] in
-  let steps = ref [] in
+  let cols = Schedule.Columns.create inst in
   (* Admit at most min(m, scale) jobs so water-filling can always hand every
      running job at least one unit (keeps runs contiguous). *)
   let slots = min m scale in
@@ -51,7 +51,7 @@ let run inst =
             else Some { Schedule.job = r.job; assigned = give; consumed = give })
           shares
       in
-      steps := { Schedule.allocs; repeat = k - 1 } :: !steps;
+      Schedule.Columns.add_block cols ~repeat:(k - 1) allocs;
       List.iter (fun (r, give) -> r.remaining <- r.remaining - ((k - 1) * give)) shares
     end;
     let allocs =
@@ -65,8 +65,8 @@ let run inst =
           end)
         shares
     in
-    steps := { Schedule.allocs; repeat = 1 } :: !steps;
+    Schedule.Columns.add_block cols ~repeat:1 allocs;
     running := List.filter (fun r -> r.remaining > 0) !running;
     admit ()
   done;
-  Schedule.make inst (List.rev !steps)
+  cols

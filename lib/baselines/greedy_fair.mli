@@ -8,5 +8,5 @@
     it has no approximation guarantee (the window structure is what earns
     the paper's ratio) and serves as the "no algorithmics" comparison. *)
 
-val run : Sos.Instance.t -> Sos.Schedule.t
+val run : Sos.Instance.t -> Sos.Schedule.Columns.t
 (** Non-preemptive, run-length-encoded. *)

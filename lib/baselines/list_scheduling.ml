@@ -27,7 +27,7 @@ let run ?(order = By_requirement) inst =
   let running : running list ref = ref [] in
   let free_procs = ref m in
   let free_res = ref scale in
-  let steps = ref [] in
+  let cols = Schedule.Columns.create inst in
   let try_start () =
     (* Scan the list head: start every not-yet-started job that fits. The
        list is a queue here (strict list scheduling starts jobs in order but
@@ -61,7 +61,7 @@ let run ?(order = By_requirement) inst =
           { Schedule.job = r.job; assigned = r.hold; consumed = min r.hold r.remaining })
         !running
     in
-    steps := { Schedule.allocs; repeat = reps } :: !steps;
+    Schedule.Columns.add_block cols ~repeat:reps allocs;
     List.iter
       (fun r ->
         r.remaining <- r.remaining - (reps * min r.hold r.remaining);
@@ -85,4 +85,4 @@ let run ?(order = By_requirement) inst =
     running := alive;
     try_start ()
   done;
-  Schedule.make inst (List.rev !steps)
+  cols

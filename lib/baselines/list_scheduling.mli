@@ -16,7 +16,7 @@ type order =
   | By_volume_desc  (** longest processing time first *)
   | By_total_req_desc  (** largest total requirement [s_j] first *)
 
-val run : ?order:order -> Sos.Instance.t -> Sos.Schedule.t
+val run : ?order:order -> Sos.Instance.t -> Sos.Schedule.Columns.t
 (** Non-preemptive, run-length-encoded. Default order {!By_requirement}. *)
 
 val guarantee : m:int -> float

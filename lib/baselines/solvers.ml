@@ -4,25 +4,22 @@ type t = {
   name : string;
   requires : requires;
   preemptive : bool;
-  run : Sos.Instance.t -> Sos.Schedule.Columns.t;
-  run_in : Sos.Fast.workspace -> Sos.Instance.t -> Sos.Schedule.Columns.t;
+  run : Sos.Fast.workspace -> Sos.Instance.t -> Sos.Schedule.Columns.t;
 }
 
-(* A window solver: [Fast] on a fresh workspace, or on the caller's. *)
+(* A window solver: [Fast] in the caller's workspace. *)
 let windowed name variant =
   {
     name;
     requires = Window;
     preemptive = false;
-    run = (fun i -> fst (Sos.Fast.run_columns ~variant i));
-    run_in = (fun ws i -> fst (Sos.Fast.run_in ~variant ws i));
+    run = (fun ws i -> fst (Sos.Fast.run_in ~variant ws i));
   }
 
-(* A reference algorithm that builds the list form; it has no use for a
+(* A reference algorithm: it builds its own store and has no use for a
    workspace. *)
 let listed ?(preemptive = false) name requires run =
-  let run i = Sos.Schedule.Columns.of_schedule (run i) in
-  { name; requires; preemptive; run; run_in = (fun _ i -> run i) }
+  { name; requires; preemptive; run = (fun _ i -> run i) }
 
 let all =
   [
@@ -38,8 +35,6 @@ let all =
     listed "preemptive" Any (fun i -> Sos.Preemptive.run i) ~preemptive:true;
     listed "fixed-assignment" Any (fun i -> Fixed_assignment.run i);
   ]
-
-let schedule s inst = Sos.Schedule.Columns.to_schedule (s.run inst)
 
 let find name = List.find_opt (fun s -> String.equal s.name name) all
 

@@ -92,21 +92,19 @@ let window inst =
   Obs.Metrics.add c_bins (List.length packing);
   packing
 
-let of_unit_schedule (sched : Sos.Schedule.t) =
+let of_unit_schedule (c : Sos.Schedule.Columns.t) =
   (* Schedules address jobs by their sorted position; packings address the
      caller's original item order — translate via the instance's
      permutation. *)
-  let original = sched.Sos.Schedule.inst.Sos.Instance.original in
+  let original = c.inst.Sos.Instance.original in
   List.concat_map
-    (fun (st : Sos.Schedule.step) ->
-      let bin =
-        List.filter_map
-          (fun (a : Sos.Schedule.alloc) ->
-            if a.consumed > 0 then Some (original.(a.job), a.consumed) else None)
-          st.allocs
-      in
-      List.init st.repeat (fun _ -> bin))
-    sched.Sos.Schedule.steps
+    (fun b ->
+      let bin = ref [] in
+      for i = c.first.(b + 1) - 1 downto c.first.(b) do
+        if c.consumed.(i) > 0 then bin := (original.(c.job.(i)), c.consumed.(i)) :: !bin
+      done;
+      List.init c.repeat.(b) (fun _ -> !bin))
+    (List.init c.blocks Fun.id)
 
 let guarantee_window ~k =
   if k < 2 then invalid_arg "Algorithms.guarantee_window: need k >= 2";

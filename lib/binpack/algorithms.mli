@@ -28,7 +28,7 @@ val window : Packing.instance -> Packing.packing
     with [k] in the processor role. Asymptotic ratio [1 + 1/(k−1)], running
     time [O((k+n)·n)]. *)
 
-val of_unit_schedule : Sos.Schedule.t -> Packing.packing
+val of_unit_schedule : Sos.Schedule.Columns.t -> Packing.packing
 (** Interpret a unit-size SoS schedule as a packing (time steps = bins,
     consumed shares = part sizes) — the inverse of the {!window} reduction.
     Zero-consumption allocations are dropped. *)

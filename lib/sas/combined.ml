@@ -13,7 +13,7 @@ type report = {
   lower_bound : int;
   t1_count : int;
   t2_count : int;
-  schedule : Sos.Schedule.t;
+  schedule : Sos.Schedule.Columns.t;
 }
 
 let sort_for_listing3 tasks =
@@ -73,22 +73,21 @@ let run raw =
     { Sos.Schedule.job = sorted_pos.(caller_pos); assigned = a.Stream.amount;
       consumed = a.Stream.amount }
   in
-  let rec merge s1 s2 acc =
+  let schedule = Sos.Schedule.Columns.create flat in
+  let rec merge s1 s2 =
     Robust.Context.poll ();
     match (s1, s2) with
-    | [], [] -> List.rev acc
+    | [], [] -> ()
     | a1 :: r1', s2 ->
         let a2, r2' = (match s2 with a :: r -> (a, r) | [] -> ([], [])) in
-        let allocs =
-          List.map (global_alloc t1_ids) a1 @ List.map (global_alloc t2_ids) a2
-        in
-        merge r1' r2' ({ Sos.Schedule.allocs; repeat = 1 } :: acc)
+        Sos.Schedule.Columns.add_block schedule ~repeat:1
+          (List.map (global_alloc t1_ids) a1 @ List.map (global_alloc t2_ids) a2);
+        merge r1' r2'
     | [], a2 :: r2' ->
-        let allocs = List.map (global_alloc t2_ids) a2 in
-        merge [] r2' ({ Sos.Schedule.allocs; repeat = 1 } :: acc)
+        Sos.Schedule.Columns.add_block schedule ~repeat:1 (List.map (global_alloc t2_ids) a2);
+        merge [] r2'
   in
-  let steps = merge r1.Stream.steps r2.Stream.steps [] in
-  let schedule = Sos.Schedule.make flat steps in
+  merge r1.Stream.steps r2.Stream.steps;
   {
     instance = inst;
     completions;

@@ -14,7 +14,7 @@ type report = {
   lower_bound : int;  (** Lemma 4.3 on the full task set *)
   t1_count : int;
   t2_count : int;
-  schedule : Sos.Schedule.t;  (** merged, against {!Sas_instance.flat_sos} *)
+  schedule : Sos.Schedule.Columns.t;  (** merged, against {!Sas_instance.flat_sos} *)
 }
 
 val run : Sas_instance.t -> report

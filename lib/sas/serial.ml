@@ -18,8 +18,8 @@ let run ?(order = Shortest_first) inst =
       let sub =
         Sos.Instance.create ~m:inst.Sas_instance.m ~scale:inst.Sas_instance.scale jobs
       in
-      let sched = Sos.Fast.run sub in
-      clock := !clock + sched.Sos.Schedule.makespan;
+      let sched, _ = Sos.Fast.run_columns sub in
+      clock := !clock + sched.makespan;
       completions.(task.Task.id) <- !clock)
     tasks;
   (completions, Array.fold_left ( + ) 0 completions)

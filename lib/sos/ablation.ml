@@ -1,6 +1,6 @@
 let generic_run inst ~window_of ~assign =
   let st = State.create inst in
-  let steps = ref [] in
+  let cols = Schedule.Columns.create inst in
   let carried = ref Window.empty in
   let fuel = ref (Instance.total_requirement inst + 1) in
   while not (State.all_finished st) do
@@ -15,13 +15,13 @@ let generic_run inst ~window_of ~assign =
           if State.finished st a.job then Some a.job else None)
         allocs
     in
-    steps := { Schedule.allocs; repeat = 1 } :: !steps;
+    Schedule.Columns.add_block cols ~repeat:1 allocs;
     let survivors = Window.prune st w' in
     List.iter (State.unlink st) finished;
     carried := survivors;
     State.tick st
   done;
-  Schedule.make inst (List.rev !steps)
+  cols
 
 let naive_assign st w ~budget =
   let ms = Window.members st w in

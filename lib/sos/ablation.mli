@@ -11,11 +11,11 @@
     - {!run_no_move} — drops MoveWindowRight, so windows stick to the left
       border and never slide toward resource-hungry jobs. *)
 
-val run_naive_fracture : Instance.t -> Schedule.t
+val run_naive_fracture : Instance.t -> Schedule.Columns.t
 (** Window computation as in Listing 1, but the per-step assignment is the
     naive rule: every window job except [max W] is assigned its full
     requirement (consuming [min(r_j, s_j)]), and [max W] receives the
     leftover. No fracture bookkeeping; valid but potentially wasteful. *)
 
-val run_no_move : Instance.t -> Schedule.t
+val run_no_move : Instance.t -> Schedule.Columns.t
 (** Listing 1 with MoveWindowRight disabled. *)

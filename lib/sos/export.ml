@@ -1,18 +1,16 @@
-let schedule_to_csv (sched : Schedule.t) =
+let schedule_to_csv (c : Schedule.Columns.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "step,job,assigned,consumed\n";
-  let time = ref 0 in
-  List.iter
-    (fun (st : Schedule.step) ->
-      for rep = 0 to st.repeat - 1 do
-        List.iter
-          (fun (a : Schedule.alloc) ->
-            Buffer.add_string buf
-              (Printf.sprintf "%d,%d,%d,%d\n" (!time + rep) a.job a.assigned a.consumed))
-          st.allocs
-      done;
-      time := !time + st.repeat)
-    sched.steps;
+  let t0 = ref 0 in
+  for b = 0 to c.blocks - 1 do
+    for step = !t0 to !t0 + c.repeat.(b) - 1 do
+      for i = c.first.(b) to c.first.(b + 1) - 1 do
+        Buffer.add_string buf
+          (Printf.sprintf "%d,%d,%d,%d\n" step c.job.(i) c.assigned.(i) c.consumed.(i))
+      done
+    done;
+    t0 := !t0 + c.repeat.(b)
+  done;
   Buffer.contents buf
 
 let columns_to_csv_rle (c : Schedule.Columns.t) =
@@ -29,8 +27,6 @@ let columns_to_csv_rle (c : Schedule.Columns.t) =
   done;
   Buffer.contents buf
 
-let schedule_to_csv_rle sched = columns_to_csv_rle (Schedule.Columns.of_schedule sched)
-
 let instance_to_csv (inst : Instance.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "job,original_position,size,req,scale,m\n";
@@ -41,21 +37,24 @@ let instance_to_csv (inst : Instance.t) =
   done;
   Buffer.contents buf
 
-let utilization_to_csv (sched : Schedule.t) =
+let utilization_to_csv (c : Schedule.Columns.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "t0,len,assigned,consumed,jobs\n";
-  let scale = float_of_int sched.Schedule.inst.Instance.scale in
-  Schedule.fold_segments sched ~init:() ~f:(fun () ~t0 ~repeat allocs ->
-      let assigned, consumed, jobs =
-        List.fold_left
-          (fun (a, c, k) (al : Schedule.alloc) -> (a + al.assigned, c + al.consumed, k + 1))
-          (0, 0, 0) allocs
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%.6f,%.6f,%d\n" t0 repeat
-           (float_of_int assigned /. scale)
-           (float_of_int consumed /. scale)
-           jobs));
+  let scale = float_of_int c.inst.Instance.scale in
+  let t0 = ref 0 in
+  for b = 0 to c.blocks - 1 do
+    let assigned = ref 0 and consumed = ref 0 in
+    for i = c.first.(b) to c.first.(b + 1) - 1 do
+      assigned := !assigned + c.assigned.(i);
+      consumed := !consumed + c.consumed.(i)
+    done;
+    Buffer.add_string buf
+      (Printf.sprintf "%d,%d,%.6f,%.6f,%d\n" !t0 c.repeat.(b)
+         (float_of_int !assigned /. scale)
+         (float_of_int !consumed /. scale)
+         (c.first.(b + 1) - c.first.(b)));
+    t0 := !t0 + c.repeat.(b)
+  done;
   Buffer.contents buf
 
 let trace_to_csv (trace : Listing1.step_info list) (inst : Instance.t) =

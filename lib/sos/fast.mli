@@ -49,12 +49,13 @@ val run_in :
 val run_columns : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.Columns.t * int
 (** The schedule as a column store, and the number of loop iterations
     actually simulated: {!run_in} on a fresh workspace, so the store is the
-    caller's to keep. *)
+    caller's to keep. It has the steps of [Listing1.run] (same [variant])
+    with runs of identical steps run-length encoded. *)
 
 val run : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.t
-(** Produces the same schedule as [Listing1.run] (same [variant]) with runs
-    of identical steps run-length encoded: {!run_columns} converted once
-    by {!Schedule.Columns.to_schedule}. *)
+(** The list form of {!run_columns}'s schedule, converted once by
+    {!Schedule.Columns.to_schedule}, for callers that read its [steps];
+    the library's analytics and writers read the store itself. *)
 
 val run_count : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.t * int
 (** Also returns the number of loop iterations actually simulated (the

@@ -13,7 +13,7 @@ let run_traced ?(check = false) ?(variant = `Fixed) inst =
   let st = State.create inst in
   let size = inst.Instance.m - 1 in
   let budget = inst.Instance.scale in
-  let steps = ref [] in
+  let cols = Schedule.Columns.create inst in
   let trace = ref [] in
   let carried = ref Window.empty in
   let fuel = ref (Instance.total_requirement inst + 1) in
@@ -34,7 +34,7 @@ let run_traced ?(check = false) ?(variant = `Fixed) inst =
       in
       assert (List.length fractured <= 1)
     end;
-    steps := { Schedule.allocs = Assign.allocs outcome; repeat = 1 } :: !steps;
+    Assign.append outcome cols ~repeat:1;
     trace :=
       {
         time = State.now st + 1;
@@ -52,6 +52,6 @@ let run_traced ?(check = false) ?(variant = `Fixed) inst =
     carried := survivors;
     State.tick st
   done;
-  (Schedule.make inst (List.rev !steps), List.rev !trace)
+  (cols, List.rev !trace)
 
 let run ?check ?variant inst = fst (run_traced ?check ?variant inst)

@@ -19,8 +19,9 @@ type step_info = {
   finished : int list;  (** jobs completed in this step *)
 }
 
-val run : ?check:bool -> ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.t
-(** Runs the algorithm. With [check] (default [false]) every step asserts
+val run : ?check:bool -> ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.Columns.t
+(** Runs the algorithm: one block per time step, appended as {!Fast}
+    appends its blocks ({!Assign.append}). With [check] (default [false]) every step asserts
     the effective maximality of the processed window (Lemma 3.7 weakened as
     explained at {!Window.is_effectively_maximal}) and Observation 3.2 (at
     most one fractured job survives the step); violations raise
@@ -29,6 +30,6 @@ val run : ?check:bool -> ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedul
 
 val run_traced :
   ?check:bool -> ?variant:[ `Fixed | `Literal ] -> Instance.t ->
-  Schedule.t * step_info list
+  Schedule.Columns.t * step_info list
 (** Like {!run}, also returning the per-step trace (figure experiments F1,
     F2 and the tests of Lemma 3.8 consume it). *)

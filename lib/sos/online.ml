@@ -2,7 +2,7 @@ type arrival = { release : int; size : int; req : int }
 
 type result = { jobs : int; makespan : int; starts : int array }
 
-type offline = { instance : Instance.t; schedule : Schedule.t; start_times : int array }
+type offline = { instance : Instance.t; schedule : Schedule.Columns.t; start_times : int array }
 
 let validate_arrival i a =
   let open Robust.Failure in
@@ -466,16 +466,14 @@ let materialize ~m ~scale arrivals r =
   let n = Instance.n inst in
   let id_of_pos = Array.make n 0 in
   Array.iteri (fun id pos -> id_of_pos.(pos) <- id) inst.Instance.original;
-  let steps = ref [] in
+  let schedule = Schedule.Columns.create inst in
+  let jobs = Array.make n 0 in
   let block active amounts k repeat =
-    let allocs = ref [] in
-    for i = k - 1 downto 0 do
-      let amount = amounts.(i) in
-      allocs :=
-        { Schedule.job = id_of_pos.(active.(i)); assigned = amount; consumed = amount }
-        :: !allocs
+    for i = 0 to k - 1 do
+      jobs.(i) <- id_of_pos.(active.(i))
     done;
-    steps := { Schedule.allocs = !allocs; repeat } :: !steps
+    Schedule.Columns.append schedule ~job:jobs ~assigned:amounts ~consumed:amounts ~len:k
+      ~repeat
   in
   let fresh = Session.resume session Session.unsolved ~block in
   if r.jobs <> n || r.makespan <> fresh.makespan || r.starts <> fresh.starts then
@@ -486,7 +484,6 @@ let materialize ~m ~scale arrivals r =
                "Online.materialize: a result over %d jobs (makespan %d) is not the run of \
                 %d arrivals (makespan %d)"
                r.jobs r.makespan n fresh.makespan)));
-  let schedule = Schedule.make inst (List.rev !steps) in
   let start_times = Array.map (fun pos -> fresh.starts.(pos)) inst.Instance.original in
   { instance = inst; schedule; start_times }
 

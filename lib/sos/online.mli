@@ -46,7 +46,7 @@
     starts. An extension simulates only the new events, so it costs
     O(new events) plus an O(n) copy of the starts. {!materialize} builds
     the offline views — the sorted {!Instance.t}, the id-keyed
-    {!Schedule.t} and the start times in id order — for callers that
+    {!Schedule.Columns.t} and the start times in id order — for callers that
     want them, by running the same simulation again from scratch, and
     checks the result it was given against that run. All three solve
     paths produce results byte-identical to {!run} on the same job set
@@ -68,7 +68,7 @@ type result = {
 
 type offline = {
   instance : Instance.t;  (** the jobs, as an offline instance *)
-  schedule : Schedule.t;  (** over the offline instance's job ids *)
+  schedule : Schedule.Columns.t;  (** over the offline instance's job ids *)
   start_times : int array;  (** 0-based first step of each job, by instance id *)
 }
 

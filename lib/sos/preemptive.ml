@@ -6,7 +6,7 @@ let run ?(fuel = 2_000_000) inst =
   let s = Array.init n (Instance.s inst) in
   let req i = inst.Instance.req.(i) in
   let alive = ref (List.init n Fun.id) in
-  let steps = ref [] in
+  let cols = Schedule.Columns.create inst in
   let fuel = ref fuel in
   while !alive <> [] do
     decr fuel;
@@ -38,7 +38,7 @@ let run ?(fuel = 2_000_000) inst =
         shares
     in
     if allocs = [] then Robust.Failure.internal_error "Preemptive.run: no progress";
-    steps := { Schedule.allocs; repeat = 1 } :: !steps;
+    Schedule.Columns.add_block cols ~repeat:1 allocs;
     alive := List.filter (fun j -> s.(j) > 0) !alive
   done;
-  Schedule.make inst (List.rev !steps)
+  cols

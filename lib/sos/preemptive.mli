@@ -12,7 +12,7 @@
     while saturating the resource-bound side. No approximation guarantee is
     claimed; empirically it sits within a few percent of the lower bound. *)
 
-val run : ?fuel:int -> Instance.t -> Schedule.t
+val run : ?fuel:int -> Instance.t -> Schedule.Columns.t
 (** The schedule is preemptive and migratory — validate with
     [~preemption_ok:true]. One simulated step per time step (no
     run-length compression): [fuel] (default 2_000_000 steps) bounds the

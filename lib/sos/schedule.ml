@@ -27,28 +27,6 @@ let of_blocks inst blocks ~len =
   done;
   { inst; steps = !steps; makespan = !makespan }
 
-(* ------------------------------------------------------- RLE iteration *)
-
-(* Everything below is built on these two: one pass over the run-length
-   encoded blocks, O(|allocs|) work per block, never per expanded step.
-   [t0] is the expanded time index of the block's first step. *)
-
-let fold_segments t ~init ~f =
-  let acc, _ =
-    List.fold_left
-      (fun (acc, t0) st -> (f acc ~t0 ~repeat:st.repeat st.allocs, t0 + st.repeat))
-      (init, 0) t.steps
-  in
-  acc
-
-let segments t =
-  let rec go t0 steps () =
-    match steps with
-    | [] -> Seq.Nil
-    | st :: rest -> Seq.Cons ((t0, st.repeat, st.allocs), go (t0 + st.repeat) rest)
-  in
-  go 0 t.steps
-
 (* ----------------------------------------------------------- validation *)
 
 type violation = { at_step : int; reason : string }
@@ -148,9 +126,36 @@ module Columns = struct
     c.blocks <- b + 1;
     c.makespan <- c.makespan + repeat
 
+  (* [append] for a block built as a list, as the reference algorithms
+     build theirs; [append] itself stays the solver's copy loop. *)
+  let add_block c ~repeat allocs =
+    let base = c.allocs in
+    let len = List.length allocs in
+    while base + len > Array.length c.job do
+      c.job <- grow c.job base;
+      c.assigned <- grow c.assigned base;
+      c.consumed <- grow c.consumed base
+    done;
+    let b = c.blocks in
+    if b = Array.length c.repeat then begin
+      c.repeat <- grow c.repeat b;
+      c.first <- grow c.first (b + 1)
+    end;
+    List.iteri
+      (fun i (a : alloc) ->
+        c.job.(base + i) <- a.job;
+        c.assigned.(base + i) <- a.assigned;
+        c.consumed.(base + i) <- a.consumed)
+      allocs;
+    c.allocs <- base + len;
+    c.repeat.(b) <- repeat;
+    c.first.(b + 1) <- base + len;
+    c.blocks <- b + 1;
+    c.makespan <- c.makespan + repeat
+
   (* The list's [makespan] field is copied, not recomputed, so [validate]
      sees the makespan the list claims. One counting pass sizes the
-     columns exactly; one filling pass writes them. *)
+     columns exactly. *)
   let of_schedule (s : schedule) =
     let rec count blocks allocs = function
       | [] -> (blocks, allocs)
@@ -158,25 +163,7 @@ module Columns = struct
     in
     let blocks, allocs = count 0 0 s.steps in
     let c = with_capacity s.inst ~blocks ~allocs in
-    let rec fill_allocs i = function
-      | [] -> i
-      | (a : alloc) :: rest ->
-          c.job.(i) <- a.job;
-          c.assigned.(i) <- a.assigned;
-          c.consumed.(i) <- a.consumed;
-          fill_allocs (i + 1) rest
-    in
-    let rec fill b i = function
-      | [] -> ()
-      | (st : step) :: rest ->
-          let i = fill_allocs i st.allocs in
-          c.repeat.(b) <- st.repeat;
-          c.first.(b + 1) <- i;
-          fill (b + 1) i rest
-    in
-    fill 0 0 s.steps;
-    c.blocks <- blocks;
-    c.allocs <- allocs;
+    List.iter (fun (st : step) -> add_block c ~repeat:st.repeat st.allocs) s.steps;
     c.makespan <- s.makespan;
     c
 
@@ -310,16 +297,22 @@ end
 
 let validate ?preemption_ok t = Columns.validate ?preemption_ok (Columns.of_schedule t)
 
-let processor_assignment =
-  let full_validate = validate in
-  fun ?(validate = true) t ->
-  (if validate then
-     match full_validate t with
-     | Ok () -> ()
-     | Error v ->
-         Robust.Failure.internal_error "processor_assignment: invalid schedule at %d: %s"
-           v.at_step v.reason);
-  let inst = t.inst in
+(* ------------------------------------------------------------ analytics *)
+
+(* Everything below walks the column store once: O(|allocs|) work per
+   run-length block, never per expanded step. [f b ~t0 ~repeat] sees block
+   [b], whose first step is the expanded time index [t0]; its allocations
+   are [first.(b) .. first.(b+1) − 1]. *)
+let iter_blocks (c : Columns.t) f =
+  let t0 = ref 0 in
+  for b = 0 to c.blocks - 1 do
+    let repeat = c.repeat.(b) in
+    f b ~t0:!t0 ~repeat;
+    t0 := !t0 + repeat
+  done
+
+let processor_assignment (c : Columns.t) =
+  let inst = c.inst in
   let n = Instance.n inst in
   let proc_of = Array.make n (-1) in
   let free = Queue.create () in
@@ -328,98 +321,83 @@ let processor_assignment =
   done;
   let remaining = Array.init n (Instance.s inst) in
   let result = ref [] in
-  fold_segments t ~init:() ~f:(fun () ~t0 ~repeat allocs ->
+  iter_blocks c (fun b ~t0 ~repeat ->
       (* Assign processors to jobs appearing for the first time. *)
-      List.iter
-        (fun a ->
-          if proc_of.(a.job) < 0 then begin
-            if Queue.is_empty free then
-              Robust.Failure.internal_error "processor_assignment: no free processor";
-            let p = Queue.pop free in
-            proc_of.(a.job) <- p;
-            result := (a.job, p, t0) :: !result
-          end)
-        allocs;
+      for i = c.first.(b) to c.first.(b + 1) - 1 do
+        let j = c.job.(i) in
+        if proc_of.(j) < 0 then begin
+          if Queue.is_empty free then
+            Robust.Failure.internal_error "processor_assignment: no free processor";
+          let p = Queue.pop free in
+          proc_of.(j) <- p;
+          result := (j, p, t0) :: !result
+        end
+      done;
       (* Release processors of jobs that finish within this block. *)
-      List.iter
-        (fun a ->
-          remaining.(a.job) <- remaining.(a.job) - (repeat * a.consumed);
-          if remaining.(a.job) = 0 then Queue.push proc_of.(a.job) free)
-        allocs);
+      for i = c.first.(b) to c.first.(b + 1) - 1 do
+        let j = c.job.(i) in
+        remaining.(j) <- remaining.(j) - (repeat * c.consumed.(i));
+        if remaining.(j) = 0 then Queue.push proc_of.(j) free
+      done);
   List.rev !result
 
-let expand t =
-  {
-    t with
-    steps =
-      List.concat_map
-        (fun st -> List.init st.repeat (fun _ -> { st with repeat = 1 }))
-        t.steps;
-  }
-
-let job_spans t =
-  let n = Instance.n t.inst in
+let job_spans (c : Columns.t) =
+  let n = Instance.n c.inst in
   let first = Array.make n (-1) and last = Array.make n (-1) in
-  fold_segments t ~init:() ~f:(fun () ~t0 ~repeat allocs ->
-      List.iter
-        (fun a ->
-          if first.(a.job) < 0 then first.(a.job) <- t0;
-          last.(a.job) <- t0 + repeat - 1)
-        allocs);
+  iter_blocks c (fun b ~t0 ~repeat ->
+      for i = c.first.(b) to c.first.(b + 1) - 1 do
+        let j = c.job.(i) in
+        if first.(j) < 0 then first.(j) <- t0;
+        last.(j) <- t0 + repeat - 1
+      done);
   List.filter_map
     (fun j -> if first.(j) >= 0 then Some (j, first.(j), last.(j)) else None)
     (List.init n Fun.id)
 
-let completion_times t =
-  let n = Instance.n t.inst in
-  let remaining = Array.init n (Instance.s t.inst) in
+let completion_times (c : Columns.t) =
+  let n = Instance.n c.inst in
+  let remaining = Array.init n (Instance.s c.inst) in
   let completion = Array.make n 0 in
-  fold_segments t ~init:() ~f:(fun () ~t0 ~repeat allocs ->
-      List.iter
-        (fun a ->
-          if a.consumed > 0 && remaining.(a.job) > 0 then begin
-            let before = remaining.(a.job) in
-            remaining.(a.job) <- before - (repeat * a.consumed);
-            if remaining.(a.job) <= 0 then begin
-              (* finished within this block: at its ⌈before/consumed⌉-th
-                 repetition *)
-              let reps = ((before - 1) / a.consumed) + 1 in
-              completion.(a.job) <- t0 + reps
-            end
-          end)
-        allocs);
+  iter_blocks c (fun b ~t0 ~repeat ->
+      for i = c.first.(b) to c.first.(b + 1) - 1 do
+        let j = c.job.(i) and consumed = c.consumed.(i) in
+        if consumed > 0 && remaining.(j) > 0 then begin
+          let before = remaining.(j) in
+          remaining.(j) <- before - (repeat * consumed);
+          if remaining.(j) <= 0 then
+            (* finished within this block: at its ⌈before/consumed⌉-th
+               repetition *)
+            completion.(j) <- t0 + ((before - 1) / consumed) + 1
+        end
+      done);
   Array.iteri
-    (fun j c ->
-      if c = 0 && Instance.s t.inst j > 0 then
+    (fun j t ->
+      if t = 0 && Instance.s c.inst j > 0 then
         invalid_arg "Schedule.completion_times: job never completes")
     completion;
   completion
 
-let sum_completion_times t = Array.fold_left ( + ) 0 (completion_times t)
+let sum_completion_times c = Array.fold_left ( + ) 0 (completion_times c)
 
-let mean_completion_time t =
-  let n = Instance.n t.inst in
-  if n = 0 then 0.0 else float_of_int (sum_completion_times t) /. float_of_int n
+let mean_completion_time (c : Columns.t) =
+  let n = Instance.n c.inst in
+  if n = 0 then 0.0 else float_of_int (sum_completion_times c) /. float_of_int n
 
 (* -------------------------------------------------- step-function views *)
 
 type 'a profile = (int * int * 'a) array
 
-let profile_make t f =
+let profile_make c f =
   (* One value per RLE block, adjacent equal values merged: |profile| ≤
-     |steps|, and often much smaller (long constant phases). *)
-  let segs = ref [] and count = ref 0 in
-  fold_segments t ~init:() ~f:(fun () ~t0 ~repeat allocs ->
-      let v = f allocs in
+     |blocks|, and often much smaller (long constant phases). *)
+  let segs = ref [] in
+  iter_blocks c (fun b ~t0 ~repeat ->
+      let v = f b in
       match !segs with
       | (pt0, plen, pv) :: rest when pv = v && pt0 + plen = t0 ->
           segs := (pt0, plen + repeat, v) :: rest
-      | _ ->
-          segs := (t0, repeat, v) :: !segs;
-          incr count);
-  let out = Array.make !count (0, 0, f []) in
-  List.iteri (fun i seg -> out.(!count - 1 - i) <- seg) !segs;
-  out
+      | _ -> segs := (t0, repeat, v) :: !segs);
+  Array.of_list (List.rev !segs)
 
 let profile_length (p : _ profile) =
   match Array.length p with
@@ -440,21 +418,29 @@ let to_dense ?cap ~default (p : 'a profile) =
     p;
   out
 
-let utilization t =
-  let scale = float_of_int t.inst.Instance.scale in
-  profile_make t (fun allocs ->
-      float_of_int (List.fold_left (fun acc a -> acc + a.consumed) 0 allocs) /. scale)
+(* Σ of one allocation column over block [b]. *)
+let block_sum (c : Columns.t) column b =
+  let sum = ref 0 in
+  for i = c.first.(b) to c.first.(b + 1) - 1 do
+    sum := !sum + column.(i)
+  done;
+  !sum
 
-let assigned_utilization t =
-  let scale = float_of_int t.inst.Instance.scale in
-  profile_make t (fun allocs ->
-      float_of_int (List.fold_left (fun acc a -> acc + a.assigned) 0 allocs) /. scale)
+let utilization (c : Columns.t) =
+  let scale = float_of_int c.inst.Instance.scale in
+  profile_make c (fun b -> float_of_int (block_sum c c.consumed b) /. scale)
 
-let jobs_per_step t = profile_make t List.length
+let assigned_utilization (c : Columns.t) =
+  let scale = float_of_int c.inst.Instance.scale in
+  profile_make c (fun b -> float_of_int (block_sum c c.assigned b) /. scale)
 
-let total_waste t =
-  fold_segments t ~init:0 ~f:(fun acc ~t0:_ ~repeat allocs ->
-      acc + (repeat * List.fold_left (fun acc a -> acc + (a.assigned - a.consumed)) 0 allocs))
+let jobs_per_step (c : Columns.t) = profile_make c (fun b -> c.first.(b + 1) - c.first.(b))
+
+let total_waste (c : Columns.t) =
+  let waste = ref 0 in
+  iter_blocks c (fun b ~t0:_ ~repeat ->
+      waste := !waste + (repeat * (block_sum c c.assigned b - block_sum c c.consumed b)));
+  !waste
 
 (* -------------------------------------------------------------- display *)
 
@@ -462,30 +448,32 @@ let job_glyph j =
   let letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" in
   letters.[j mod String.length letters]
 
-let render_gantt ?(max_width = 120) t =
-  let m = t.inst.Instance.m in
-  let width = min t.makespan max_width in
+let render_gantt ?(max_width = 120) (c : Columns.t) =
+  let m = c.inst.Instance.m in
+  let width = min c.makespan max_width in
   let grid = Array.make_matrix m width '.' in
-  let proc_of = Array.make (Instance.n t.inst) (-1) in
-  List.iter (fun (j, p, _) -> proc_of.(j) <- p) (processor_assignment ~validate:false t);
+  let proc_of = Array.make (Instance.n c.inst) (-1) in
+  List.iter (fun (j, p, _) -> proc_of.(j) <- p) (processor_assignment c);
   (* Only the blocks that intersect the visible columns are walked: the
      render cost is O(m·max_width), independent of the makespan. *)
-  Seq.iter
-    (fun (t0, repeat, allocs) ->
-      let hi = min (t0 + repeat) width - 1 in
-      List.iter
-        (fun a ->
-          if proc_of.(a.job) >= 0 then
-            for i = t0 to hi do
-              grid.(proc_of.(a.job)).(i) <- job_glyph a.job
-            done)
-        allocs)
-    (Seq.take_while (fun (t0, _, _) -> t0 < width) (segments t));
+  let b = ref 0 and t0 = ref 0 in
+  while !b < c.blocks && !t0 < width do
+    let hi = min (!t0 + c.repeat.(!b)) width - 1 in
+    for i = c.first.(!b) to c.first.(!b + 1) - 1 do
+      let j = c.job.(i) in
+      if proc_of.(j) >= 0 then
+        for x = !t0 to hi do
+          grid.(proc_of.(j)).(x) <- job_glyph j
+        done
+    done;
+    t0 := !t0 + c.repeat.(!b);
+    incr b
+  done;
   let buf = Buffer.create ((m + 1) * (width + 8)) in
   for p = 0 to m - 1 do
     Buffer.add_string buf (Printf.sprintf "p%-2d " p);
     Array.iter (Buffer.add_char buf) grid.(p);
-    if t.makespan > width then Buffer.add_string buf " ...";
+    if c.makespan > width then Buffer.add_string buf " ...";
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf

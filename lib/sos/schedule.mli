@@ -1,24 +1,32 @@
 (** Schedules: time-indexed resource/job assignments, with a full validator.
 
-    A schedule is a run-length-encoded list of steps. Each step carries the
-    allocations of one time step; [repeat] says how many consecutive time
-    steps use exactly these allocations (the step-skipping solver emits
-    [repeat > 1]). The same blocks also come as a flat-int-column store,
-    {!Columns}, which is what the solver emits and [sosctl batch] reads. For every allocation, [assigned] is the resource share
-    handed to the job's processor and [consumed] the amount of its remaining
-    requirement actually paid for, i.e. [min(assigned, r_j, s_j(t−1))];
-    [assigned − consumed] is wasted resource.
+    A schedule is a sequence of run-length-encoded blocks: each block holds
+    the allocations of one time step, and its [repeat] says how many
+    consecutive time steps use exactly these allocations (the step-skipping
+    solver emits [repeat > 1]). For every allocation, [assigned] is the
+    resource share handed to the job's processor and [consumed] the amount
+    of its remaining requirement actually paid for, i.e.
+    [min(assigned, r_j, s_j(t−1))]; [assigned − consumed] is wasted
+    resource.
 
-    {b Strongly-polynomial analytics.} Every query below ([validate],
-    [completion_times], [utilization], [jobs_per_step], [total_waste],
-    [job_spans], [processor_assignment], [render_gantt]) is computed by a
-    single fold over the RLE blocks, doing O(|allocs|) work per {e block} —
-    never per expanded time step. On the [Fast] solver's output that is
-    O((m+n)·n) total (Theorem 3.3's bound), independent of the processing
-    volumes; a schedule with makespan 10⁷ and a few hundred blocks is
-    analyzed in microseconds. Per-step views are exposed as compact step
-    functions ({!profile}); {!to_dense} and {!expand} are the explicit,
-    capped escape hatches back to Θ(makespan) form. *)
+    {b One form.} Every producer — the solver, Listing 1, the variants, the
+    baselines, the online and SAS schedulers — appends its blocks to a
+    flat-int-column store, {!Columns}, and every analytic below, the CSV
+    writers ({!Export}) and the SVG renderer ({!Svg}) read that store. The
+    list form {!t} ([step] records holding [alloc] lists) is what {!Fast.run}
+    returns and {!val-validate} checks, for callers that read its [steps];
+    {!Columns.of_schedule} and {!Columns.to_schedule} convert.
+
+    {b Strongly-polynomial analytics.} Every query below ([completion_times],
+    [utilization], [jobs_per_step], [total_waste], [job_spans],
+    [processor_assignment], [render_gantt]) is computed by one walk over the
+    blocks, doing O(|allocs|) work per {e block} — never per expanded time
+    step. On the [Fast] solver's output that is O((m+n)·n) total (Theorem
+    3.3's bound), independent of the processing volumes; a schedule with
+    makespan 10⁷ and a few hundred blocks is analyzed in microseconds.
+    Per-step views are exposed as compact step functions ({!profile});
+    {!to_dense} is the explicit, capped escape hatch back to Θ(makespan)
+    form. *)
 
 type alloc = { job : int; assigned : int; consumed : int }
 
@@ -37,22 +45,9 @@ val make : Instance.t -> step list -> t
 val of_blocks : Instance.t -> step array -> len:int -> t
 (** [of_blocks inst blocks ~len] builds a schedule from the first [len]
     entries of a block array in time order, for callers that accumulate
-    [step] records in a growable array (the solver itself now emits a
+    [step] records in a growable array (the library's producers build a
     {!Columns.t}). One backward pass; the array is not retained. Raises
     [Invalid_argument] on a non-positive [repeat] or [len] out of range. *)
-
-(** {1 RLE-native iteration} *)
-
-val fold_segments :
-  t -> init:'acc -> f:('acc -> t0:int -> repeat:int -> alloc list -> 'acc) -> 'acc
-(** Fold over the run-length-encoded blocks in time order. [t0] is the
-    expanded time index of the block's first step; the block covers
-    [t0 .. t0+repeat−1]. All analytics in this module are built on this
-    (or on {!segments}) and inherit its O(Σ|allocs|) cost. *)
-
-val segments : t -> (int * int * alloc list) Seq.t
-(** The blocks as a lazy [(t0, repeat, allocs)] sequence, for consumers
-    that terminate early (e.g. {!render_gantt} stops at its column cap). *)
 
 (** {1 Validation} *)
 
@@ -63,11 +58,11 @@ type violation = {
 
 (** {1 Column store}
 
-    The solver's native output: one flat int column per field, no record,
-    cons cell or step per allocation. Per block, [repeat.(b)] and
-    [first.(b)], the offset of its first allocation; block [b]'s
-    allocations are [first.(b) .. first.(b+1) − 1] ([first] keeps one entry
-    past the last block). Per allocation, [job.(i)], [assigned.(i)] and
+    The schedule every producer builds and every reader reads: one flat int
+    column per field, no record, cons cell or step per allocation. Per
+    block, [repeat.(b)] and [first.(b)], the offset of its first
+    allocation; block [b]'s allocations are [first.(b) .. first.(b+1) − 1]
+    ([first] keeps one entry past the last block). Per allocation, [job.(i)], [assigned.(i)] and
     [consumed.(i)]. Only the first [blocks] (resp. [allocs]) entries are
     meaningful; the columns grow by doubling from capacities sized by the
     instance's n, never by m ([serve] accepts m = [max_int]).
@@ -86,7 +81,7 @@ module Columns : sig
     mutable job : int array;
     mutable assigned : int array;
     mutable consumed : int array;
-    mutable makespan : int;  (** [Σ repeat] when built by {!append} *)
+    mutable makespan : int;  (** [Σ repeat] when built by {!append} or {!add_block} *)
   }
 
   val create : Instance.t -> t
@@ -110,6 +105,11 @@ module Columns : sig
       steps (possibly with no allocation), and add [repeat] to the
       makespan — how the Fast solver appends each RLE block. No check:
       {!validate} rejects [repeat < 1]. *)
+
+  val add_block : t -> repeat:int -> alloc list -> unit
+  (** {!append} for a block given as a list: how the step-by-step reference
+      algorithms, the baselines and the online and SAS schedulers build
+      their stores. No check either. *)
 
   val of_schedule : schedule -> t
   (** The list form's blocks, in order, with its [makespan] field copied as
@@ -156,34 +156,27 @@ val validate : ?preemption_ok:bool -> t -> (unit, violation) result
     Converts with {!Columns.of_schedule} and runs {!Columns.validate}: one
     pass over the blocks, O(Σ|allocs|), independent of makespan. *)
 
-val expand : t -> t
-(** Replace every run-length-encoded step by [repeat] copies. Semantically
-    identical; [validate] agrees on both forms (tested property). Only for
-    moderate makespans — this is the Θ(makespan) escape hatch. *)
-
-val processor_assignment : ?validate:bool -> t -> (int * int * int) list
+val processor_assignment : Columns.t -> (int * int * int) list
 (** [(job, processor, start_step)] for each job, computed by greedy interval
-    coloring over the block timeline; requires a valid non-preemptive
-    schedule. By default the schedule is validated first and [Failure] is
-    raised otherwise; internal render/export callers pass [~validate:false]
-    to avoid re-validating a schedule they already checked (the coloring
-    itself still fails loudly on schedules needing more than [m]
-    processors). *)
+    coloring over the block timeline. The store must be valid and
+    non-preemptive ({!Columns.validate} without [preemption_ok]): every
+    caller holds one it validated. The coloring fails loudly
+    ([Robust.Failure.Internal]) when it runs out of processors. *)
 
-val job_spans : t -> (int * int * int) list
+val job_spans : Columns.t -> (int * int * int) list
 (** [(job, first_step, last_step)] (0-based, inclusive) for every job that
     receives an allocation, in job order. Works for preemptive schedules
     too (the span then covers the gaps). *)
 
-val completion_times : t -> int array
+val completion_times : Columns.t -> int array
 (** Per job, the 1-based step in which its consumption completes [s_j]
     (0 for a job with [s_j = 0] allocations only — impossible for valid
     schedules of well-formed instances). Raises [Invalid_argument] if some
     job never completes. Completion inside a [repeat > 1] block is located
     by division, not simulation. *)
 
-val sum_completion_times : t -> int
-val mean_completion_time : t -> float
+val sum_completion_times : Columns.t -> int
+val mean_completion_time : Columns.t -> float
 (** 0 on the empty instance. *)
 
 (** {1 Step-function profiles}
@@ -191,7 +184,7 @@ val mean_completion_time : t -> float
     Per-step analytics are returned as compact step functions: a
     [(t0, len, value)] array, consecutive and gap-free, covering
     [0 .. makespan−1] with adjacent equal values merged. [|profile| ≤
-    |steps|], so the representation stays proportional to the solver
+    |blocks|], so the representation stays proportional to the solver
     output, not to the makespan. *)
 
 type 'a profile = (int * int * 'a) array
@@ -209,21 +202,23 @@ val to_dense : ?cap:int -> default:'a -> 'a profile -> 'a array
     instances. [default] fills a (never-occurring) gap and types the empty
     array. *)
 
-val utilization : t -> float profile
+val utilization : Columns.t -> float profile
 (** Per step, [Σ consumed / scale], as a step function. *)
 
-val assigned_utilization : t -> float profile
+val assigned_utilization : Columns.t -> float profile
 (** Per step, [Σ assigned / scale], as a step function. *)
 
-val jobs_per_step : t -> int profile
+val jobs_per_step : Columns.t -> int profile
 (** Per step, number of allocations, as a step function. *)
 
-val total_waste : t -> int
+val total_waste : Columns.t -> int
 (** [Σ (assigned − consumed)] over all steps, in resource units. *)
 
 (** {1 Rendering} *)
 
-val render_gantt : ?max_width:int -> t -> string
+val render_gantt : ?max_width:int -> Columns.t -> string
 (** ASCII Gantt chart (rows = processors, columns = time steps); truncated
-    to [max_width] (default 120) columns. Only the blocks intersecting the
-    visible columns are walked — O(m·max_width) regardless of makespan. *)
+    to [max_width] (default 120) columns. After one
+    {!processor_assignment} walk over the blocks, only the blocks
+    intersecting the visible columns are drawn — O(|blocks| + m·max_width)
+    regardless of makespan. The store must be valid and non-preemptive. *)

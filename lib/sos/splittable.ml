@@ -134,6 +134,10 @@ let select_pinned items ~size ~budget ~pid =
   let skipped, window, _rsum, rest = move skipped window count rsum rest in
   (skipped, window, rest)
 
+(* An item's share of a step, as the job's allocation: a unit-size job
+   consumes all it is assigned. *)
+let alloc_of (id, a) = { Schedule.job = id; assigned = a; consumed = a }
+
 let run_nonpreemptive inst =
   if not (Instance.unit_size inst) then
     invalid_arg "Splittable.run_nonpreemptive: instance has non-unit job sizes";
@@ -142,7 +146,7 @@ let run_nonpreemptive inst =
       (List.init (Instance.n inst) (fun i -> { id = i; size = inst.Instance.req.(i) }))
   in
   let budget = inst.Instance.scale and size = inst.Instance.m in
-  let steps = ref [] in
+  let cols = Schedule.Columns.create inst in
   let rec loop items pinned =
     match items with
     | [] -> ()
@@ -169,15 +173,7 @@ let run_nonpreemptive inst =
         in
         let allocs, leftover = assign 0 window in
         let allocs = List.filter (fun (_, a) -> a > 0) allocs in
-        steps :=
-          {
-            Schedule.allocs =
-              List.map
-                (fun (id, a) -> { Schedule.job = id; assigned = a; consumed = a })
-                allocs;
-            repeat = 1;
-          }
-          :: !steps;
+        Schedule.Columns.add_block cols ~repeat:1 (List.map alloc_of allocs);
         let remaining = skipped @ rest in
         let remaining, pinned =
           match leftover with
@@ -187,7 +183,7 @@ let run_nonpreemptive inst =
         loop remaining pinned
   in
   loop items None;
-  Schedule.make inst (List.rev !steps)
+  cols
 
 let run inst =
   if not (Instance.unit_size inst) then
@@ -195,15 +191,8 @@ let run inst =
   let items =
     List.init (Instance.n inst) (fun i -> { id = i; size = inst.Instance.req.(i) })
   in
-  let bins = pack items ~size:inst.Instance.m ~budget:inst.Instance.scale in
-  let steps =
-    List.map
-      (fun allocs ->
-        {
-          Schedule.allocs =
-            List.map (fun (id, a) -> { Schedule.job = id; assigned = a; consumed = a }) allocs;
-          repeat = 1;
-        })
-      bins
-  in
-  Schedule.make inst steps
+  let cols = Schedule.Columns.create inst in
+  List.iter
+    (fun allocs -> Schedule.Columns.add_block cols ~repeat:1 (List.map alloc_of allocs))
+    (pack items ~size:inst.Instance.m ~budget:inst.Instance.scale);
+  cols

@@ -39,13 +39,13 @@ val pack : item list -> size:int -> budget:int -> alloc list list
     size, or if some item can never make progress
     ([size ≤ 0] or [budget ≤ 0] with items present). *)
 
-val run : Instance.t -> Schedule.t
+val run : Instance.t -> Schedule.Columns.t
 (** The modified unit-size algorithm on an SoS instance (all sizes must be
     1; raises [Invalid_argument] otherwise): windows of size [m], budget =
     the full resource. The result may be preemptive — validate it with
     [~preemption_ok:true]. *)
 
-val run_nonpreemptive : Instance.t -> Schedule.t
+val run_nonpreemptive : Instance.t -> Schedule.Columns.t
 (** The same m-maximal modification, but keeping MoveWindowRight's
     started-job guard: the single partial job is never slid out of the
     window, so it is processed in every step from start to finish and the

@@ -20,10 +20,12 @@ let color_of_job j =
   let byte v = int_of_float (255.0 *. (v +. m)) in
   Printf.sprintf "#%02x%02x%02x" (byte r) (byte g) (byte b)
 
-let render ?(width = 960) ?(row_height = 22) ?(validate = true) ?title sched =
-  let inst = sched.Schedule.inst in
-  let m = inst.Instance.m in
-  let makespan = max 1 sched.Schedule.makespan in
+let width = 960
+let row_height = 22
+
+let render ?title (c : Schedule.Columns.t) =
+  let m = c.inst.Instance.m in
+  let makespan = max 1 c.makespan in
   let label_w = 36 in
   let chart_w = width - label_w - 10 in
   let x_of t = label_w + (t * chart_w / makespan) in
@@ -43,7 +45,7 @@ let render ?(width = 960) ?(row_height = 22) ?(validate = true) ?title sched =
   | None -> ());
   (* Rows: one bar per (job, contiguous interval). Rebuild intervals from
      the processor assignment. *)
-  let placements = Schedule.processor_assignment ~validate sched in
+  let placements = Schedule.processor_assignment c in
   let proc_of = Hashtbl.create 64 and start_of = Hashtbl.create 64 in
   List.iter
     (fun (j, p, t0) ->
@@ -51,7 +53,7 @@ let render ?(width = 960) ?(row_height = 22) ?(validate = true) ?title sched =
       Hashtbl.replace start_of j t0)
     placements;
   let last_of = Hashtbl.create 64 in
-  List.iter (fun (j, _, t1) -> Hashtbl.replace last_of j t1) (Schedule.job_spans sched);
+  List.iter (fun (j, _, t1) -> Hashtbl.replace last_of j t1) (Schedule.job_spans c);
   for p = 0 to m - 1 do
     let y = title_h + (p * row_height) in
     Buffer.add_string buf
@@ -87,7 +89,7 @@ let render ?(width = 960) ?(row_height = 22) ?(validate = true) ?title sched =
     jobs;
   (* Utilization strip: one rect per step-function segment, not per time
      step — both smaller output and O(|steps|) render time. *)
-  let u = Schedule.utilization sched in
+  let u = Schedule.utilization c in
   let y0 = title_h + (m * row_height) + 12 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -111,6 +113,3 @@ let render ?(width = 960) ?(row_height = 22) ?(validate = true) ?title sched =
        label_w (height - 4) (width - 60) (height - 4) makespan);
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
-
-let render_to_file path sched =
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (render sched))

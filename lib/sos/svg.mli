@@ -2,17 +2,10 @@
     resource-utilization strip, for READMEs and papers. Pure string
     generation, no dependencies. *)
 
-val render :
-  ?width:int -> ?row_height:int -> ?validate:bool -> ?title:string ->
-  Schedule.t -> string
-(** An SVG document ([width] pixels wide, default 960; [row_height] per
-    processor row, default 22). Jobs are colored by id (golden-angle hue
-    rotation), labeled when wide enough; below the rows a strip shows the
-    consumed utilization, one rect per step-function segment. Requires a
-    valid non-preemptive schedule (processor assignment must exist); raises
-    [Failure] otherwise. Pass [~validate:false] to skip the up-front
-    validation when the schedule was already checked; either way the render
-    is O(|steps|), independent of the makespan. *)
-
-val render_to_file : string -> Schedule.t -> unit
-(** [render_to_file path sched] with default options. *)
+val render : ?title:string -> Schedule.Columns.t -> string
+(** An SVG document, 960 pixels wide, 22 per processor row. Jobs are
+    colored by id (golden-angle hue rotation), labeled when wide enough;
+    below the rows a strip shows the consumed utilization, one rect per
+    step-function segment. The store must be valid and non-preemptive, as
+    {!Schedule.processor_assignment} requires; the render is O(|blocks|),
+    independent of the makespan. *)

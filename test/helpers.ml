@@ -32,9 +32,36 @@ let contains hay needle =
   go 0
 
 let check_valid ?preemption_ok sched =
-  match Sos.Schedule.validate ?preemption_ok sched with
+  match Sos.Schedule.Columns.validate ?preemption_ok sched with
   | Ok () -> ()
   | Error v -> Alcotest.failf "invalid schedule at step %d: %s" v.at_step v.reason
+
+(* The Fast solver's schedule, in a fresh store. *)
+let solve ?variant inst = fst (Sos.Fast.run_columns ?variant inst)
+
+(* The allocations of block [b], in order, as records. *)
+let block_allocs (c : Sos.Schedule.Columns.t) b =
+  List.init
+    (c.first.(b + 1) - c.first.(b))
+    (fun k ->
+      let i = c.first.(b) + k in
+      { Sos.Schedule.job = c.job.(i); assigned = c.assigned.(i); consumed = c.consumed.(i) })
+
+(* The blocks as the list form, for structural comparisons. *)
+let steps c = (Sos.Schedule.Columns.to_schedule c).steps
+
+(* The dense reference the run-length-native analytics are checked
+   against: every block replaced by [repeat] one-step copies. Θ(makespan),
+   so only for moderate makespans. *)
+let expand (c : Sos.Schedule.Columns.t) =
+  let d = Sos.Schedule.Columns.create c.inst in
+  for b = 0 to c.blocks - 1 do
+    let allocs = block_allocs c b in
+    for _ = 1 to c.repeat.(b) do
+      Sos.Schedule.Columns.add_block d ~repeat:1 allocs
+    done
+  done;
+  d
 
 let instance_of_reqs ~m ~scale reqs =
   Sos.Instance.create ~m ~scale (List.map (fun r -> (1, r)) reqs)

@@ -132,5 +132,5 @@ let run ~m ~scale (arrivals : Online.arrival list) : Online.offline =
       (trim sim.steps_rev)
   in
   let start_times = Array.init n (fun id -> sim.start.(inst.Instance.original.(id))) in
-  let schedule = Schedule.make inst steps in
+  let schedule = Schedule.Columns.of_schedule (Schedule.make inst steps) in
   { Online.instance = inst; schedule; start_times }

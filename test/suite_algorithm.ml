@@ -13,25 +13,25 @@ let test_single_job () =
   let inst = Instance.create ~m:3 ~scale:10 [ (4, 30) ] in
   let s = Listing1.run ~check:true inst in
   Helpers.check_valid s;
-  Alcotest.(check int) "makespan" 12 s.Schedule.makespan
+  Alcotest.(check int) "makespan" 12 s.makespan
 
 let test_full_requirement_single () =
   (* r = scale: job gets everything, finishes in exactly p steps. *)
   let inst = Instance.create ~m:2 ~scale:10 [ (5, 10) ] in
   let s = Listing1.run ~check:true inst in
-  Alcotest.(check int) "makespan = p" 5 s.Schedule.makespan
+  Alcotest.(check int) "makespan = p" 5 s.makespan
 
 let test_two_tiny_jobs_parallel () =
   (* m = 3 (window size 2): two tiny jobs run together. *)
   let inst = Instance.create ~m:3 ~scale:10 [ (2, 1); (2, 1) ] in
   let s = Listing1.run ~check:true inst in
   Helpers.check_valid s;
-  Alcotest.(check int) "parallel finish" 2 s.Schedule.makespan
+  Alcotest.(check int) "parallel finish" 2 s.makespan
 
 let test_empty_instance () =
   let inst = Instance.create ~m:4 ~scale:10 [] in
   let s = Listing1.run inst in
-  Alcotest.(check int) "empty" 0 s.Schedule.makespan
+  Alcotest.(check int) "empty" 0 s.makespan
 
 let test_known_optimal_fill () =
   (* Jobs exactly fill the resource: 4 unit-size jobs of r = scale/4 with
@@ -39,16 +39,9 @@ let test_known_optimal_fill () =
   let inst = Instance.create ~m:5 ~scale:100 [ (3, 25); (3, 25); (3, 25); (3, 25) ] in
   let s = Listing1.run ~check:true inst in
   Helpers.check_valid s;
-  Alcotest.(check int) "resource-tight optimum" 3 s.Schedule.makespan
+  Alcotest.(check int) "resource-tight optimum" 3 s.makespan
 
 let variants = [ `Fixed; `Literal ]
-
-let expand (s : Schedule.t) =
-  List.concat_map
-    (fun (st : Schedule.step) ->
-      List.init st.repeat (fun _ ->
-          List.map (fun (a : Schedule.alloc) -> (a.job, a.assigned, a.consumed)) st.allocs))
-    s.steps
 
 let prop_valid inst =
   List.iter
@@ -59,11 +52,11 @@ let prop_fast_equivalent inst =
   List.iter
     (fun variant ->
       let s1 = Listing1.run ~check:true ~variant inst in
-      let s2 = Fast.run ~variant inst in
-      if s1.Schedule.makespan <> s2.Schedule.makespan then
-        Alcotest.failf "makespan mismatch: listing1=%d fast=%d" s1.Schedule.makespan
-          s2.Schedule.makespan;
-      if expand s1 <> expand s2 then Alcotest.fail "expanded schedules differ";
+      let s2 = Helpers.solve ~variant inst in
+      if s1.makespan <> s2.makespan then
+        Alcotest.failf "makespan mismatch: listing1=%d fast=%d" s1.makespan s2.makespan;
+      if Helpers.steps (Helpers.expand s1) <> Helpers.steps (Helpers.expand s2) then
+        Alcotest.fail "expanded schedules differ";
       Helpers.check_valid s2)
     variants
 
@@ -75,10 +68,9 @@ let prop_theorem_3_3 inst =
     let limit = int_of_float (ceil (bound *. float_of_int lb)) in
     List.iter
       (fun variant ->
-        let s = Fast.run ~variant inst in
-        if s.Schedule.makespan > limit then
-          Alcotest.failf "ratio violated: makespan=%d lb=%d bound=%.4f"
-            s.Schedule.makespan lb bound)
+        let s = Helpers.solve ~variant inst in
+        if s.makespan > limit then
+          Alcotest.failf "ratio violated: makespan=%d lb=%d bound=%.4f" s.makespan lb bound)
       variants
   end
 
@@ -89,8 +81,8 @@ let prop_unit_size_theorem inst =
     let lb = Bounds.lower_bound inst in
     let bound = Bounds.guarantee_unit ~m in
     let limit = int_of_float (ceil (bound *. float_of_int lb)) + 1 in
-    if s.Schedule.makespan > limit then
-      Alcotest.failf "unit-size bound violated: makespan=%d lb=%d" s.Schedule.makespan lb
+    if s.makespan > limit then
+      Alcotest.failf "unit-size bound violated: makespan=%d lb=%d" s.makespan lb
   end
 
 let prop_lemma_3_8 inst =
@@ -118,7 +110,7 @@ let prop_observation_3_2 inst =
      asserted by ~check. *)
   let budget = inst.Instance.scale in
   let sched, trace = Listing1.run_traced ~check:true inst in
-  let steps = Array.of_list sched.Schedule.steps in
+  let steps = Array.of_list (Helpers.steps sched) in
   List.iteri
     (fun idx (info : Listing1.step_info) ->
       let allocs = steps.(idx).Schedule.allocs in
@@ -186,9 +178,8 @@ let prop_splittable inst =
     let lb = Bounds.lower_bound inst in
     let bound = Bounds.guarantee_unit_modified ~m in
     let limit = int_of_float (ceil (bound *. float_of_int lb)) + 1 in
-    if s.Schedule.makespan > limit then
-      Alcotest.failf "splittable bound violated: makespan=%d lb=%d m=%d"
-        s.Schedule.makespan lb m
+    if s.makespan > limit then
+      Alcotest.failf "splittable bound violated: makespan=%d lb=%d m=%d" s.makespan lb m
   end
 
 let prop_splittable_nonpreemptive inst =
@@ -200,9 +191,9 @@ let prop_splittable_nonpreemptive inst =
     let lb = Bounds.lower_bound inst in
     let bound = Bounds.guarantee_unit_modified ~m in
     let limit = int_of_float (ceil (bound *. float_of_int lb)) + 1 in
-    if s.Schedule.makespan > limit then
+    if s.makespan > limit then
       Alcotest.failf "non-preemptive m-maximal bound violated: makespan=%d lb=%d m=%d"
-        s.Schedule.makespan lb m
+        s.makespan lb m
   end
 
 let unit_instance rng =
@@ -237,16 +228,15 @@ let test_fast_on_big_volumes () =
   for seed = 1 to 60 do
     let rng = Rng.create (seed * 31337) in
     let inst = big_volume_instance rng in
-    let s = Fast.run inst in
+    let s, iters = Fast.run_columns inst in
     (try Helpers.check_valid s
      with e ->
        Alcotest.failf "big volume seed %d: %s\n%s" seed (Printexc.to_string e)
          (Instance.to_string inst));
     (* The fast path must actually compress: far fewer iterations than steps. *)
-    let _, iters = Fast.run_count inst in
-    if s.Schedule.makespan > 1000 && iters * 20 > s.Schedule.makespan then
+    if s.makespan > 1000 && iters * 20 > s.makespan then
       Alcotest.failf "fast solver did not compress: %d iters for makespan %d" iters
-        s.Schedule.makespan
+        s.makespan
   done
 
 let test_fast_equiv_medium_volumes () =
@@ -298,8 +288,8 @@ let test_fast_equiv_qevent_stress () =
    clock. Refresh deliberately if the skip rule is extended. *)
 let test_fast_iteration_goldens () =
   let check name inst ~fixed ~literal =
-    let s_fix, it_fix = Fast.run_count ~variant:`Fixed inst in
-    let s_lit, it_lit = Fast.run_count ~variant:`Literal inst in
+    let s_fix, it_fix = Fast.run_columns ~variant:`Fixed inst in
+    let s_lit, it_lit = Fast.run_columns ~variant:`Literal inst in
     Helpers.check_valid s_fix;
     Helpers.check_valid s_lit;
     Alcotest.(check int) (name ^ ": fixed iterations") fixed it_fix;
@@ -336,10 +326,10 @@ let test_fast_iterations_linear () =
       let inst = gate_instance ~n ~m:8 ~pmax (7 * n * pmax) in
       List.iter
         (fun variant ->
-          let sched, iters = Fast.run_count ~variant inst in
+          let sched, iters = Fast.run_columns ~variant inst in
           if iters > 2 * n then
             Alcotest.failf "t7b n=%d pmax=%d: %d iterations > 2n (makespan %d)" n
-              pmax iters sched.Schedule.makespan)
+              pmax iters sched.makespan)
         variants)
     [ (50, 10_000_000); (800, 100_000); (3200, 100_000) ]
 
@@ -347,11 +337,11 @@ let test_makespan_at_least_lb () =
   for seed = 1 to 200 do
     let rng = Rng.create (seed * 13) in
     let inst = Workload.Sos_gen.random_instance rng () in
-    let s = Fast.run inst in
+    let s = Helpers.solve inst in
     let lb = Bounds.lower_bound inst in
-    if s.Schedule.makespan < lb then
-      Alcotest.failf "makespan %d below lower bound %d (seed %d)\n%s"
-        s.Schedule.makespan lb seed (Instance.to_string inst)
+    if s.makespan < lb then
+      Alcotest.failf "makespan %d below lower bound %d (seed %d)\n%s" s.makespan lb seed
+        (Instance.to_string inst)
   done
 
 let test_splittable_pack_structure () =
@@ -421,9 +411,9 @@ let test_lemma_3_7_stall () =
   let lb = Bounds.lower_bound inst in
   let bound = Bounds.guarantee_general ~m:7 in
   List.iter
-    (fun (s : Schedule.t) ->
+    (fun (s : Schedule.Columns.t) ->
       Alcotest.(check bool) "ratio within guarantee" true
-        (float_of_int s.Schedule.makespan <= (bound *. float_of_int lb) +. 1e-9))
+        (float_of_int s.makespan <= (bound *. float_of_int lb) +. 1e-9))
     [ s_lit; s_fix ]
 
 let test_gantt_renders () =
@@ -446,14 +436,14 @@ let test_utilization_profile () =
   let inst = Instance.create ~m:4 ~scale:100 [ (2, 50); (2, 50); (2, 50) ] in
   let s = Listing1.run inst in
   let u = Schedule.utilization s in
-  Alcotest.(check int) "covers makespan" s.Schedule.makespan (Schedule.profile_length u);
+  Alcotest.(check int) "covers makespan" s.makespan (Schedule.profile_length u);
   Array.iter
     (fun (_, _, x) -> Alcotest.(check bool) "≤ 1" true (x <= 1.0 +. 1e-9))
     u;
   let dense = Schedule.to_dense ~default:0.0 u in
-  Alcotest.(check int) "dense length = makespan" s.Schedule.makespan (Array.length dense);
+  Alcotest.(check int) "dense length = makespan" s.makespan (Array.length dense);
   let capped = Schedule.to_dense ~cap:2 ~default:0.0 u in
-  Alcotest.(check int) "cap truncates" (min 2 s.Schedule.makespan) (Array.length capped)
+  Alcotest.(check int) "cap truncates" (min 2 s.makespan) (Array.length capped)
 
 let blocks_of (s : Schedule.t) =
   List.map

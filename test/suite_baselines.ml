@@ -9,21 +9,21 @@ let test_list_scheduling_serializes_conflicts () =
   let inst = Instance.create ~m:4 ~scale:10 [ (3, 10); (3, 10) ] in
   let s = Baselines.List_scheduling.run inst in
   Helpers.check_valid s;
-  Alcotest.(check int) "serialized" 6 s.Schedule.makespan
+  Alcotest.(check int) "serialized" 6 s.makespan
 
 let test_list_scheduling_parallelizes () =
   (* Four jobs of 1/4 requirement run together. *)
   let inst = Instance.create ~m:4 ~scale:100 [ (5, 25); (5, 25); (5, 25); (5, 25) ] in
   let s = Baselines.List_scheduling.run inst in
   Helpers.check_valid s;
-  Alcotest.(check int) "parallel" 5 s.Schedule.makespan
+  Alcotest.(check int) "parallel" 5 s.makespan
 
 let test_list_scheduling_oversize_requirement () =
   (* r > scale is clamped: job takes ⌈s/scale⌉ steps alone. *)
   let inst = Instance.create ~m:2 ~scale:10 [ (2, 25) ] in
   let s = Baselines.List_scheduling.run inst in
   Helpers.check_valid s;
-  Alcotest.(check int) "clamped duration" 5 s.Schedule.makespan
+  Alcotest.(check int) "clamped duration" 5 s.makespan
 
 let test_greedy_fair_shares () =
   (* Two identical full-resource jobs share 50/50 under water-filling:
@@ -31,7 +31,7 @@ let test_greedy_fair_shares () =
   let inst = Instance.create ~m:2 ~scale:10 [ (3, 10); (3, 10) ] in
   let s = Baselines.Greedy_fair.run inst in
   Helpers.check_valid s;
-  Alcotest.(check int) "shared fairly" 6 s.Schedule.makespan
+  Alcotest.(check int) "shared fairly" 6 s.makespan
 
 let prop_valid inst =
   List.iter
@@ -56,16 +56,15 @@ let prop_garey_graham_ratio inst =
       let bound = Baselines.List_scheduling.guarantee ~m:inst.Instance.m in
       let limit = (bound *. float_of_int lb) +. float_of_int lb +. 1.0 in
       (* Generous: the GG bound is against OPT ≥ lb; add slack for small lb. *)
-      if float_of_int s.Schedule.makespan > limit then
-        Alcotest.failf "list scheduling far above (3-3/m): makespan=%d lb=%d"
-          s.Schedule.makespan lb
+      if float_of_int s.makespan > limit then
+        Alcotest.failf "list scheduling far above (3-3/m): makespan=%d lb=%d" s.makespan lb
     end
   end
 
 let test_window_beats_list_on_giant_and_dust () =
   let inst = Workload.Adversarial.giant_and_dust ~m:8 ~dust:200 ~scale:720720 in
-  let win = (Fast.run inst).Schedule.makespan in
-  let ls = (Baselines.List_scheduling.run inst).Schedule.makespan in
+  let win = (Helpers.solve inst).makespan in
+  let ls = (Baselines.List_scheduling.run inst).makespan in
   Alcotest.(check bool)
     (Printf.sprintf "window (%d) ≤ list scheduling (%d)" win ls)
     true (win <= ls)
@@ -82,7 +81,7 @@ let test_adversarial_families_valid () =
   in
   List.iter
     (fun inst ->
-      Helpers.check_valid (Fast.run inst);
+      Helpers.check_valid (Helpers.solve inst);
       Helpers.check_valid (Baselines.List_scheduling.run inst))
     instances
 

@@ -166,7 +166,7 @@ let test_schedule_packing_roundtrip () =
       (match P.validate inst packing with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "seed %d: roundtrip packing invalid: %s" seed msg);
-      Alcotest.(check int) "bin count preserved" sched.Sos.Schedule.makespan
+      Alcotest.(check int) "bin count preserved" sched.makespan
         (P.bins_used packing)
     end
   done
@@ -184,7 +184,7 @@ let test_window_matches_splittable_run () =
       in
       let bins = P.bins_used (A.window inst) in
       let sched = Sos.Splittable.run sos_inst in
-      Alcotest.(check int) "bins = makespan" bins sched.Sos.Schedule.makespan
+      Alcotest.(check int) "bins = makespan" bins sched.makespan
     end
   done
 

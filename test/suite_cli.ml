@@ -152,15 +152,23 @@ let test_resume_crash_points () =
           let r = run (batch_args ~ck ~shards ~resume:true specs) in
           Alcotest.(check (pair int string)) "torn header refused" (2, "") (r.code, r.out))
         (shard_paths full shards);
-      (* The same resume, fed on stdin. *)
-      copy_journal ~src:full ~dst:ck shards;
-      let shard0 = List.hd (shard_paths ck shards) in
-      let text = read_file shard0 in
-      write_file shard0 (String.sub text 0 (String.length text / 2));
+      (* A mid-journal cut resumed from stdin at -j 4, and one resumed at
+         -j 1: the cuts above resume at -j 2. *)
+      let cut_half shard =
+        copy_journal ~src:full ~dst:ck shards;
+        let text = read_file shard in
+        write_file shard (String.sub text 0 (String.length text / 2))
+      in
+      cut_half (List.hd (shard_paths ck shards));
       check_same
-        (Printf.sprintf "shards=%d resume from stdin" shards)
+        (Printf.sprintf "shards=%d resume from stdin at -j 4" shards)
         ref_
-        (run ~stdin:specs (batch_args ~ck ~shards ~resume:true "-")))
+        (run ~stdin:specs (batch_args ~ck ~shards ~resume:true ~j:4 "-"));
+      cut_half (List.nth (shard_paths ck shards) (shards - 1));
+      check_same
+        (Printf.sprintf "shards=%d resume at -j 1" shards)
+        ref_
+        (run (batch_args ~ck ~shards ~resume:true ~j:1 specs)))
     [ 1; 4 ]
 
 (* A journal is bound per entry to its spec's canonical text, which is
@@ -345,8 +353,10 @@ let test_serve_resume_mismatch () =
 
 (* The stream without its shutdown, over two sequential connections that
    share one request-index stream: their replies, joined, are the stdin
-   run's. Then SIGTERM, with the server back in accept, exits 0 and
-   removes the socket file. Every wait is bounded. *)
+   run's. Then a client that sends 5,060 requests and closes without
+   reading a reply: the failed reply write ends that connection only, and
+   a later connection is answered. Then SIGTERM, with the server back in
+   accept, exits 0 and removes the socket file. Every wait is bounded. *)
 let test_serve_socket () =
   with_temp_dir @@ fun dir ->
   let requests = List.filter (fun l -> l <> "shutdown") serve_lines in
@@ -380,29 +390,41 @@ let test_serve_socket () =
         ignore (Unix.waitpid [] pid)
       end)
     (fun () ->
+      let rec connect k =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        match Unix.connect fd (Unix.ADDR_UNIX path) with
+        | () -> fd
+        | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when k > 0 ->
+            Unix.close fd;
+            Unix.sleepf 0.01;
+            connect (k - 1)
+      in
+      let send fd lines =
+        let text = unlines lines in
+        ignore (Unix.write_substring fd text 0 (String.length text))
+      in
       let converse lines =
-        let rec connect k =
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          match Unix.connect fd (Unix.ADDR_UNIX path) with
-          | () -> fd
-          | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when k > 0 ->
-              Unix.close fd;
-              Unix.sleepf 0.01;
-              connect (k - 1)
-        in
         let fd = connect 500 in
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
             Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-            let text = unlines lines in
-            ignore (Unix.write_substring fd text 0 (String.length text));
+            send fd lines;
             Unix.shutdown fd Unix.SHUTDOWN_SEND;
             In_channel.input_all (Unix.in_channel_of_descr fd))
       in
       let first = converse (take 60 requests) in
       let second = converse (List.filteri (fun i _ -> i >= 60) requests) in
       Alcotest.(check string) "two connections answer as stdin does" ref_.out (first ^ second);
+      let unread = connect 500 in
+      send unread
+        (List.init 60 (Printf.sprintf "open u%d m=3 scale=10") @ List.init 5000 (fun _ -> "stats"));
+      Unix.close unread;
+      let later = converse [ "stats" ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "a connection after an unread close is answered (%S)" later)
+        true
+        (Helpers.contains later " ok stats ");
       (* Bounded wait for the server to sleep in accept again, where the
          system reports process states; a signal that lands just before
          the call takes the same exit. *)

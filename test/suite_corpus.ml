@@ -14,7 +14,7 @@ let run_all entry =
   List.filter_map
     (fun (s : Solvers.t) ->
       match Solvers.check s inst with
-      | Ok inst -> Some (s.name, (s.run inst).Schedule.Columns.makespan)
+      | Ok inst -> Some (s.name, (s.run (Fast.workspace ()) inst).makespan)
       | Error _ -> None)
     Solvers.all
 
@@ -25,7 +25,7 @@ let test_corpus_validity () =
       List.iter
         (fun (s : Solvers.t) ->
           match Solvers.check s inst with
-          | Ok inst -> Helpers.check_valid ~preemption_ok:s.preemptive (Solvers.schedule s inst)
+          | Ok inst -> Helpers.check_valid ~preemption_ok:s.preemptive (s.run (Fast.workspace ()) inst)
           | Error reason ->
               if s.requires = Any then
                 Alcotest.failf "%s rejects %s: %s" s.name entry.Corpus.name
@@ -44,7 +44,7 @@ let test_exact_opt_entries () =
           if lb > opt then
             Alcotest.failf "%s: recorded optimum %d below LB %d" entry.Corpus.name opt lb;
           (* window algorithm can never beat the (preemptive) optimum *)
-          let w = (Fast.run inst).Schedule.makespan in
+          let w = (Helpers.solve inst).makespan in
           if w < opt then
             Alcotest.failf "%s: window %d beats recorded optimum %d" entry.Corpus.name w
               opt;
@@ -85,8 +85,8 @@ let test_determinism () =
   List.iter
     (fun entry ->
       let inst = entry.Corpus.instance in
-      let a = Export.schedule_to_csv (Fast.run inst) in
-      let b = Export.schedule_to_csv (Fast.run inst) in
+      let a = Export.schedule_to_csv (Helpers.solve inst) in
+      let b = Export.schedule_to_csv (Helpers.solve inst) in
       if a <> b then Alcotest.failf "%s: nondeterministic schedule" entry.Corpus.name)
     Corpus.all
 
@@ -108,7 +108,7 @@ let test_column_list_round_trip () =
           match Solvers.check s entry.Corpus.instance with
           | Error _ -> ()
           | Ok inst ->
-              let cols = s.run inst in
+              let cols = s.run (Fast.workspace ()) inst in
               let listed = Schedule.Columns.to_schedule cols in
               let again = Schedule.Columns.of_schedule listed in
               if Schedule.Columns.to_schedule again <> listed then

@@ -14,8 +14,8 @@ let solve_batch ~domains insts =
   let tasks =
     Array.map
       (fun inst () ->
-        let s = Sos.Fast.run inst in
-        (s.Sos.Schedule.makespan, Sos.Export.schedule_to_csv_rle s))
+        let s, _ = Sos.Fast.run_columns inst in
+        (s.makespan, Sos.Export.columns_to_csv_rle s))
       insts
   in
   Batch.map ~domains tasks
@@ -152,8 +152,8 @@ let test_stream_seq_matches_map =
                     if i < batch_size then
                       Some
                         (fun () ->
-                          let s = Sos.Fast.run insts.(i) in
-                          (s.Sos.Schedule.makespan, Sos.Export.schedule_to_csv_rle s))
+                          let s, _ = Sos.Fast.run_columns insts.(i) in
+                          (s.makespan, Sos.Export.columns_to_csv_rle s))
                     else None)
                   ~f:(fun _ r -> got := r :: !got)
               in

@@ -120,7 +120,7 @@ let test_window_on_reduction () =
     let q = TP.yes_gap t in
     let bound = (1.0 +. (1.0 /. 2.0)) *. float_of_int q +. 1.0 in
     Alcotest.(check bool) "window within corollary bound" true
-      (float_of_int sched.Sos.Schedule.makespan <= bound +. 1e-9)
+      (float_of_int sched.makespan <= bound +. 1e-9)
   done
 
 let suite =

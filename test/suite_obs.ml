@@ -705,7 +705,7 @@ let reconcile_checks inst =
   Metrics.reset ();
   Metrics.enable ();
   Fun.protect ~finally:(fun () -> Metrics.disable ()) @@ fun () ->
-  let sched, iters = Sos.Fast.run_count inst in
+  let sched, iters = Sos.Fast.run_columns inst in
   let get = Metrics.get in
   Alcotest.(check int) "one run recorded" 1 (get "sos.fast.runs");
   Alcotest.(check int) "iterations counter = simulated loop count" iters
@@ -713,12 +713,9 @@ let reconcile_checks inst =
   Alcotest.(check int) "iterations + skipped_steps = makespan_steps"
     (get "sos.fast.makespan_steps")
     (get "sos.fast.iterations" + get "sos.fast.skipped_steps");
-  Alcotest.(check int) "makespan_steps = schedule makespan"
-    sched.Sos.Schedule.makespan
+  Alcotest.(check int) "makespan_steps = schedule makespan" sched.makespan
     (get "sos.fast.makespan_steps");
-  Alcotest.(check int) "blocks = RLE steps emitted"
-    (List.length sched.Sos.Schedule.steps)
-    (get "sos.fast.blocks");
+  Alcotest.(check int) "blocks = RLE steps emitted" sched.blocks (get "sos.fast.blocks");
   Alcotest.(check int) "consumed_units = Σ s_j"
     (Sos.Instance.total_requirement inst)
     (get "sos.fast.consumed_units");

@@ -25,7 +25,7 @@ let test_online_all_at_zero_matches_offline_spirit () =
     in
     let m = Rng.int_in rng 2 8 in
     let r = Online.run ~m ~scale:100 arrivals in
-    (match Schedule.validate (schedule_of ~m ~scale:100 arrivals r) with
+    (match Schedule.Columns.validate (schedule_of ~m ~scale:100 arrivals r) with
     | Ok () -> ()
     | Error v ->
         Alcotest.failf "seed %d: invalid online schedule at %d: %s" seed
@@ -44,7 +44,7 @@ let test_online_respects_releases () =
     let r = Online.run ~m ~scale:100 arrivals in
     if not (Online.respects_releases r arrivals) then
       Alcotest.failf "seed %d: a job started before its release" seed;
-    match Schedule.validate (schedule_of ~m ~scale:100 arrivals r) with
+    match Schedule.Columns.validate (schedule_of ~m ~scale:100 arrivals r) with
     | Ok () -> ()
     | Error v ->
         Alcotest.failf "seed %d: invalid at %d: %s" seed v.Schedule.at_step
@@ -112,11 +112,11 @@ let check_same_result ~ctx ~m ~scale arrivals (incr : Online.result) =
     (Instance.to_string a.Online.instance);
   Alcotest.(check int)
     (ctx ^ ": materialized makespan")
-    incr.Online.makespan a.Online.schedule.Schedule.makespan;
+    incr.Online.makespan a.Online.schedule.makespan;
   Alcotest.(check (array int))
     (ctx ^ ": start times")
     b.Online.start_times a.Online.start_times;
-  if a.Online.schedule.Schedule.steps <> b.Online.schedule.Schedule.steps then
+  if Helpers.steps a.Online.schedule <> Helpers.steps b.Online.schedule then
     Alcotest.failf "%s: step lists differ" ctx
 
 let test_session_matches_scratch () =
@@ -266,16 +266,16 @@ let check_matches_oracle ~ctx ~m ~scale arrivals =
   let v = Online.materialize ~m ~scale arrivals r in
   let o = Online_oracle.run ~m ~scale arrivals in
   Alcotest.(check int)
-    (ctx ^ ": makespan") o.Online.schedule.Schedule.makespan r.Online.makespan;
+    (ctx ^ ": makespan") o.Online.schedule.makespan r.Online.makespan;
   Alcotest.(check int)
-    (ctx ^ ": materialized makespan") r.Online.makespan v.Online.schedule.Schedule.makespan;
+    (ctx ^ ": materialized makespan") r.Online.makespan v.Online.schedule.makespan;
   Alcotest.(check (array int))
     (ctx ^ ": start times") o.Online.start_times v.Online.start_times;
   if
-    (Schedule.expand v.Online.schedule).Schedule.steps
-    <> (Schedule.expand o.Online.schedule).Schedule.steps
+    Helpers.steps (Helpers.expand v.Online.schedule)
+    <> Helpers.steps (Helpers.expand o.Online.schedule)
   then Alcotest.failf "%s: expanded steps differ" ctx;
-  (match Schedule.validate v.Online.schedule with
+  (match Schedule.Columns.validate v.Online.schedule with
   | Ok () -> ()
   | Error v ->
       Alcotest.failf "%s: invalid at %d: %s" ctx v.Schedule.at_step v.Schedule.reason);
@@ -362,7 +362,7 @@ let test_online_history_bounded () =
   in
   let bound = 3 * List.length arrivals in
   let check_blocks ctx arrivals (r : Online.result) =
-    let blocks = List.length (schedule_of ~m ~scale arrivals r).Schedule.steps in
+    let blocks = (schedule_of ~m ~scale arrivals r).blocks in
     if blocks > bound then
       Alcotest.failf "%s: %d blocks for makespan %d, bound %d" ctx blocks
         r.Online.makespan bound
@@ -471,7 +471,7 @@ let test_session_abandoned_solves () =
           let prefix = List.filteri (fun i _ -> i < r.Online.jobs) (Online.Session.arrivals session) in
           ( r.Online.makespan,
             Array.copy r.Online.starts,
-            (schedule_of ~m ~scale prefix r).Schedule.steps )
+            Helpers.steps (schedule_of ~m ~scale prefix r) )
         in
         let snapshot = Option.map view before in
         let stats = Online.Session.stats session in
@@ -728,16 +728,10 @@ let test_svg_well_formed () =
   (* one bar per job + m background rows + utilization bars *)
   Alcotest.(check bool) "has job bars" true (count_sub "<title>job" = 4);
   Alcotest.(check bool) "has rects" true (count_sub "<rect" >= 4 + 3);
-  Alcotest.(check bool) "mentions title" true (count_sub ">test</text>" = 1)
-
-let test_svg_to_file () =
-  let inst = Instance.create ~m:2 ~scale:10 [ (1, 5); (1, 5) ] in
-  let sched = Listing1.run inst in
-  let path = Filename.temp_file "sos" ".svg" in
-  Svg.render_to_file path sched;
-  let contents = In_channel.with_open_text path In_channel.input_all in
-  Sys.remove path;
-  Alcotest.(check bool) "file written" true (String.length contents > 200)
+  Alcotest.(check bool) "mentions title" true (count_sub ">test</text>" = 1);
+  (* Untitled, two one-step jobs: still a whole document. *)
+  let small = Listing1.run (Instance.create ~m:2 ~scale:10 [ (1, 5); (1, 5) ]) in
+  Alcotest.(check bool) "untitled document" true (String.length (Svg.render small) > 200)
 
 let suite =
   ( "online",
@@ -776,5 +770,4 @@ let suite =
       Alcotest.test_case "session lower bound after every add" `Quick
         test_session_lower_bound;
       Alcotest.test_case "svg well-formed" `Quick test_svg_well_formed;
-      Alcotest.test_case "svg to file" `Quick test_svg_to_file;
     ] )

@@ -166,7 +166,7 @@ let test_combined_valid_and_bounded () =
     let inst = Workload.Sas_gen.random_instance rng () in
     let report = Combined.run inst in
     (* The merged schedule is resource/processor-feasible. *)
-    (match Sos.Schedule.validate ~preemption_ok:true report.Combined.schedule with
+    (match Sos.Schedule.Columns.validate ~preemption_ok:true report.Combined.schedule with
     | Ok () -> ()
     | Error v ->
         Alcotest.failf "seed %d: invalid merged schedule at %d: %s" seed v.Sos.Schedule.at_step
@@ -228,7 +228,7 @@ let test_combined_smallest_m () =
       Array.iter
         (fun f -> Alcotest.(check bool) "positive completion" true (f >= 1))
         report.Combined.completions;
-      match Sos.Schedule.validate ~preemption_ok:true report.Combined.schedule with
+      match Sos.Schedule.Columns.validate ~preemption_ok:true report.Combined.schedule with
       | Ok () -> ()
       | Error v -> Alcotest.failf "m=%d: %s" m v.Sos.Schedule.reason)
     [ 4; 5 ]

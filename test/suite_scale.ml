@@ -10,13 +10,12 @@ let test_fast_large () =
     Workload.Sos_gen.generate rng Workload.Sos_gen.bimodal ~n:5000 ~m:32 ()
   in
   let t0 = (Sys.time () [@sos.allow "R2: CPU-time budget assertion on the harness side; not solver-visible time"]) in
-  let sched = Fast.run inst in
+  let sched = Helpers.solve inst in
   let dt = (Sys.time () [@sos.allow "R2: CPU-time budget assertion on the harness side; not solver-visible time"]) -. t0 in
   Helpers.check_valid sched;
   let lb = Bounds.lower_bound inst in
   Alcotest.(check bool) "within guarantee" true
-    (float_of_int sched.Schedule.makespan
-    <= Bounds.guarantee_general ~m:32 *. float_of_int lb);
+    (float_of_int sched.makespan <= Bounds.guarantee_general ~m:32 *. float_of_int lb);
   Alcotest.(check bool) (Printf.sprintf "fast enough (%.2fs)" dt) true (dt < 20.0)
 
 let test_fast_huge_volumes () =
@@ -25,13 +24,13 @@ let test_fast_huge_volumes () =
     List.init 500 (fun _ -> (Rng.int_in rng 1 1_000_000, Rng.int_in rng 1 720720))
   in
   let inst = Instance.create ~m:16 ~scale:720720 specs in
-  let sched, iters = Fast.run_count inst in
+  let sched, iters = Fast.run_columns inst in
   Helpers.check_valid sched;
   Alcotest.(check bool)
     (Printf.sprintf "iterations (%d) independent of volumes (makespan %d)" iters
-       sched.Schedule.makespan)
+       sched.makespan)
     true
-    (iters < 20_000 && sched.Schedule.makespan > 1_000_000)
+    (iters < 20_000 && sched.makespan > 1_000_000)
 
 let test_splittable_large () =
   let rng = Rng.create 454545 in
@@ -52,7 +51,7 @@ let test_sas_large () =
   let rng = Rng.create 464646 in
   let inst = Workload.Sas_gen.generate rng Workload.Sas_gen.cloud_mix ~k:400 ~m:16 () in
   let report = Sas.Combined.run inst in
-  (match Sos.Schedule.validate ~preemption_ok:true report.Sas.Combined.schedule with
+  (match Sos.Schedule.Columns.validate ~preemption_ok:true report.Sas.Combined.schedule with
   | Ok () -> ()
   | Error v -> Alcotest.failf "invalid at %d: %s" v.Sos.Schedule.at_step v.Sos.Schedule.reason);
   let bound = Sas.Bounds.guarantee ~m:16 in
@@ -73,7 +72,9 @@ let test_online_large () =
         })
   in
   let r = Online.run ~m:24 ~scale:10_000 arrivals in
-  (match Schedule.validate (Online.materialize ~m:24 ~scale:10_000 arrivals r).Online.schedule with
+  (match
+     Schedule.Columns.validate (Online.materialize ~m:24 ~scale:10_000 arrivals r).Online.schedule
+   with
   | Ok () -> ()
   | Error v -> Alcotest.failf "invalid at %d: %s" v.Schedule.at_step v.Schedule.reason);
   Alcotest.(check bool) "releases respected" true (Online.respects_releases r arrivals)

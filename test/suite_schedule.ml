@@ -221,9 +221,7 @@ let test_csv_exports () =
   Alcotest.(check string) "utilization header" "t0,len,assigned,consumed,jobs"
     (List.hd ulines);
   (* one row per RLE block, and the block lengths cover the makespan *)
-  Alcotest.(check int) "utilization rows"
-    (List.length sched.Schedule.steps + 1)
-    (List.length ulines);
+  Alcotest.(check int) "utilization rows" (sched.blocks + 1) (List.length ulines);
   let covered =
     List.fold_left
       (fun acc line ->
@@ -232,8 +230,8 @@ let test_csv_exports () =
         | _ -> acc)
       0 ulines
   in
-  Alcotest.(check int) "utilization covers makespan" sched.Schedule.makespan covered;
-  let rcsv = Export.schedule_to_csv_rle sched in
+  Alcotest.(check int) "utilization covers makespan" sched.makespan covered;
+  let rcsv = Export.columns_to_csv_rle sched in
   Alcotest.(check string) "rle header" "t0,repeat,job,assigned,consumed"
     (List.hd (String.split_on_char '\n' rcsv));
   (* the RLE export carries the same total consumption *)
@@ -256,7 +254,7 @@ let test_job_spans () =
   for seed = 1 to 60 do
     let rng = Rng.create (seed * 71) in
     let inst = Workload.Sos_gen.random_instance rng () in
-    let sched = Fast.run inst in
+    let sched = Helpers.solve inst in
     let spans = Schedule.job_spans sched in
     Alcotest.(check int) "every job has a span" (Instance.n inst) (List.length spans);
     (* spans agree with the processor assignment's start times *)
@@ -276,7 +274,7 @@ let test_completion_times () =
   (* Hand-checkable: job0 (s=6, r=2) finishes in step 3; job1 (s=8, r=4) in
      step 2; job2 (s=6, r=6) in step 3. *)
   let inst = base_instance () in
-  let sched = Schedule.make inst (good_steps ()) in
+  let sched = built_columns (Schedule.make inst (good_steps ())) in
   Alcotest.(check (array int)) "completions" [| 3; 2; 3 |]
     (Schedule.completion_times sched);
   Alcotest.(check int) "sum" 8 (Schedule.sum_completion_times sched);
@@ -284,17 +282,17 @@ let test_completion_times () =
   for seed = 1 to 60 do
     let rng = Rng.create (seed * 73) in
     let inst = Workload.Sos_gen.random_instance rng () in
-    let sched = Fast.run inst in
+    let sched = Helpers.solve inst in
     let c = Schedule.completion_times sched in
-    let c' = Schedule.completion_times (Schedule.expand sched) in
+    let c' = Schedule.completion_times (Helpers.expand sched) in
     if c <> c' then Alcotest.failf "seed %d: RLE vs expanded completions differ" seed;
     Array.iter
       (fun f ->
-        if f < 1 || f > sched.Schedule.makespan then
+        if f < 1 || f > sched.makespan then
           Alcotest.failf "seed %d: completion %d out of range" seed f)
       c;
     (* the makespan is the max completion *)
-    Alcotest.(check int) "makespan = max completion" sched.Schedule.makespan
+    Alcotest.(check int) "makespan = max completion" sched.makespan
       (Array.fold_left max 0 c)
   done
 
@@ -308,11 +306,10 @@ let test_expand_agreement () =
           (Rng.int_in rng 1 200, Rng.int_in rng 1 (scale * 3 / 2)))
     in
     let inst = Instance.create ~m ~scale specs in
-    let sched = Fast.run inst in
-    let expanded = Schedule.expand sched in
-    Alcotest.(check int) "makespan preserved" sched.Schedule.makespan
-      expanded.Schedule.makespan;
-    (match Schedule.validate expanded with
+    let sched = Helpers.solve inst in
+    let expanded = Helpers.expand sched in
+    Alcotest.(check int) "makespan preserved" sched.makespan expanded.makespan;
+    (match Schedule.Columns.validate expanded with
     | Ok () -> ()
     | Error v ->
         Alcotest.failf "seed %d: expanded schedule invalid at %d: %s" seed
@@ -339,15 +336,14 @@ let instance_of (m, scale, specs) =
 
 (* Reference: expand to repeat = 1 blocks and compute per step naively. *)
 let ref_per_step sched f =
-  let expanded = Schedule.expand sched in
-  Array.of_list
-    (List.map (fun (st : Schedule.step) -> f st.allocs) expanded.Schedule.steps)
+  let expanded = Helpers.expand sched in
+  Array.init expanded.blocks (fun b -> f (Helpers.block_allocs expanded b))
 
 let qcheck_utilization_matches_reference =
   Helpers.qcheck "utilization/jobs profiles ≡ expand-then-compute" arb_instance
     (fun spec ->
       let inst = instance_of spec in
-      let sched = Fast.run inst in
+      let sched = Helpers.solve inst in
       let scale = float_of_int inst.Instance.scale in
       let dense = Schedule.to_dense ~default:0.0 (Schedule.utilization sched) in
       let refd =
@@ -373,8 +369,8 @@ let qcheck_scalar_analytics_match_reference =
   Helpers.qcheck "completions/waste/spans ≡ expand-then-compute" arb_instance
     (fun spec ->
       let inst = instance_of spec in
-      let sched = Fast.run inst in
-      let expanded = Schedule.expand sched in
+      let sched = Helpers.solve inst in
+      let expanded = Helpers.expand sched in
       Schedule.completion_times sched = Schedule.completion_times expanded
       && Schedule.total_waste sched = Schedule.total_waste expanded
       && Schedule.job_spans sched = Schedule.job_spans expanded
@@ -407,8 +403,9 @@ let qcheck_validate_verdict_agrees =
             in
             { sched with Schedule.steps = st :: rest }
       in
-      let verdict s = Result.is_ok (Schedule.validate s) in
-      verdict mutated = verdict (Schedule.expand mutated))
+      let expanded = Helpers.expand (Schedule.Columns.of_schedule mutated) in
+      Result.is_ok (Schedule.validate mutated)
+      = Result.is_ok (Schedule.Columns.validate expanded))
 
 let test_huge_volume_analytics () =
   (* pmax = 10^7: makespan is in the millions but the solver emits O(n)
@@ -419,26 +416,26 @@ let test_huge_volume_analytics () =
     List.init 50 (fun _ -> (Rng.int_in rng 1 10_000_000, Rng.int_in rng 1 720720))
   in
   let inst = Instance.create ~m:8 ~scale:720720 specs in
-  let sched = Fast.run inst in
-  let blocks = List.length sched.Schedule.steps in
+  let sched = Helpers.solve inst in
+  let blocks = sched.blocks in
   Alcotest.(check bool)
-    (Printf.sprintf "huge makespan (%d), few blocks (%d)" sched.Schedule.makespan blocks)
+    (Printf.sprintf "huge makespan (%d), few blocks (%d)" sched.makespan blocks)
     true
-    (sched.Schedule.makespan > 1_000_000 && blocks < 10_000);
+    (sched.makespan > 1_000_000 && blocks < 10_000);
   let t0 = (Sys.time () [@sos.allow "R2: CPU-time budget assertion on the harness side; not solver-visible time"]) in
   Helpers.check_valid sched;
   let u = Schedule.utilization sched in
   Alcotest.(check bool) "profile segments ≤ blocks" true (Array.length u <= blocks);
-  Alcotest.(check int) "profile covers makespan" sched.Schedule.makespan
+  Alcotest.(check int) "profile covers makespan" sched.makespan
     (Schedule.profile_length u);
   let c = Schedule.completion_times sched in
-  Alcotest.(check int) "max completion = makespan" sched.Schedule.makespan
+  Alcotest.(check int) "max completion = makespan" sched.makespan
     (Array.fold_left max 0 c);
   let j = Schedule.jobs_per_step sched in
   Alcotest.(check bool) "jobs profile segments ≤ blocks" true (Array.length j <= blocks);
   ignore (Schedule.total_waste sched);
   ignore (Schedule.job_spans sched);
-  ignore (Schedule.processor_assignment ~validate:false sched);
+  ignore (Schedule.processor_assignment sched);
   let gantt = Schedule.render_gantt ~max_width:80 sched in
   Alcotest.(check bool) "gantt rendered" true (String.length gantt > 80);
   let ucsv = Export.utilization_to_csv sched in
@@ -456,22 +453,21 @@ let test_preemptive_valid_and_ge_lb () =
     let rng = Rng.create (seed * 53) in
     let inst = Workload.Sos_gen.random_instance rng () in
     let sched = Preemptive.run inst in
-    (match Schedule.validate ~preemption_ok:true sched with
+    (match Schedule.Columns.validate ~preemption_ok:true sched with
     | Ok () -> ()
     | Error v ->
         Alcotest.failf "seed %d: invalid preemptive schedule at %d: %s\n%s" seed
           v.Schedule.at_step v.Schedule.reason (Instance.to_string inst));
     let lb = Bounds.lower_bound inst in
-    if sched.Schedule.makespan < lb then
-      Alcotest.failf "seed %d: preemptive makespan %d < LB %d" seed
-        sched.Schedule.makespan lb
+    if sched.makespan < lb then
+      Alcotest.failf "seed %d: preemptive makespan %d < LB %d" seed sched.makespan lb
   done
 
 let test_preemptive_not_worse_than_serial () =
   (* LRPT water-filling should never exceed one-job-at-a-time. *)
   let inst = Instance.create ~m:4 ~scale:100 [ (2, 50); (2, 50); (2, 50); (2, 50) ] in
   let sched = Preemptive.run inst in
-  Alcotest.(check int) "perfect packing" 4 sched.Schedule.makespan
+  Alcotest.(check int) "perfect packing" 4 sched.makespan
 
 (* --- fixed assignment --- *)
 
@@ -482,7 +478,7 @@ let test_fixed_assignment_valid () =
     List.iter
       (fun strategy ->
         let sched = Baselines.Fixed_assignment.run ~strategy inst in
-        match Schedule.validate sched with
+        match Schedule.Columns.validate sched with
         | Ok () -> ()
         | Error v ->
             Alcotest.failf "seed %d: invalid fixed-assignment schedule at %d: %s\n%s"
@@ -504,8 +500,8 @@ let test_window_beats_fixed_assignment_usually () =
     let inst =
       Workload.Sos_gen.generate rng Workload.Sos_gen.bimodal ~n:80 ~m:8 ()
     in
-    let w = (Fast.run inst).Schedule.makespan in
-    let f = (Baselines.Fixed_assignment.run inst).Schedule.makespan in
+    let w = (Helpers.solve inst).makespan in
+    let f = (Baselines.Fixed_assignment.run inst).makespan in
     incr total;
     if w <= f then incr wins
   done;

@@ -94,11 +94,11 @@ let test_correlated_family () =
   Alcotest.(check bool) "requirements correlate with volume" true
     (avg accs.(1) > avg accs.(0));
   (* the scheduler handles the family and meets the guarantee *)
-  let s = Sos.Fast.run inst in
+  let s = Helpers.solve inst in
   Helpers.check_valid s;
   let lb = Sos.Bounds.lower_bound inst in
   Alcotest.(check bool) "within guarantee" true
-    (float_of_int s.Sos.Schedule.makespan
+    (float_of_int s.makespan
     <= Sos.Bounds.guarantee_general ~m:8 *. float_of_int lb +. 1e-9)
 
 let test_pareto_heavy_tail () =
