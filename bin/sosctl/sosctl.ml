@@ -98,6 +98,8 @@ let with_obs (metrics, trace) run =
       Obs.Trace.stop ();
       Obs.Trace.write path
   | None -> ());
+  if metrics <> None then
+    Option.iter (Obs.Metrics.record_max Obs.Progress.peak_rss_kb) (Obs.Progress.status_kb "VmHWM");
   (match metrics with
   | Some "-" -> prerr_string (Obs.Metrics.snapshot ())
   | Some path ->

@@ -38,6 +38,8 @@ let status_kb field =
                | None -> int_of_string_opt rest)
              else None)
 
+let peak_rss_kb = Metrics.runtime_counter "process.peak_rss_kb"
+
 let create ?(interval = 2.0) ~window_cap ?(out = to_stderr) () =
   let now =
     (Prelude.Clock.now () [@sos.allow "A1: progress heartbeats are runtime-class stderr visibility; never part of solver output or det-class telemetry"])

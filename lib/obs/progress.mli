@@ -49,3 +49,8 @@ val status_kb : string -> int option
 (** [status_kb field] is a kB-valued field of [/proc/self/status] —
     ["VmHWM"] (peak RSS), ["VmRSS"] (current RSS); [None] where
     unavailable. *)
+
+val peak_rss_kb : Metrics.counter
+(** [process.peak_rss_kb], a runtime counter: the process's peak RSS in
+    kB. [sosctl] raises it to [status_kb "VmHWM"] right before it writes
+    a [--metrics] snapshot. *)

@@ -52,6 +52,7 @@ let c_solve_full = Obs.Metrics.runtime_counter "serve.solve.full"
 let c_solve_extended = Obs.Metrics.runtime_counter "serve.solve.extended"
 let c_solve_cached = Obs.Metrics.runtime_counter "serve.solve.cached"
 let c_journal_entries = Obs.Metrics.runtime_counter "serve.journal.entries"
+let c_reply_flushes = Obs.Metrics.runtime_counter "serve.reply_flushes"
 let h_solve_seconds = Obs.Metrics.runtime_hist "serve.solve.seconds"
 
 let h_query_ratio =
@@ -306,15 +307,28 @@ let process (t : t) cancel ~index (cmd : Protocol.command) =
 
 (* ----------------------------------------------------- WAL and replay *)
 
-let emit output reply =
-  Out_channel.output_string output reply;
-  Out_channel.output_char output '\n';
-  Out_channel.flush output
+(* Replies wait in the output channel's buffer until [flush_replies],
+   which [serve] calls before each read that may block, after the first
+   request of each read, and on the way out (doc/SERVE.md). [held] counts
+   the replies written since the last flush. *)
+type replies = { output : out_channel; mutable held : int }
+
+let emit out reply =
+  Out_channel.output_string out.output reply;
+  Out_channel.output_char out.output '\n';
+  out.held <- out.held + 1
+
+let flush_replies out =
+  if out.held > 0 then begin
+    out.held <- 0;
+    Out_channel.flush out.output;
+    Obs.Metrics.incr c_reply_flushes
+  end
 
 (* Journal-then-emit: the entry is the write-ahead record of the reply,
    so it must be durable (per the sync_every policy) before the client
    can observe the reply. *)
-let deliver (t : t) output ~index ~binding reply =
+let deliver (t : t) out ~index ~binding reply =
   (match t.journal with
   | None -> ()
   | Some j -> begin
@@ -327,7 +341,7 @@ let deliver (t : t) output ~index ~binding reply =
         let bt = Printexc.get_raw_backtrace () in
         raise (Wal_failure (Robust.Failure.to_string (Robust.Failure.of_exn e bt)))
     end);
-  emit output reply
+  emit out reply
 
 let try_replay (t : t) ~index ~binding =
   match t.journal with
@@ -402,17 +416,24 @@ let count_reply (t : t) reply =
         Obs.Metrics.incr c_err_deadline
   | _ -> ()
 
-(* The binding ties a WAL entry to its request. Only a journal reads it,
-   so it is hashed on first use, once per request, and never without
-   [--checkpoint]. *)
-let handle_line (t : t) cancel output ~index line =
-  let parsed = Protocol.parse line in
+let too_long = Printf.sprintf "request longer than %d bytes" Lines.max_line
+
+(* The binding ties a WAL entry to its request: the canonical command, or
+   the trimmed line when it does not parse. A line past the bound binds
+   to its kept bytes and a newline, which no line holds. Only a journal
+   reads the binding, so it is hashed on first use, once per request, and
+   never without [--checkpoint]. *)
+let handle_line (t : t) cancel out ~index line =
+  let parsed =
+    match line with Lines.Line s -> Protocol.parse s | Lines.Too_long _ -> Error too_long
+  in
   let binding =
     lazy
       (Journal.digest
-         (match parsed with
-         | Ok cmd -> Protocol.canonical cmd
-         | Error _ -> String.trim line))
+         (match (parsed, line) with
+         | Ok cmd, _ -> Protocol.canonical cmd
+         | Error _, Lines.Line s -> String.trim s
+         | Error _, Lines.Too_long kept -> kept ^ "\n"))
   in
   match try_replay t ~index ~binding with
   | Some reply ->
@@ -420,7 +441,7 @@ let handle_line (t : t) cancel output ~index line =
       Obs.Metrics.incr c_replayed;
       (match parsed with Ok cmd -> apply_replayed t cmd reply | Error _ -> ());
       (* Already in the WAL — emit verbatim, never re-append. *)
-      emit output reply
+      emit out reply
   | None ->
       let reply =
         match parsed with
@@ -428,22 +449,31 @@ let handle_line (t : t) cancel output ~index line =
         | Ok cmd -> process t cancel ~index cmd
       in
       count_reply t reply;
-      deliver t output ~index ~binding reply
+      deliver t out ~index ~binding reply
+
+let fail_stop (t : t) out reply =
+  count_reply t reply;
+  emit out reply;
+  t.stop_code <- Some 4
 
 let serve (t : t) ?pool:_ ~input ~output ?cancel ?(should_drain = fun () -> false)
     ?(should_abort = fun () -> false) () =
+  let out = { output; held = 0 } in
+  (* A refill may block, so whatever is held goes out first: a client
+     waiting for a reply always gets it. *)
+  let reader = Lines.create ~before_refill:(fun () -> flush_replies out) input in
   let rec loop () =
     if t.stop_code <> None then ()
     else if should_abort () then t.stop_code <- Some 130
     else begin
       if should_drain () then t.draining <- true;
-      match In_channel.input_line input with
+      let refills = Lines.refills reader in
+      match Lines.read reader with
       | None -> ()
-      | Some line when should_abort () ->
+      | Some _ when should_abort () ->
           (* The abort signal landed while we were blocked in the read
              (the runtime retries the interrupted read, so the line still
              arrives): stop at this request boundary without handling it. *)
-          ignore line;
           t.stop_code <- Some 130
       | Some line ->
           (* Likewise a drain signal that interrupted the read must take
@@ -452,21 +482,18 @@ let serve (t : t) ?pool:_ ~input ~output ?cancel ?(should_drain = fun () -> fals
           let index = t.next_index in
           t.next_index <- index + 1;
           Obs.Metrics.incr c_requests;
-          (try handle_line t cancel output ~index line with
-          | Wal_failure msg ->
-              let reply = Printf.sprintf "%d error journal %s" index msg in
-              count_reply t reply;
-              emit output reply;
-              t.stop_code <- Some 4
+          (try handle_line t cancel out ~index line with
+          | Wal_failure msg -> fail_stop t out (Printf.sprintf "%d error journal %s" index msg)
           | Resume_mismatch msg ->
-              let reply = Printf.sprintf "%d error resume-mismatch %s" index msg in
-              count_reply t reply;
-              emit output reply;
-              t.stop_code <- Some 4);
+              fail_stop t out (Printf.sprintf "%d error resume-mismatch %s" index msg));
+          (* The first request of a refill is answered at once, so a
+             burst's first reply is not held behind the rest of it. *)
+          if Lines.refills reader <> refills then flush_replies out;
           loop ()
     end
   in
-  loop ()
+  loop ();
+  flush_replies out
 
 let finish (t : t) =
   (match t.journal with

@@ -87,10 +87,15 @@ val serve :
   unit ->
   unit
 (** Handle requests from [input] until end of input, a [shutdown]
-    request, [should_abort], or a WAL failure. Each reply is flushed as
-    written. May be called again with another channel pair (the unix
-    socket accept loop does); request indices keep counting across
-    calls. [cancel] is the parent of every solve's deadline token —
+    request, [should_abort], or a WAL failure. Requests are read through
+    a {!Lines} reader: a line longer than {!Lines.max_line} bytes takes
+    one index and is answered [error parse request longer than 4096
+    bytes]. Replies wait in [output]'s buffer and are flushed before each
+    read of [input] that may block, right after the first request of
+    each such read, and before [serve] returns — so a client that waits
+    for a reply always gets it. A failed write raises [Sys_error]. May be called again with
+    another channel pair (the unix socket accept loop does); request
+    indices keep counting across calls. [cancel] is the parent of every solve's deadline token —
     cancelling it makes in-flight solves unwind as [Cancelled]. [pool] is
     accepted for older callers and ignored: queries run on the calling
     thread. *)

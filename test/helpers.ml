@@ -77,3 +77,9 @@ let stream_all pool tasks =
        (fun i -> if i < n then Some tasks.(i) else None)
        ~f:(fun i r -> out.(i) <- Some r));
   Array.map Option.get out
+
+(* Run [f] with SIGPIPE ignored, so a write to a reader that is gone
+   fails with EPIPE instead of killing the test process. *)
+let with_sigpipe_ignored f =
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev) f

@@ -7,9 +7,11 @@
    reproduce the uninterrupted run's stdout and exit code from every
    crash point of their journal — each shard truncated at every entry
    boundary and at seeded interior offsets — or fail-stop with exit 4
-   when an entry answers another spec or request; and `sosctl serve
+   when an entry answers another spec or request; `sosctl serve
    --socket` answers sequential connections as it answers stdin, and
-   leaves on SIGTERM. *)
+   leaves on SIGTERM; a client that waits for each reply before it sends
+   the next request gets every reply, over pipes and over the socket; and
+   a SIGTERM drains the server. *)
 
 let sosctl = "../bin/sosctl/sosctl.exe"
 
@@ -443,6 +445,176 @@ let test_serve_socket () =
       Alcotest.(check bool) "SIGTERM in accept exits 0" true (!status = Some (Unix.WEXITED 0));
       Alcotest.(check bool) "socket file removed" false (Sys.file_exists path))
 
+(* ------------------------------------------------- serve, closed loop *)
+
+(* One end of a conversation with a server: requests go to [wr], replies
+   come from [rd]. *)
+type conn = { wr : Unix.file_descr; rd : Unix.file_descr; pending : Buffer.t }
+
+let send c lines =
+  let text = unlines lines in
+  let rec go pos =
+    if pos < String.length text then
+      go (pos + Unix.write_substring c.wr text pos (String.length text - pos))
+  in
+  go 0
+
+(* Every wait for output is bounded, so a server that holds a reply
+   fails the test instead of hanging it. *)
+let reply_wait_s = 10.0
+
+(* The next line from the server, or [None] at the end of its output. *)
+let next_line c =
+  let rec go () =
+    let held = Buffer.contents c.pending in
+    match String.index_opt held '\n' with
+    | Some i ->
+        Buffer.clear c.pending;
+        Buffer.add_string c.pending (String.sub held (i + 1) (String.length held - i - 1));
+        Some (String.sub held 0 i)
+    | None -> (
+        match Unix.select [ c.rd ] [] [] reply_wait_s with
+        | [], _, _ -> Alcotest.failf "no reply within %.0f s (received %S)" reply_wait_s held
+        | _ -> (
+            let b = Bytes.create 4096 in
+            match Unix.read c.rd b 0 (Bytes.length b) with
+            | 0 ->
+                if held <> "" then Alcotest.failf "output ended inside a line (%S)" held;
+                None
+            | n ->
+                Buffer.add_subbytes c.pending b 0 n;
+                go ()))
+  in
+  go ()
+
+let next_reply c =
+  match next_line c with Some l -> l | None -> Alcotest.fail "output ended before a reply"
+
+let rec rest_lines c = match next_line c with None -> [] | Some l -> l :: rest_lines c
+
+(* Wait (bounded) for [pid] to exit. *)
+let wait_exit pid =
+  let rec go k =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when k > 0 ->
+        Unix.sleepf 0.01;
+        go (k - 1)
+    | 0, _ -> Alcotest.failf "sosctl did not exit within %.0f s" reply_wait_s
+    | _, st -> st
+  in
+  go (int_of_float (reply_wait_s *. 100.0))
+
+(* [sosctl ARGS] with its stdin and stdout on pipes and stderr dropped:
+   [f pid conn close_stdin], then the exit status, waited for. *)
+let with_serve_pipes args f =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close [ in_r; out_w; null ])
+      (fun () -> Unix.create_process sosctl (Array.of_list (sosctl :: args)) in_r out_w null)
+  in
+  let reaped = ref false and stdin_open = ref true in
+  let close_stdin () =
+    if !stdin_open then begin
+      stdin_open := false;
+      Unix.close in_w
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      close_stdin ();
+      Unix.close out_r;
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end)
+    (fun () ->
+      let r = f pid { wr = in_w; rd = out_r; pending = Buffer.create 256 } close_stdin in
+      let st = wait_exit pid in
+      reaped := true;
+      (r, st))
+
+(* Send [requests] one at a time, each after the previous reply has been
+   read, except [burst], a run of requests sent in one write whose
+   replies are read after it; return the replies. *)
+let converse c requests ~burst:(first, len) =
+  let rec go i = function
+    | [] -> []
+    | reqs when i = first ->
+        let now = take len reqs in
+        send c now;
+        let replies = List.map (fun _ -> next_reply c) now in
+        replies @ go (i + len) (List.filteri (fun k _ -> k >= len) reqs)
+    | r :: rest ->
+        send c [ r ];
+        let reply = next_reply c in
+        reply :: go (i + 1) rest
+  in
+  go 0 requests
+
+(* The 120-request stream, closed loop with one 12-request burst, over
+   pipes and over the socket: each reply arrives while the client waits
+   for it, and the replies are the stdin run's. The stream ends with
+   [shutdown], so both servers exit 0. *)
+let test_serve_closed_loop () =
+  Helpers.with_sigpipe_ignored @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let stdin = Filename.concat dir "requests.txt" in
+  write_file stdin (unlines serve_lines);
+  let ref_ = run ~stdin [ "serve" ] in
+  Alcotest.(check int) "stdin run exit" 0 ref_.code;
+  let burst = (40, 12) in
+  let replies, st = with_serve_pipes [ "serve" ] (fun _ c _ -> converse c serve_lines ~burst) in
+  Alcotest.(check (list string)) "pipes: replies" (lines ref_.out) replies;
+  Alcotest.(check bool) "pipes: exit 0" true (st = Unix.WEXITED 0);
+  let path = Filename.concat dir "serve.sock" in
+  let replies, st =
+    with_serve_pipes [ "serve"; "--socket"; path ] (fun _ _ _ ->
+        let rec connect k =
+          let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          match Unix.connect fd (Unix.ADDR_UNIX path) with
+          | () -> fd
+          | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when k > 0 ->
+              Unix.close fd;
+              Unix.sleepf 0.01;
+              connect (k - 1)
+        in
+        let fd = connect 500 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () -> converse { wr = fd; rd = fd; pending = Buffer.create 256 } serve_lines ~burst))
+  in
+  Alcotest.(check (list string)) "socket: replies" (lines ref_.out) replies;
+  Alcotest.(check bool) "socket: exit 0" true (st = Unix.WEXITED 0);
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+(* SIGTERM drains: a mutation sent after it is rejected, a query is still
+   answered, and the end of input exits 0. The signal is sent once both
+   replies before it are read, while the server waits for input. *)
+let test_serve_drain_signal () =
+  Helpers.with_sigpipe_ignored @@ fun () ->
+  let replies, st =
+    with_serve_pipes [ "serve" ] (fun pid c close_stdin ->
+        send c [ "open a"; "submit a 0 2 50" ];
+        let before = List.map (fun _ -> next_reply c) [ 0; 1 ] in
+        Unix.kill pid Sys.sigterm;
+        send c [ "open b"; "query a" ];
+        close_stdin ();
+        before @ rest_lines c)
+  in
+  Alcotest.(check (list string))
+    "replies"
+    [
+      "0 ok open tenant=a m=4 scale=100";
+      "1 ok submit tenant=a job=0";
+      "2 reject draining";
+      "3 ok schedule tenant=a jobs=1 makespan=2 lb=2";
+    ]
+    replies;
+  Alcotest.(check bool) "exit 0" true (st = Unix.WEXITED 0)
+
 let suite =
   ( "cli",
     [
@@ -454,4 +626,6 @@ let suite =
         test_serve_resume_crash_points;
       Alcotest.test_case "serve resume fail-stop" `Quick test_serve_resume_mismatch;
       Alcotest.test_case "serve over a unix socket" `Quick test_serve_socket;
+      Alcotest.test_case "serve closed loop, pipes and socket" `Quick test_serve_closed_loop;
+      Alcotest.test_case "serve drains on SIGTERM" `Quick test_serve_drain_signal;
     ] )

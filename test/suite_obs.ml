@@ -647,7 +647,7 @@ let test_registry_doc_parity () =
   let library name =
     List.exists
       (fun prefix -> String.starts_with ~prefix name)
-      [ "sos."; "engine."; "robust."; "serve."; "sas."; "binpack." ]
+      [ "sos."; "engine."; "robust."; "serve."; "sas."; "binpack."; "process." ]
   in
   let fold_domain name =
     match Scanf.sscanf name "engine.pool.d%u.tasks%!" ignore with

@@ -3,10 +3,13 @@
    pairs, deadline degradation to last-good schedules, write-ahead-log
    resume byte-identity (including tamper detection), and graceful
    drain. Replies are checked byte-for-byte — the transcript IS the
-   service's contract. *)
+   service's contract. Fuzzed: the protocol parser, random request
+   sequences through the server, and the bounded line reader against
+   [In_channel.input_line]. *)
 
 module P = Serve.Protocol
 module S = Serve.Server
+module L = Serve.Lines
 
 let check_lines name expected got =
   Alcotest.(check (list string)) name expected got
@@ -327,6 +330,7 @@ let resume_requests =
     "query t";
     "submit t 5 3 60";
     "query t job=1";
+    String.make (L.max_line + 904) 'z';
     "stats";
     "close t";
   ]
@@ -399,6 +403,260 @@ let test_serve_negative_retries () =
     [ None; Some wal ];
   Alcotest.(check bool) "no WAL shard written" false (Sys.file_exists (wal ^ ".0"))
 
+(* --- bounded request lines --- *)
+
+let too_long i = Printf.sprintf "%d error parse request longer than 4096 bytes" i
+
+(* A line past the bound takes one index and one parse error, and the
+   next line is answered as usual; a line of exactly the bound is read
+   whole. *)
+let test_serve_long_lines () =
+  let pad verb n = verb ^ String.make (n - String.length verb) ' ' in
+  let replies, s =
+    drive
+      [
+        "open a";
+        String.make 5000 'x';
+        "open " ^ String.make 9000 'b';
+        pad "stats" L.max_line;
+        pad "stats" (L.max_line + 1);
+        "query a";
+      ]
+  in
+  check_lines "long-line transcript"
+    [
+      "0 ok open tenant=a m=4 scale=100";
+      too_long 1;
+      too_long 2;
+      "3 ok stats sessions=1 jobs=0 volume=0 draining=0";
+      too_long 4;
+      "5 ok schedule tenant=a jobs=0 makespan=0 lb=0";
+    ]
+    replies;
+  Alcotest.(check int) "requests" 6 s.S.requests;
+  Alcotest.(check int) "errors" 3 s.S.errors
+
+(* A burst read in one refill leaves in two writes: its first reply at
+   once, the rest before the reader goes back to its channel. *)
+let test_serve_reply_flushes () =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Obs.Metrics.disable ()) @@ fun () ->
+  let before = Obs.Metrics.get "serve.reply_flushes" in
+  let replies, _ = drive ("open t" :: List.init 99 (fun _ -> "query t")) in
+  Alcotest.(check int) "one reply each" 100 (List.length replies);
+  Alcotest.(check int) "two writes" 2 (Obs.Metrics.get "serve.reply_flushes" - before)
+
+(* Every line [In_channel.input_line] returns from [ic]. *)
+let input_lines ic =
+  let rec go acc = match In_channel.input_line ic with None -> List.rev acc | Some l -> go (l :: acc) in
+  go []
+
+let read_all reader =
+  let rec go acc = match L.read reader with None -> List.rev acc | Some l -> go (l :: acc) in
+  go []
+
+let bounded line =
+  if String.length line <= L.max_line then L.Line line
+  else L.Too_long (String.sub line 0 L.max_line)
+
+(* Lines of random bytes without a newline, NUL and \r included: mostly
+   short, some empty, some at the bound and some past the buffer. *)
+let gen_text =
+  let open QCheck.Gen in
+  let byte = frequency [ (8, char_range ' ' '~'); (1, return '\r'); (1, return '\000'); (1, map Char.chr (int_range 128 255)) ] in
+  let len =
+    frequency
+      [
+        (6, int_range 0 80);
+        (1, return 0);
+        (2, int_range (L.max_line - 2) (L.max_line + 2));
+        (1, int_range (L.max_line + 3) (3 * L.max_line));
+      ]
+  in
+  let line = len >>= fun n -> string_size ~gen:byte (return n) in
+  map2
+    (fun lines final -> String.concat "\n" lines ^ if final && lines <> [] then "\n" else "")
+    (list_size (int_range 0 24) line)
+    bool
+
+(* Feed [text] through a pipe in writes of the given sizes, cycled, from
+   another domain, and read it with the bounded reader. *)
+let read_through_pipe text sizes =
+  Helpers.with_sigpipe_ignored @@ fun () ->
+  let r, w = Unix.pipe ~cloexec:true () in
+  let sizes = Array.of_list sizes in
+  let writer =
+    Domain.spawn (fun () ->
+        let rec go pos i =
+          if pos < String.length text then begin
+            let k = min sizes.(i mod Array.length sizes) (String.length text - pos) in
+            go (pos + Unix.write_substring w text pos k) (i + 1)
+          end
+        in
+        Fun.protect ~finally:(fun () -> Unix.close w) (fun () -> try go 0 0 with Unix.Unix_error _ -> ()))
+  in
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect
+    ~finally:(fun () ->
+      close_in_noerr ic;
+      Domain.join writer)
+    (fun () -> read_all (L.create ic))
+
+let prop_lines_match_input_line =
+  Helpers.qcheck ~count:150 "reader = In_channel.input_line up to the bound"
+    QCheck.(
+      make
+        ~print:(fun (text, sizes) ->
+          Printf.sprintf "%d bytes %S in writes of %s" (String.length text) text
+            (String.concat "," (List.map string_of_int sizes)))
+        Gen.(pair gen_text (list_size (int_range 1 8) (int_range 1 6000))))
+    (fun (text, sizes) ->
+      let path = Filename.temp_file "lines" ".txt" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      let expected = List.map bounded (In_channel.with_open_bin path input_lines) in
+      let from_file = In_channel.with_open_bin path (fun ic -> read_all (L.create ic)) in
+      from_file = expected && read_through_pipe text sizes = expected)
+
+(* [before_refill] runs before every read of the channel, and [refills]
+   counts them, the one that meets end of input included. *)
+let test_lines_refills () =
+  let text = String.concat "\n" (List.init 3000 string_of_int) in
+  let path = Filename.temp_file "lines" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+  let hooks = ref 0 in
+  In_channel.with_open_bin path (fun ic ->
+      let reader = L.create ~before_refill:(fun () -> incr hooks) ic in
+      Alcotest.(check int) "every line" 3000 (List.length (read_all reader));
+      let reads = (String.length text + L.max_line - 1) / L.max_line in
+      Alcotest.(check int) "refills" (reads + 1) (L.refills reader);
+      Alcotest.(check int) "one hook per refill" (L.refills reader) !hooks;
+      Alcotest.(check bool) "end of input stays" true (L.read reader = None))
+
+(* --- protocol and request-loop fuzzing --- *)
+
+let boundary_ints =
+  [
+    "0"; "1"; "-1"; "2"; string_of_int max_int; string_of_int min_int;
+    "4611686018427387904"; "-4611686018427387905";
+  ]
+
+let valid_tenants = [ "a"; "b-2"; "T.x_9"; String.make 64 'n' ]
+let bad_tenants = [ String.make 65 'n'; "a!"; "caf\xc3\xa9"; "x\000y" ]
+
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [ (24, map string_of_int (int_range 0 12)); (4, oneofl boundary_ints); (1, oneofl [ "x"; "1.5"; "0x10"; "+3" ]) ])
+
+let gen_kv keys =
+  QCheck.Gen.(
+    map2 (fun k v -> k ^ "=" ^ v) keys
+      (frequency [ (6, gen_int); (1, oneofl [ "0.5"; "1e-9"; "100"; "nan"; "inf"; "-0.0"; "1e400"; "" ]) ]))
+
+(* A request built from the verbs, the tenants of [tenants] (and now and
+   then a bad or oversized name), [k=v] options and boundary integers:
+   mostly well formed, so that sequences build sessions up, plus a share
+   of junk. [drain] and [shutdown] are rare, so a sequence runs on. *)
+let gen_request tenants =
+  let open QCheck.Gen in
+  let tenant = frequency [ (16, oneofl tenants); (1, oneofl bad_tenants) ] in
+  let line verb t rest = String.concat " " ((verb ^ " " ^ t) :: List.concat rest) in
+  let opt key = frequency [ (1, return []); (2, map (fun kv -> [ kv ]) (gen_kv (return key))) ] in
+  let junk =
+    list_size (int_range 0 4)
+      (frequency [ (3, gen_int); (2, gen_kv (oneofl [ "m"; "scale"; "job"; "deadline"; "x" ])); (1, tenant) ])
+  in
+  frequency
+    [
+      (20, map3 (fun t m s -> line "open" t [ m; s ]) tenant (opt "m") (opt "scale"));
+      (120, map2 (fun t ns -> line "submit" t [ ns ]) tenant (list_repeat 3 gen_int));
+      (60, map3 (fun t j d -> line "query" t [ j; d ]) tenant (opt "job") (opt "deadline"));
+      (6, map (fun t -> "close " ^ t) tenant);
+      (6, return "stats");
+      (1, return "drain");
+      (1, return "shutdown");
+      ( 12,
+        map3
+          (fun verb t rest -> String.concat "  " ((verb ^ " " ^ t) :: rest))
+          (oneofl [ "open"; "submit"; "query"; "close"; "stats"; "drain"; "shutdown"; "frob"; "" ])
+          tenant junk );
+    ]
+
+(* Byte strings of 0-300 bytes, none of them a newline. *)
+let gen_bytes =
+  QCheck.Gen.(
+    string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 300)
+    |> map (String.map (fun c -> if c = '\n' then ' ' else c)))
+
+let prop_parse_bytes =
+  Helpers.qcheck ~count:500 "parse never raises on bytes"
+    QCheck.(make ~print:Print.string gen_bytes)
+    (fun line -> match P.parse line with Ok _ | Error _ -> true)
+
+(* [canonical] drops [deadline=]; everything else parses back. *)
+let prop_parse_tokens =
+  Helpers.qcheck ~count:1000 "parse total on token lists; canonical parses back"
+    QCheck.(make ~print:Print.string (gen_request (valid_tenants @ bad_tenants)))
+    (fun line ->
+      match P.parse line with
+      | Error _ -> true
+      | Ok cmd -> (
+          let expected =
+            match cmd with P.Query q -> P.Query { q with deadline = None } | c -> c
+          in
+          match P.parse (P.canonical cmd) with
+          | Ok back -> back = expected
+          | Error e -> QCheck.Test.fail_reportf "canonical %S: %s" (P.canonical cmd) e))
+
+(* Up to 4 tenants, most of them opened first, then up to 200 requests. *)
+let gen_sequence =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun k ->
+    let tenants = List.filteri (fun i _ -> i < k) valid_tenants in
+    let opens =
+      flatten_l
+        (List.map
+           (fun t ->
+             frequency
+               [ (1, return []); (4, map (fun m -> [ Printf.sprintf "open %s m=%d" t m ]) (int_range 2 6)) ])
+           tenants)
+    in
+    triple bool opens (list_size (int_range 0 196) (gen_request tenants))
+    |> map (fun (tight, opens, rest) -> (tight, List.concat opens @ rest)))
+
+(* One reply per request, in order, up to the first shutdown; half the
+   sequences run under tight admission caps. *)
+let prop_serve_sequences =
+  Helpers.qcheck ~count:300 "every request one reply, never task-exn"
+    QCheck.(make ~print:Print.(pair bool (list string)) gen_sequence)
+    (fun (tight, requests) ->
+      let cfg =
+        if tight then { S.default with S.max_sessions = 2; max_jobs = 6; max_volume = 40 }
+        else S.default
+      in
+      let replies, _ = drive ~cfg requests in
+      let rec answered i = function
+        | [] -> i
+        | r :: rest -> if P.parse r = Ok P.Shutdown then i + 1 else answered (i + 1) rest
+      in
+      let expected = answered 0 requests in
+      if List.length replies <> expected then
+        QCheck.Test.fail_reportf "%d replies for %d requests" (List.length replies) expected;
+      List.iteri
+        (fun i reply ->
+          if not (String.starts_with ~prefix:(string_of_int i ^ " ") reply) then
+            QCheck.Test.fail_reportf "reply %d is %S" i reply;
+          match String.split_on_char ' ' reply with
+          | _ :: ("ok" | "stale" | "overload" | "reject") :: _ -> ()
+          | _ :: "error" :: "task-exn" :: _ -> QCheck.Test.fail_reportf "reply %d is %S" i reply
+          | _ :: "error" :: _ -> ()
+          | _ -> QCheck.Test.fail_reportf "reply %d has no class: %S" i reply)
+        replies;
+      true)
+
 let suite =
   ( "serve",
     [
@@ -419,4 +677,11 @@ let suite =
       Alcotest.test_case "WAL header binds admission caps" `Quick
         test_serve_resume_header_binding;
       Alcotest.test_case "negative retries refused at create" `Quick test_serve_negative_retries;
+      Alcotest.test_case "lines past the bound" `Quick test_serve_long_lines;
+      Alcotest.test_case "a burst leaves in two writes" `Quick test_serve_reply_flushes;
+      Alcotest.test_case "reader refills" `Quick test_lines_refills;
+      prop_lines_match_input_line;
+      prop_parse_bytes;
+      prop_parse_tokens;
+      prop_serve_sequences;
     ] )
