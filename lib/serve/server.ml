@@ -51,6 +51,7 @@ let c_err_deadline = Obs.Metrics.runtime_counter "serve.errors.deadline"
 let c_solve_full = Obs.Metrics.runtime_counter "serve.solve.full"
 let c_solve_extended = Obs.Metrics.runtime_counter "serve.solve.extended"
 let c_solve_cached = Obs.Metrics.runtime_counter "serve.solve.cached"
+let c_solve_blocks = Obs.Metrics.runtime_counter "serve.solve.blocks"
 let c_journal_entries = Obs.Metrics.runtime_counter "serve.journal.entries"
 let c_reply_flushes = Obs.Metrics.runtime_counter "serve.reply_flushes"
 let h_solve_seconds = Obs.Metrics.runtime_hist "serve.solve.seconds"
@@ -200,6 +201,7 @@ let handle_query (t : t) cancel ~index ~tenant ~job ~deadline =
         (d after.Session.extended_solves before.Session.extended_solves);
       Obs.Metrics.add c_solve_cached
         (d after.Session.cached_hits before.Session.cached_hits);
+      Obs.Metrics.add c_solve_blocks (d after.Session.blocks before.Session.blocks);
       (match out with
       | Ok r -> format_solved ~index ~tenant session r job
       | Error err -> begin

@@ -66,45 +66,76 @@ let by_req reqs p q =
   if c <> 0 then c else Int.compare p q
 
 (* The released positions waiting for admission: a binary min-heap over
-   the first [size] cells of [heap], ordered by [gen.(p)] (see
-   [simulate]), then by (req, position). *)
-type queue = { heap : int array; mutable size : int; gen : int array; reqs : int array }
+   the first [size] cells of [heap], ordered by generation (see
+   [simulate]), then by (req, position). [gens.(i)] is the generation of
+   the position in [heap.(i)], so the queue needs no column sized by n. *)
+type queue = { heap : int array; gens : int array; mutable size : int; reqs : int array }
 
-let before q p r =
-  let c = Int.compare q.gen.(p) q.gen.(r) in
-  if c <> 0 then c < 0 else by_req q.reqs p r < 0
+let before q g p g' p' = g < g' || (g = g' && by_req q.reqs p p' < 0)
 
-let enqueue q p =
+let enqueue q g p =
   let i = ref q.size in
   q.size <- q.size + 1;
-  while !i > 0 && before q p q.heap.((!i - 1) / 2) do
+  while !i > 0 && before q g p q.gens.((!i - 1) / 2) q.heap.((!i - 1) / 2) do
     q.heap.(!i) <- q.heap.((!i - 1) / 2);
+    q.gens.(!i) <- q.gens.((!i - 1) / 2);
     i := (!i - 1) / 2
   done;
-  q.heap.(!i) <- p
+  q.heap.(!i) <- p;
+  q.gens.(!i) <- g
 
 (* Remove the head, [q.heap.(0)]. *)
 let dequeue q =
   q.size <- q.size - 1;
-  let last = q.heap.(q.size) in
+  let last = q.heap.(q.size) and g = q.gens.(q.size) in
   let i = ref 0 and sifting = ref true in
   while !sifting do
     let l = (2 * !i) + 1 in
-    let c = if l + 1 < q.size && before q q.heap.(l + 1) q.heap.(l) then l + 1 else l in
-    if c < q.size && before q q.heap.(c) last then begin
+    let c =
+      if l + 1 < q.size && before q q.gens.(l + 1) q.heap.(l + 1) q.gens.(l) q.heap.(l) then l + 1
+      else l
+    in
+    if c < q.size && before q q.gens.(c) q.heap.(c) g last then begin
       q.heap.(!i) <- q.heap.(c);
+      q.gens.(!i) <- q.gens.(c);
       i := c
     end
     else sifting := false
   done;
-  q.heap.(!i) <- last
+  q.heap.(!i) <- last;
+  q.gens.(!i) <- g
 
-(* Run positions [from .. n-1] to completion from time [clock], where
-   every position below [from] has finished; write each one's first step
-   into [starts] (-1 until then) and return the makespan. Only the first
-   [n] positions of the columns are read. [block active amounts k repeat]
-   sees each block: the first [k] running positions and what each gets
-   per step, for [repeat] steps ([k = 0] is an idle gap).
+(* The loop state of a completed run at one admission attempt, from
+   which [simulate] resumes the run with more jobs (the rule is in its
+   comment). It holds O(m + queued) words and no column sized by n. *)
+type checkpoint = {
+  last : int;  (** R: the latest release among the run's jobs *)
+  clock : int;  (** the time of the attempt *)
+  admitted : int;  (** admissions made before it *)
+  running : int array;  (** the active positions, in (req, position) order *)
+  left : int array;  (** [left.(i)]: work [running.(i)] still has to do *)
+  load : int;  (** Σ req over [running] *)
+  waiting : int array;  (** the queue's positions, in heap order *)
+  generations : int array;  (** [generations.(i)]: the generation of [waiting.(i)] *)
+}
+
+(* How many of [r]'s jobs started before time [time]. *)
+let started_before r time =
+  let c = ref 0 in
+  for p = 0 to r.jobs - 1 do
+    if r.starts.(p) < time then incr c
+  done;
+  !c
+
+(* Run the first [n] positions of the columns to completion and return
+   the result, the run's checkpoint ([None] when [n = 0]) and the number
+   of blocks simulated. [last] is the latest release among the [n]
+   positions. [base], when given, is a completed run over the first
+   [r.jobs] positions and its checkpoint; every later position must be
+   released at or after the checkpoint's [last], and the run resumes
+   from the checkpoint instead of from time 0. [block active amounts k
+   repeat] sees each block: the first [k] running positions and what
+   each gets per step, for [repeat] steps ([k = 0] is an idle gap).
 
    Admission order. The per-step policy keeps the waiting jobs in a list,
    sorted by (req, position) at the start. Each admission takes the first
@@ -112,23 +143,24 @@ let dequeue q =
    every unreleased one, each group keeping its order. So a job passed
    over at one admission stays ahead of every job released after it,
    whatever their requirements. The queue reproduces that order with a
-   key: [gen.(p)] is the number of admissions made before [p] was
-   released. Two waiting jobs with the same [gen] were released between
-   the same two admissions, and no admission changed their order, so
-   they keep (req, position). A smaller [gen] means an admission found
-   one job released and the other not, and moved the released one ahead.
-   Positions wait in [arriving], sorted by release, until the frontier
-   reaches them; [next] is the first one not yet released, and its
-   release is the next release time. A client that submits in time order
-   sends them sorted already, so an O(n) scan comes first and the sort
-   runs only when it finds one out of order. Each position is pushed and
-   popped once, at O(log n) each.
+   key: a job's generation is the number of admissions made before it
+   was released. Two waiting jobs of the same generation were released
+   between the same two admissions, and no admission changed their
+   order, so they keep (req, position). A smaller generation means an
+   admission found one job released and the other not, and moved the
+   released one ahead. Positions wait in [arriving], sorted by release,
+   until the clock reaches them; [next] is the first one not yet
+   released, and its release is the next release time. A client that
+   submits in time order sends them sorted already, so an O(n) scan
+   comes first and the sort runs only when it finds one out of order.
+   Each position is pushed and popped once, at O(log n) each.
 
    Active set. [active] holds the running positions in (req, position)
-   order, so the largest is the last slot, and [sum] is their Σ req. An
-   admission shifts its job into place and a block compacts finished
-   jobs out, in O(m) and without allocating. [active] has min(m − 1,
-   n − from) cells, whatever m is.
+   order, so the largest is the last slot, [rems] the work each has
+   left, and [sum] their Σ req. An admission shifts its job into place
+   and a block compacts finished jobs out, in O(m) and without
+   allocating. [active] has min(m − 1, jobs to run) cells, whatever m
+   is.
 
    Events. Stepping one time unit at a time, the state changes only at
    three kinds of event: a release while a slot is free ([admit] may grow
@@ -141,6 +173,24 @@ let dequeue q =
    of the per-step loop (test/online_oracle.ml keeps it as the suite's
    reference).
 
+   Checkpoint. Let R be the run's latest release and g* the number of
+   jobs started before R (the admissions made before the first
+   iteration at t >= R). The checkpoint is the state at the first
+   admission attempt — an entry to [admit], recursive ones included —
+   in an iteration at t >= R where the queue is empty or its head's
+   generation is at least g*. It holds for any later job released at or
+   after R: such a job's generation is at least g*, while before the
+   checkpoint every head's is below g*, so the new job never reaches the
+   head, and its release can only split a block without changing an
+   allocation. A resume therefore copies the committed starts, clears
+   those of the checkpoint's queued jobs and of its active members
+   started at its time, queues every new job released by the
+   checkpoint's time with generation = the number of committed jobs
+   started before its release, leaves the later ones in [arriving], and
+   continues the loop from the checkpoint. The run captures its own
+   checkpoint on the way, for the next resume: none comes earlier, since
+   before the old one every head's generation is below the old g*.
+
    Event bound: every block ends at a job's release (one block at most
    per distinct release time), at a job's finish, or one step before a
    finish — an interval cut short by a job's partial last step, which the
@@ -150,27 +200,79 @@ let dequeue q =
    simulation. One cooperative cancellation poll per block keeps
    mid-solve deadlines responsive; the chaos site lets the fault suite
    kill whole solves. *)
-let simulate ~m ~scale ~n ~releases ~sizes ~reqs ~from ~clock ~starts ~block =
+let simulate ~m ~scale ~n ~releases ~sizes ~reqs ~last ~base ~block =
   Robust.Chaos.point "sos.online.run";
   let fuel = ref (3 * n) in
+  let from, queued, running =
+    match base with
+    | Some (r, c) -> (r.jobs, Array.length c.waiting, Array.length c.running)
+    | None -> (0, 0, 0)
+  in
   let arriving = Array.init (n - from) (fun i -> from + i) in
   let rec in_order p = p >= n || (releases.(p - 1) <= releases.(p) && in_order (p + 1)) in
   if not (in_order (from + 1)) then
     Array.stable_sort (fun p q -> Int.compare releases.(p) releases.(q)) arriving;
   let next = ref 0 in
-  let queue = { heap = Array.make (n - from) 0; size = 0; gen = Array.make n 0; reqs } in
-  let admissions = ref 0 in
-  let rem = Array.make n 0 in
-  for p = from to n - 1 do
-    rem.(p) <- sizes.(p) * reqs.(p)
-  done;
-  let slots = Int.min (m - 1) (n - from) in
-  let active = Array.make slots 0 and amounts = Array.make slots 0 in
-  let k = ref 0 and sum = ref 0 and t = ref clock in
+  let capacity = queued + n - from in
+  let queue = { heap = Array.make capacity 0; gens = Array.make capacity 0; size = 0; reqs } in
+  let slots = Int.min (m - 1) (capacity + running) in
+  let active = Array.make slots 0 and rems = Array.make slots 0 in
+  let amounts = Array.make slots 0 in
+  let k = ref 0 and sum = ref 0 and t = ref 0 and admissions = ref 0 and gstar = ref (-1) in
+  let starts =
+    match base with
+    | None -> Array.make n (-1)
+    | Some (r, c) ->
+        let starts = grown r.starts n (-1) in
+        t := c.clock;
+        admissions := c.admitted;
+        k := running;
+        sum := c.load;
+        Array.blit c.running 0 active 0 !k;
+        Array.blit c.left 0 rems 0 !k;
+        Array.iter (fun p -> if starts.(p) = c.clock then starts.(p) <- -1) c.running;
+        Array.blit c.waiting 0 queue.heap 0 queued;
+        Array.blit c.generations 0 queue.gens 0 queued;
+        queue.size <- queued;
+        Array.iter (fun p -> starts.(p) <- -1) c.waiting;
+        (* New jobs released by the checkpoint's time queue now; equal
+           releases are adjacent in [arriving] and share one count. *)
+        let counted = ref (-1) and gen = ref 0 in
+        while !next < Array.length arriving && releases.(arriving.(!next)) <= c.clock do
+          let p = arriving.(!next) in
+          if releases.(p) <> !counted then begin
+            counted := releases.(p);
+            gen := started_before r !counted
+          end;
+          enqueue queue !gen p;
+          incr next
+        done;
+        (* With every new job queued, the latest release is the last
+           one's, and so is g*. *)
+        if !next = Array.length arriving then gstar := !gen;
+        starts
+  in
+  let checkpoint = ref None in
+  let capture () =
+    checkpoint :=
+      Some
+        {
+          last;
+          clock = !t;
+          admitted = !admissions;
+          running = Array.sub active 0 !k;
+          left = Array.sub rems 0 !k;
+          load = !sum;
+          waiting = Array.sub queue.heap 0 queue.size;
+          generations = Array.sub queue.gens 0 queue.size;
+        }
+  in
   (* Admit queued jobs in order while the active set keeps property (b):
      everything except the largest member must fit below the full
      resource. *)
   let rec admit () =
+    if !gstar >= 0 && Option.is_none !checkpoint && (queue.size = 0 || queue.gens.(0) >= !gstar)
+    then capture ();
     if queue.size > 0 && !k < m - 1 then begin
       let c = queue.heap.(0) in
       let largest = if !k > 0 then reqs.(active.(!k - 1)) else 0 in
@@ -180,29 +282,32 @@ let simulate ~m ~scale ~n ~releases ~sizes ~reqs ~from ~clock ~starts ~block =
         let i = ref !k in
         while !i > 0 && by_req reqs active.(!i - 1) c > 0 do
           active.(!i) <- active.(!i - 1);
+          rems.(!i) <- rems.(!i - 1);
           decr i
         done;
         active.(!i) <- c;
+        rems.(!i) <- sizes.(c) * reqs.(c);
         incr k;
         sum := !sum + reqs.(c);
         admit ()
       end
     end
   in
+  let blocks = ref 0 in
   while !next < Array.length arriving || queue.size > 0 || !k > 0 do
     Robust.Context.poll ();
     decr fuel;
     if !fuel < 0 then Robust.Failure.internal_error "Online.run: no progress";
+    if !gstar < 0 && !t >= last then gstar := !admissions;
     while !next < Array.length arriving && releases.(arriving.(!next)) <= !t do
-      let p = arriving.(!next) in
-      queue.gen.(p) <- !admissions;
-      enqueue queue p;
+      enqueue queue !admissions arriving.(!next);
       incr next
     done;
     admit ();
     let next_release =
       if !next < Array.length arriving then releases.(arriving.(!next)) else max_int
     in
+    incr blocks;
     if !k = 0 then begin
       (* Idle until the next release: with m >= 2 and scale >= 1 an empty
          active set admits any released job, so the queue is empty and
@@ -218,29 +323,28 @@ let simulate ~m ~scale ~n ~releases ~sizes ~reqs ~from ~clock ~starts ~block =
          full again. Every amount is positive: admission keeps the
          others' requirements below [scale]. A free slot also stops the
          block at the next release. *)
-      let last = !k - 1 in
+      let top = !k - 1 in
       let spent = ref 0 in
-      for i = 0 to last - 1 do
-        let p = active.(i) in
-        let a = Int.min reqs.(p) rem.(p) in
+      for i = 0 to top - 1 do
+        let a = Int.min reqs.(active.(i)) rems.(i) in
         amounts.(i) <- a;
         spent := !spent + a
       done;
-      let big = active.(last) in
-      amounts.(last) <- Int.min (Int.min (scale - !spent) reqs.(big)) rem.(big);
+      amounts.(top) <- Int.min (Int.min (scale - !spent) reqs.(active.(top))) rems.(top);
       let repeat = ref (if !k < m - 1 then next_release - !t else max_int) in
-      for i = 0 to last do
-        repeat := Int.min !repeat (rem.(active.(i)) / amounts.(i))
+      for i = 0 to top do
+        repeat := Int.min !repeat (rems.(i) / amounts.(i))
       done;
       let repeat = !repeat in
       block active amounts !k repeat;
       let kept = ref 0 in
-      for i = 0 to last do
+      for i = 0 to top do
         let p = active.(i) in
         if starts.(p) < 0 then starts.(p) <- !t;
-        rem.(p) <- rem.(p) - (repeat * amounts.(i));
-        if rem.(p) > 0 then begin
+        let left = rems.(i) - (repeat * amounts.(i)) in
+        if left > 0 then begin
           active.(!kept) <- p;
+          rems.(!kept) <- left;
           incr kept
         end
         else sum := !sum - reqs.(p)
@@ -249,7 +353,7 @@ let simulate ~m ~scale ~n ~releases ~sizes ~reqs ~from ~clock ~starts ~block =
       t := !t + repeat
     end
   done;
-  !t
+  ({ jobs = n; makespan = !t; starts }, !checkpoint, !blocks)
 
 module Session = struct
   type reject =
@@ -263,7 +367,7 @@ module Session = struct
     | Volume_budget { cap; volume } ->
         Printf.sprintf "volume budget exhausted (cap %d, held %d)" cap volume
 
-  type stats = { full_solves : int; extended_solves : int; cached_hits : int }
+  type stats = { full_solves : int; extended_solves : int; cached_hits : int; blocks : int }
 
   type t = {
     m : int;
@@ -283,15 +387,16 @@ module Session = struct
     mutable longest : int;  (** max_j p_j *)
     mutable horizon : int;  (** max_j (r_j + p_j) *)
     (* The result of the last completed simulation, over the first
-       [jobs] positions: the frontier a solve extends, since at its
-       makespan every job has finished. Solving never mutates it — a solve
-       simulates on fresh arrays and swaps the new result in only on
-       completion — so a deadline that unwinds mid-solve leaves it, and
-       [peek]'s answer, intact. *)
+       [jobs] positions, and that run's checkpoint, which the next solve
+       resumes from. Solving never mutates either — a solve simulates on
+       fresh arrays and swaps both in only on completion — so a deadline
+       that unwinds mid-solve leaves them, and [peek]'s answer, intact. *)
     mutable last_good : result option;
+    mutable checkpoint : checkpoint option;
     mutable full_solves : int;
     mutable extended_solves : int;
     mutable cached_hits : int;
+    mutable blocks : int;
   }
 
   let create ?max_jobs ?max_volume ~m ~scale () =
@@ -310,9 +415,11 @@ module Session = struct
       longest = 0;
       horizon = 0;
       last_good = None;
+      checkpoint = None;
       full_solves = 0;
       extended_solves = 0;
       cached_hits = 0;
+      blocks = 0;
     }
 
   let m t = t.m
@@ -337,6 +444,7 @@ module Session = struct
       full_solves = t.full_solves;
       extended_solves = t.extended_solves;
       cached_hits = t.cached_hits;
+      blocks = t.blocks;
     }
 
   let reserve t =
@@ -392,31 +500,18 @@ module Session = struct
             end
       end
 
-  let unsolved = { jobs = 0; makespan = 0; starts = [||] }
+  (* The run over every admitted job, resumed from [base] when given. *)
+  let run t ~base ~block =
+    simulate ~m:t.m ~scale:t.scale ~n:t.count ~releases:t.releases ~sizes:t.sizes ~reqs:t.reqs
+      ~last:t.last_release ~base ~block
 
-  (* New positions can extend the committed simulation iff none of them
-     is released before the committed frontier. The committed frontier is
-     the completion time of the old job set, so at every earlier step the
-     new jobs are unreleased and change nothing; from the frontier on the
-     old simulation had drained, and resuming its loop with only the new
-     positions to schedule replays exactly what a from-scratch run would
-     do (idle until the first new release, then admit). Otherwise a new
-     job could have joined a past admission decision and we must re-solve
-     from 0. *)
-  let extends t r =
-    let rec from p = p >= t.count || (t.releases.(p) >= r.makespan && from (p + 1)) in
-    r.jobs > 0 && from r.jobs
-
-  (* Simulate the positions past [base.jobs] from [base]'s frontier, on
-     a fresh copy of its starts. *)
-  let resume t base ~block =
-    let n = t.count in
-    let starts = grown base.starts n (-1) in
-    let makespan =
-      simulate ~m:t.m ~scale:t.scale ~n ~releases:t.releases ~sizes:t.sizes ~reqs:t.reqs
-        ~from:base.jobs ~clock:base.makespan ~starts ~block
-    in
-    { jobs = n; makespan; starts }
+  (* The committed run resumes from its checkpoint iff no new position
+     is released before that run's latest release (see [simulate]);
+     otherwise a new job could have joined a past admission decision,
+     and the run starts again from 0. *)
+  let resumable t r c =
+    let rec from p = p >= t.count || (t.releases.(p) >= c.last && from (p + 1)) in
+    from r.jobs
 
   let solve t =
     match t.last_good with
@@ -425,12 +520,18 @@ module Session = struct
         r
     | last_good ->
         Instance.check_shape ~m:t.m ~scale:t.scale;
-        let base = match last_good with Some r when extends t r -> r | _ -> unsolved in
-        let r = resume t base ~block:(fun _ _ _ _ -> ()) in
+        let base =
+          match (last_good, t.checkpoint) with
+          | Some r, Some c when resumable t r c -> Some (r, c)
+          | _ -> None
+        in
+        let r, checkpoint, blocks = run t ~base ~block:(fun _ _ _ _ -> ()) in
         (* Commit only now: everything above may unwind on a deadline. *)
-        if base.jobs > 0 then t.extended_solves <- t.extended_solves + 1
+        if Option.is_some base then t.extended_solves <- t.extended_solves + 1
         else t.full_solves <- t.full_solves + 1;
+        t.blocks <- t.blocks + blocks;
         t.last_good <- Some r;
+        t.checkpoint <- checkpoint;
         r
 end
 
@@ -455,7 +556,7 @@ let run ~m ~scale arrivals = Session.solve (session_of ~m ~scale arrivals)
 (* The offline schedule comes from a second run of the same simulation,
    from scratch over [arrivals], whose blocks are recorded keyed by
    instance id. Its makespan and starts must be [r]'s, so every call also
-   checks [r] (an extended result, say) against a from-scratch run. The
+   checks [r] (a resumed result, say) against a from-scratch run. The
    schedule needs no trim: [simulate] reports an idle block only ahead of
    a release, whose job then runs, so the last block has work. *)
 let materialize ~m ~scale arrivals r =
@@ -475,7 +576,7 @@ let materialize ~m ~scale arrivals r =
     Schedule.Columns.append schedule ~job:jobs ~assigned:amounts ~consumed:amounts ~len:k
       ~repeat
   in
-  let fresh = Session.resume session Session.unsolved ~block in
+  let fresh, _, _ = Session.run session ~base:None ~block in
   if r.jobs <> n || r.makespan <> fresh.makespan || r.starts <> fresh.starts then
     raise
       (Robust.Failure.Invalid

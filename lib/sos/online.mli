@@ -36,15 +36,25 @@
     {!Session} is the incremental form behind [sosctl serve]: jobs are
     submitted one at a time under optional job-count and volume budgets,
     and each [solve] reuses the committed simulation when it can —
-    answering from cache when nothing changed, extending the finished
-    simulation when every new job is released at or after its frontier,
-    and only re-simulating from scratch when a new arrival rewrites
-    history. Both return a {!result} keyed by submission position: its
-    job count, makespan and start times, what a serve reply reads. A
-    result keeps no blocks. It needs none to be extended: at its makespan
-    every job has finished, so the frontier is the makespan and the
-    starts. An extension simulates only the new events, so it costs
-    O(new events) plus an O(n) copy of the starts. {!materialize} builds
+    answering from cache when nothing changed, resuming the committed
+    simulation from its checkpoint when every new job is released at or
+    after that run's latest release R, and only re-simulating from
+    scratch when a new arrival is released before R. Both return a
+    {!result} keyed by submission position: its job count, makespan and
+    start times, what a serve reply reads. A result keeps no blocks.
+
+    The checkpoint is the simulation's state at one admission attempt:
+    the first, at a time t >= R, where no job is queued or the queue's
+    head was released after the g* jobs that started before R had been
+    admitted. Until then every queue head was released before R, so a
+    job released at or after R never reaches the head and changes no
+    allocation: the run up to the checkpoint is the same with or without
+    it. The checkpoint keeps the time, the admissions count, the running
+    jobs with their remaining work, and the queued jobs with their
+    generations — O(m + queued) words per session. A resume copies the
+    committed starts, queues the new jobs released by the checkpoint's
+    time, and continues from there, so it costs the blocks after the
+    checkpoint plus an O(n) copy of the starts. {!materialize} builds
     the offline views — the sorted {!Instance.t}, the id-keyed
     {!Schedule.Columns.t} and the start times in id order — for callers that
     want them, by running the same simulation again from scratch, and
@@ -79,7 +89,7 @@ val materialize : m:int -> scale:int -> arrival list -> result -> offline
     start times in id order. The blocks come from a from-scratch run of
     the simulation over [arrivals], so a call costs O(n log n + blocks),
     and that run must give [r]'s makespan and starts: every call checks
-    [r], an extended result say, against it. Raises
+    [r], a resumed result say, against it. Raises
     [Robust.Failure.Invalid] on an arrival {!run} refuses, then
     [Invalid_argument] on [m < 2] or [scale < 1], then
     [Robust.Failure.Invalid (Malformed _)] when [arrivals] does not hold
@@ -114,10 +124,13 @@ module Session : sig
 
   val solve : t -> result
   (** The schedule for everything admitted so far — equal to
-      [run ~m ~scale (arrivals t)]. A cached answer costs O(1), an
-      extension O(new events) plus an O(n) copy of the starts, and a
-      full re-solve O(n log n) plus O(m) per block; none builds the
-      offline views ({!materialize} does). Raises [Invalid_argument] on
+      [run ~m ~scale (arrivals t)]. A cached answer costs O(1). A resume
+      from the committed checkpoint costs O(m) per block after the
+      checkpoint and O(log n) per admission, plus an O(n) copy of the
+      starts, O(m + queued + new jobs) set-up, and one O(n) count per
+      distinct release among the new jobs released by the checkpoint's
+      time. A full re-solve costs O(n log n) plus O(m) per block. None
+      builds the offline views ({!materialize} does). Raises [Invalid_argument] on
       [m < 2] or [scale < 1]. May raise {!Robust.Failure.Deadline} (via
       the ambient {!Robust.Context.poll}) or a chaos-injected fault from
       the [sos.online.run] site; either way the session keeps its last
@@ -149,11 +162,16 @@ module Session : sig
   (** [lower_bound ~m ~scale (arrivals t)], in O(1): the session keeps
       the sums. Raises [Invalid_argument] on [m < 2] or [scale < 1]. *)
 
-  type stats = { full_solves : int; extended_solves : int; cached_hits : int }
+  type stats = {
+    full_solves : int;  (** re-simulated from time 0 *)
+    extended_solves : int;  (** resumed from the committed checkpoint *)
+    cached_hits : int;  (** answered with the committed result *)
+    blocks : int;  (** blocks simulated by the completed solves *)
+  }
 
   val stats : t -> stats
-  (** How the solves so far were answered: re-simulated from scratch,
-      extended from the committed frontier, or served from cache. *)
+  (** How the completed solves so far were answered, and the work they
+      simulated. A solve that unwinds counts nowhere. *)
 end
 
 val run : m:int -> scale:int -> arrival list -> result

@@ -246,9 +246,10 @@ let test_resume_mismatch () =
 
 (* ------------------------------------------------------ serve resume *)
 
-(* 120 requests with every verb. Tenant d releases each round before its
-   frontier, so its queries re-solve in full; s releases 100 steps apart,
-   so its queries extend; a query by position right after a full query
+(* 120 requests with every verb. Tenant d releases each round at or
+   after its last release, and s 100 steps apart, so each tenant's first
+   query re-solves in full and its later ones resume from the committed
+   checkpoint; a query by position right after a whole-schedule query
    is a cached answer. Also a no-session query, a parse error, an
    out-of-range job, a close, a drain that rejects a later submit, and a
    shutdown. *)

@@ -159,8 +159,9 @@ let test_session_matches_scratch () =
 
 let test_session_solve_paths () =
   (* Strictly increasing releases beyond each frontier: after the first
-     solve, later solves must take the extend path; repeated solves with
-     no new jobs must answer from cache. *)
+     solve, later solves must resume from the committed checkpoint;
+     repeated solves with no new jobs must answer from cache; a job
+     released at 0 forces a full re-solve. *)
   let session = Online.Session.create ~m:4 ~scale:100 () in
   let add release =
     match
@@ -353,7 +354,7 @@ let test_online_history_bounded () =
   (* 400 jobs released 200 steps apart, each finished long before the
      next arrives: the shape of a sparse serve tenant. The schedule must
      stay within [simulate]'s event bound of three blocks per job, for a
-     one-shot run and for a session that extends on every solve. *)
+     one-shot run and for a session that resumes on every solve. *)
   let m = 4 and scale = 100 in
   let rng = Rng.create 4242 in
   let arrivals =
@@ -391,18 +392,25 @@ let add_all session arrivals =
       | Error e -> Alcotest.failf "reject: %s" (Online.Session.reject_message e))
     arrivals
 
+(* The latest release among a session's jobs: R, below which a new
+   release forces a full re-solve. *)
+let last_release session =
+  List.fold_left (fun acc (a : Online.arrival) -> max acc a.release) 0
+    (Online.Session.arrivals session)
+
 let test_session_full_extend_cycle () =
-  (* Dense bursts of up to 100 jobs, solved after each: the first solve
-     is full; a burst released from the frontier on extends; a burst
-     that starts before the frontier re-solves in full; the next
-     extends again, on top of the re-solved history. *)
+  (* Dense bursts of up to 100 jobs, solved after each, in four phases:
+     the first solve is full; a burst released between the last release
+     R and the frontier resumes from the committed checkpoint; a burst
+     with one release below R re-solves in full; a burst past the
+     frontier resumes again, on top of the re-solved history. *)
   for seed = 1 to 10 do
     let rng = Rng.create (seed * 353) in
     let session = Online.Session.create ~m:8 ~scale:1000 () in
     let frontier = ref 0 in
     List.iteri
-      (fun phase (first, full, extended) ->
-        add_all session (dense_arrivals rng ~first:(first !frontier) (Rng.int_in rng 1 100));
+      (fun phase (burst, full, extended) ->
+        add_all session (burst (last_release session) !frontier);
         let ctx = Printf.sprintf "seed %d phase %d" seed phase in
         let r = Online.Session.solve session in
         let stats = Online.Session.stats session in
@@ -412,12 +420,35 @@ let test_session_full_extend_cycle () =
         check_same_result ~ctx ~m:8 ~scale:1000 (Online.Session.arrivals session) r;
         frontier := r.Online.makespan)
       [
-        ((fun _ -> 0), 1, 0);
-        ((fun f -> f + Rng.int_in rng 0 50), 1, 1);
-        ((fun f -> Rng.int_in rng 0 (f - 1)), 2, 1);
-        ((fun f -> f + Rng.int_in rng 0 50), 2, 2);
+        ((fun _ _ -> dense_arrivals rng ~first:0 (Rng.int_in rng 1 100)), 1, 0);
+        ( (fun last f ->
+            (* The frontier is past R: the job released at R runs a step. *)
+            dense_arrivals rng ~first:(Rng.int_in rng (last + 1) f) (Rng.int_in rng 1 100)),
+          1,
+          1 );
+        ( (fun last f ->
+            let burst = dense_arrivals rng ~first:(Rng.int_in rng last f) (Rng.int_in rng 1 100) in
+            let early = Rng.int_in rng 0 (List.length burst - 1) in
+            List.mapi
+              (fun i (a : Online.arrival) ->
+                if i = early then { a with Online.release = Rng.int_in rng 0 (last - 1) } else a)
+              burst),
+          2,
+          1 );
+        ( (fun _ f -> dense_arrivals rng ~first:(f + Rng.int_in rng 0 50) (Rng.int_in rng 1 100)),
+          2,
+          2 );
       ]
   done
+
+(* Start times by submission position from the per-step oracle. *)
+let oracle_starts ~m ~scale arrivals =
+  let o = Online_oracle.run ~m ~scale arrivals in
+  let starts = Array.make (Array.length o.Online.start_times) (-1) in
+  Array.iteri
+    (fun id pos -> starts.(pos) <- o.Online.start_times.(id))
+    o.Online.instance.Instance.original;
+  (o.Online.schedule.makespan, starts)
 
 (* One [Session.solve] under an abandoning hazard: the [sos.online.run]
    chaos site, a deadline that has already passed (the first poll in the
@@ -441,7 +472,7 @@ let solve_under session hazard =
   | exception (Robust.Chaos.Injected _ | Robust.Failure.Deadline _) -> None
 
 let test_session_abandoned_solves () =
-  (* Dense bursts that either extend the committed simulation or rewrite
+  (* Dense bursts that either resume the committed simulation or rewrite
      its history, each followed by up to two solves under a hazard and
      then a plain solve. An abandoned solve must leave [peek] answering
      the very result it answered before, with the same starts and the
@@ -495,12 +526,85 @@ let test_session_abandoned_solves () =
   done;
   if !abandoned = 0 then Alcotest.fail "no solve was abandoned"
 
+let test_session_resume_property () =
+  (* Random sessions, m 2-10 and scale 1-60, grow by bursts whose
+     releases step +0/1 from the last one, tie one another, tie a
+     committed start at or after R (where a checkpoint sits), fall
+     between R and the frontier, fall below R, or land past the
+     frontier. Every completed solve must equal a from-scratch
+     [Online.run] and the per-step oracle, in the makespan and in every
+     start: a checkpoint taken one admission attempt off can leave
+     every makespan right and starts wrong. A third of the solves first
+     meet a [sos.online.run] fault or a deadline, which must leave the
+     committed result and the counts as they were. *)
+  let resumed = ref 0 and full = ref 0 and abandoned = ref 0 in
+  for seed = 1 to 1000 do
+    let rng = Rng.create (seed * 379) in
+    let m = Rng.int_in rng 2 10 and scale = Rng.int_in rng 1 60 in
+    let session = Online.Session.create ~m ~scale () in
+    for round = 1 to Rng.int_in rng 1 10 do
+      let ctx = Printf.sprintf "seed %d (m %d scale %d) round %d" seed m scale round in
+      let committed = Online.Session.peek session in
+      let frontier = match committed with Some r -> r.Online.makespan | None -> 0 in
+      let ties =
+        match committed with
+        | Some r -> List.filter (fun s -> s >= last_release session) (Array.to_list r.Online.starts)
+        | None -> []
+      in
+      let previous = ref (last_release session) in
+      let burst = if Rng.bool rng then 1 else Rng.int_in rng 2 8 in
+      for _ = 1 to burst do
+        let last = last_release session in
+        let release =
+          match Rng.int_in rng 0 9 with
+          | 0 | 1 | 2 -> last + Rng.int_in rng 0 1
+          | 3 -> !previous
+          | 4 when ties <> [] -> List.nth ties (Rng.int_in rng 0 (List.length ties - 1))
+          | 5 -> Rng.int_in rng last (max last frontier)
+          | 6 -> Rng.int_in rng 0 (max 0 (last - 1))
+          | 7 -> frontier + Rng.int_in rng 1 200
+          | _ -> last + Rng.int_in rng 0 3
+        in
+        previous := release;
+        add_all session
+          [ { Online.release; size = Rng.int_in rng 1 6; req = Rng.int_in rng 1 (2 * scale) } ]
+      done;
+      let arrivals = Online.Session.arrivals session in
+      if Rng.int_in rng 0 2 = 0 then begin
+        let stats = Online.Session.stats session in
+        match solve_under session (Rng.choose rng [| `Chaos; `Expired; `Short |]) with
+        | Some _ -> ()
+        | None ->
+            incr abandoned;
+            if Online.Session.peek session != committed then
+              Alcotest.failf "%s: an abandoned solve replaced the committed result" ctx;
+            if Online.Session.stats session <> stats then
+              Alcotest.failf "%s: an abandoned solve was counted" ctx
+      end;
+      let before = Online.Session.stats session in
+      let r = Online.Session.solve session in
+      let after = Online.Session.stats session in
+      if after.Online.Session.extended_solves > before.Online.Session.extended_solves then
+        incr resumed
+      else if after.Online.Session.full_solves > before.Online.Session.full_solves then incr full;
+      let scratch = Online.run ~m ~scale arrivals in
+      Alcotest.(check int) (ctx ^ ": makespan") scratch.Online.makespan r.Online.makespan;
+      Alcotest.(check (array int)) (ctx ^ ": starts") scratch.Online.starts r.Online.starts;
+      let makespan, starts = oracle_starts ~m ~scale arrivals in
+      Alcotest.(check int) (ctx ^ ": oracle makespan") makespan r.Online.makespan;
+      Alcotest.(check (array int)) (ctx ^ ": oracle starts") starts r.Online.starts
+    done
+  done;
+  if !resumed < 3000 || !full < 1000 || !abandoned < 1000 then
+    Alcotest.failf "too few resumed (%d), full (%d) or abandoned (%d) solves" !resumed !full
+      !abandoned
+
 let test_session_no_history () =
-  (* A session keeps no schedule blocks, only its three job columns and
-     the starts of its last result. A 400-job session solved after every
-     add, dense (full re-solves) or sparse (extensions), must hold at most
-     8 words per job; one that kept its blocks would hold 24 (sparse) to
-     55 (dense). *)
+  (* A session keeps no schedule blocks, only its three job columns, the
+     starts of its last result and that run's checkpoint. A 400-job
+     session solved after every add, dense or sparse, must hold at most 8
+     words per job; one that kept its blocks would hold 24 (sparse) to 55
+     (dense). *)
   List.iter
     (fun (shape, release) ->
       let rng = Rng.create 4243 in
@@ -551,7 +655,7 @@ let test_materialize_refuses_other_runs () =
 let test_online_huge_m () =
   (* Nothing is sized by m: with m = max_int a run must be the run at
      m = n + 1, where the slot limit never binds either; so must a session
-     with m = max_int, after a full solve and after an extension. *)
+     with m = max_int, after a full solve and after a resume. *)
   let same ctx (expected : Online.result) (got : Online.result) =
     Alcotest.(check int) (ctx ^ ": jobs") expected.Online.jobs got.Online.jobs;
     Alcotest.(check int) (ctx ^ ": makespan") expected.Online.makespan got.Online.makespan;
@@ -761,6 +865,8 @@ let suite =
         test_session_full_extend_cycle;
       Alcotest.test_case "session abandoned solves keep committed state" `Quick
         test_session_abandoned_solves;
+      Alcotest.test_case "session resumes equal from-scratch and oracle" `Quick
+        test_session_resume_property;
       Alcotest.test_case "session keeps no history" `Quick test_session_no_history;
       Alcotest.test_case "materialize refuses other runs" `Quick
         test_materialize_refuses_other_runs;
