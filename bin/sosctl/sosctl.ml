@@ -1195,13 +1195,14 @@ let batch_cmd =
    caller thread — replies across connections share one request-index
    stream and one write-ahead log, so concurrent connections would race
    the journal ordering. accept(2) is where stop signals land as EINTR,
-   so the accept step runs under Robust.Supervise: an interrupted accept
-   classifies as a transient failure, is retried after a deterministic
-   backoff, and every retry re-checks the drain/abort flags first.
-   SIGPIPE is ignored while serving: a client that closes before reading
-   its replies makes the reply write fail with EPIPE (Sys_error), which
-   ends that connection only — the reply's WAL entry is already written —
-   and the loop goes back to accept; so does a read the client reset. *)
+   so an interrupted accept re-checks the drain/abort flags and accepts
+   again. Any other failure is reported on one line and the loop accepts
+   again, after a deterministic backoff under --backoff-base (keyed on the
+   count of consecutive failures). SIGPIPE is ignored while serving: a
+   client that closes before reading its replies makes the reply write
+   fail with EPIPE (Sys_error), which ends that connection only — the
+   reply's WAL entry is already written — and the loop goes back to
+   accept; so does a read the client reset. *)
 let serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1215,36 +1216,35 @@ let serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path =
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 8;
       let stop () = Serve.Server.stopped srv || should_abort () || should_drain () in
-      let rec loop () =
-        if stop () then ()
-        else begin
-          let outcome =
-            Robust.Supervise.run ~restarts:4 ?backoff (fun () ->
-                if stop () then ()
-                else begin
-                  let conn, _ = Unix.accept sock in
-                  let output = Unix.out_channel_of_descr conn in
-                  (* Closing the channel closes [conn] and drops a reply
-                     the client never read, so no later flush writes it. *)
-                  Fun.protect
-                    ~finally:(fun () -> close_out_noerr output)
-                    (fun () ->
-                      try
-                        Serve.Server.serve srv ~input:(Unix.in_channel_of_descr conn) ~output
-                          ~cancel ~should_drain ~should_abort ()
-                      with Sys_error msg ->
-                        Printf.eprintf "serve: connection dropped: %s\n%!" msg)
-                end)
-          in
-          (match outcome.Robust.Supervise.result with
-          | Ok () -> ()
-          | Error f ->
-              Printf.eprintf "serve: connection failed: %s\n%!"
-                (Robust.Failure.to_string f));
-          loop ()
-        end
+      let serve_one () =
+        let conn, _ = Unix.accept sock in
+        let output = Unix.out_channel_of_descr conn in
+        (* Closing the channel closes [conn] and drops a reply the client
+           never read, so no later flush writes it. *)
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr output)
+          (fun () ->
+            try
+              Serve.Server.serve srv ~input:(Unix.in_channel_of_descr conn) ~output ~cancel
+                ~should_drain ~should_abort ()
+            with Sys_error msg -> Printf.eprintf "serve: connection dropped: %s\n%!" msg)
       in
-      loop ())
+      let rec loop failures =
+        if not (stop ()) then
+          match serve_one () with
+          | () -> loop 0
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop failures
+          | exception e ->
+              let f = Robust.Failure.of_exn e (Printexc.get_raw_backtrace ()) in
+              Printf.eprintf "serve: connection failed: %s\n%!" (Robust.Failure.to_string f);
+              Option.iter
+                (fun policy ->
+                  Robust.Backoff.sleep
+                    (Robust.Backoff.delay policy ~index:0 ~attempt:(failures + 1)))
+                backoff;
+              loop (failures + 1)
+      in
+      loop 0)
 
 let serve_cmd =
   let run obs jobs seed max_sessions max_jobs max_volume deadline ft socket =

@@ -107,34 +107,19 @@ let window_size ~domains ~chunk = function
   | None -> 4 * domains * max 1 chunk
   | Some w -> max (max 1 chunk) w
 
-(* Outcomes travel from worker to caller through a ring of [window] slots:
-   task i writes slot (i mod window), emit i reads and clears it. Slot
-   reuse is safe because task (i + window) is only supplied after emit i
-   (the pool's in-flight bound), and the pool's completion handshake makes
-   the worker's write visible to the caller. *)
+(* Outcomes travel from worker to caller in the pool's window ring; [run]
+   never raises, so a [None] from the pool is only a backstop for a task
+   the pool machinery lost entirely. *)
 let stream_seq pool ?(chunk = 1) ?window ?retries ?task_timeout ?cancel ?backoff producer ~f =
   check_retries retries;
   let chunk = max 1 chunk in
   let window = window_size ~domains:(Pool.domains pool) ~chunk window in
-  let slots = Array.make window None in
   Pool.run_ordered_seq pool ~chunk ~window
     (fun i ->
-      match producer i with
-      | None -> None
-      | Some task ->
-          Some
-            (fun () ->
-              slots.(i mod window) <-
-                Some (run ?retries ?task_timeout ?cancel ?backoff ~index:i task)))
-    ~emit:(fun i ->
-      match slots.(i mod window) with
-      | Some r ->
-          slots.(i mod window) <- None;
-          f i r
-      | None ->
-          (* run never raises here, so the slot is always filled; this is a
-             backstop for a task the pool machinery lost entirely. *)
-          f i (Error (never_ran i)))
+      Option.map
+        (fun task () -> run ?retries ?task_timeout ?cancel ?backoff ~index:i task)
+        (producer i))
+    ~emit:(fun i -> function Some r -> f i r | None -> f i (Error (never_ran i)))
 
 (* window = n: workers are never throttled by the consumer, which only
    stores each outcome. *)

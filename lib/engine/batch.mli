@@ -101,8 +101,9 @@ val stream_seq :
     streams afterwards: a failed task leaves it fully usable.
 
     At most [window_size ~domains ~chunk window] tasks are in flight
-    between producer and consumer, so memory is O(window) regardless of
-    stream length. On two or more domains [f] runs only once the window
+    between producer and consumer, and each outcome waits for [f] in the
+    pool's one ring of that many slots, so memory is O(window)
+    regardless of stream length. On two or more domains [f] runs only once the window
     is full or the producer has returned [None] ({!Pool.run_ordered_seq}),
     so a [window] of the batch's whole length [n] holds every outcome
     until the last task is submitted: it suits only a consumer that waits

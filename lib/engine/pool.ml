@@ -1,20 +1,18 @@
 (* Domain.spawn worker pool. See pool.mli. *)
 
 [@@@sos.allow
-  "R3: the bounded task queue must block (producers on not_full, idle workers on not_empty); \
-   Condition has no Atomic replacement short of burning a core spinning. This file is the one \
-   sanctioned Mutex user — determinism is preserved because results are emitted by submission \
-   index, never completion order (doc/LINT.md)."]
+  "R3: idle workers block on not_empty and the caller on its window ring's head; Condition has \
+   no Atomic replacement short of burning a core spinning. This file is the one sanctioned \
+   Mutex user — determinism is preserved because results are emitted by submission index, \
+   never completion order (doc/LINT.md)."]
 
 type task = unit -> unit
 
 type t = {
   domains : int;
   queue : task Queue.t;
-  capacity : int;
   lock : Mutex.t;
   not_empty : Condition.t;
-  not_full : Condition.t;
   mutable stop : bool;
   mutable alive : int;  (* workers still in their loop; bounds chaos deaths *)
   mutable workers : unit Domain.t list;
@@ -78,7 +76,6 @@ and worker_iteration t w dc =
   if Queue.is_empty t.queue then Mutex.unlock t.lock (* stopping, drained *)
   else begin
     let task = Queue.pop t.queue in
-    Condition.signal t.not_full;
     Mutex.unlock t.lock;
     Obs.Metrics.incr dc;
     (try
@@ -104,10 +101,8 @@ let create ?domains () =
     {
       domains;
       queue = Queue.create ();
-      capacity = 4 * domains;
       lock = Mutex.create ();
       not_empty = Condition.create ();
-      not_full = Condition.create ();
       stop = false;
       alive = 0;
       workers = [];
@@ -126,10 +121,12 @@ let create ?domains () =
 
 let domains t = t.domains
 
+(* No capacity check: [run_ordered_seq] is the only submitter, and its
+   window bounds what it queues. *)
 let submit t task =
   (* Stamp the enqueue time only when someone is listening: the histogram
-     records how long the task sat in the bounded queue before a worker
-     picked it up. *)
+     records how long the task sat in the queue before a worker picked it
+     up. *)
   let task =
     if Obs.Metrics.enabled () then begin
       let waited = Obs.Metrics.stamp h_queue_wait in
@@ -144,34 +141,35 @@ let submit t task =
     Mutex.unlock t.lock;
     raise (Robust.Failure.Pool_down "Engine.Pool: submit after shutdown")
   end;
-  (while Queue.length t.queue >= t.capacity do
-     Condition.wait t.not_full t.lock
-   done)
-  [@sos.allow
-    "A2: back-pressure wait; ends when a worker pops a task and signals [not_full]. Workers pop \
-     until the queue is empty, even while stopping, and the last live one never dies"];
   Queue.push task t.queue;
   Obs.Metrics.record_max g_queue_hwm (Queue.length t.queue);
   Condition.signal t.not_empty;
   Mutex.unlock t.lock
 
-(* The windowed streaming driver. Completion is tracked in a ring of
-   [window] slots: slot [i mod window] is reused by task [i + window],
-   which cannot be supplied before task [i] was emitted (the in-flight
-   bound), so a cleared slot is never observed stale. *)
+(* A window slot: [Empty] until its task has run, then the task's value,
+   or [None] where its thunk raised. *)
+type 'a slot = Empty | Ran of 'a option
+
+(* The windowed streaming driver. Values travel from the workers to the
+   caller through a ring of [window] slots: task [i] fills slot
+   [i mod window] and [emit i] empties it. The slot is reused by task
+   [i + window], which cannot be supplied before task [i] was emitted
+   (the in-flight bound), so a value is never overwritten unread. *)
 let run_ordered_seq t ?(chunk = 1) ~window supply ~emit =
   if t.stop then
     raise (Robust.Failure.Pool_down "Engine.Pool: run_ordered_seq after shutdown");
   let chunk = max 1 chunk in
+  let run f =
+    Obs.Metrics.incr c_tasks;
+    try Some (f ()) with _ -> None
+  in
   if t.workers = [] then begin
     (* The exact sequential path: pull, run, emit, one index at a time. *)
     (let rec go i =
        match supply i with
        | None -> i
-       | Some task ->
-           Obs.Metrics.incr c_tasks;
-           (try task () with _ -> ());
-           emit i;
+       | Some f ->
+           emit i (run f);
            go (i + 1)
      in
      go 0)
@@ -182,16 +180,30 @@ let run_ordered_seq t ?(chunk = 1) ~window supply ~emit =
   else begin
     (* Below [chunk], the emit branch would have nothing to wait on. *)
     let window = max chunk window in
-    let completed = Array.make window false in
+    let ring = Array.make window Empty in
     let lock = Mutex.create () in
     let ready = Condition.create () in
-    let mark lo hi =
+    let fill lo values =
       Mutex.lock lock;
-      for i = lo to hi - 1 do
-        completed.(i mod window) <- true
-      done;
+      Array.iteri (fun j v -> ring.((lo + j) mod window) <- Ran v) values;
       Condition.broadcast ready;
       Mutex.unlock lock
+    in
+    (* Empty task [i]'s slot, first waiting for its value if [wait]. *)
+    let take i ~wait =
+      let k = i mod window in
+      Mutex.lock lock;
+      (while wait && (match ring.(k) with Empty -> true | Ran _ -> false) do
+         Condition.wait ready lock
+       done)
+      [@sos.allow
+        "A2: head wait; ends when the chunk holding the head fills its slot and broadcasts \
+         [ready]. A chunk fills its slots even where a thunk raises, and the last live worker \
+         never dies, so every submitted chunk runs"];
+      let slot = ring.(k) in
+      ring.(k) <- Empty;
+      Mutex.unlock lock;
+      slot
     in
     let next_submit = ref 0 in
     let next_emit = ref 0 in
@@ -211,8 +223,8 @@ let run_ordered_seq t ?(chunk = 1) ~window supply ~emit =
       Array.of_list (List.rev !acc)
     in
     (* Submit only when a full chunk of window space is free, and drain
-       every ready completion before submitting again. Emitting one task
-       per iteration would free a single slot at a time, degrading every
+       every ready value before submitting again. Emitting one task per
+       iteration would free a single slot at a time, degrading every
        steady-state pull to min(chunk, 1) = 1 thunk — chunk-fold more
        submit/lock/signal round trips than the chunking contract promises.
        [window >= chunk] (clamped above) guarantees the emit branch always
@@ -226,43 +238,24 @@ let run_ordered_seq t ?(chunk = 1) ~window supply ~emit =
          if k > 0 then begin
            let lo = !next_submit in
            next_submit := lo + k;
-           submit t (fun () ->
-               (try
-                  Array.iter
-                    (fun f ->
-                      Obs.Metrics.incr c_tasks;
-                      f ())
-                    thunks
-                with _ -> ());
-               mark lo (lo + k))
+           submit t (fun () -> fill lo (Array.map run thunks))
          end
        end
-       else begin
-         Mutex.lock lock;
-         (while not completed.(!next_emit mod window) do
-            Condition.wait ready lock
-          done)
+       else
+         (* Emit the head once it has run, then every value ready behind it. *)
+         (let rec drain ~wait =
+            if !next_emit < !next_submit then
+              match take !next_emit ~wait with
+              | Empty -> ()
+              | Ran v ->
+                  emit !next_emit v;
+                  incr next_emit;
+                  drain ~wait:false
+          in
+          drain ~wait:true)
          [@sos.allow
-           "A2: head wait; ends when the chunk holding the head marks it complete and broadcasts \
-            [ready]. The chunk's wrapper marks it even when a thunk raises, and the last live \
-            worker never dies, so every submitted chunk runs"];
-         Mutex.unlock lock;
-         let draining = ref true in
-         (while !draining && !next_emit < !next_submit do
-            Mutex.lock lock;
-            let ready_now = completed.(!next_emit mod window) in
-            if ready_now then completed.(!next_emit mod window) <- false;
-            Mutex.unlock lock;
-            if ready_now then begin
-              emit !next_emit;
-              incr next_emit
-            end
-            else draining := false
-          done)
-         [@sos.allow
-           "A2: at most [window] emits; ends at the first slot not yet completed or once every \
+           "A2: at most [window] emits; ends at the first slot not yet filled or once every \
             submitted task is emitted"]
-       end
      done)
     [@sos.allow
       "A2: each pass submits a chunk, ends the stream, or emits the head; ends once [supply] has \

@@ -1,9 +1,10 @@
-(** Fixed pool of worker domains with a bounded work queue.
+(** Fixed pool of worker domains, driven through one ordered window.
 
     [create ~domains:d] spawns [d] [Domain.spawn] workers that pull thunks
-    off a [Mutex]/[Condition]-guarded queue of bounded capacity (submission
-    blocks when the queue is full, so a huge batch never materializes as a
-    huge queue).
+    off a [Mutex]/[Condition]-guarded queue. The queue has no capacity of
+    its own: {!run_ordered_seq} is its only producer, and its window
+    bounds what is queued, so a huge batch never materializes as a huge
+    queue.
 
     Determinism contract: the pool never tells a task which domain runs it
     or in which order tasks complete. Anything a task needs to vary by must
@@ -30,20 +31,22 @@ val run_ordered_seq :
   t ->
   ?chunk:int ->
   window:int ->
-  (int -> (unit -> unit) option) ->
-  emit:(int -> unit) ->
+  (int -> (unit -> 'a) option) ->
+  emit:(int -> 'a option -> unit) ->
   int
 (** [run_ordered_seq t ~chunk ~window supply ~emit] is the pool's one
     ordered driver. The pool calls [supply i] on the calling thread,
     strictly in increasing index order and exactly once per index, until it
     returns [None]; each supplied thunk runs on the worker domains ([chunk]
-    consecutive thunks per queued task, default 1), and [emit i] is called
-    on the calling thread in increasing index order, once tasks [0 .. i]
-    have all completed. Returns the number of tasks supplied.
+    consecutive thunks per queued task, default 1), and [emit i v] is
+    called on the calling thread in increasing index order, once tasks
+    [0 .. i] have all completed. [v] is [Some] of thunk [i]'s value, or
+    [None] where it raised. Returns the number of tasks supplied.
 
     At most [window] tasks are in flight (supplied but not yet emitted) at
     any moment — the producer is only pulled when there is window room, so
-    memory stays O(window) no matter how long the stream is. There is no
+    memory stays O(window) no matter how long the stream is. Each value
+    waits for its [emit] in one ring of [window] slots. There is no
     default: {!Batch.window_size} decides it, and a [window] below [chunk]
     is raised to [chunk]. The exact sequential path holds one task at a
     time whatever the window.
@@ -55,13 +58,14 @@ val run_ordered_seq :
     that does nothing until the end ({!Batch.map}); a consumer that
     prints or writes as it goes wants the default window.
 
-    A thunk must not raise (wrap it; {!Batch} captures exceptions per
-    task); a raising thunk is swallowed so it cannot wedge the pool.
-    Which domain runs a task and when is unobservable; [supply] and [emit]
-    both run on the caller, so a stateful producer (a file reader) and a
-    stateful consumer need no locking, and [emit] may print or write
-    files. Memory written by task [i] is visible to [emit i] (the
-    completion handshake synchronizes). *)
+    A raising thunk cannot wedge the pool: its exception is dropped and
+    [emit] gets [None] for it, so a caller that needs the failure captures
+    it inside the thunk ({!Batch} does, per task). Which domain runs a
+    task and when is unobservable; [supply] and [emit] both run on the
+    caller, so a stateful producer (a file reader) and a stateful consumer
+    need no locking, and [emit] may print or write files. Memory written
+    by task [i] is visible to [emit i] (the completion handshake
+    synchronizes). *)
 
 val shutdown : t -> unit
 (** Drain the queue, stop and join all workers. Idempotent. Using the pool

@@ -56,10 +56,13 @@ val unbind :
 
     Sharding buys two things for million-spec runs: resume compacts and
     scans shards independently (each is 1/N of the data), and appends can
-    be batched behind a [sync_every] flush policy per shard — an fsync'd
-    line every K entries instead of every entry, trading at most
+    be batched behind a [sync_every] flush policy per shard — a channel
+    flush every K entries instead of every entry, trading at most
     [K - 1] re-run tasks per shard on a kill for sequential-write
-    throughput.
+    throughput. A flush hands the lines to the kernel, which is what
+    survives a killed process; no append calls [fsync], so a machine
+    crash may still lose lines the kernel had not written back. Only
+    compaction ({!resume}) fsyncs, before its rename.
 
     Resume never materializes entries: each shard is streamed line-by-line
     into a {e bitset} of completed indices (125 KB per million tasks)

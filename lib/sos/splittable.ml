@@ -42,6 +42,25 @@ let select items ~size ~budget =
   in
   move [] window_rev rsum rest
 
+(* Assign one step's budget over a window in sorted order: every member
+   but the last gets its whole size, the last gets what is left of the
+   budget and keeps the rest as a leftover item. Zero amounts are dropped. *)
+let assign window ~budget =
+  let rec go spent = function
+    | [] -> ([], None)
+    | [ last ] ->
+        let amount = min (budget - spent) last.size in
+        let leftover =
+          if amount < last.size then Some { last with size = last.size - amount } else None
+        in
+        ([ (last.id, amount) ], leftover)
+    | x :: rest ->
+        let allocs, leftover = go (spent + x.size) rest in
+        ((x.id, x.size) :: allocs, leftover)
+  in
+  let allocs, leftover = go 0 window in
+  (List.filter (fun (_, a) -> a > 0) allocs, leftover)
+
 let step items ~size ~budget =
   if size <= 0 || budget <= 0 then ([], items)
   else begin
@@ -49,21 +68,7 @@ let step items ~size ~budget =
     | [] -> ([], items)
     | _ ->
         let skipped, window, _rsum, rest = select items ~size ~budget in
-        let rec assign spent = function
-          | [] -> ([], None)
-          | [ last ] ->
-              let amount = min (budget - spent) last.size in
-              let leftover =
-                if amount < last.size then Some { last with size = last.size - amount }
-                else None
-              in
-              ([ (last.id, amount) ], leftover)
-          | x :: rest ->
-              let allocs, leftover = assign (spent + x.size) rest in
-              ((x.id, x.size) :: allocs, leftover)
-        in
-        let allocs, leftover = assign 0 window in
-        let allocs = List.filter (fun (_, a) -> a > 0) allocs in
+        let allocs, leftover = assign window ~budget in
         let remaining = skipped @ rest in
         let remaining =
           match leftover with
@@ -158,21 +163,7 @@ let run_nonpreemptive inst =
               let skipped, window, _rsum, rest = select items ~size ~budget in
               (skipped, window, rest)
         in
-        let rec assign spent = function
-          | [] -> ([], None)
-          | [ last ] ->
-              let amount = min (budget - spent) last.size in
-              let leftover =
-                if amount < last.size then Some { last with size = last.size - amount }
-                else None
-              in
-              ([ (last.id, amount) ], leftover)
-          | x :: tl ->
-              let allocs, leftover = assign (spent + x.size) tl in
-              ((x.id, x.size) :: allocs, leftover)
-        in
-        let allocs, leftover = assign 0 window in
-        let allocs = List.filter (fun (_, a) -> a > 0) allocs in
+        let allocs, leftover = assign window ~budget in
         Schedule.Columns.add_block cols ~repeat:1 (List.map alloc_of allocs);
         let remaining = skipped @ rest in
         let remaining, pinned =

@@ -5,7 +5,7 @@
    reader: the historical newline-delimited text form, and a compact
    versioned binary form (26x smaller per record, no parsing on the hot
    path) autodetected by magic. Everything streams: a million-spec corpus
-   is read in O(buffer) memory. *)
+   is read in O(longest line) memory, straight off its channel. *)
 
 type payload =
   | Gen of { family : string; n : int; m : int; scale : int option }
@@ -86,7 +86,12 @@ let digest_finish st =
 
 (* ------------------------------------------------------------- reader *)
 
-let magic = "sosbin1\n"
+(* No buffer of the reader's own: the channel's is the only one. Text is
+   read a line at a time with [In_channel.input_line], binary a record at
+   a time into [rec_buf]. *)
+
+let magic_line = "sosbin1"
+let magic = magic_line ^ "\n"
 let record_bytes = 16
 let max_families = 65536
 
@@ -95,126 +100,68 @@ type mode = Text | Binary of { names : string array; mutable recno : int }
 type source = {
   ic : In_channel.t;
   owns : bool;
-  buf : Bytes.t;
-  mutable pos : int;
-  mutable len : int;
-  mutable eof : bool;
+  mutable first : string option; (* the sniffed first text line, not yet read *)
   mutable lineno : int;
   mutable finished : bool;
   rec_buf : Bytes.t;
   mutable mode : mode;
 }
 
-let refill s =
-  if s.pos >= s.len && not s.eof then begin
-    let k = In_channel.input s.ic s.buf 0 (Bytes.length s.buf) in
-    s.pos <- 0;
-    s.len <- k;
-    if k = 0 then s.eof <- true
-  end
-
-(* Top up the buffer without consuming, for the magic sniff at open time
-   (the buffer is empty then, so compaction is never needed). *)
-let fill_at_least s k =
-  let continue = ref true in
-  while s.len < k && !continue do
-    let got = In_channel.input s.ic s.buf s.len (Bytes.length s.buf - s.len) in
-    if got = 0 then begin
-      s.eof <- true;
-      continue := false
-    end
-    else s.len <- s.len + got
-  done
-
-let read_exact s out k =
-  let got = ref 0 in
-  let continue = ref true in
-  while !got < k && !continue do
-    refill s;
-    if s.pos >= s.len then continue := false
-    else begin
-      let take = min (k - !got) (s.len - s.pos) in
-      Bytes.blit s.buf s.pos out !got take;
-      s.pos <- s.pos + take;
-      got := !got + take
-    end
-  done;
-  !got
-
-(* Next physical line (terminator stripped; the final unterminated line is
-   still returned), scanning the buffer in place and only allocating the
-   crossing-a-refill case through a Buffer. *)
-let read_line s =
-  refill s;
-  if s.pos >= s.len then None
-  else begin
-    let b = Buffer.create 80 in
-    let fin = ref false in
-    while not !fin do
-      if s.pos >= s.len then begin
-        refill s;
-        if s.pos >= s.len then fin := true
-      end
-      else begin
-        match Bytes.index_from_opt s.buf s.pos '\n' with
-        | Some i when i < s.len ->
-            Buffer.add_subbytes b s.buf s.pos (i - s.pos);
-            s.pos <- i + 1;
-            fin := true
-        | _ ->
-            Buffer.add_subbytes b s.buf s.pos (s.len - s.pos);
-            s.pos <- s.len
-      end
-    done;
-    Some (Buffer.contents b)
-  end
+(* Up to [k] bytes into [out] from offset 0; fewer only at end of input. *)
+let read_exact ic out k =
+  let rec go got =
+    if got = k then got
+    else match In_channel.input ic out got (k - got) with 0 -> got | n -> go (got + n)
+  in
+  go 0
 
 let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
 let read_binary_header s =
-  let b4 = Bytes.create 4 in
-  if read_exact s b4 4 <> 4 then Error "corrupt binary spec file: truncated family table"
+  let truncated = Error "corrupt binary spec file: truncated family table" in
+  if read_exact s.ic s.rec_buf 4 <> 4 then truncated
   else begin
-    let count = u32 b4 0 in
+    let count = u32 s.rec_buf 0 in
     if count > max_families then
       Error (Printf.sprintf "corrupt binary spec file: %d families" count)
     else begin
-      let names = Array.make count "" in
-      let b1 = Bytes.create 1 in
-      let err = ref None in
-      (try
-         for i = 0 to count - 1 do
-           if read_exact s b1 1 <> 1 then raise Exit;
-           let len = Char.code (Bytes.get b1 0) in
-           let nb = Bytes.create len in
-           if read_exact s nb len <> len then raise Exit;
-           names.(i) <- Bytes.to_string nb
-         done
-       with Exit -> err := Some "corrupt binary spec file: truncated family table")
-      [@sos.allow "R6: local loop exit inside the header parser, caught two lines down"];
-      match !err with Some e -> Error e | None -> Ok names
+      let rec names acc i =
+        if i = count then Ok (Array.of_list (List.rev acc))
+        else
+          match In_channel.input_char s.ic with
+          | None -> truncated
+          | Some len -> (
+              match In_channel.really_input_string s.ic (Char.code len) with
+              | None -> truncated
+              | Some name -> names (name :: acc) (i + 1))
+      in
+      names [] 0
     end
   end
 
+(* The magic is one line, so the sniff is the first [input_line]: binary
+   iff that line is [magic_line] and it ended in a newline (8 bytes read),
+   so a bare 7-byte [sosbin1] stays a one-record text corpus. Otherwise
+   the line is kept as the text corpus's line 1. *)
 let make_source ic ~owns =
+  let start = In_channel.pos ic in
+  let first = In_channel.input_line ic in
   let s =
     {
       ic;
       owns;
-      buf = Bytes.create 65536;
-      pos = 0;
-      len = 0;
-      eof = false;
+      first;
       lineno = 0;
       finished = false;
       rec_buf = Bytes.create record_bytes;
       mode = Text;
     }
   in
-  fill_at_least s (String.length magic);
-  if s.len >= String.length magic && Bytes.sub_string s.buf 0 (String.length magic) = magic
+  if
+    first = Some magic_line
+    && Int64.sub (In_channel.pos ic) start = Int64.of_int (String.length magic)
   then begin
-    s.pos <- String.length magic;
+    s.first <- None;
     match read_binary_header s with
     | Error _ as e -> e
     | Ok names ->
@@ -244,7 +191,14 @@ let rec read s =
   else
     match s.mode with
     | Text -> (
-        match read_line s with
+        let line =
+          match s.first with
+          | None -> In_channel.input_line s.ic
+          | first ->
+              s.first <- None;
+              first
+        in
+        match line with
         | None -> None
         | Some line ->
             s.lineno <- s.lineno + 1;
@@ -260,7 +214,7 @@ let rec read s =
               Some { recno = s.lineno; raw; payload }
             end)
     | Binary b -> (
-        match read_exact s s.rec_buf record_bytes with
+        match read_exact s.ic s.rec_buf record_bytes with
         | 0 -> None
         | got when got < record_bytes ->
             (* a kill mid-write can leave a torn trailing record; surface it

@@ -16,10 +16,11 @@
       Produced by {!convert_to_binary} / {!Writer} (e.g.
       [sosctl export --specs-bin]).
 
-    Reads stream in O(buffer) memory whatever the corpus size, and a
-    malformed line or torn trailing binary record becomes a [Bad] record
-    carrying the exact diagnostic — the reader never raises on bad
-    input. *)
+    Reads stream straight off the channel, with no buffer of the
+    reader's own, in O(longest line) memory whatever the corpus size,
+    and a malformed line or torn trailing binary record becomes a [Bad]
+    record carrying the exact diagnostic — the reader never raises on
+    bad input. *)
 
 type payload =
   | Gen of { family : string; n : int; m : int; scale : int option }
@@ -78,8 +79,10 @@ val digest_of_path : string -> (string, string) result
 type source
 
 val open_path : string -> (source, string) result
-(** Open a corpus file, sniffing the encoding from the first 8 bytes.
-    [Error] on I/O failure or a corrupt binary family table. *)
+(** Open a corpus file, sniffing the encoding from its first line: binary
+    iff the first 8 bytes are the magic ["sosbin1\n"] (a bare 7-byte
+    [sosbin1] is a one-record text corpus). [Error] on I/O failure or a
+    corrupt binary family table. *)
 
 val of_channel : In_channel.t -> (source, string) result
 (** Same autodetection over an existing channel (e.g. stdin); the channel

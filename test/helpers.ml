@@ -83,3 +83,29 @@ let stream_all pool tasks =
 let with_sigpipe_ignored f =
   let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev) f
+
+(* Run [read] on the read end of a pipe that another domain fills with
+   [text] in writes of the given sizes, cycled, so the reader meets the
+   bytes split at arbitrary points. *)
+let read_through_pipe text sizes read =
+  with_sigpipe_ignored @@ fun () ->
+  let r, w = Unix.pipe ~cloexec:true () in
+  let sizes = Array.of_list sizes in
+  let writer =
+    Domain.spawn (fun () ->
+        let rec go pos i =
+          if pos < String.length text then begin
+            let k = min sizes.(i mod Array.length sizes) (String.length text - pos) in
+            go (pos + Unix.write_substring w text pos k) (i + 1)
+          end
+        in
+        Fun.protect
+          ~finally:(fun () -> Unix.close w)
+          (fun () -> try go 0 0 with Unix.Unix_error _ -> ()))
+  in
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect
+    ~finally:(fun () ->
+      close_in_noerr ic;
+      Domain.join writer)
+    (fun () -> read ic)

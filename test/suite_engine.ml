@@ -197,6 +197,35 @@ let test_stream_seq_window_bound () =
       let count = Batch.stream_seq pool (fun _ -> None) ~f:(fun _ _ -> Alcotest.fail "emit on empty stream") in
       Alcotest.(check int) "empty stream" 0 count)
 
+(* The pool's own contract, below Batch: [emit] gets each thunk's value in
+   index order, and [None] where the thunk raised (its chunk-mates still
+   deliver). The window is the whole batch, far above 4 x domains x chunk,
+   so every chunk can sit in the task queue at once: no submit may wait
+   for room, or the run would not complete. *)
+let test_run_ordered_seq_values () =
+  let n = 600 and chunk = 3 in
+  let value i = if i mod 7 = 3 then None else Some (i * i) in
+  List.iter
+    (fun d ->
+      Pool.with_pool ~domains:d (fun pool ->
+          let got = ref [] in
+          let supplied =
+            Pool.run_ordered_seq pool ~chunk ~window:n
+              (fun i ->
+                if i >= n then None
+                else
+                  Some
+                    (fun () ->
+                      match value i with Some v -> v | None -> failwith "thunk raised"))
+              ~emit:(fun i v -> got := (i, v) :: !got)
+          in
+          Alcotest.(check int) (Printf.sprintf "d=%d supplied" d) n supplied;
+          Alcotest.(check (list (pair int (option int))))
+            (Printf.sprintf "d=%d values in index order, None where raised" d)
+            (List.init n (fun i -> (i, value i)))
+            (List.rev !got)))
+    [ 1; 2; 4 ]
+
 let test_stream_seq_full_chunks () =
   (* Steady-state chunking contract: the caller-side producer is pulled in
      full-[chunk] batches. Emitting one result frees one window slot — it
@@ -372,6 +401,8 @@ let suite =
       Alcotest.test_case "stream emits in order" `Quick test_stream_ordered;
       test_stream_seq_matches_map;
       Alcotest.test_case "stream_seq window bound + ordering" `Quick test_stream_seq_window_bound;
+      Alcotest.test_case "run_ordered_seq values, None on raise, wide window" `Quick
+        test_run_ordered_seq_values;
       Alcotest.test_case "stream_seq full-chunk pulls in steady state" `Quick
         test_stream_seq_full_chunks;
       Alcotest.test_case "stream_seq bounded memory (100k specs)" `Quick test_stream_seq_bounded_memory;

@@ -644,7 +644,7 @@ let test_pool_down_after_shutdown () =
   | [| Error e |] when class_name_of e = "pool-crashed" -> ()
   | _ -> Alcotest.fail "submit after shutdown not surfaced as pool-crashed"
 
-(* --- deterministic backoff + supervision --- *)
+(* --- deterministic backoff --- *)
 
 let test_backoff_policy () =
   let open Robust.Backoff in
@@ -697,49 +697,6 @@ let test_backoff_jitter_band =
       && d < ideal
       && d = Robust.Backoff.delay p ~index ~attempt)
 
-let test_supervise_restarts () =
-  let backoff = Robust.Backoff.policy ~base:1e-6 ~seed:1 () in
-  (* transient crashes restart up to the budget, then succeed *)
-  let calls = ref 0 in
-  let out =
-    Robust.Supervise.run ~restarts:5 ~backoff (fun () ->
-        incr calls;
-        if !calls < 3 then failwith "flaky";
-        !calls * 10)
-  in
-  (match out.Robust.Supervise.result with
-  | Ok v -> Alcotest.(check int) "value" 30 v
-  | Error f -> Alcotest.failf "expected success, got %s" (F.to_string f));
-  Alcotest.(check int) "attempts" 3 out.Robust.Supervise.attempts;
-  (* budget exhaustion reports the classified failure and every attempt *)
-  let out = Robust.Supervise.run ~restarts:1 (fun () -> failwith "always") in
-  (match out.Robust.Supervise.result with
-  | Error f -> Alcotest.(check string) "class" "task-exn" (F.class_name f)
-  | Ok _ -> Alcotest.fail "expected failure");
-  Alcotest.(check int) "attempts recorded" 2 out.Robust.Supervise.attempts;
-  (* permanent failures never restart *)
-  let calls = ref 0 in
-  let out =
-    Robust.Supervise.run ~restarts:5 (fun () ->
-        incr calls;
-        raise (F.Invalid (F.Malformed "bad")))
-  in
-  (match out.Robust.Supervise.result with
-  | Error f -> Alcotest.(check string) "class" "invalid-instance" (F.class_name f)
-  | Ok _ -> Alcotest.fail "expected invalid");
-  Alcotest.(check int) "no restart on invalid" 1 !calls;
-  (* on_restart sees each failed attempt, in order *)
-  let seen = ref [] in
-  let calls = ref 0 in
-  ignore
-    (Robust.Supervise.run ~restarts:2
-       ~on_restart:(fun ~attempt _ -> seen := attempt :: !seen)
-       (fun () ->
-         incr calls;
-         if !calls < 3 then failwith "flaky"))
-  ;
-  Alcotest.(check (list int)) "restart callbacks" [ 1; 2 ] (List.rev !seen)
-
 let suite =
   ( "robust",
     [
@@ -762,8 +719,6 @@ let suite =
       Alcotest.test_case "backoff policy: jitter band, cap, determinism" `Quick
         test_backoff_policy;
       test_backoff_jitter_band;
-      Alcotest.test_case "supervise restarts transient failures" `Quick
-        test_supervise_restarts;
       Alcotest.test_case "retry recovers deterministically" `Quick test_retry_recovers;
       Alcotest.test_case "invalid input never retried" `Quick test_invalid_never_retried;
       Alcotest.test_case "per-task deadline" `Quick test_task_deadline;

@@ -480,29 +480,6 @@ let gen_text =
     (list_size (int_range 0 24) line)
     bool
 
-(* Feed [text] through a pipe in writes of the given sizes, cycled, from
-   another domain, and read it with the bounded reader. *)
-let read_through_pipe text sizes =
-  Helpers.with_sigpipe_ignored @@ fun () ->
-  let r, w = Unix.pipe ~cloexec:true () in
-  let sizes = Array.of_list sizes in
-  let writer =
-    Domain.spawn (fun () ->
-        let rec go pos i =
-          if pos < String.length text then begin
-            let k = min sizes.(i mod Array.length sizes) (String.length text - pos) in
-            go (pos + Unix.write_substring w text pos k) (i + 1)
-          end
-        in
-        Fun.protect ~finally:(fun () -> Unix.close w) (fun () -> try go 0 0 with Unix.Unix_error _ -> ()))
-  in
-  let ic = Unix.in_channel_of_descr r in
-  Fun.protect
-    ~finally:(fun () ->
-      close_in_noerr ic;
-      Domain.join writer)
-    (fun () -> read_all (L.create ic))
-
 let prop_lines_match_input_line =
   Helpers.qcheck ~count:150 "reader = In_channel.input_line up to the bound"
     QCheck.(
@@ -517,7 +494,8 @@ let prop_lines_match_input_line =
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
       let expected = List.map bounded (In_channel.with_open_bin path input_lines) in
       let from_file = In_channel.with_open_bin path (fun ic -> read_all (L.create ic)) in
-      from_file = expected && read_through_pipe text sizes = expected)
+      from_file = expected
+      && Helpers.read_through_pipe text sizes (fun ic -> read_all (L.create ic)) = expected)
 
 (* [before_refill] runs before every read of the channel, and [refills]
    counts them, the one that meets end of input included. *)

@@ -190,6 +190,117 @@ let test_digest_chunk_invariance () =
   in
   Alcotest.(check bool) "digest sensitive to the stream" true (d1 <> d3)
 
+(* --- the reader against arbitrary bytes --- *)
+
+(* Every record of a source, or the open error; fails if the reader does
+   not end within one record per input byte (plus the torn-record one). *)
+let read_source ~bytes = function
+  | Error msg -> Error msg
+  | Ok src ->
+      let rec go k acc =
+        if k > bytes + 1 then QCheck.Test.fail_reportf "reader did not end after %d records" k
+        else match Specs.read src with None -> List.rev acc | Some r -> go (k + 1) (r :: acc)
+      in
+      let rs = go 0 [] in
+      Specs.close src;
+      Ok rs
+
+let read_file input =
+  with_temp_file ".in" @@ fun path ->
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc input);
+  read_source ~bytes:(String.length input) (Specs.open_path path)
+
+(* [input] through a pipe in pieces of the given sizes, so a binary
+   record can arrive split across reads. *)
+let read_pipe input sizes =
+  Helpers.read_through_pipe input sizes (fun ic ->
+      read_source ~bytes:(String.length input) (Specs.of_channel ic))
+
+(* The magic and a valid family table, as the writer lays them out. *)
+let binary_header =
+  lazy
+    (with_temp_file ".bin" @@ fun path ->
+     Out_channel.with_open_bin path (fun oc -> ignore (Specs.Writer.create oc));
+     In_channel.with_open_bin path In_channel.input_all)
+
+(* 0-300 bytes: raw bytes, spec-like text, or 16-byte records (small
+   family indices and fields, zeros included) with a torn tail; behind no
+   prefix, the bare magic, or the magic and a valid family table. *)
+let gen_spec_input =
+  let open QCheck.Gen in
+  let raw =
+    string_size
+      ~gen:
+        (frequency
+           [ (6, char_range ' ' '~'); (2, return '\n'); (1, return '\r'); (1, return '\000');
+             (1, map Char.chr (int_range 128 255)) ])
+      (int_range 0 300)
+  in
+  let text =
+    map
+      (fun toks ->
+        let s = String.concat "" toks in
+        if String.length s > 300 then String.sub s 0 300 else s)
+      (list_size (int_range 0 60)
+         (oneofl
+            [ "bimodal"; "tiny"; "nope"; " "; " "; "\n"; "\n"; "\r\n"; "#"; "@f"; "0"; "3"; "-1";
+              "12"; "99999999999999999999"; "sosbin1"; "sosbin1\n" ]))
+  in
+  let records =
+    map2
+      (fun fields tail ->
+        let b = Bytes.create (16 * List.length fields) in
+        List.iteri
+          (fun i (fi, n, m, sc) ->
+            List.iteri
+              (fun j v -> Bytes.set_int32_le b ((16 * i) + (4 * j)) (Int32.of_int v))
+              [ fi; n; m; sc ])
+          fields;
+        Bytes.to_string b ^ tail)
+      (list_size (int_range 0 18)
+         (quad (int_range 0 15) (int_range 0 5) (int_range 0 5) (int_range 0 3)))
+      (string_size (int_range 0 15))
+  in
+  let prefix = oneofl [ `None; `Magic; `Table ] in
+  pair (pair prefix (oneof [ raw; text; records ])) (list_size (int_range 1 6) (int_range 1 40))
+
+let prop_reader_total =
+  Helpers.qcheck ~count:300 "read never raises, ends, same records from a file and a pipe"
+    QCheck.(
+      make
+        ~print:(fun ((_, body), sizes) ->
+          Printf.sprintf "%S in writes of %s" body
+            (String.concat "," (List.map string_of_int sizes)))
+        gen_spec_input)
+    (fun ((prefix, body), sizes) ->
+      let input =
+        (match prefix with
+        | `None -> ""
+        | `Magic -> "sosbin1\n"
+        | `Table -> Lazy.force binary_header)
+        ^ body
+      in
+      let from_file = read_file input in
+      from_file = read_pipe input sizes)
+
+let test_reader_pinned () =
+  let records = Alcotest.(result (list (pair int string)) string) in
+  let numbered = Result.map (List.map (fun (r : Specs.record) -> (r.recno, r.raw))) in
+  let read input = numbered (read_file input) in
+  (* Binary iff the first 8 bytes are "sosbin1\n": the 7-byte magic with no
+     newline is a one-record text corpus. *)
+  Alcotest.check records "bare sosbin1 is text" (Ok [ (1, "sosbin1") ]) (read "sosbin1");
+  Alcotest.check records "sosbin1\\r\\n is text" (Ok [ (1, "sosbin1"); (2, "tiny 2 3") ])
+    (read "sosbin1\r\ntiny 2 3");
+  let truncated = Error "corrupt binary spec file: truncated family table" in
+  Alcotest.check records "magic alone" truncated (read "sosbin1\n");
+  Alcotest.check records "magic alone, piped" truncated (numbered (read_pipe "sosbin1\n" [ 3 ]));
+  (* The sniffed first line is record 1, not lost to the sniff. *)
+  Alcotest.check records "first text line is record 1"
+    (Ok [ (1, "bimodal 10 4"); (3, "tiny 2 3") ])
+    (read "bimodal  10 4\n\ntiny 2 3\n");
+  Alcotest.check records "empty input" (Ok []) (read "")
+
 let suite =
   ( "specs",
     [
@@ -199,4 +310,6 @@ let suite =
       Alcotest.test_case "torn binary record becomes Bad" `Quick test_binary_torn_record;
       Alcotest.test_case "convert rejects @FILE and malformed" `Quick test_convert_rejects_unconvertible;
       Alcotest.test_case "streaming digest invariance" `Quick test_digest_chunk_invariance;
+      Alcotest.test_case "reader: magic sniff and first line pinned" `Quick test_reader_pinned;
+      prop_reader_total;
     ] )
