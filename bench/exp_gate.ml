@@ -116,7 +116,7 @@ let fingerprint outcomes =
 let t7c () =
   let corpus = t7c_corpus () in
   let tasks =
-    Array.map (fun inst () -> (Sos.Fast.run inst).Sos.Schedule.makespan) corpus
+    Array.map (fun inst () -> (fst (Sos.Fast.run_columns inst)).Sos.Schedule.Columns.makespan) corpus
   in
   let solve_all d = fingerprint (Engine.Batch.map ~domains:d ~chunk:4 tasks) in
   let dmax = Engine.Pool.recommended_domain_count () in
@@ -227,7 +227,7 @@ let t7d_run path ~domains ~chunk =
                             let inst =
                               Workload.Sos_gen.generate rng t7d_family ~n ~m ()
                             in
-                            (Sos.Fast.run inst).Sos.Schedule.makespan
+                            (fst (Sos.Fast.run_columns inst)).Sos.Schedule.Columns.makespan
                         | _ -> failwith "t7d: unexpected record"))
               ~f:(fun _ -> function
                 | Ok mk -> fp := ((!fp * 31) + mk) land max_int
@@ -382,14 +382,14 @@ let obs_overhead rows =
   let prev = prev_wall "BENCH_fast.json" obs_shape_name in
   let inst = Exp_perf.make_instance ~n:row.n ~m:row.m ~pmax:row.pmax (3 * row.n) in
   (* Warm up code paths and allocator state before either measurement. *)
-  for _ = 1 to obs_warmup do ignore (Sos.Fast.run inst) done;
+  for _ = 1 to obs_warmup do ignore (Sos.Fast.run_columns inst) done;
   let _, wall_disabled_s =
-    Clock.best_of ~k:obs_reps (fun () -> Sos.Fast.run_count inst)
+    Clock.best_of ~k:obs_reps (fun () -> Sos.Fast.run_columns inst)
   in
   Obs.Metrics.enable ();
   Obs.Metrics.reset ();
   let _, wall_counters_s =
-    Clock.best_of ~k:obs_reps (fun () -> Sos.Fast.run_count inst)
+    Clock.best_of ~k:obs_reps (fun () -> Sos.Fast.run_columns inst)
   in
   Obs.Metrics.disable ();
   let pct a b = (a -. b) /. b *. 100.0 in
@@ -434,7 +434,7 @@ let obs_snapshot () =
   let tasks =
     Array.map
       (fun inst () ->
-        let makespan = (Sos.Fast.run inst).Sos.Schedule.makespan in
+        let makespan = (fst (Sos.Fast.run_columns inst)).Sos.Schedule.Columns.makespan in
         ignore (Sos.Bounds.theorem_3_3_bound inst ~makespan);
         makespan)
       corpus
@@ -569,15 +569,14 @@ let gate () =
     List.map
       (fun (name, n, m, pmax, seed) ->
         let inst = Exp_perf.make_instance ~n ~m ~pmax seed in
-        let (sched, iters), wall_s =
-          Clock.best_of ~k:reps (fun () -> Sos.Fast.run_count inst)
+        let (cols, iters), wall_s =
+          Clock.best_of ~k:reps (fun () -> Sos.Fast.run_columns inst)
         in
-        let cols, _ = Sos.Fast.run_columns inst in
         let (), analytics_s = Clock.best_of ~k:reps (fun () -> analytics cols) in
         {
           name; n; m; pmax; wall_s; iters;
-          steps = List.length sched.Sos.Schedule.steps;
-          makespan = sched.Sos.Schedule.makespan;
+          steps = cols.Sos.Schedule.Columns.blocks;
+          makespan = cols.makespan;
           analytics_s;
         })
       shapes

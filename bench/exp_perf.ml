@@ -39,7 +39,7 @@ let t7_bechamel () =
     List.concat_map
       (fun n ->
         let inst = make_instance ~n ~m:16 ~pmax:20 (3 * n) in
-        [ (Printf.sprintf "fast n=%4d" n, fun () -> ignore (Sos.Fast.run inst)) ])
+        [ (Printf.sprintf "fast n=%4d" n, fun () -> ignore (Sos.Fast.run_columns inst)) ])
       [ 100; 200; 400; 800; 1600 ]
     @ (let inst = make_instance ~n:200 ~m:16 ~pmax:20 999 in
        [
@@ -107,7 +107,7 @@ let t7_scaling () =
   List.iter
     (fun (n, pmax) ->
       let inst = make_instance ~n ~m:8 ~pmax (7 * n * pmax) in
-      let (sched, iters), fast_time = Clock.time_it (fun () -> Sos.Fast.run_count inst) in
+      let (cols, iters), fast_time = Clock.time_it (fun () -> Sos.Fast.run_columns inst) in
       let listing1_time =
         if Sos.Instance.total_volume inst <= 50_000 then begin
           let _, dt = Clock.time_it (fun () -> Sos.Listing1.run inst) in
@@ -117,7 +117,7 @@ let t7_scaling () =
       in
       Table.add_row t
         [
-          Table.fmt_int n; Table.fmt_int pmax; Table.fmt_int sched.Sos.Schedule.makespan;
+          Table.fmt_int n; Table.fmt_int pmax; Table.fmt_int cols.Sos.Schedule.Columns.makespan;
           Table.fmt_int iters; Printf.sprintf "%.3f s" fast_time; listing1_time;
         ])
     [

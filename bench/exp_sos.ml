@@ -30,8 +30,8 @@ let t1 () =
           Array.init reps (fun rep ->
               let rng = Rng.create (base_seed + (1000 * rep) + m) in
               let inst = Workload.Sos_gen.generate rng family ~n:200 ~m () in
-              let s = Sos.Fast.run inst in
-              Sos.Bounds.theorem_3_3_bound inst ~makespan:s.Sos.Schedule.makespan)
+              let s, _ = Sos.Fast.run_columns inst in
+              Sos.Bounds.theorem_3_3_bound inst ~makespan:s.Sos.Schedule.Columns.makespan)
         in
         let mean, mx = ratios_summary ratios in
         let bound = Sos.Bounds.guarantee_general ~m in
@@ -255,8 +255,9 @@ let f3 () =
         for rep = 0 to 5 do
           let rng = Rng.create (base_seed + (500 * rep) + m) in
           let inst = Workload.Sos_gen.generate rng Workload.Sos_gen.uniform_small ~n:200 ~m () in
-          let s = Sos.Fast.run inst in
-          worst := max !worst (Sos.Bounds.theorem_3_3_bound inst ~makespan:s.Sos.Schedule.makespan)
+          let s, _ = Sos.Fast.run_columns inst in
+          worst :=
+            max !worst (Sos.Bounds.theorem_3_3_bound inst ~makespan:s.Sos.Schedule.Columns.makespan)
         done;
         !worst)
       ms
@@ -296,7 +297,7 @@ let e1 () =
           let rng = Rng.create (base_seed + (6000 * rep) + m) in
           let inst = Workload.Sos_gen.generate rng family ~n:120 ~m () in
           let lb = float_of_int (Sos.Bounds.lower_bound inst) in
-          w := !w +. (float_of_int (Sos.Fast.run inst).Sos.Schedule.makespan /. lb);
+          w := !w +. (float_of_int (fst (Sos.Fast.run_columns inst)).Sos.Schedule.Columns.makespan /. lb);
           p := !p +. (float_of_int (Sos.Preemptive.run inst).makespan /. lb)
         done;
         let w = !w /. float_of_int reps and p = !p /. float_of_int reps in
@@ -333,7 +334,7 @@ let e2 () =
           let rng = Rng.create (base_seed + (7000 * rep) + m) in
           let inst = Workload.Sos_gen.generate rng family ~n:120 ~m () in
           let add i v = acc.(i) <- acc.(i) +. float_of_int v in
-          add 0 (Sos.Fast.run inst).Sos.Schedule.makespan;
+          add 0 (fst (Sos.Fast.run_columns inst)).Sos.Schedule.Columns.makespan;
           add 1
             (Baselines.Fixed_assignment.run ~strategy:Baselines.Fixed_assignment.Round_robin
                inst)
@@ -429,7 +430,7 @@ let e4 () =
   in
   let base_rng = Rng.create (base_seed + 404) in
   let inst = Workload.Sos_gen.generate base_rng Workload.Sos_gen.bimodal ~n:120 ~m:8 () in
-  let base_w = float_of_int (Sos.Fast.run inst).Sos.Schedule.makespan in
+  let base_w = float_of_int (fst (Sos.Fast.run_columns inst)).Sos.Schedule.Columns.makespan in
   let base_l =
     float_of_int (Baselines.List_scheduling.run inst).makespan
   in
@@ -450,7 +451,7 @@ let e4 () =
                 (inst.Sos.Instance.size.(i), req))
           in
           let pert = Sos.Instance.create ~m:8 ~scale:inst.Sos.Instance.scale specs in
-          let w = float_of_int (Sos.Fast.run pert).Sos.Schedule.makespan in
+          let w = float_of_int (fst (Sos.Fast.run_columns pert)).Sos.Schedule.Columns.makespan in
           let l = float_of_int (Baselines.List_scheduling.run pert).makespan in
           dw := Float.abs ((w /. base_w) -. 1.0) :: !dw;
           dl := Float.abs ((l /. base_l) -. 1.0) :: !dl

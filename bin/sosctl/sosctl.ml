@@ -86,31 +86,48 @@ let obs_flags =
   in
   Term.(const (fun metrics trace -> (metrics, trace)) $ metrics $ trace)
 
-let with_obs (metrics, trace) run =
-  if metrics <> None then Obs.Metrics.enable ();
-  if trace <> None then begin
-    Obs.Trace.start ();
-    Obs.Trace.set_thread_name ~tid:0 "main"
-  end;
-  let code = run () in
-  (match trace with
-  | Some path ->
-      Obs.Trace.stop ();
-      Obs.Trace.write path
-  | None -> ());
-  if metrics <> None then
-    Option.iter (Obs.Metrics.record_max Obs.Progress.peak_rss_kb) (Obs.Progress.status_kb "VmHWM");
-  (match metrics with
-  | Some "-" -> prerr_string (Obs.Metrics.snapshot ())
-  | Some path ->
-      let body =
-        if Filename.check_suffix path ".json" then Obs.Metrics.snapshot_json ()
-        else if Filename.check_suffix path ".prom" then Obs.Metrics.to_openmetrics ()
-        else Obs.Metrics.snapshot ()
-      in
-      Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc body)
-  | None -> ());
-  code
+let with_obs ~cmd (metrics, trace) run =
+  (* Both files are opened before the run, so a path that cannot be
+     written exits 2 having done nothing, not after the run. *)
+  let file flag path =
+    match Out_channel.open_text path with
+    | oc ->
+        fun body ->
+          Out_channel.output_string oc body;
+          Out_channel.close oc
+    | exception Sys_error msg -> raise (Usage (flag ^ ": " ^ msg))
+  in
+  match
+    let write_metrics = Option.map (function "-" -> prerr_string | p -> file "--metrics" p) metrics in
+    (write_metrics, Option.map (file "--trace") trace)
+  with
+  | exception Usage msg ->
+      Printf.eprintf "sosctl %s: %s\n" cmd msg;
+      2
+  | write_metrics, write_trace ->
+      if metrics <> None then Obs.Metrics.enable ();
+      if trace <> None then begin
+        Obs.Trace.start ();
+        Obs.Trace.set_thread_name ~tid:0 "main"
+      end;
+      let code = run () in
+      Option.iter
+        (fun write ->
+          Obs.Trace.stop ();
+          write (Obs.Trace.export ()))
+        write_trace;
+      Option.iter
+        (fun write ->
+          Option.iter
+            (Obs.Metrics.record_max Obs.Progress.peak_rss_kb)
+            (Obs.Progress.status_kb "VmHWM");
+          write
+            (match metrics with
+            | Some p when Filename.check_suffix p ".json" -> Obs.Metrics.snapshot_json ()
+            | Some p when Filename.check_suffix p ".prom" -> Obs.Metrics.to_openmetrics ()
+            | _ -> Obs.Metrics.snapshot ()))
+        write_metrics;
+      code
 
 let family_of_name name =
   match
@@ -196,7 +213,7 @@ let instance_file =
 
 let solve_cmd =
   let run obs solver file gantt quiet =
-    with_obs obs @@ fun () ->
+    with_obs ~cmd:"solve" obs @@ fun () ->
     solve_checked solver file @@ fun inst sched ->
     let lb = Sos.Bounds.lower_bound inst in
     Printf.printf "jobs        : %d\n" (Sos.Instance.n inst);
@@ -227,7 +244,7 @@ let solve_cmd =
 
 let analyze_cmd =
   let run obs solver file =
-    with_obs obs @@ fun () ->
+    with_obs ~cmd:"analyze" obs @@ fun () ->
     solve_checked solver file @@ fun inst sched ->
     (* Everything below reads the RLE blocks / step-function profiles:
        safe on huge-volume instances whose makespan is in the millions. *)
@@ -267,7 +284,7 @@ let analyze_cmd =
 
 let ratio_cmd =
   let run obs family n m reps seed =
-    with_obs obs @@ fun () ->
+    with_obs ~cmd:"ratio" obs @@ fun () ->
     match family_of_name family with
     | Error msg -> malformed "%s" msg
     | Ok _ when m < 2 -> invalid_input (Robust.Failure.Too_few_processors { m; need = 2 })
@@ -302,7 +319,7 @@ let ratio_cmd =
 
 let binpack_cmd =
   let run obs k capacity sizes show optimal =
-    with_obs obs @@ fun () ->
+    with_obs ~cmd:"binpack" obs @@ fun () ->
     int_list "SIZES" sizes @@ fun sizes ->
     checked (Binpack.Packing.instance_checked ~k ~capacity sizes) @@ fun inst ->
     let packing = Binpack.Algorithms.window inst in
@@ -349,7 +366,7 @@ let binpack_cmd =
 
 let sas_cmd =
   let run obs profile_name k m seed =
-    with_obs obs @@ fun () ->
+    with_obs ~cmd:"sas" obs @@ fun () ->
     let profile =
       List.find_opt
         (fun p -> p.Workload.Sas_gen.name = profile_name)
@@ -793,7 +810,7 @@ end
 let batch_cmd =
   let run obs file jobs seed out_dir solver ft task_timeout verbose_errors (_stream : bool)
       summary chunk win_opt progress =
-    with_obs obs @@ fun () ->
+    with_obs ~cmd:"batch" obs @@ fun () ->
     try
       if jobs < 1 then raise (Usage "-j must be >= 1");
       (match task_timeout with
@@ -808,7 +825,8 @@ let batch_cmd =
          --verbose-errors implies it so Task_exn backtraces are real. *)
       if verbose_errors then Printexc.record_backtrace true;
       (match out_dir with
-      | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
+      | Some dir when not (Sys.file_exists dir) -> (
+          try Sys.mkdir dir 0o755 with Sys_error msg -> raise (Usage ("--out-dir: " ^ msg)))
       | _ -> ());
       let window = solver.Solvers.requires = Window in
       let bundles = Bundles.create () in
@@ -885,7 +903,9 @@ let batch_cmd =
           (fun path ->
             let header = Printf.sprintf "sosj2 seed=%d algo=%s" seed solver.name in
             let { shards; sync_every; _ } = ft in
-            if not ft.resume then Robust.Journal.Sharded.start ~path ~shards ~sync_every ~header ()
+            if not ft.resume then
+              try Robust.Journal.Sharded.start ~path ~shards ~sync_every ~header ()
+              with Sys_error msg -> raise (Usage ("cannot open checkpoint: " ^ msg))
             else
               match Robust.Journal.Sharded.resume ~path ~shards ~sync_every ~header () with
               | Ok j -> j
@@ -1203,9 +1223,7 @@ let batch_cmd =
    fail with EPIPE (Sys_error), which ends that connection only — the
    reply's WAL entry is already written — and the loop goes back to
    accept; so does a read the client reset. *)
-let serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+let serve_socket srv ~cancel ~should_drain ~should_abort ?backoff (sock, path) =
   let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect
     ~finally:(fun () ->
@@ -1213,8 +1231,6 @@ let serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path =
       (try Unix.close sock with Unix.Unix_error _ -> ());
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.bind sock (Unix.ADDR_UNIX path);
-      Unix.listen sock 8;
       let stop () = Serve.Server.stopped srv || should_abort () || should_drain () in
       let serve_one () =
         let conn, _ = Unix.accept sock in
@@ -1246,9 +1262,22 @@ let serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path =
       in
       loop 0)
 
+(* The listening socket at [path], bound before the WAL is opened, so a
+   path that cannot be bound exits 2 having done nothing. *)
+let listen_unix path =
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  try
+    Unix.bind sock (Unix.ADDR_UNIX path);
+    Unix.listen sock 8;
+    (sock, path)
+  with Unix.Unix_error (e, _, _) ->
+    Unix.close sock;
+    raise (Usage (Printf.sprintf "--socket %s: %s" path (Unix.error_message e)))
+
 let serve_cmd =
   let run obs jobs seed max_sessions max_jobs max_volume deadline ft socket =
-    with_obs obs @@ fun () ->
+    with_obs ~cmd:"serve" obs @@ fun () ->
     try
       if jobs < 1 then raise (Usage "-j must be >= 1");
       if max_sessions < 1 then raise (Usage "--max-sessions must be >= 1");
@@ -1259,12 +1288,19 @@ let serve_cmd =
       | _ -> ());
       let backoff = arm_fault_tolerance ~seed ft in
       let { retries; checkpoint; resume; shards; sync_every; _ } = ft in
+      let listening = Option.map listen_unix socket in
       match
         Serve.Server.create
           { max_sessions; max_jobs; max_volume; deadline; retries; backoff; checkpoint; resume;
             shards; sync_every }
       with
-      | Error msg -> raise (Usage ("cannot open checkpoint: " ^ msg))
+      | Error msg ->
+          Option.iter
+            (fun (sock, path) ->
+              Unix.close sock;
+              Unix.unlink path)
+            listening;
+          raise (Usage ("cannot open checkpoint: " ^ msg))
       | Ok srv ->
           (* First SIGTERM drains (stop admitting, finish in-flight,
              checkpoint, exit 0); a second SIGTERM — or any SIGINT — hard
@@ -1289,11 +1325,11 @@ let serve_cmd =
           in
           let should_drain () = !terms >= 1 in
           let should_abort () = !ints >= 1 || !terms >= 2 in
-          (match socket with
+          (match listening with
           | None ->
               Serve.Server.serve srv ~input:stdin ~output:stdout ~cancel ~should_drain
                 ~should_abort ()
-          | Some path -> serve_socket srv ~cancel ~should_drain ~should_abort ?backoff path);
+          | Some l -> serve_socket srv ~cancel ~should_drain ~should_abort ?backoff l);
           Sys.set_signal Sys.sigterm prev_sigterm;
           Sys.set_signal Sys.sigint prev_sigint;
           Robust.Chaos.disarm ();

@@ -213,4 +213,3 @@ let export () =
     (Printf.sprintf "\n],\"droppedEvents\":%d,\"displayTimeUnit\":\"ms\"}\n" drops);
   Buffer.contents buf
 
-let write path = Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (export ()))

@@ -70,5 +70,3 @@ val export : unit -> string
     ["droppedEvents"] count when the ring overwrote any). Valid whether
     or not recording is still active; the buffer is not cleared. *)
 
-val write : string -> unit
-(** [write path] saves {!export} to [path]. *)

@@ -96,41 +96,9 @@ module Sharded = struct
      takes — including any flush it triggers, so `--sync-every` batching
      shows up as a bimodal append distribution — and how long each channel
      flush takes on its own. A flush hands the bytes to the kernel; only
-     compaction fsyncs. *)
+     resume's truncation fsyncs. *)
   let h_append = Obs.Metrics.runtime_hist "robust.journal.append_s"
   let h_flush = Obs.Metrics.runtime_hist "robust.journal.flush_s"
-
-  (* Growable bitset over task indices; one bit per completed index. A
-     million-spec journal resumes into 125 KB, not a million-entry list. *)
-  module Bitset = struct
-    type t = { mutable bits : Bytes.t; mutable count : int }
-
-    let make () = { bits = Bytes.create 0; count = 0 }
-
-    let mem t i =
-      let byte = i lsr 3 in
-      byte < Bytes.length t.bits && Char.code (Bytes.get t.bits byte) land (1 lsl (i land 7)) <> 0
-
-    let add t i =
-      let byte = i lsr 3 in
-      let len = Bytes.length t.bits in
-      if byte >= len then begin
-        let bits = Bytes.make (max (byte + 1) ((2 * len) + 64)) '\000' in
-        Bytes.blit t.bits 0 bits 0 len;
-        t.bits <- bits
-      end;
-      let b = Char.code (Bytes.get t.bits byte) in
-      if b land (1 lsl (i land 7)) = 0 then begin
-        Bytes.set t.bits byte (Char.chr (b lor (1 lsl (i land 7))));
-        t.count <- t.count + 1
-      end
-  end
-
-  (* A replay cursor holds at most one entry of pushback: when the forward
-     scan reads past the index it was looking for, the overshot entry is
-     parked here instead of being lost, so the next (higher-index) replay
-     still sees it. *)
-  type cursor = { ic : In_channel.t; mutable pushback : entry option }
 
   type t = {
     base : string;
@@ -138,8 +106,10 @@ module Sharded = struct
     sync_every : int;
     outs : Out_channel.t array;
     pending : int array; (* unflushed appends per shard *)
-    done_ : Bitset.t; (* indices completed by the interrupted run *)
-    cursors : cursor option array; (* lazy per-shard replay readers *)
+    bound : int array;
+        (* shard k holds exactly the entries k, k + shards, … below
+           bound.(k), the index its interrupted run was to journal next *)
+    readers : In_channel.t option array; (* lazy per-shard replay readers *)
   }
 
   let shard_path base k shards = if shards = 1 then base else Printf.sprintf "%s.%d" base k
@@ -149,110 +119,100 @@ module Sharded = struct
 
   let shards t = t.shards
   let paths t = Array.init t.shards (fun k -> shard_path t.base k t.shards)
-  let mem t index = index >= 0 && Bitset.mem t.done_ index
-  let completed t = t.done_.Bitset.count
+  let mem t index = index >= 0 && index < t.bound.(index mod t.shards)
+
+  let completed t =
+    let n = ref 0 in
+    Array.iteri (fun k b -> n := !n + ((b - k) / t.shards)) t.bound;
+    !n
+
+  (* A header that names another run configuration. *)
+  exception Refused of string
+
+  (* Open shard k for every k with [open_shard], which gives its append
+     channel and its bound; on a failure, close the shards already open. *)
+  let open_all ~path ~shards ~sync_every open_shard =
+    let shards = max 1 shards in
+    let opened = Array.make shards None in
+    match
+      for k = 0 to shards - 1 do
+        opened.(k) <- Some (open_shard shards k)
+      done
+    with
+    | () ->
+        {
+          base = path;
+          shards;
+          sync_every = max 1 sync_every;
+          outs = Array.map (fun o -> fst (Option.get o)) opened;
+          pending = Array.make shards 0;
+          bound = Array.map (fun o -> snd (Option.get o)) opened;
+          readers = Array.make shards None;
+        }
+    | exception e ->
+        Array.iter (Option.iter (fun (oc, _) -> Out_channel.close oc)) opened;
+        raise e
 
   let start ~path ?(shards = 1) ?(sync_every = 1) ~header () =
-    let shards = max 1 shards in
-    {
-      base = path;
-      shards;
-      sync_every = max 1 sync_every;
-      outs =
-        Array.init shards (fun k ->
-            create ~path:(shard_path path k shards) ~header:(shard_header header k shards));
-      pending = Array.make shards 0;
-      done_ = Bitset.make ();
-      cursors = Array.make shards None;
-    }
+    open_all ~path ~shards ~sync_every (fun shards k ->
+        (create ~path:(shard_path path k shards) ~header:(shard_header header k shards), k))
+
+  (* The byte length and the bound of shard [p]'s gap-free prefix, and the
+     file's length: its header line, then the entries [first],
+     [first + step], … each whole, newline-terminated and digest-clean, up
+     to the first line that is not the next of them. [None] when the file
+     holds nothing to keep: it is empty, or its header line has no
+     newline. *)
+  let prefix p ~header ~first ~step =
+    In_channel.with_open_text p (fun ic ->
+        (* [line] was read whole: a newline ends it before [keep + len]. *)
+        let whole keep line = In_channel.pos ic = Int64.of_int (keep + String.length line + 1) in
+        match In_channel.input_line ic with
+        | None -> None
+        | Some got when not (String.equal got header) ->
+            raise (Refused (header_mismatch p got header))
+        | Some got when not (whole 0 got) -> None
+        | Some got ->
+            (let rec go keep next =
+               match In_channel.input_line ic with
+               | Some line
+                 when whole keep line
+                      && Option.fold ~none:false
+                           ~some:(fun e -> e.index = next)
+                           (parse_entry line) ->
+                   go (keep + String.length line + 1) (next + step)
+               | _ -> Some (keep, next, In_channel.length ic)
+             in
+             go (String.length got + 1) first)
+            [@sos.allow
+              "A2: one read of the shard, bounded by its size on disk; runs during recovery \
+               before tasks are admitted"])
 
   let resume ~path ?(shards = 1) ?(sync_every = 1) ~header () =
-    let shards = max 1 shards in
-    let done_ = Bitset.make () in
-    (* Compact one shard: stream it line-by-line through a temp file,
-       keeping the header and only the entries whose digest checks out
-       (torn or corrupt lines — a kill -9 mid-append leaves at most one per
-       shard — are dropped), recording each kept index in the bitset. The
-       rename is atomic, so a second kill during compaction loses nothing. *)
-    let compact_shard k =
-      let p = shard_path path k shards in
-      let h = shard_header header k shards in
-      if not (Sys.file_exists p) then Ok (create ~path:p ~header:h)
-      else begin
-        let tmp = p ^ ".compact" in
-        let res =
-          In_channel.with_open_text p (fun ic ->
-              match In_channel.input_line ic with
-              | None -> Ok false (* truncated to nothing: restart the shard *)
-              | Some got when not (String.equal got h) -> Error (header_mismatch p got h)
-              | Some _ ->
-                  Out_channel.with_open_text tmp (fun oc ->
-                      Out_channel.output_string oc (h ^ "\n");
-                      (let rec go () =
-                         match In_channel.input_line ic with
-                         | None -> ()
-                         | Some line ->
-                             (match parse_entry line with
-                             | Some e ->
-                                 Bitset.add done_ e.index;
-                                 Out_channel.output_string oc line;
-                                 Out_channel.output_char oc '\n'
-                             | None -> ());
-                             go ()
-                       in
-                       go ())
-                      [@sos.allow
-                        "A2: compaction replay, bounded by the shard size on disk; runs \
-                         during recovery before tasks are admitted"];
-                      (* The rename below is only crash-safe if the temp
-                         file's data has reached disk first — otherwise a
-                         power loss can leave a truncated compacted shard
-                         in place of the entries it replaced. *)
-                      Out_channel.flush oc;
-                      Unix.fsync (Unix.descr_of_out_channel oc));
-                  Ok true)
-        in
-        match res with
-        | Error _ as e -> e
-        | Ok false -> Ok (create ~path:p ~header:h)
-        | Ok true ->
-            Sys.rename tmp p;
-            (* Persist the rename itself (the directory entry); best-effort
-               since some filesystems refuse fsync on a directory fd. *)
-            (try
-               let dfd = Unix.openfile (Filename.dirname p) [ Unix.O_RDONLY ] 0 in
-               Fun.protect
-                 ~finally:(fun () -> Unix.close dfd)
-                 (fun () -> Unix.fsync dfd)
-             with Unix.Unix_error _ -> ());
-            (* Compaction wrote every kept line newline-terminated, so
-               appends can go straight after the last one. *)
-            Ok (Out_channel.open_gen [ Open_append; Open_text ] 0o644 p)
-      end
+    (* Keep each shard's gap-free prefix and cut the file after it: one
+       fsync'd ftruncate, and no write at all when nothing follows it.
+       Whatever followed (a gap, an entry out of order, a torn tail, a
+       corrupt line) is run again. *)
+    let open_shard shards k =
+      let p = shard_path path k shards and h = shard_header header k shards in
+      match if Sys.file_exists p then prefix p ~header:h ~first:k ~step:shards else None with
+      | None -> (create ~path:p ~header:h, k)
+      | Some (keep, next, size) ->
+          if Int64.of_int keep < size then begin
+            let fd = Unix.openfile p [ Unix.O_WRONLY ] 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                Unix.ftruncate fd keep;
+                Unix.fsync fd)
+          end;
+          (Out_channel.open_gen [ Open_append; Open_text ] 0o644 p, next)
     in
-    let outs = Array.make shards None in
-    let err = ref None in
-    for k = 0 to shards - 1 do
-      if !err = None then
-        match compact_shard k with
-        | Ok oc -> outs.(k) <- Some oc
-        | Error e -> err := Some e
-    done;
-    match !err with
-    | Some e ->
-        Array.iter (function Some oc -> Out_channel.close oc | None -> ()) outs;
-        Error e
-    | None ->
-        Ok
-          {
-            base = path;
-            shards;
-            sync_every = max 1 sync_every;
-            outs = Array.map Option.get outs;
-            pending = Array.make shards 0;
-            done_;
-            cursors = Array.make shards None;
-          }
+    match open_all ~path ~shards ~sync_every open_shard with
+    | t -> Ok t
+    | exception (Refused msg | Sys_error msg) -> Error msg
+    | exception Unix.Unix_error (e, fn, _) ->
+        Error (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message e))
 
   let append t ~index ~payload =
     Obs.Metrics.time h_append @@ fun () ->
@@ -264,79 +224,33 @@ module Sharded = struct
       t.pending.(k) <- 0
     end
 
-  let flush t =
-    Array.iteri
-      (fun k oc ->
-        if t.pending.(k) > 0 then begin
-          Obs.Metrics.time h_flush (fun () -> Out_channel.flush oc);
-          t.pending.(k) <- 0
-        end)
-      t.outs
-
-  (* Slow path: the forward cursor overshot [index], so the entry — which
-     the resume bitset saw during compaction — sits {e behind} the cursor.
-     That happens when a shard is not index-sorted: an interrupted run
-     journals nothing for a cancelled index while later in-flight tasks
-     are journalled, and the first resume appends the re-run gap index
-     after them. Rescan the whole shard with a fresh reader; O(shard) per
-     out-of-order entry, and such entries are bounded by the gaps of prior
-     interrupted runs. *)
-  let rescan t k index =
-    In_channel.with_open_text
-      (shard_path t.base k t.shards)
-      (fun ic ->
-        ignore (In_channel.input_line ic : string option) (* skip the header *);
-        let rec go () =
-          match In_channel.input_line ic with
-          | None -> None
-          | Some line -> (
-              match parse_entry line with
-              | Some e when e.index = index -> Some e.payload
-              | _ -> go ())
-        in
-        go ())
-
+  (* The entries of a shard below its bound are its first lines, in index
+     order, so replay reads each shard forward once. An index the caller
+     passed over is skipped; one it asks for twice, or out of order, is
+     [None]. *)
   let replay t index =
     if not (mem t index) then None
     else begin
       let k = index mod t.shards in
-      let cur =
-        match t.cursors.(k) with
-        | Some cur -> cur
+      let ic =
+        match t.readers.(k) with
+        | Some ic -> ic
         | None ->
             let ic = In_channel.open_text (shard_path t.base k t.shards) in
             ignore (In_channel.input_line ic : string option) (* skip the header *);
-            let cur = { ic; pushback = None } in
-            t.cursors.(k) <- Some cur;
-            cur
+            t.readers.(k) <- Some ic;
+            ic
       in
-      (* Replay is driven by ordered emission and shards are appended in
-         emission order, so the common case is a strictly forward scan:
-         O(1) reads per entry. An entry that lands {e behind} the cursor
-         (out-of-order shard, see [rescan]) must not cost the entries
-         ahead of it — the overshot line is pushed back, never consumed. *)
       let rec go () =
-        match In_channel.input_line cur.ic with
-        | None -> rescan t k index
-        | Some line -> (
-            match parse_entry line with
-            | Some e when e.index = index -> Some e.payload
-            | Some e when e.index > index ->
-                cur.pushback <- Some e;
-                rescan t k index
-            | _ -> go ())
+        match Option.map parse_entry (In_channel.input_line ic) with
+        | Some (Some e) when e.index = index -> Some e.payload
+        | Some (Some e) when e.index < index -> go ()
+        | _ -> None
       in
-      match cur.pushback with
-      | Some e when e.index = index ->
-          cur.pushback <- None;
-          Some e.payload
-      | Some e when e.index > index -> rescan t k index
-      | _ ->
-          cur.pushback <- None;
-          go ()
+      go ()
     end
 
   let close t =
     Array.iter Out_channel.close t.outs;
-    Array.iter (function Some cur -> In_channel.close cur.ic | None -> ()) t.cursors
+    Array.iter (Option.iter In_channel.close) t.readers
 end

@@ -48,28 +48,27 @@ val unbind :
     seed or algorithm would silently mix outputs). What each entry
     answers is bound per entry ({!bind}), not in the header. With
     [N > 1] shards every header is suffixed with [" shard=k/N"], so a
-    journal can never be resumed under a different shard count. {!resume}
-    drops any entry whose digest does not match its payload — a process
-    killed mid-append leaves at most one torn trailing line per shard,
-    which is simply re-run. Payloads must be newline-free (enforced by
-    {!append}).
+    journal can never be resumed under a different shard count. Payloads
+    must be newline-free (enforced by {!append}).
 
-    Sharding buys two things for million-spec runs: resume compacts and
-    scans shards independently (each is 1/N of the data), and appends can
-    be batched behind a [sync_every] flush policy per shard — a channel
-    flush every K entries instead of every entry, trading at most
-    [K - 1] re-run tasks per shard on a kill for sequential-write
+    {b The prefix rule.} Entries are appended in index order, so shard
+    [k] holds [k], [k + N], [k + 2N], …. {!resume} keeps the longest
+    prefix of that sequence whose lines are whole, newline-terminated and
+    digest-clean, and cuts the file after it. Whatever follows is run
+    again: a torn tail (a kill mid-append leaves at most one per shard), a
+    corrupt line, or a gap (an index a signal cancelled while later ones
+    finished) with every entry behind it. Runs are deterministic, so that
+    rewrites the bytes a replay would have given; after a signal it is at
+    most the in-flight window, and a corrupt line costs the rest of its
+    shard. The serve WAL is appended in request order and has no gaps.
+
+    Appends flush per shard every [sync_every] entries, trading at most
+    [sync_every - 1] re-run tasks per shard on a kill for sequential-write
     throughput. A flush hands the lines to the kernel, which is what
-    survives a killed process; no append calls [fsync], so a machine
-    crash may still lose lines the kernel had not written back. Only
-    compaction ({!resume}) fsyncs, before its rename.
-
-    Resume never materializes entries: each shard is streamed line-by-line
-    into a {e bitset} of completed indices (125 KB per million tasks)
-    while being {e compacted} — torn or corrupt lines dropped, the clean
-    file atomically renamed into place — and replayed payloads are read
-    back on demand through a forward-only cursor per shard. All reads cost
-    O(longest line) memory, never O(file). *)
+    survives a killed process; no append calls [fsync], so a machine crash
+    may lose lines the kernel had not written back. Only {!resume} fsyncs,
+    after it cuts a shard. Resume and replay each read a shard once,
+    line by line: O(longest line) memory, never O(file). *)
 module Sharded : sig
   type t
 
@@ -77,7 +76,8 @@ module Sharded : sig
   (** Create a fresh journal: truncates all [shards] (default 1) shard
       files and writes their headers. [sync_every] (default 1 = flush
       every entry) is the per-shard append count between flushes; both are
-      clamped up to 1. *)
+      clamped up to 1. Raises [Sys_error] when a shard cannot be
+      written. *)
 
   val resume :
     path:string ->
@@ -87,39 +87,32 @@ module Sharded : sig
     unit ->
     (t, string) result
   (** Reopen an interrupted run's journal: verifies every shard's header
-      (mismatch → [Error]), compacts each shard in one streaming pass
-      (invalid lines dropped, atomic rename), and records the surviving
-      indices in the resume bitset. A missing or empty shard file is
-      recreated fresh. *)
+      (mismatch → [Error]) and cuts each shard after its prefix (above)
+      with one fsync'd [ftruncate], writing nothing to a shard that is its
+      own prefix. A missing or empty shard is recreated fresh. An I/O
+      failure is [Error] too. *)
 
   val mem : t -> int -> bool
-  (** Did the interrupted run complete this index? (Always [false] on a
+  (** Is this index in its shard's kept prefix? (Always [false] on a
       {!start}-ed journal; fresh {!append}s do not set it.) *)
 
   val completed : t -> int
-  (** Number of indices recorded by the interrupted run. *)
+  (** Number of entries in the kept prefixes. *)
 
   val replay : t -> int -> string option
   (** The payload the interrupted run journalled for this index, or [None]
       if {!mem} is false. Must be called in increasing index order (the
-      ordered-emission order): each shard is read through a forward
-      cursor with one entry of pushback, so in-order entries cost O(1)
-      reads. An entry lying {e behind} the cursor (a shard left
-      index-unsorted by a prior resume appending re-run gap indices after
-      higher ones) is still found, via a full-shard rescan. [None] with
-      {!mem} true therefore means the journal lost the entry — callers
-      must treat it as a failure, not as silence. *)
+      ordered-emission order): each shard is read forward once. [None]
+      with {!mem} true means the entry is gone — callers must treat it as
+      a failure, not as silence. *)
 
   val append : t -> index:int -> payload:string -> unit
   (** Journal one fresh entry into shard [index mod shards], flushing per
       the [sync_every] policy. Raises [Invalid_argument] if [payload]
       contains a newline. *)
 
-  val flush : t -> unit
-  (** Force out any appends still buffered behind [sync_every]. *)
-
   val close : t -> unit
-  (** Flush and close every shard channel and replay cursor. *)
+  (** Flush and close every shard channel and replay reader. *)
 
   val shards : t -> int
 

@@ -108,22 +108,15 @@ let create cfg =
   (* rejected here, so no query ever meets Engine.Batch's own check *)
   | _ when cfg.retries < 0 -> Error "retries must be >= 0"
   | None -> Ok (fresh None)
-  | Some path ->
-      let header = header cfg in
-      if cfg.resume then begin
-        match
-          Journal.Sharded.resume ~path ~shards:cfg.shards
-            ~sync_every:cfg.sync_every ~header ()
-        with
-        | Ok j -> Ok (fresh (Some j))
-        | Error e -> Error e
-      end
-      else
-        Ok
-          (fresh
-             (Some
-                (Journal.Sharded.start ~path ~shards:cfg.shards
-                   ~sync_every:cfg.sync_every ~header ())))
+  | Some path -> (
+      let header = header cfg and shards = cfg.shards and sync_every = cfg.sync_every in
+      match
+        if cfg.resume then Journal.Sharded.resume ~path ~shards ~sync_every ~header ()
+        else Ok (Journal.Sharded.start ~path ~shards ~sync_every ~header ())
+      with
+      | Ok j -> Ok (fresh (Some j))
+      | Error _ as e -> e
+      | exception Sys_error e -> Error e)
 
 let stopped t = t.stop_code <> None
 

@@ -64,7 +64,7 @@ type t
 
 val create : config -> (t, string) result
 (** [Error] when [retries < 0], or when the WAL cannot be started or
-    resumed (header mismatch, unreadable shard). *)
+    resumed (header mismatch, a shard that cannot be read or written). *)
 
 type summary = {
   requests : int;  (** lines handled, including replayed ones *)

@@ -1,7 +1,7 @@
 (** Ablation variants of the algorithm, for the A1 experiment. Each switches
     off one design choice that the paper's analysis relies on:
 
-    - [Fast.run ~variant:`Literal] (not in this module) — the printed
+    - [Fast.run_columns ~variant:`Literal] (not in this module) — the printed
       Listing 2 GrowWindowLeft (stalls behind a surviving max; see
       DESIGN.md finding 1);
     - {!run_naive_fracture} — drops the case-1 "un-fracture" swap of

@@ -93,7 +93,7 @@ let run_in ?(variant = `Fixed) ws inst =
        opens a provably-stable span that is skipped whole, so iterations
        are O(n); anything near this budget is a bug, not workload. *)
     if !iters > (16 * Instance.n inst) + 64 then
-      Robust.Failure.internal_error "Fast.run: iteration budget exceeded";
+      Robust.Failure.internal_error "Fast.run_in: iteration budget exceeded";
     let w =
       if !have_pre then begin
         have_pre := false;
@@ -156,4 +156,3 @@ let run_count ?variant inst =
   let cols, iters = run_columns ?variant inst in
   (Schedule.Columns.to_schedule cols, iters)
 
-let run ?variant inst = fst (run_count ?variant inst)

@@ -52,11 +52,8 @@ val run_columns : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.Colum
     caller's to keep. It has the steps of [Listing1.run] (same [variant])
     with runs of identical steps run-length encoded. *)
 
-val run : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.t
-(** The list form of {!run_columns}'s schedule, converted once by
-    {!Schedule.Columns.to_schedule}, for callers that read its [steps];
-    the library's analytics and writers read the store itself. *)
-
 val run_count : ?variant:[ `Fixed | `Literal ] -> Instance.t -> Schedule.t * int
-(** Also returns the number of loop iterations actually simulated (the
-    T7 running-time experiment reports it). *)
+(** The list form of {!run_columns}'s schedule, converted once by
+    {!Schedule.Columns.to_schedule}, and the iteration count. Only
+    [benchmark/] and the list-form tests read it; the library's analytics
+    and writers, and bench/, read the store itself. *)

@@ -13,8 +13,9 @@
     baselines, the online and SAS schedulers — appends its blocks to a
     flat-int-column store, {!Columns}, and every analytic below, the CSV
     writers ({!Export}) and the SVG renderer ({!Svg}) read that store. The
-    list form {!t} ([step] records holding [alloc] lists) is what {!Fast.run}
-    returns and {!val-validate} checks, for callers that read its [steps];
+    list form {!t} ([step] records holding [alloc] lists) is what
+    {!Fast.run_count} returns and {!val-validate} checks, for callers that
+    read its [steps];
     {!Columns.of_schedule} and {!Columns.to_schedule} convert.
 
     {b Strongly-polynomial analytics.} Every query below ([completion_times],

@@ -304,24 +304,26 @@ let convert_to_binary ~src ~dst =
       Fun.protect
         ~finally:(fun () -> close s)
         (fun () ->
-          Out_channel.with_open_bin dst (fun oc ->
-              let w = Writer.create oc in
-              let count = ref 0 in
-              let rec go () =
-                match read s with
-                | None -> Ok !count
-                | Some r -> (
-                    match r.payload with
-                    | Bad msg -> Error (Printf.sprintf "record %d: %s" r.recno msg)
-                    | File _ ->
-                        Error
-                          (Printf.sprintf
-                             "record %d: @FILE specs cannot be converted to binary" r.recno)
-                    | Gen { family; n; m; scale } -> (
-                        match Writer.add w ~family ~n ~m ?scale () with
-                        | Error msg -> Error (Printf.sprintf "record %d: %s" r.recno msg)
-                        | Ok () ->
-                            incr count;
-                            go ()))
-              in
-              go ()))
+          try
+            Out_channel.with_open_bin dst (fun oc ->
+                let w = Writer.create oc in
+                let count = ref 0 in
+                let rec go () =
+                  match read s with
+                  | None -> Ok !count
+                  | Some r -> (
+                      match r.payload with
+                      | Bad msg -> Error (Printf.sprintf "record %d: %s" r.recno msg)
+                      | File _ ->
+                          Error
+                            (Printf.sprintf
+                               "record %d: @FILE specs cannot be converted to binary" r.recno)
+                      | Gen { family; n; m; scale } -> (
+                          match Writer.add w ~family ~n ~m ?scale () with
+                          | Error msg -> Error (Printf.sprintf "record %d: %s" r.recno msg)
+                          | Ok () ->
+                              incr count;
+                              go ()))
+                in
+                go ())
+          with Sys_error msg -> Error msg)

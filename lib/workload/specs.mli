@@ -114,4 +114,5 @@ val convert_to_binary : src:string -> dst:string -> (int, string) result
 (** Convert a corpus (usually text) to binary at [dst], streaming both
     sides; returns the record count. Strict: a [Bad] record, an [@PATH]
     spec, or an unknown family aborts with an [Error] naming the record —
-    a converted corpus is guaranteed to replay identically. *)
+    a converted corpus is guaranteed to replay identically. A [dst] that
+    cannot be written is an [Error] too. *)

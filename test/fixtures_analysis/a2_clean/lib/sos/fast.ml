@@ -2,4 +2,4 @@ let tick () = Robust.Context.poll ()
 let spin n =
   let r = ref n in
   while !r > 0 do tick (); decr r done
-let run inst = ignore inst; spin 9
+let run_in inst = ignore inst; spin 9

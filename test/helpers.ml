@@ -109,3 +109,28 @@ let read_through_pipe text sizes read =
       close_in_noerr ic;
       Domain.join writer)
     (fun () -> read ic)
+
+(* 0-300 random bytes for parser fuzzing, biased toward printable text,
+   digits and the [specials] the parser splits on. *)
+let fuzz_bytes specials =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [ (3, char); (3, char_range ' ' '~'); (2, char_range '0' '9'); (2, oneofl specials) ])
+      (int_range 0 300))
+
+(* [prop] holds on each fuzz input [prefix ^ body], where [body] is
+   {!fuzz_bytes} and [prefix] is one of [prefixes]; an exception fails
+   it. *)
+let fuzz ?(count = 500) name ~prefixes ~specials prop =
+  qcheck ~count name
+    QCheck.(
+      make
+        ~print:(fun (p, b) -> Printf.sprintf "%S" (p ^ b))
+        Gen.(pair (oneofl prefixes) (fuzz_bytes specials)))
+    (fun (prefix, body) ->
+      match prop (prefix ^ body) with
+      | ok -> ok
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+

@@ -56,7 +56,7 @@ let expected =
       ((1, 3, 2), (1, 3, 2), (1, 3, 2)) );
     ( "a2",
       [
-        "lib/sos/fast.ml:3 A2 while loop in Sos.Fast.spin (reachable from Sos.Fast.run) never \
+        "lib/sos/fast.ml:3 A2 while loop in Sos.Fast.spin (reachable from Sos.Fast.run_in) never \
          reaches Robust.Context.poll/Chaos.point \xe2\x80\x94 un-cancellable";
       ],
       ((1, 2, 1), (1, 3, 3), (1, 2, 1)) );

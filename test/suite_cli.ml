@@ -112,6 +112,8 @@ let boundaries text =
   :: List.filter_map Fun.id
        (List.init (String.length text) (fun i -> if text.[i] = '\n' then Some (i + 1) else None))
 
+let unlines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls)
+
 let check_same what (ref_ : run) (r : run) =
   Alcotest.(check int) (what ^ ": exit code") ref_.code r.code;
   Alcotest.(check string) (what ^ ": stdout") ref_.out r.out
@@ -170,7 +172,25 @@ let test_resume_crash_points () =
       check_same
         (Printf.sprintf "shards=%d resume at -j 1" shards)
         ref_
-        (run (batch_args ~ck ~shards ~resume:true ~j:1 specs)))
+        (run (batch_args ~ck ~shards ~resume:true ~j:1 specs));
+      (* Entry 4 deleted, the gap a signal leaves; and entry 4 appended
+         after higher indices, the layout an earlier resume could leave.
+         Each journal resumes twice to the uninterrupted run's bytes. *)
+      List.iter
+        (fun (what, relocate) ->
+          copy_journal ~src:full ~dst:ck shards;
+          let shard = List.nth (shard_paths ck shards) (4 mod shards) in
+          let entries = String.split_on_char '\n' (read_file shard) |> List.filter (( <> ) "") in
+          let gap, rest = List.partition (String.starts_with ~prefix:"4 ") entries in
+          write_file shard (unlines (rest @ if relocate then gap else []));
+          List.iter
+            (fun pass ->
+              check_same
+                (Printf.sprintf "shards=%d %s, resume %d" shards what pass)
+                ref_
+                (run (batch_args ~ck ~shards ~resume:true specs)))
+            [ 1; 2 ])
+        [ ("entry 4 deleted", false); ("entry 4 after higher indices", true) ])
     [ 1; 4 ]
 
 (* A journal is bound per entry to its spec's canonical text, which is
@@ -271,8 +291,6 @@ let serve_lines =
       "frobnicate d"; "query s job=99"; "open x m=2"; "submit x 0 1 1"; "query x job=0";
       "close x"; "drain"; "submit d 0 1 1"; "query d"; "close s"; "stats"; "shutdown";
     ]
-
-let unlines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls)
 
 let serve_args ~ck ~shards ?(resume = false) () =
   [ "serve"; "--checkpoint"; ck; "--shards"; string_of_int shards ]
@@ -616,6 +634,133 @@ let test_serve_drain_signal () =
     replies;
   Alcotest.(check bool) "exit 0" true (st = Unix.WEXITED 0)
 
+(* ------------------------------------------------ unopenable outputs *)
+
+(* An output path in a directory that does not exist exits 2 with one
+   `sosctl CMD:` line before any work: no stdout, no uncaught
+   exception. *)
+let test_unopenable_paths () =
+  with_temp_dir @@ fun dir ->
+  let specs = Filename.concat dir "specs.txt" in
+  write_file specs "uniform-small 6 4\n";
+  let missing name = Filename.concat (Filename.concat dir "missing") name in
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let r = run ~stdin:specs args in
+      Alcotest.(check int) (what ^ ": exit code") 2 r.code;
+      Alcotest.(check string) (what ^ ": stdout") "" r.out;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: one sosctl %s line (%S)" what (List.hd args) r.err)
+        true
+        (String.starts_with ~prefix:(Printf.sprintf "sosctl %s: " (List.hd args)) r.err
+        && String.index r.err '\n' = String.length r.err - 1))
+    [
+      [ "batch"; "--checkpoint"; missing "ck"; specs ];
+      [ "batch"; "--checkpoint"; missing "ck"; "--resume"; specs ];
+      [ "batch"; "--out-dir"; Filename.concat (missing "x") "y"; specs ];
+      [ "batch"; "--metrics=" ^ missing "m.json"; specs ];
+      [ "batch"; "--trace=" ^ missing "t.json"; specs ];
+      [ "export"; specs; "--specs-bin"; missing "x.bin" ];
+      [ "serve"; "--checkpoint"; missing "wal" ];
+      [ "serve"; "--checkpoint"; missing "wal"; "--resume" ];
+      [ "serve"; "--socket"; missing "sock" ];
+    ]
+
+(* ------------------------------------------------------ batch SIGTERM *)
+
+(* SIGTERM stops a batch as SIGINT does (cancel, drain the tasks in
+   flight, close the journal) but exits 143. The signal is sent once 20
+   lines are read. At -j 2 with seeded 0.3 s stalls it tends to cancel a
+   stalled task while later ones finish, so the journal and the lines
+   printed have a gap. The first resume keeps the journal up to its gap,
+   runs the rest again and leaves it in index order; both resumes print
+   the uninterrupted run's bytes. The stalls only slow the run down, so
+   the reference and the resumes run without them. *)
+let test_batch_sigterm () =
+  with_temp_dir @@ fun dir ->
+  let specs = Filename.concat dir "specs.txt" and ck = Filename.concat dir "ck" in
+  write_file specs (unlines (List.init 200 (fun _ -> "uniform-small 6 4")));
+  let args extra = [ "batch"; "-j"; "2"; "--seed"; "3" ] @ extra @ [ specs ] in
+  let ref_ = run (args []) in
+  Alcotest.(check int) "uninterrupted run exit" 0 ref_.code;
+  let expected = Array.of_list (lines ref_.out) in
+  let printed, st =
+    with_serve_pipes
+      (args [ "--chaos"; "sos.fast.run+0.3~0.05"; "--checkpoint"; ck ])
+      (fun pid c close_stdin ->
+        close_stdin ();
+        let first = List.init 20 (fun _ -> next_reply c) in
+        Unix.kill pid Sys.sigterm;
+        first @ rest_lines c)
+  in
+  Alcotest.(check bool) "SIGTERM exits 143" true (st = Unix.WEXITED 143);
+  let index l = int_of_string (List.hd (String.split_on_char ' ' l)) in
+  Alcotest.(check bool) "stopped before the end" true (List.length printed < 200);
+  List.iteri
+    (fun k l ->
+      Alcotest.(check string) "a printed line is the uninterrupted run's" expected.(index l) l;
+      if k > 0 then
+        Alcotest.(check bool) "printed in index order" true
+          (index (List.nth printed (k - 1)) < index l))
+    printed;
+  List.iter
+    (fun pass ->
+      check_same (pass ^ " resume") ref_ (run (args [ "--checkpoint"; ck; "--resume" ]));
+      Alcotest.(check (list int))
+        (pass ^ " resume: journal in index order")
+        (List.init 200 Fun.id)
+        (List.map index (List.tl (lines (read_file ck)))))
+    [ "first"; "second" ]
+
+(* ------------------------------------- sharded streaming kill/resume *)
+
+(* A 100,000-spec binary corpus with a 4-shard journal flushed every 32
+   appends, cut as a kill -9 leaves it: every shard at once, each at its
+   own seeded entry boundary, some with a torn line after it. Resumed at
+   -j 1, 2 and 4, each prints the uninterrupted run's bytes, whose md5 is
+   the plain -j 1 run's. *)
+let test_sharded_kill_resume () =
+  with_temp_dir @@ fun dir ->
+  let text = Filename.concat dir "specs.txt" and bin = Filename.concat dir "specs.bin" in
+  let families =
+    [| "bimodal"; "heavy-tail"; "uniform-wide"; "uniform-small"; "near-one"; "tiny" |]
+  in
+  write_file text
+    (String.concat ""
+       (List.init 100_000 (fun i ->
+            Printf.sprintf "%s %d %d\n" families.(i mod 6) (10 + (i mod 40)) (4 + (i mod 6)))));
+  Alcotest.(check int) "conversion" 0 (run [ "export"; text; "--specs-bin"; bin ]).code;
+  let args ?(resume = false) ~j ck =
+    [
+      "batch"; "-j"; string_of_int j; "--seed"; "5"; "--checkpoint"; ck; "--shards"; "4";
+      "--sync-every"; "32";
+    ]
+    @ (if resume then [ "--resume" ] else [])
+    @ [ bin ]
+  in
+  let full = Filename.concat dir "full" and ck = Filename.concat dir "ck" in
+  let ref_ = run (args ~j:2 full) in
+  Alcotest.(check int) "uninterrupted run exit" 0 ref_.code;
+  Alcotest.(check string) "the plain -j 1 run's md5" "e4f33365b7c4fd63925368ea51afaf65"
+    (Digest.to_hex (Digest.string ref_.out));
+  let rng = Prelude.Rng.create 0x6b11 in
+  List.iter
+    (fun j ->
+      List.iter2
+        (fun src dst ->
+          let t = read_file src in
+          let header_end = String.index t '\n' + 1 in
+          let p = header_end - 1 + Prelude.Rng.int rng (String.length t - header_end + 1) in
+          let cut =
+            match String.index_from_opt t p '\n' with Some e -> e + 1 | None -> String.length t
+          in
+          let torn = if Prelude.Rng.bool rng then Prelude.Rng.int rng 40 else 0 in
+          write_file dst (String.sub t 0 (min (String.length t) (cut + torn))))
+        (shard_paths full 4) (shard_paths ck 4);
+      check_same (Printf.sprintf "resume at -j %d" j) ref_ (run (args ~resume:true ~j ck)))
+    [ 1; 2; 4 ]
+
 let suite =
   ( "cli",
     [
@@ -629,4 +774,7 @@ let suite =
       Alcotest.test_case "serve over a unix socket" `Quick test_serve_socket;
       Alcotest.test_case "serve closed loop, pipes and socket" `Quick test_serve_closed_loop;
       Alcotest.test_case "serve drains on SIGTERM" `Quick test_serve_drain_signal;
+      Alcotest.test_case "unopenable output paths exit 2" `Quick test_unopenable_paths;
+      Alcotest.test_case "batch SIGTERM resumes byte-identically" `Quick test_batch_sigterm;
+      Alcotest.test_case "sharded streaming kill/resume" `Quick test_sharded_kill_resume;
     ] )

@@ -361,9 +361,23 @@ let test_construction_allocation () =
   check "of_columns" (fun () -> Instance.of_columns ~m:8 ~scale:1000 ~size ~req);
   check "of_string_checked" (fun () -> Instance.of_string_checked text)
 
+(* Raw random bytes, behind no prefix, the magic word or a valid
+   header: the checked parser answers Ok or a taxonomy error, under both
+   validators, and never raises. *)
+let prop_raw_bytes_never_raise =
+  Helpers.fuzz "of_string_checked never raises on random bytes"
+    ~prefixes:[ ""; "sos "; "sos 4 10 3\n" ]
+    ~specials:[ ' '; '\n'; '\t'; '\r'; '-'; '+'; '#'; '_'; 'x' ]
+    (fun text ->
+      List.for_all
+        (fun window ->
+          match Sos.Instance.of_string_checked ~window text with Ok _ | Error _ -> true)
+        [ false; true ])
+
 let suite =
   ( "instance",
     [
+      prop_raw_bytes_never_raise;
       Alcotest.test_case "per-job checks" `Quick test_per_job_checks;
       Alcotest.test_case "sorting" `Quick test_instance_sorting;
       Alcotest.test_case "sorted order" `Quick test_instance_sorted_order;

@@ -755,12 +755,12 @@ let det_snapshot_of_batch ~domains seed =
     Array.init 64 (fun i () ->
         let rng = Rng.create2 seed i in
         let inst = Workload.Sos_gen.random_instance rng ~max_n:8 ~max_m:4 ~max_size:5 () in
-        let sched = Sos.Fast.run inst in
+        let sched, _ = Sos.Fast.run_columns inst in
         (* Rating the makespan feeds the deterministic ratio histogram, so
            the byte-identity property below covers histogram buckets and
            quantiles, not just counters. *)
-        ignore (Sos.Bounds.theorem_3_3_bound inst ~makespan:sched.Sos.Schedule.makespan);
-        sched.Sos.Schedule.makespan)
+        ignore (Sos.Bounds.theorem_3_3_bound inst ~makespan:sched.Sos.Schedule.Columns.makespan);
+        sched.Sos.Schedule.Columns.makespan)
   in
   Array.iter
     (function
@@ -783,9 +783,19 @@ let qcheck_batch_snapshot_deterministic =
       && contains s1 "sos.fast.iterations_per_run"
       && s1 = s2 && s2 = s4)
 
+(* Snapshot.parse skips what it cannot read: random bytes behind no
+   prefix, or behind the byte or sample that selects each format, parse
+   without raising. *)
+let prop_snapshot_parse_total =
+  Helpers.fuzz "Snapshot.parse never raises on random bytes"
+    ~prefixes:[ ""; "{"; "#"; "x_total{" ]
+    ~specials:[ '{'; '}'; '['; ']'; '"'; '\\'; ':'; ','; '\n'; ' '; '#'; '='; '.'; '-'; 'e' ]
+    (fun text -> ignore (Obs.Snapshot.parse text : Obs.Snapshot.entry list); true)
+
 let suite =
   ( "obs",
     [
+      prop_snapshot_parse_total;
       Alcotest.test_case "json checker sanity" `Quick test_json_checker_sanity;
       Alcotest.test_case "counter basics" `Quick test_counter_basics;
       Alcotest.test_case "registry errors" `Quick test_registry_errors;

@@ -187,13 +187,20 @@ let with_temp_journal f =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
 let read_lines path = In_channel.with_open_text path In_channel.input_lines
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 (* The replayable state of a resumed journal over indices [0, n). *)
 let resumed_entries j n =
   List.filter_map (fun i -> Option.map (fun p -> (i, p)) (Sharded.replay j i)) (List.init n Fun.id)
 
+let take k l = List.filteri (fun i _ -> i < k) l
+
 (* At [shards = 1] the journal is the file at [path] itself, and its
-   header carries no shard suffix. *)
+   header carries no shard suffix. Index 1 was never journalled (a signal
+   cancelled it while index 2 finished), so the kept prefix ends at entry
+   0: entry 2 is cut from the file and run again. A journal that is
+   already its own prefix resumes without a write. *)
 let test_journal_roundtrip () =
   with_temp_journal @@ fun path ->
   let header = "sosj1 seed=7 algo=window specs=abc" in
@@ -202,21 +209,32 @@ let test_journal_roundtrip () =
   Sharded.append j ~index:0 ~payload:"0 ok bimodal makespan=12";
   Sharded.append j ~index:2 ~payload:"2 error task-exn line 3: boom";
   Sharded.close j;
-  Alcotest.(check string) "header line has no shard suffix" header (List.hd (read_lines path));
+  let written = read_lines path in
+  Alcotest.(check string) "header line has no shard suffix" header (List.hd written);
   (match Sharded.resume ~path ~header () with
   | Ok j ->
-      Alcotest.(check int) "completed" 2 (Sharded.completed j);
-      Alcotest.(check bool) "gap index not recorded" false (Sharded.mem j 1);
+      Alcotest.(check int) "completed" 1 (Sharded.completed j);
+      Alcotest.(check bool) "gap index not kept" false (Sharded.mem j 1);
+      Alcotest.(check bool) "entry after the gap not kept" false (Sharded.mem j 2);
       Alcotest.(check (list (pair int string)))
         "entries"
-        [ (0, "0 ok bimodal makespan=12"); (2, "2 error task-exn line 3: boom") ]
+        [ (0, "0 ok bimodal makespan=12") ]
         (resumed_entries j 3);
+      Alcotest.(check (list string)) "file cut after the prefix" (take 2 written) (read_lines path);
       (* Newlines in payloads would corrupt the line format. *)
       (match Sharded.append j ~index:3 ~payload:"a\nb" with
       | exception Invalid_argument _ -> ()
       | () -> Alcotest.fail "newline payload accepted");
       Sharded.close j
   | Error msg -> Alcotest.fail msg);
+  let bytes = read_file path and inode = (Unix.stat path).Unix.st_ino in
+  (match Sharded.resume ~path ~header () with
+  | Ok j ->
+      Alcotest.(check int) "completed on a clean journal" 1 (Sharded.completed j);
+      Sharded.close j
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check string) "clean journal: bytes untouched" bytes (read_file path);
+  Alcotest.(check int) "clean journal: same inode" inode (Unix.stat path).Unix.st_ino;
   (* A different header (other seed/algo/specs) must be refused. *)
   match Sharded.resume ~path ~header:"sosj1 seed=8 algo=window specs=abc" () with
   | Error _ -> ()
@@ -319,7 +337,7 @@ let test_sharded_roundtrip () =
       Alcotest.(check bool) "replay beyond end" true (Sharded.replay j 11 = None);
       (* Fresh appends on a resumed journal extend it... *)
       Sharded.append j ~index:11 ~payload:"11 ok payload";
-      Alcotest.(check bool) "fresh append not in resume bitset" false (Sharded.mem j 11);
+      Alcotest.(check bool) "a fresh append is not kept by mem" false (Sharded.mem j 11);
       Sharded.close j);
   match Sharded.resume ~path:base ~shards:3 ~header () with
   | Error msg -> Alcotest.fail msg
@@ -363,8 +381,8 @@ let test_sharded_torn_tails () =
   match Sharded.resume ~path:base ~shards:2 ~header () with
   | Error msg -> Alcotest.fail msg
   | Ok j ->
-      (* The torn/corrupt lines are dropped by compaction; the six clean
-         entries survive and replay in order. *)
+      (* The torn and corrupt lines are cut from the files; the six
+         clean entries survive and replay in order. *)
       Alcotest.(check int) "completed after torn tails" 6 (Sharded.completed j);
       for i = 0 to 5 do
         Alcotest.(check (option string))
@@ -374,56 +392,251 @@ let test_sharded_torn_tails () =
       done;
       Alcotest.(check bool) "torn index not recorded" false (Sharded.mem j 8);
       Sharded.close j;
-      (* Compaction rewrote the shard files: resuming again finds exactly
-         the same clean state. *)
+      (* The cut left each shard its prefix: resuming again finds the
+         same state and writes nothing. *)
+      let bytes = List.map read_file [ base ^ ".0"; base ^ ".1" ] in
       (match Sharded.resume ~path:base ~shards:2 ~header () with
       | Ok j2 ->
-          Alcotest.(check int) "stable after recompaction" 6 (Sharded.completed j2);
+          Alcotest.(check int) "stable after the cut" 6 (Sharded.completed j2);
           Sharded.close j2
-      | Error msg -> Alcotest.fail msg)
+      | Error msg -> Alcotest.fail msg);
+      Alcotest.(check (list string))
+        "second resume writes nothing" bytes
+        (List.map read_file [ base ^ ".0"; base ^ ".1" ])
 
 let test_sharded_out_of_order_replay () =
   (* The SIGINT scenario: an interrupted run journals nothing for a
-     cancelled index (the gap) while later in-flight indices are
-     journalled; the first --resume re-runs the gap and appends it AFTER
-     the higher-index entries, leaving the shard index-unsorted. A second
-     --resume must still replay every completed index byte-identically —
-     the forward cursor must neither lose the gap entry (it sits behind
-     the cursor after the overshoot) nor consume the overshot entry. *)
+     cancelled index (a gap) while later in-flight indices are journalled.
+     Each shard keeps its entries up to its first gap; everything after it
+     is run again and appended in index order, so the next resume replays
+     every index. A journal that an earlier resume left out of index order
+     (the gap entries appended after higher ones) is cut at its first entry
+     out of order, and resumes the same way. *)
   with_temp_sharded 2 @@ fun base ->
   let header = "sosj1 seed=11 algo=fast specs=z" in
   let payload i = Printf.sprintf "out-%d" i in
-  let j = Sharded.start ~path:base ~shards:2 ~header () in
-  (* Run 1, interrupted: indices 2 and 5 cancelled (nothing journalled),
-     later in-flight indices journalled in emission order. *)
-  List.iter (fun i -> Sharded.append j ~index:i ~payload:(payload i)) [ 0; 1; 3; 4; 6; 7 ];
-  Sharded.close j;
-  (* First resume: gaps re-run and appended after higher indices. *)
-  (match Sharded.resume ~path:base ~shards:2 ~header () with
-  | Error msg -> Alcotest.fail msg
-  | Ok j ->
-      Alcotest.(check int) "completed after run 1" 6 (Sharded.completed j);
-      List.iter
-        (fun i ->
-          if Sharded.mem j i then
-            Alcotest.(check (option string))
-              (Printf.sprintf "first resume replay %d" i)
-              (Some (payload i)) (Sharded.replay j i)
-          else Sharded.append j ~index:i ~payload:(payload i))
-        [ 0; 1; 2; 3; 4; 5; 6; 7 ];
-      Sharded.close j);
-  (* Second resume: shard 0 is now [0;4;6;2], shard 1 [1;3;7;5]. Every
-     index must replay, in ordered-emission order. *)
-  match Sharded.resume ~path:base ~shards:2 ~header () with
-  | Error msg -> Alcotest.fail msg
-  | Ok j ->
-      Alcotest.(check int) "completed after gap fill" 8 (Sharded.completed j);
-      for i = 0 to 7 do
-        Alcotest.(check (option string))
-          (Printf.sprintf "second resume replay %d" i)
-          (Some (payload i)) (Sharded.replay j i)
+  let write order =
+    let j = Sharded.start ~path:base ~shards:2 ~header () in
+    List.iter (fun i -> Sharded.append j ~index:i ~payload:(payload i)) order;
+    Sharded.close j
+  in
+  let indices p =
+    List.map
+      (fun l -> int_of_string (List.hd (String.split_on_char ' ' l)))
+      (List.tl (read_lines p))
+  in
+  let resume_and_run what ~kept =
+    match Sharded.resume ~path:base ~shards:2 ~header () with
+    | Error msg -> Alcotest.fail msg
+    | Ok j ->
+        Alcotest.(check (list int))
+          (what ^ ": kept indices")
+          kept
+          (List.filter (Sharded.mem j) (List.init 8 Fun.id));
+        Alcotest.(check int) (what ^ ": completed") (List.length kept) (Sharded.completed j);
+        List.iter
+          (fun i ->
+            if Sharded.mem j i then
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s: replay %d" what i)
+                (Some (payload i)) (Sharded.replay j i)
+            else Sharded.append j ~index:i ~payload:(payload i))
+          (List.init 8 Fun.id);
+        Sharded.close j;
+        Alcotest.(check (list (list int)))
+          (what ^ ": shards in index order")
+          [ [ 0; 2; 4; 6 ]; [ 1; 3; 5; 7 ] ]
+          [ indices (base ^ ".0"); indices (base ^ ".1") ]
+  in
+  let all = List.init 8 Fun.id in
+  (* Indices 2 and 5 cancelled: shard 0 holds 0 4 6 and shard 1 holds
+     1 3 7, so the prefixes end at 0 and at 3. *)
+  write [ 0; 1; 3; 4; 6; 7 ];
+  resume_and_run "after the gaps" ~kept:[ 0; 1; 3 ];
+  resume_and_run "second resume" ~kept:all;
+  (* The same gaps as an earlier resume left them: 2 after 6 in shard 0,
+     5 after 7 in shard 1. *)
+  write [ 0; 1; 3; 4; 6; 7; 2; 5 ];
+  resume_and_run "out-of-order shards" ~kept:[ 0; 1; 3 ];
+  resume_and_run "second resume after reordering" ~kept:all
+
+(* ------------------------------------------- journal prefix property *)
+
+(* The prefix model, read off a shard's bytes alone: after a whole header
+   line, the longest run of whole lines "<k + jN> <md5> <payload>" whose
+   digest checks. Its byte length and its (index, payload) pairs. *)
+let model_prefix text ~k ~shards =
+  match String.index_opt text '\n' with
+  | None -> (0, [])
+  | Some h ->
+      let rec go pos next acc =
+        match String.index_from_opt text pos '\n' with
+        | None -> (pos, List.rev acc)
+        | Some e -> (
+            match String.split_on_char ' ' (String.sub text pos (e - pos)) with
+            | idx :: dg :: (_ :: _ as rest)
+              when int_of_string_opt idx = Some next
+                   && dg = Digest.to_hex (Digest.string (String.concat " " rest)) ->
+                go (e + 1) (next + shards) ((next, String.concat " " rest) :: acc)
+            | _ -> (pos, List.rev acc))
+      in
+      go (h + 1) k []
+
+let entry_line i p = Printf.sprintf "%d %s %s\n" i (Digest.to_hex (Digest.string p)) p
+
+(* What a batch emits for task [i]: a real solve, seeded by the index. *)
+let batch_lines =
+  lazy
+    (Array.init 48 (fun i ->
+         let family = List.nth Workload.Sos_gen.all_families (i mod 6) in
+         let inst =
+           Workload.Sos_gen.generate (Rng.create2 0x10b i) family ~n:(3 + (i mod 5)) ~m:4 ()
+         in
+         let cols, _ = Sos.Fast.run_columns inst in
+         Printf.sprintf "%d ok %s makespan=%d blocks=%d" i family.Workload.Sos_gen.name
+           cols.Sos.Schedule.Columns.makespan cols.blocks))
+
+(* A batch over tasks [0, n) resumed on journal [j], as sosctl batch runs
+   it: a kept index is replayed, any other solved, emitted and appended,
+   unless [cancelled] says a signal cancelled it. The emitted lines, and
+   the fresh indices in append order. *)
+let journal_batch j ~n ~cancelled =
+  let line i = (Lazy.force batch_lines).(i) in
+  let out = ref [] and appended = ref [] in
+  Engine.Pool.with_pool ~domains:1 (fun pool ->
+      ignore
+        (Engine.Batch.stream_seq pool ~chunk:1 ~window:4
+           (fun i ->
+             if i >= n then None
+             else
+               let kept = Sharded.mem j i in
+               Some (fun () -> if kept then None else Some (line i)))
+           ~f:(fun i outcome ->
+             match outcome with
+             | Ok None -> (
+                 match Sharded.replay j i with
+                 | Some p -> out := p :: !out
+                 | None -> Alcotest.failf "kept entry %d lost on replay" i)
+             | Ok (Some l) when not (cancelled i) ->
+                 Sharded.append j ~index:i ~payload:l;
+                 appended := i :: !appended;
+                 out := l :: !out
+             | Ok (Some _) -> ()
+             | Error (e : Batch.error) -> Alcotest.fail e.message)
+          : int));
+  (List.rev !out, List.rev !appended)
+
+(* Random append histories over 1-4 shards: gaps, entries out of order,
+   then torn, newline-less and corrupt lines at random offsets. Each
+   resume must keep exactly the model's prefix ([mem], [completed],
+   [replay], and the bytes left in each file), twice in a row, and a
+   batch resumed on top must emit the uninterrupted run's lines. *)
+let test_journal_prefix_property =
+  Helpers.qcheck ~count:150 "journal resume keeps each shard's gap-free prefix"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let shards = 1 + Rng.int rng 4 and n = Rng.int rng 48 in
+      let line i = (Lazy.force batch_lines).(i) in
+      let header = "sosj2 seed=3 algo=window" in
+      with_temp_sharded shards @@ fun base ->
+      let head k =
+        (if shards = 1 then header else Printf.sprintf "%s shard=%d/%d" header k shards) ^ "\n"
+      in
+      (* The lines shard [k] gets when [order] is appended. *)
+      let entries k order =
+        String.concat ""
+          (List.filter_map
+             (fun i -> if i mod shards = k then Some (entry_line i (line i)) else None)
+             order)
+      in
+      let all = List.init n Fun.id in
+      (* The history: each index journalled with probability 4/5, some
+         neighbours swapped, some gaps appended at the end. *)
+      let order = Array.of_list (List.filter (fun _ -> Rng.int rng 5 > 0) all) in
+      for a = 0 to Array.length order - 2 do
+        if Rng.int rng 8 = 0 then begin
+          let x = order.(a) in
+          order.(a) <- order.(a + 1);
+          order.(a + 1) <- x
+        end
       done;
-      Sharded.close j
+      let late = List.filter (fun i -> (not (Array.mem i order)) && Rng.int rng 3 = 0) all in
+      let order = Array.to_list order @ late in
+      let j = Sharded.start ~path:base ~shards ~sync_every:(1 + Rng.int rng 4) ~header () in
+      let paths = Sharded.paths j in
+      List.iter (fun i -> Sharded.append j ~index:i ~payload:(line i)) order;
+      Sharded.close j;
+      let texts = Array.init shards (fun k -> head k ^ entries k order) in
+      Array.iteri
+        (fun k t -> Alcotest.(check string) "appended bytes" t (read_file paths.(k)))
+        texts;
+      (* Damage: torn at a random offset, a newline-less tail, a corrupt
+         line at a random line boundary. *)
+      for _ = 1 to Rng.int rng 4 do
+        let k = Rng.int rng shards in
+        let t = texts.(k) and h = String.length (head k) and i = Rng.int rng (n + 1) in
+        texts.(k) <-
+          (match Rng.int rng 3 with
+          | 0 -> String.sub t 0 (h + Rng.int rng (String.length t - h + 1))
+          | 1 ->
+              let e = entry_line i (Printf.sprintf "%d ok tail" i) in
+              t ^ String.sub e 0 (String.length e - 1)
+          | _ ->
+              let bounds =
+                List.filter
+                  (fun p -> p >= h && t.[p - 1] = '\n')
+                  (List.init (String.length t + 1) Fun.id)
+              in
+              let p = List.nth bounds (Rng.int rng (List.length bounds)) in
+              String.sub t 0 p
+              ^ Printf.sprintf "%d %s %d ok corrupt\n" i (String.make 32 'f') i
+              ^ String.sub t p (String.length t - p))
+      done;
+      Array.iteri (fun k t -> write_file paths.(k) t) texts;
+      (* Two resumes in a row: the first under a batch that a signal
+         interrupts again (its gaps possibly appended late), the second
+         under a batch that runs to the end. *)
+      List.iter
+        (fun final ->
+          match Sharded.resume ~path:base ~shards ~header () with
+          | Error msg -> Alcotest.fail msg
+          | Ok j ->
+              let models = Array.mapi (fun k t -> model_prefix t ~k ~shards) texts in
+              let kept i = List.mem_assoc i (snd models.(i mod shards)) in
+              Alcotest.(check int) "completed"
+                (Array.fold_left (fun a (_, l) -> a + List.length l) 0 models)
+                (Sharded.completed j);
+              for i = 0 to n + shards do
+                Alcotest.(check bool) (Printf.sprintf "mem %d" i) (kept i) (Sharded.mem j i)
+              done;
+              Array.iteri
+                (fun k (keep, _) ->
+                  Alcotest.(check string) "file cut after the prefix"
+                    (String.sub texts.(k) 0 keep)
+                    (read_file paths.(k)))
+                models;
+              let cancelled _ = (not final) && Rng.int rng 6 = 0 in
+              let out, appended = journal_batch j ~n ~cancelled in
+              let late =
+                if final || Rng.bool rng then []
+                else List.filter (fun i -> not (kept i || List.mem i appended)) all
+              in
+              List.iter (fun i -> Sharded.append j ~index:i ~payload:(line i)) late;
+              Sharded.close j;
+              Alcotest.(check (list string))
+                "batch output"
+                (List.map line (List.filter (fun i -> kept i || List.mem i appended) all))
+                out;
+              Array.iteri
+                (fun k (keep, _) ->
+                  texts.(k) <- String.sub texts.(k) 0 keep ^ entries k (appended @ late))
+                models;
+              if final then
+                Alcotest.(check (list string))
+                  "resumed batch byte-identical" (List.map line all) out)
+        [ false; true ];
+      true)
 
 (* ----------------------------------------------------- batch resilience *)
 
@@ -716,6 +929,7 @@ let suite =
       Alcotest.test_case "sharded journal torn-tail compaction" `Quick test_sharded_torn_tails;
       Alcotest.test_case "sharded journal out-of-order replay" `Quick
         test_sharded_out_of_order_replay;
+      test_journal_prefix_property;
       Alcotest.test_case "backoff policy: jitter band, cap, determinism" `Quick
         test_backoff_policy;
       test_backoff_jitter_band;

@@ -383,7 +383,7 @@ let qcheck_validate_verdict_agrees =
     QCheck.(pair arb_instance (int_range 0 4))
     (fun (spec, mutation) ->
       let inst = instance_of spec in
-      let sched = Fast.run inst in
+      let sched, _ = Fast.run_count inst in
       let mutate_alloc (a : Schedule.alloc) =
         match mutation with
         | 0 -> a

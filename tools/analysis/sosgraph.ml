@@ -57,15 +57,16 @@ let det_reg_fns = [ "Obs.Metrics.counter"; "Obs.Metrics.hist" ]
 (* Cooperative-cancellation sites credited by A2. *)
 let poll_fns = [ "Robust.Context.poll"; "Robust.Chaos.point"; "Robust.Cancel.check" ]
 
-(* A1 sinks: deterministic solver entry points. *)
+(* A1 sinks: deterministic solver entry points, [Sos.Fast.run_in] (the
+   loop every Fast entry runs) among them. *)
 let solver_entry id =
   match String.split_on_char '.' id with
-  | [ ("Sos" | "Sas"); _; "run" ] -> true
+  | [ ("Sos" | "Sas"); _; "run" ] | [ "Sos"; "Fast"; "run_in" ] -> true
   | _ -> false
 
 (* A2 roots: the run loops whose cancellability the service story needs. *)
 let a2_root id =
-  id = "Sos.Fast.run" || id = "Sas.Combined.run"
+  id = "Sos.Fast.run_in" || id = "Sas.Combined.run"
   || starts_with ~prefix:"Engine.Pool." id
   || starts_with ~prefix:"Engine.Batch." id
   || starts_with ~prefix:"Serve.Server." id
@@ -994,7 +995,7 @@ let run_a2 () =
   (* A def is poll-guarded when it only runs beneath a loop that polls
      every iteration: anything called from inside a polling loop, plus
      the forward closure of those callees. A bounded helper recursion
-     (list walk, gcd) under Fast.run's polling main loop is covered —
+     (list walk, gcd) under Fast.run_in's polling main loop is covered —
      cancellation latency is one outer iteration. The driving loops
      themselves (roots with no polling ancestor) still must poll. *)
   let guarded =
